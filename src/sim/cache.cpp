@@ -54,14 +54,6 @@ LastLevelCache::LastLevelCache(const CacheConfig& cfg)
   arm_fill(LazyFill::Clear);
 }
 
-std::uint64_t LastLevelCache::set_index(std::uint64_t addr) const {
-  return (addr / cfg_.line_bytes) % num_sets_;
-}
-
-std::uint64_t LastLevelCache::tag_of(std::uint64_t addr) const {
-  return (addr / cfg_.line_bytes) / num_sets_;
-}
-
 int LastLevelCache::find_way(std::uint64_t set, std::uint64_t tag) const {
   const std::uint64_t* tags = &tags_[set * cfg_.ways];
   const std::uint64_t vmask = valid_[set];
@@ -149,10 +141,10 @@ void LastLevelCache::arm_fill(LazyFill mode) {
   std::fill(fill_seen_.begin(), fill_seen_.end(), 0);
   fill_unmaterialized_ = num_sets_;
   fill_mode_ = mode;
-  // A whole-cache fill supersedes any unreplayed warm touches; their
-  // statistics and LRU-clock advance were applied at record time, exactly
-  // as the eager loop would have left them.
-  warm_ranges_.clear();
+  // A whole-cache fill supersedes any unmaterialized warm; its statistics
+  // and LRU-clock advance were applied at record time, exactly as the
+  // eager loop would have left them.
+  warm_.reset();
 }
 
 void LastLevelCache::thrash() {
@@ -169,10 +161,7 @@ void LastLevelCache::thrash() {
 }
 
 void LastLevelCache::materialize_slow(std::uint64_t set) {
-  const std::uint64_t word = set >> 6;
-  const std::uint64_t bit = std::uint64_t{1} << (set & 63);
-  if ((fill_seen_[word] & bit) != 0) return;
-  fill_seen_[word] |= bit;
+  fill_seen_[set >> 6] |= std::uint64_t{1} << (set & 63);
   --fill_unmaterialized_;
   if (fill_mode_ == LazyFill::Clear) {
     valid_[set] = 0;
@@ -187,82 +176,54 @@ void LastLevelCache::materialize_slow(std::uint64_t set) {
                                   : (std::uint64_t{1} << cfg_.ways) - 1;
     dirty_[set] = 0;
   }
-  if (!warm_ranges_.empty()) replay_warm(set);
+  if (warm_) replay_warm(set);
 }
 
+// The per-line warm loop, restricted to one set, in closed form. Every
+// touch misses: the range's lines are distinct, and the pending fill holds
+// no reachable tag (a cleared set is empty, thrash tags have the top bit
+// set). So each touch allocates the victim loop's choice within the
+// replacement domain W (`ways` for host warms, `ddio_ways` for DDIO), and
+// that choice follows a fixed cycle:
+//  * after thrash() the fill's stamps ascend with the way index and every
+//    warm stamp is newer, so LRU takes ways 0, 1, ..., W-1;
+//  * after clear()/reset() the victim loop's !valid(w) test fires at
+//    w = 1 before way 0 is considered, so the first touch takes way 1,
+//    the second way 0 (an invalid victim ends the scan), then 2..W-1.
+// Either way the domain then holds strictly ascending stamps in cycle
+// order, so the cycle repeats: touch i of the set lands in way
+// perm[i mod W] with the stamp it had in the loop, and only the last
+// min(k, W) of the set's k touches survive.
 void LastLevelCache::replay_warm(std::uint64_t set) {
+  const WarmRange& r = *warm_;
+  // Range index j0 of the set's first line; its other lines follow every
+  // num_sets_ lines (the range is line-contiguous), one tag higher each.
+  // Sets below start_set are reached after the range wraps the set
+  // index, one tag above start_tag.
+  const bool wrapped = set < r.start_set;
+  const std::uint64_t j0 =
+      wrapped ? set + num_sets_ - r.start_set : set - r.start_set;
+  const std::uint64_t k = r.per_set + (j0 < r.extra ? 1 : 0);
+  const std::uint64_t tag0 = r.start_tag + (wrapped ? 1 : 0);
+  const unsigned span = r.ddio ? cfg_.ddio_ways : cfg_.ways;
+  const bool cleared = fill_mode_ == LazyFill::Clear;
   const std::uint64_t row = set * cfg_.ways;
-  for (const WarmRange& r : warm_ranges_) {
-    // First range index j whose line lands in this set; the rest follow
-    // every num_sets_ lines (the range is line-contiguous).
-    const std::uint64_t start_set = r.first_line % num_sets_;
-    std::uint64_t j = set >= start_set ? set - start_set
-                                       : set + num_sets_ - start_set;
-    for (; j < r.count; j += num_sets_) {
-      const std::uint64_t line = r.first_line + j;
-      std::uint64_t tag;
-      if (set_magic_ != 0) {
-        tag = static_cast<std::uint64_t>(
-            (static_cast<unsigned __int128>(line) * set_magic_) >>
-            set_magic_shift_);
-      } else {
-        tag = line / num_sets_;
-      }
-      const std::uint64_t stamp = r.clock0 + j + 1;
-      if (r.ddio) {
-        replay_ddio_touch(set, row, tag, stamp);
-      } else {
-        replay_host_touch(set, row, tag, stamp, r.dirty);
-      }
-    }
+  const std::uint64_t first = k > span ? k - span : 0;
+  unsigned slot = k > span ? static_cast<unsigned>(k % span) : 0;
+  std::uint64_t written = 0;
+  for (std::uint64_t i = first; i < k; ++i) {
+    const unsigned w = cleared && span > 1 && slot < 2 ? 1 - slot : slot;
+    tags_[row + w] = tag0 + i;
+    lru_[row + w] = r.clock0 + j0 + i * num_sets_ + 1;
+    written |= std::uint64_t{1} << w;
+    if (++slot == span) slot = 0;
   }
-}
-
-// host_touch with an explicit LRU stamp and no statistics (both were
-// applied when the range was recorded).
-void LastLevelCache::replay_host_touch(std::uint64_t set, std::uint64_t row,
-                                       std::uint64_t tag, std::uint64_t stamp,
-                                       bool dirty_line) {
-  if (const int w = find_way(set, tag); w >= 0) {
-    lru_[row + static_cast<unsigned>(w)] = stamp;
-    if (dirty_line) dirty_[set] |= std::uint64_t{1} << w;
-    return;
-  }
-  unsigned victim = 0;
-  for (unsigned w = 1; w < cfg_.ways; ++w) {
-    if (!valid(set, w)) { victim = w; break; }
-    if (!valid(set, victim)) break;
-    if (lru_[row + w] < lru_[row + victim]) victim = w;
-  }
-  valid_[set] |= std::uint64_t{1} << victim;
-  if (dirty_line) {
-    dirty_[set] |= std::uint64_t{1} << victim;
+  valid_[set] |= written;
+  if (r.dirty) {
+    dirty_[set] |= written;
   } else {
-    dirty_[set] &= ~(std::uint64_t{1} << victim);
+    dirty_[set] &= ~written;
   }
-  tags_[row + victim] = tag;
-  lru_[row + victim] = stamp;
-}
-
-// write_allocate with an explicit LRU stamp and no statistics.
-void LastLevelCache::replay_ddio_touch(std::uint64_t set, std::uint64_t row,
-                                       std::uint64_t tag,
-                                       std::uint64_t stamp) {
-  if (const int w = find_way(set, tag); w >= 0) {
-    lru_[row + static_cast<unsigned>(w)] = stamp;
-    dirty_[set] |= std::uint64_t{1} << w;
-    return;
-  }
-  unsigned victim = 0;
-  for (unsigned w = 1; w < cfg_.ddio_ways; ++w) {
-    if (!valid(set, w)) { victim = w; break; }
-    if (!valid(set, victim)) break;
-    if (lru_[row + w] < lru_[row + victim]) victim = w;
-  }
-  valid_[set] |= std::uint64_t{1} << victim;
-  dirty_[set] |= std::uint64_t{1} << victim;
-  tags_[row + victim] = tag;
-  lru_[row + victim] = stamp;
 }
 
 std::uint64_t LastLevelCache::wrap_evictions(std::uint64_t lines,
@@ -277,6 +238,19 @@ std::uint64_t LastLevelCache::wrap_evictions(std::uint64_t lines,
   return r * extra_hi + (num_sets_ - r) * extra_lo;
 }
 
+void LastLevelCache::record_warm(std::uint64_t addr, std::uint64_t lines,
+                                 bool dirty_lines, bool ddio) {
+  WarmRange r;
+  locate(addr, r.start_set, r.start_tag);
+  r.per_set = lines / num_sets_;
+  r.extra = lines % num_sets_;
+  r.clock0 = lru_clock_;
+  r.dirty = dirty_lines;
+  r.ddio = ddio;
+  warm_ = r;
+  lru_clock_ += lines;
+}
+
 void LastLevelCache::warm_host_range(std::uint64_t addr, std::uint64_t len,
                                      bool dirty_lines) {
   if (len == 0) return;
@@ -286,9 +260,7 @@ void LastLevelCache::warm_host_range(std::uint64_t addr, std::uint64_t len,
     // pending fill's contents, so every touch misses deterministically:
     // the statistics of the eager loop are computable up front.
     if (dirty_lines) dirty_evictions_ += wrap_evictions(n, cfg_.ways);
-    warm_ranges_.push_back(
-        {addr >> line_shift_, n, lru_clock_, dirty_lines, /*ddio=*/false});
-    lru_clock_ += n;
+    record_warm(addr, n, dirty_lines, /*ddio=*/false);
     return;
   }
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -307,9 +279,7 @@ void LastLevelCache::warm_device_range(std::uint64_t addr, std::uint64_t len) {
     const std::uint64_t wraps = wrap_evictions(n, cfg_.ddio_ways);
     ddio_evictions_ += fill_mode_ == LazyFill::Thrash ? n : wraps;
     dirty_evictions_ += wraps;
-    warm_ranges_.push_back(
-        {addr >> line_shift_, n, lru_clock_, /*dirty=*/true, /*ddio=*/true});
-    lru_clock_ += n;
+    record_warm(addr, n, /*dirty=*/true, /*ddio=*/true);
     return;
   }
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -340,8 +310,8 @@ bool LastLevelCache::contains(std::uint64_t addr) const {
   std::uint64_t set, tag;
   locate(addr, set, tag);
   if (fill_pending(set)) {
-    if (!warm_ranges_.empty()) {
-      // Lazy warm touches may land in this set; materializing is
+    if (warm_) {
+      // Lazy warm lines may land in this set; materializing is
       // logically const (observable state is unchanged by design).
       const_cast<LastLevelCache*>(this)->materialize(set);
       return find_way(set, tag) >= 0;

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/units.hpp"
@@ -55,12 +56,14 @@ class LastLevelCache {
   /// prepare-state pattern: thrash()/clear()/construction immediately
   /// followed by one warm): the range is recorded in O(1), its statistics
   /// and LRU-clock advance are applied eagerly (so a reset_stats() right
-  /// after behaves exactly as with the eager loop), and each set replays
-  /// its touches on first probe. A benchmark touching 100 lines of a 16K-
-  /// line warmed window pays for 100, not 16K — the dominant per-trial
-  /// cost of the chaos campaign (docs/PERFORMANCE.md round 3). Falls back
-  /// to the eager per-line loop whenever any set was touched since the
-  /// fill was armed or a lazy range is already recorded.
+  /// after behaves exactly as with the eager loop), and each set writes
+  /// the range's surviving lines in closed form on first probe, in
+  /// O(min(touches, ways)) (docs/PERFORMANCE.md round 4). A benchmark
+  /// touching 100 lines of a 16K-line warmed window pays for 100, not
+  /// 16K — the dominant per-trial cost of the chaos campaign
+  /// (docs/PERFORMANCE.md round 3). Falls back to the eager per-line loop
+  /// whenever any set was touched since the fill was armed or a lazy
+  /// range is already recorded.
   void warm_host_range(std::uint64_t addr, std::uint64_t len, bool dirty);
 
   /// Bulk DDIO warm: identical to write_allocate(addr + i*line_bytes) per
@@ -119,11 +122,9 @@ class LastLevelCache {
   bool contains(std::uint64_t addr) const;
 
  private:
-  std::uint64_t set_index(std::uint64_t addr) const;
-  std::uint64_t tag_of(std::uint64_t addr) const;
   /// Set and tag in one pass: a shift (line size is a power of two) and a
   /// single division by num_sets_ whose quotient is the tag and whose
-  /// remainder is the set — the separate set_index/tag_of pair costs four
+  /// remainder is the set — separate set and tag helpers cost four
   /// divisions per probe, which dominated the probe at -O2. The division
   /// itself is strength-reduced to a multiply-high by a precomputed magic
   /// constant (Granlund–Montgomery); the constructor proves the constant
@@ -147,28 +148,31 @@ class LastLevelCache {
   /// Pending lazy bulk operation: thrash() records a whole-cache foreign
   /// fill, clear()/reset() record a whole-cache invalidation. Either is
   /// applied per set on first touch via materialize().
-  enum class LazyFill : std::uint8_t { None, Clear, Thrash };
+  enum class LazyFill : std::uint8_t { Clear, Thrash };
 
-  /// One recorded lazy warm range (see warm_host_range): line j of the
-  /// range was stamped clock0 + j + 1, so every touch replays with its
-  /// original LRU stamp regardless of materialization order.
+  /// The lazy warm range (see warm_host_range), pre-split by set so a
+  /// set's share needs no division: line j of the range was stamped
+  /// clock0 + j + 1, so each set gets its lines' original LRU stamps
+  /// regardless of materialization order.
   struct WarmRange {
-    std::uint64_t first_line = 0;
-    std::uint64_t count = 0;
-    std::uint64_t clock0 = 0;  ///< lru_clock_ before the range's first touch
-    bool dirty = false;        ///< host_touch dirty flag (host ranges)
-    bool ddio = false;         ///< write_allocate (DDIO) vs host_touch
+    std::uint64_t start_set = 0;  ///< set of the range's first line
+    std::uint64_t start_tag = 0;  ///< tag of the range's first line
+    std::uint64_t per_set = 0;    ///< lines in every set, plus one in the
+    std::uint64_t extra = 0;      ///< `extra` sets from start_set on
+    std::uint64_t clock0 = 0;     ///< lru_clock_ before the first touch
+    bool dirty = false;           ///< dirty flag (always set for DDIO)
+    bool ddio = false;            ///< write_allocate (DDIO) vs host_touch
   };
 
-  /// Replay every recorded warm touch that lands in `set`, in original
-  /// global order (ranges were recorded in order; within a range the
-  /// per-set touches ascend). Statistics were counted at record time, so
-  /// replay only moves tags/LRU/valid/dirty state.
+  /// Record `lines` lines from addr as the lazy warm and advance the LRU
+  /// clock past their stamps.
+  void record_warm(std::uint64_t addr, std::uint64_t lines, bool dirty,
+                   bool ddio);
+  /// Write the lazy warm's lines that survive in `set` — the state the
+  /// per-line loop would have left, in closed form (see cache.cpp).
+  /// Statistics were counted at record time, so this only moves
+  /// tags/LRU/valid/dirty state.
   void replay_warm(std::uint64_t set);
-  void replay_host_touch(std::uint64_t set, std::uint64_t row,
-                         std::uint64_t tag, std::uint64_t stamp, bool dirty);
-  void replay_ddio_touch(std::uint64_t set, std::uint64_t row,
-                         std::uint64_t tag, std::uint64_t stamp);
   /// Evictions of the range's own earlier lines once a set's replacement
   /// domain (`ways` wide) wraps: sum over sets of max(0, touches - ways).
   std::uint64_t wrap_evictions(std::uint64_t lines, std::uint64_t ways) const;
@@ -177,16 +181,16 @@ class LastLevelCache {
   /// (a second range could hit the first's lines, invalidating the O(1)
   /// statistics accounting).
   bool warm_lazy_eligible() const {
-    return fill_mode_ != LazyFill::None &&
-           fill_unmaterialized_ == num_sets_ && warm_ranges_.empty();
+    return fill_unmaterialized_ == num_sets_ && !warm_;
   }
 
   /// Write the pending bulk fill into `set` if it hasn't been touched
   /// since the last thrash()/clear(). The fast path is one counter test:
-  /// once every set is materialized (or nothing is pending) the armed
-  /// counter is 0 and the probe pays a single predictable branch.
+  /// once every set is materialized the armed counter is 0 and the probe
+  /// pays a single predictable branch; while a fill is partly applied,
+  /// already-materialized sets cost one inline bit test, not a call.
   void materialize(std::uint64_t set) {
-    if (fill_unmaterialized_ != 0) materialize_slow(set);
+    if (fill_pending(set)) materialize_slow(set);
   }
   void materialize_slow(std::uint64_t set);
   bool fill_pending(std::uint64_t set) const {
@@ -229,10 +233,10 @@ class LastLevelCache {
   // eager loop would have written), how many sets still await the fill,
   // and which bulk operation is pending.
   std::vector<std::uint64_t> fill_seen_;
-  std::vector<WarmRange> warm_ranges_;  ///< lazy warms over the pending fill
+  std::optional<WarmRange> warm_;  ///< lazy warm over the pending fill
   std::uint64_t thrash_base_ = 0;
   std::uint64_t fill_unmaterialized_ = 0;
-  LazyFill fill_mode_ = LazyFill::None;
+  LazyFill fill_mode_ = LazyFill::Clear;
   std::uint64_t lru_clock_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

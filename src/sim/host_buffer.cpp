@@ -33,6 +33,15 @@ std::uint64_t HostBuffer::iova(std::uint64_t offset) const {
   return base_iova_ + offset;
 }
 
+std::uint64_t HostBuffer::window_iova(std::uint64_t offset,
+                                      std::uint64_t len) const {
+  // Two comparisons instead of offset + len, which could wrap.
+  if (offset > cfg_.size_bytes || len > cfg_.size_bytes - offset) {
+    throw std::out_of_range("HostBuffer::window_iova: window beyond buffer");
+  }
+  return base_iova_ + offset;
+}
+
 std::uint64_t HostBuffer::phys(std::uint64_t offset) const {
   if (offset >= cfg_.size_bytes) {
     throw std::out_of_range("HostBuffer::phys: offset beyond buffer");

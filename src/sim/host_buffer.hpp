@@ -33,6 +33,10 @@ class HostBuffer {
   /// Device-visible address of a byte offset (the IOVA the DMA targets).
   std::uint64_t iova(std::uint64_t offset) const;
 
+  /// Device-visible address of the window [offset, offset + len). Throws
+  /// std::out_of_range unless the whole window lies inside the buffer.
+  std::uint64_t window_iova(std::uint64_t offset, std::uint64_t len) const;
+
   /// Host physical address backing the offset (indexes caches/DRAM).
   std::uint64_t phys(std::uint64_t offset) const;
 

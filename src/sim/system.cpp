@@ -359,13 +359,14 @@ void System::attach_buffer(const HostBuffer* buf) {
 void System::warm_host(const HostBuffer& buf, std::uint64_t offset,
                        std::uint64_t len) {
   // The buffer's IOVA range is contiguous, so this is the bulk (lazily
-  // replayed) form of host_touch(buf.iova(o), true) per line.
-  mem_->cache().warm_host_range(buf.iova(offset), len, /*dirty=*/true);
+  // materialized) form of host_touch(buf.iova(o), true) per line.
+  mem_->cache().warm_host_range(buf.window_iova(offset, len), len,
+                                /*dirty=*/true);
 }
 
 void System::warm_device(const HostBuffer& buf, std::uint64_t offset,
                          std::uint64_t len) {
-  mem_->cache().warm_device_range(buf.iova(offset), len);
+  mem_->cache().warm_device_range(buf.window_iova(offset, len), len);
 }
 
 void System::thrash_cache() { mem_->cache().thrash(); }

@@ -141,7 +141,8 @@ class System {
   void register_counters(obs::CounterRegistry& reg);
 
   // --- cache state control (the §4 warm/thrash levers) -----------------
-  /// Host warms a window by writing it (dirty lines, any way).
+  /// Host warms a window by writing it (dirty lines, any way). Both warms
+  /// throw std::out_of_range if the window runs past the buffer's end.
   void warm_host(const HostBuffer& buf, std::uint64_t offset,
                  std::uint64_t len);
   /// Device warms a window (models prior DMA writes: DDIO ways, dirty).

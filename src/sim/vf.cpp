@@ -376,20 +376,13 @@ void MultiTenantSystem::attach_buffer(unsigned vf, const HostBuffer* buf) {
 
 void MultiTenantSystem::warm_host(unsigned vf, const HostBuffer& buf,
                                   std::uint64_t offset, std::uint64_t len) {
-  auto& cache = memory(vf).cache();
-  const unsigned line = cache.config().line_bytes;
-  for (std::uint64_t o = offset; o < offset + len; o += line) {
-    cache.host_touch(buf.iova(o), /*dirty=*/true);
-  }
+  memory(vf).cache().warm_host_range(buf.window_iova(offset, len), len,
+                                     /*dirty=*/true);
 }
 
 void MultiTenantSystem::warm_device(unsigned vf, const HostBuffer& buf,
                                     std::uint64_t offset, std::uint64_t len) {
-  auto& cache = memory(vf).cache();
-  const unsigned line = cache.config().line_bytes;
-  for (std::uint64_t o = offset; o < offset + len; o += line) {
-    cache.write_allocate(buf.iova(o));
-  }
+  memory(vf).cache().warm_device_range(buf.window_iova(offset, len), len);
 }
 
 void MultiTenantSystem::thrash_cache(unsigned vf) {

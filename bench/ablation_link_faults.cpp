@@ -5,10 +5,9 @@
 // connector.
 //
 // Two sections:
-//  1. LCRC-corruption sweep (the legacy LinkFaultModel table, migrated
-//     onto the fault_plan injector): each replayed TLP occupies the wire
-//     twice plus a NAK round trip — rare replays surface as a latency
-//     tail long before they dent throughput.
+//  1. LCRC-corruption sweep (corrupt@prob= fault plans): each replayed
+//     TLP occupies the wire twice plus a NAK round trip — rare replays
+//     surface as a latency tail long before they dent throughput.
 //  2. goodput vs injected error rate: drops lose payload for good (the
 //     device retries reads, but posted writes are gone), corruption only
 //     costs wire efficiency. Emitted as CSV; pass an output path to

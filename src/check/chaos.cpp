@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "check/overload_monitors.hpp"
-#include "check/tenant_monitors.hpp"
 #include "common/rng.hpp"
 #include "core/runner.hpp"
 #include "core/tenant_runner.hpp"
@@ -412,7 +411,7 @@ TenantRunArtifacts run_tenant_once(const TrialSpec& spec, bool armed,
   if (armed && spec.seed_misroute_bug) system.test_misroute_completions(true);
   MonitorConfig mon_cfg;
   mon_cfg.throw_on_violation = throw_monitors;
-  TenantMonitorSuite monitors(system, mon_cfg);
+  MonitorSuite monitors(system, mon_cfg);
   std::vector<core::TenantResult> results;
   try {
     results = core::run_tenant_bench(system, spec.params);

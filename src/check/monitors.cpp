@@ -4,6 +4,19 @@
 
 namespace pcieb::check {
 
+namespace {
+
+std::vector<const sim::PcieFunction*> functions_of(
+    sim::MultiTenantSystem& system) {
+  std::vector<const sim::PcieFunction*> fns;
+  for (unsigned vf = 0; vf < system.tenants(); ++vf) {
+    fns.push_back(&system.function(vf));
+  }
+  return fns;
+}
+
+}  // namespace
+
 std::string Violation::format() const {
   std::ostringstream os;
   os << "invariant '" << monitor << "' violated @ " << to_nanos(when)
@@ -11,94 +24,112 @@ std::string Violation::format() const {
   return os.str();
 }
 
-MonitorSuite::MonitorSuite(sim::System& system, MonitorConfig cfg)
-    : system_(system),
-      cfg_(cfg),
-      base_write_issued_(system.device().write_payload_issued()),
-      base_write_committed_(system.root_complex().write_bytes_committed()),
-      base_write_lost_(system.lost_write_bytes()),
-      base_read_requested_(system.device().read_payload_requested()),
-      base_read_delivered_(system.device().read_payload_delivered()),
-      base_read_failed_(system.device().failed_read_bytes()) {
-  auto& sim = system_.sim();
-  // Clock first: if time ran backwards, everything else is suspect too.
-  sim.add_monitor(&MonitorSuite::clock_monitor, this);
-  sim.add_monitor(&MonitorSuite::credits_monitor, this);
-  sim.add_monitor(&MonitorSuite::tags_monitor, this);
-  sim.add_monitor(&MonitorSuite::replay_monitor, this);
-}
-
-MonitorSuite::~MonitorSuite() {
-  auto& sim = system_.sim();
-  sim.remove_monitor(&MonitorSuite::clock_monitor, this);
-  sim.remove_monitor(&MonitorSuite::credits_monitor, this);
-  sim.remove_monitor(&MonitorSuite::tags_monitor, this);
-  sim.remove_monitor(&MonitorSuite::replay_monitor, this);
-}
-
-void MonitorSuite::clock_monitor(void* ctx, Picos now) {
-  static_cast<MonitorSuite*>(ctx)->clock_check(now);
-}
-void MonitorSuite::credits_monitor(void* ctx, Picos now) {
-  static_cast<MonitorSuite*>(ctx)->credits_check(now);
-}
-void MonitorSuite::tags_monitor(void* ctx, Picos now) {
-  static_cast<MonitorSuite*>(ctx)->tags_check(now);
-}
-void MonitorSuite::replay_monitor(void* ctx, Picos now) {
-  static_cast<MonitorSuite*>(ctx)->replay_check(now);
-}
-
-void MonitorSuite::record(const char* monitor, Picos now, std::string detail) {
+void ViolationLog::record(const char* monitor, Picos now, std::string detail) {
   ++total_;
   Violation v{monitor, now, std::move(detail)};
   if (cfg_.throw_on_violation) throw InvariantError(v);
   if (violations_.size() < cfg_.max_recorded) violations_.push_back(std::move(v));
 }
 
-void MonitorSuite::clock_check(Picos now) {
-  // Clock monotonicity: the event clock never moves backwards.
-  if (clock_seen_ && now < last_now_) {
-    record("clock", now,
-           "event clock moved backwards: " + std::to_string(last_now_) +
-               " ps -> " + std::to_string(now) + " ps");
+std::string ViolationLog::report() const {
+  if (total_ == 0) return std::string(name_) + ": all invariants held\n";
+  std::ostringstream os;
+  for (const auto& v : violations_) os << v.format() << "\n";
+  if (total_ > violations_.size()) {
+    os << "... and " << (total_ - violations_.size())
+       << " further violations past the recording cap\n";
   }
-  clock_seen_ = true;
-  last_now_ = now;
+  os << name_ << ": " << total_ << " violation" << (total_ == 1 ? "" : "s")
+     << " (" << violations_.size() << " recorded)\n";
+  return os.str();
 }
 
-void MonitorSuite::credits_check(Picos now) {
-  // credits: 0 <= available <= advertised window, at every instant.
-  const auto& dev = system_.device();
-  const std::int64_t credits = dev.posted_credits_available();
-  const std::int64_t window =
-      static_cast<std::int64_t>(dev.profile().posted_credit_bytes);
-  if (credits < 0 || credits > window) {
-    record("credits", now,
-           "posted credits " + std::to_string(credits) +
-               " outside [0, " + std::to_string(window) + "]");
+MonitorSuite::MonitorSuite(sim::System& system, MonitorConfig cfg)
+    : MonitorSuite(system.sim(), {&system.function()}, system.upstream(),
+                   system.downstream(), /*per_vf=*/false, cfg) {}
+
+MonitorSuite::MonitorSuite(sim::MultiTenantSystem& system, MonitorConfig cfg)
+    : MonitorSuite(system.sim(), functions_of(system), system.upstream(),
+                   system.downstream(), /*per_vf=*/true, cfg) {}
+
+MonitorSuite::MonitorSuite(
+    sim::Simulator& sim, const std::vector<const sim::PcieFunction*>& functions,
+    const sim::Link& up, const sim::Link& down, bool per_vf, MonitorConfig cfg)
+    : ViolationLog(cfg, "monitors"),
+      sim_(sim),
+      up_(up),
+      down_(down),
+      port_ladder_(!per_vf) {
+  for (std::size_t i = 0; i < functions.size(); ++i) {
+    const sim::PcieFunction& f = *functions[i];
+    ledgers_.push_back({&f, per_vf ? "vf" + std::to_string(i) + ": " : "",
+                        f.device().write_payload_issued(),
+                        f.root_complex().write_bytes_committed(),
+                        f.lost_write_bytes(),
+                        f.device().read_payload_requested(),
+                        f.device().read_payload_delivered(),
+                        f.device().failed_read_bytes()});
   }
+  sim_.add_monitor(&MonitorSuite::step_monitor, this);
 }
 
-void MonitorSuite::tags_check(Picos now) {
-  // tags: every issued tag is either retired or still in flight.
-  const auto& dev = system_.device();
-  const std::uint64_t issued = dev.read_requests_issued();
-  const std::uint64_t retired = dev.read_requests_retired();
-  const std::uint64_t inflight = dev.inflight_read_requests();
-  if (retired > issued || issued - retired != inflight) {
-    record("tags", now,
-           "issued " + std::to_string(issued) + " != retired " +
-               std::to_string(retired) + " + in-flight " +
-               std::to_string(inflight) + " (" + dev.outstanding_tags() + ")");
-  }
+MonitorSuite::~MonitorSuite() {
+  sim_.remove_monitor(&MonitorSuite::step_monitor, this);
 }
 
-void MonitorSuite::replay_check(Picos now) {
+void MonitorSuite::step_monitor(void* ctx, Picos now) {
+  auto* self = static_cast<MonitorSuite*>(ctx);
+  // Clock first: if time ran backwards, everything else is suspect too.
+  if (self->clock_seen_ && now < self->last_now_) {
+    self->record("clock", now,
+                 "event clock moved backwards: " +
+                     std::to_string(self->last_now_) + " ps -> " +
+                     std::to_string(now) + " ps");
+  }
+  self->clock_seen_ = true;
+  self->last_now_ = now;
+  self->step_checks(now);
+}
+
+void MonitorSuite::step_checks(Picos now) {
+  for (const Ledger& l : ledgers_) {
+    const auto& dev = l.fn->device();
+
+    // bleed: the device counts-and-drops TLPs carrying a foreign
+    // requester ID, so the counter moving at all is the isolation breach.
+    if (dev.foreign_tlps() != 0) {
+      record("bleed", now,
+             l.label + std::to_string(dev.foreign_tlps()) +
+                 " TLPs carried a foreign requester ID (cross-VF bleed)");
+    }
+
+    // credits: 0 <= available <= advertised window, at every instant.
+    const std::int64_t credits = dev.posted_credits_available();
+    const std::int64_t window =
+        static_cast<std::int64_t>(dev.profile().posted_credit_bytes);
+    if (credits < 0 || credits > window) {
+      record("credits", now,
+             l.label + "posted credits " + std::to_string(credits) +
+                 " outside [0, " + std::to_string(window) + "]");
+    }
+
+    // tags: every issued tag is either retired or still in flight.
+    const std::uint64_t issued = dev.read_requests_issued();
+    const std::uint64_t retired = dev.read_requests_retired();
+    const std::uint64_t inflight = dev.inflight_read_requests();
+    if (retired > issued || issued - retired != inflight) {
+      record("tags", now,
+             l.label + "issued " + std::to_string(issued) + " != retired " +
+                 std::to_string(retired) + " + in-flight " +
+                 std::to_string(inflight) + " (" + dev.outstanding_tags() +
+                 ")");
+    }
+  }
+
   // replay: the retry buffer tracks sent-but-unacked TLPs; it can never
   // hold more than were ever sent (an excess means retire accounting
   // drifted or wrapped).
-  for (const auto* link : {&system_.upstream(), &system_.downstream()}) {
+  for (const sim::Link* link : {&up_, &down_}) {
     if (link->unacked() > link->tlps_sent()) {
       record("replay", now,
              "retry buffer holds " + std::to_string(link->unacked()) +
@@ -108,108 +139,115 @@ void MonitorSuite::replay_check(Picos now) {
   }
 }
 
-void MonitorSuite::step_checks(Picos now) {
-  credits_check(now);
-  tags_check(now);
-  replay_check(now);
-}
-
-void MonitorSuite::check_now() { step_checks(system_.sim().now()); }
+void MonitorSuite::check_now() { step_checks(sim_.now()); }
 
 void MonitorSuite::check_quiescent() {
-  const Picos now = system_.sim().now();
+  const Picos now = sim_.now();
   step_checks(now);
 
-  const auto& dev = system_.device();
-  const auto& rc = system_.root_complex();
+  for (const Ledger& l : ledgers_) {
+    const auto& dev = l.fn->device();
+    const auto& rc = l.fn->root_complex();
 
-  // credits: with nothing in flight, the full window must have returned.
-  const std::int64_t credits = dev.posted_credits_available();
-  const std::int64_t window =
-      static_cast<std::int64_t>(dev.profile().posted_credit_bytes);
-  if (credits != window) {
-    record("credits", now,
-           "at quiesce " + std::to_string(credits) + " of " +
-               std::to_string(window) +
-               " posted credit bytes returned (leaked " +
-               std::to_string(window - credits) + ")");
-  }
+    // credits: with nothing in flight, the full window must have returned.
+    const std::int64_t credits = dev.posted_credits_available();
+    const std::int64_t window =
+        static_cast<std::int64_t>(dev.profile().posted_credit_bytes);
+    if (credits != window) {
+      record("credits", now,
+             l.label + "at quiesce " + std::to_string(credits) + " of " +
+                 std::to_string(window) +
+                 " posted credit bytes returned (leaked " +
+                 std::to_string(window - credits) + ")");
+    }
 
-  // tags: nothing may still be in flight or queued anywhere.
-  if (dev.inflight_read_requests() != 0 || dev.pending_read_ops() != 0 ||
-      dev.pending_write_tlps() != 0 || rc.posted_writes_pending() != 0 ||
-      rc.host_reads_pending() != 0 || rc.ordered_reads_pending() != 0) {
-    record("tags", now,
-           "work outstanding at quiesce: read requests " +
-               std::to_string(dev.inflight_read_requests()) + " (" +
-               dev.outstanding_tags() + "), read ops " +
-               std::to_string(dev.pending_read_ops()) + ", queued writes " +
-               std::to_string(dev.pending_write_tlps()) +
-               ", rc posted " + std::to_string(rc.posted_writes_pending()) +
-               ", rc host reads " + std::to_string(rc.host_reads_pending()) +
-               ", rc ordered reads " +
-               std::to_string(rc.ordered_reads_pending()));
-  }
+    // tags: nothing may still be in flight or queued anywhere.
+    if (dev.inflight_read_requests() != 0 || dev.pending_read_ops() != 0 ||
+        dev.pending_write_tlps() != 0 || rc.posted_writes_pending() != 0 ||
+        rc.host_reads_pending() != 0 || rc.ordered_reads_pending() != 0) {
+      record("tags", now,
+             l.label + "work outstanding at quiesce: read requests " +
+                 std::to_string(dev.inflight_read_requests()) + " (" +
+                 dev.outstanding_tags() + "), read ops " +
+                 std::to_string(dev.pending_read_ops()) + ", queued writes " +
+                 std::to_string(dev.pending_write_tlps()) + ", rc posted " +
+                 std::to_string(rc.posted_writes_pending()) +
+                 ", rc host reads " + std::to_string(rc.host_reads_pending()) +
+                 ", rc ordered reads " +
+                 std::to_string(rc.ordered_reads_pending()));
+    }
 
-  // payload: byte conservation over the suite's lifetime.
-  const std::uint64_t wr_issued = dev.write_payload_issued() - base_write_issued_;
-  const std::uint64_t wr_committed =
-      rc.write_bytes_committed() - base_write_committed_;
-  const std::uint64_t wr_lost = system_.lost_write_bytes() - base_write_lost_;
-  if (wr_issued != wr_committed + wr_lost) {
-    record("payload", now,
-           "write bytes not conserved: issued " + std::to_string(wr_issued) +
-               " != committed " + std::to_string(wr_committed) + " + lost " +
-               std::to_string(wr_lost));
-  }
-  const std::uint64_t rd_requested =
-      dev.read_payload_requested() - base_read_requested_;
-  const std::uint64_t rd_delivered =
-      dev.read_payload_delivered() - base_read_delivered_;
-  const std::uint64_t rd_failed = dev.failed_read_bytes() - base_read_failed_;
-  if (rd_requested != rd_delivered + rd_failed) {
-    record("payload", now,
-           "read bytes not conserved: requested " +
-               std::to_string(rd_requested) + " != delivered " +
-               std::to_string(rd_delivered) + " + failed " +
-               std::to_string(rd_failed));
+    // payload: byte conservation over the suite's lifetime.
+    const std::uint64_t wr_issued = dev.write_payload_issued() - l.write_issued;
+    const std::uint64_t wr_committed =
+        rc.write_bytes_committed() - l.write_committed;
+    const std::uint64_t wr_lost = l.fn->lost_write_bytes() - l.write_lost;
+    if (wr_issued != wr_committed + wr_lost) {
+      record("payload", now,
+             l.label + "write bytes not conserved: issued " +
+                 std::to_string(wr_issued) + " != committed " +
+                 std::to_string(wr_committed) + " + lost " +
+                 std::to_string(wr_lost));
+    }
+    const std::uint64_t rd_requested =
+        dev.read_payload_requested() - l.read_requested;
+    const std::uint64_t rd_delivered =
+        dev.read_payload_delivered() - l.read_delivered;
+    const std::uint64_t rd_failed = dev.failed_read_bytes() - l.read_failed;
+    if (rd_requested != rd_delivered + rd_failed) {
+      record("payload", now,
+             l.label + "read bytes not conserved: requested " +
+                 std::to_string(rd_requested) + " != delivered " +
+                 std::to_string(rd_delivered) + " + failed " +
+                 std::to_string(rd_failed));
+    }
   }
 
   // replay: the retry buffers must be empty once the queue drained.
-  if (system_.upstream().unacked() != 0 || system_.downstream().unacked() != 0) {
+  if (up_.unacked() != 0 || down_.unacked() != 0) {
     record("replay", now,
            "retry buffers not empty at quiesce: up " +
-               std::to_string(system_.upstream().unacked()) + ", down " +
-               std::to_string(system_.downstream().unacked()));
+               std::to_string(up_.unacked()) + ", down " +
+               std::to_string(down_.unacked()));
   }
 
-  // recovery: the escalation ladder must have converged — the device is
-  // either healthy again or declared unrecoverable, within bounded
-  // sim-time (the queue draining IS the bound: a ladder stuck mid-flight
-  // would still hold scheduled events).
-  if (const auto* rec = system_.recovery()) {
-    const auto& up = system_.upstream();
-    const auto& down = system_.downstream();
+  check_recovery(now);
+}
+
+void MonitorSuite::check_recovery(Picos now) {
+  // Every ladder must have converged — the function is either healthy
+  // again or declared unrecoverable, within bounded sim-time (the queue
+  // draining IS the bound: a ladder stuck mid-flight would still hold
+  // scheduled events).
+  for (const Ledger& l : ledgers_) {
+    const fault::RecoveryManager* rec = l.fn->recovery();
+    if (rec == nullptr) continue;
     if (!rec->converged()) {
       record("recovery", now,
-             std::string("ladder did not converge: state '") +
+             l.label + "ladder did not converge: state '" +
                  fault::to_string(rec->state()) +
                  "' at quiesce (want operational or quarantined); digest " +
                  rec->digest());
-    } else if (rec->state() == fault::RecoveryState::Operational) {
-      if (up.blocked() || down.blocked()) {
+      continue;
+    }
+    // Port-state agreement applies only to a ladder that owns the whole
+    // port; per-VF lanes have no such single verdict to agree with.
+    if (!port_ladder_) continue;
+    if (rec->state() == fault::RecoveryState::Operational) {
+      if (up_.blocked() || down_.blocked()) {
         record("recovery", now,
                "operational verdict but port still frozen: up blocked=" +
-                   std::to_string(up.blocked()) +
-                   ", down blocked=" + std::to_string(down.blocked()));
+                   std::to_string(up_.blocked()) +
+                   ", down blocked=" + std::to_string(down_.blocked()));
       }
-      if (up.recovery_derated() != rec->link_degraded() ||
-          down.recovery_derated() != rec->link_degraded()) {
+      if (up_.recovery_derated() != rec->link_degraded() ||
+          down_.recovery_derated() != rec->link_degraded()) {
         record("recovery", now,
                "link derate disagrees with ladder: manager degraded=" +
                    std::to_string(rec->link_degraded()) +
-                   ", up derated=" + std::to_string(up.recovery_derated()) +
-                   ", down derated=" + std::to_string(down.recovery_derated()));
+                   ", up derated=" + std::to_string(up_.recovery_derated()) +
+                   ", down derated=" +
+                   std::to_string(down_.recovery_derated()));
       }
       if (rec->link_degraded()) {
         record("recovery", now,
@@ -218,28 +256,14 @@ void MonitorSuite::check_quiescent() {
                    rec->digest());
       }
     } else {  // Quarantined
-      if (!up.blocked() || !down.blocked()) {
+      if (!up_.blocked() || !down_.blocked()) {
         record("recovery", now,
                "quarantined verdict but port not frozen: up blocked=" +
-                   std::to_string(up.blocked()) +
-                   ", down blocked=" + std::to_string(down.blocked()));
+                   std::to_string(up_.blocked()) +
+                   ", down blocked=" + std::to_string(down_.blocked()));
       }
     }
   }
-}
-
-std::string MonitorSuite::report() const {
-  if (total_ == 0) return "monitors: all invariants held\n";
-  std::ostringstream os;
-  for (const auto& v : violations_) os << v.format() << "\n";
-  if (total_ > violations_.size()) {
-    os << "... and " << (total_ - violations_.size())
-       << " further violations past the recording cap\n";
-  }
-  os << "monitors: " << total_ << " violation"
-     << (total_ == 1 ? "" : "s") << " (" << violations_.size()
-     << " recorded)\n";
-  return os.str();
 }
 
 }  // namespace pcieb::check

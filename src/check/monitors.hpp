@@ -1,39 +1,42 @@
-// Invariant monitors: a self-checking harness over one sim::System.
+// Invariant monitors: a self-checking harness over the PCIe functions of
+// one port — the single function of a sim::System (n = 1), or every SR-IOV
+// VF of a sim::MultiTenantSystem.
 //
-// A MonitorSuite hooks the simulator's per-event check hook and asserts,
-// after every executed event, the conservation laws the components are
-// supposed to uphold by construction:
+// A MonitorSuite takes one slot of the simulator's per-event monitor array
+// and asserts, after every executed event, the conservation laws of each
+// function's ledgers (sim::PcieFunction) and of the shared link pair:
 //
-//  * credits — the posted-write credit ledger never goes negative and
-//    never exceeds the advertised window; at quiesce the full window has
-//    been returned (every consumed credit came back, via commit, RC drop
-//    or link drop).
-//  * tags — every DMA read request tag that was issued is retired exactly
-//    once (delivered, failed, or reclaimed by a timeout/error
-//    completion): issued == retired + in-flight at every step, and
-//    in-flight == 0 at quiesce with no leaked ops or queued writes.
-//  * payload — byte conservation at quiesce: write payload that consumed
-//    credits equals payload committed by the root complex plus payload
-//    accounted lost to drops; read payload requested equals payload
-//    delivered plus payload accounted failed.
-//  * replay — the DLL retry buffer is bounded: sent-but-unacked TLPs
-//    never exceed TLPs sent and the buffer is empty at quiesce.
 //  * clock — the event clock never moves backwards.
-//  * recovery — convergence (liveness) of the error-recovery ladder: once
-//    the event queue drains, every device has either returned to
-//    Operational or been permanently Quarantined — never stuck mid-ladder
-//    (Contained/Resetting) or left Degraded with no probation pending —
-//    and the port state agrees with the verdict (Operational = links
-//    unblocked at full rate; Quarantined = port frozen). Only checked
-//    when a recovery policy is armed.
+//  * bleed — no function ever accepts a TLP carrying another function's
+//    requester ID (cross-VF tag bleed). A lone function has no RID check.
+//  * credits — each posted-write credit ledger stays within [0, window]
+//    at every step and has returned the full window at quiesce (every
+//    consumed credit came back, via commit, RC drop or link drop).
+//  * tags — every issued read tag is retired exactly once (delivered,
+//    failed, or reclaimed by a timeout/error completion): issued ==
+//    retired + in-flight at every step, and nothing in flight or queued
+//    anywhere at quiesce.
+//  * payload — byte conservation per function at quiesce (an aggregate
+//    check would let a byte move between tenants unseen): write payload
+//    issued == committed + accounted lost; read payload requested ==
+//    delivered + accounted failed.
+//  * replay — the DLL retry buffers never hold more TLPs than were sent,
+//    and are empty at quiesce.
+//  * recovery — every armed ladder converged once the queue drained:
+//    Operational or permanently Quarantined, never stuck mid-ladder
+//    (Contained/Resetting) or Degraded with no probation pending. A ladder
+//    that owns the whole port (System's) must also agree with the port:
+//    Operational = links unblocked at full rate; Quarantined = frozen.
 //
-// Monitors are strictly opt-in: nothing constructs a MonitorSuite unless
-// asked (pciebench --monitors, the chaos driver, tests), and an unarmed
-// simulator pays exactly one null-function check per event — runs without
-// a suite attached stay bit-identical to the seed. Violations are
-// recorded (record mode, default) or thrown (throw_on_violation) —
-// record mode is what the chaos shrinker needs, since it must re-run
-// failing trials to completion. See docs/CHECKING.md.
+// Per step: clock, then bleed/credits/tags per function, then replay. At
+// quiesce: credits/tags/payload per function, then replay, then recovery.
+// Tenant details carry a "vfN: " prefix.
+//
+// Monitors are strictly opt-in (pciebench --monitors, the chaos driver,
+// tests); an unarmed simulator pays one integer test per event, so runs
+// without a suite stay bit-identical to the seed. Violations are recorded
+// (default — the chaos shrinker re-runs failing trials to completion) or
+// thrown (throw_on_violation). See docs/CHECKING.md.
 #pragma once
 
 #include <cstdint>
@@ -43,12 +46,13 @@
 
 #include "common/units.hpp"
 #include "sim/system.hpp"
+#include "sim/vf.hpp"
 
 namespace pcieb::check {
 
 /// One invariant breach: which monitor, when, and what the ledger said.
 struct Violation {
-  std::string monitor;  ///< credits | tags | payload | replay | clock | recovery
+  std::string monitor;  ///< clock | bleed | credits | tags | payload | ...
   Picos when = 0;
   std::string detail;
 
@@ -73,14 +77,42 @@ struct MonitorConfig {
   std::size_t max_recorded = 16;
 };
 
-class MonitorSuite {
+/// The violation log every monitor suite records through: each breach is
+/// counted, the first `max_recorded` are kept in order, and throw mode
+/// raises InvariantError at the first one.
+class ViolationLog {
  public:
-  /// Registers one devirtualized monitor per per-step invariant (clock,
-  /// credits, tags, replay — in that order) on `system`'s simulator and
-  /// captures baseline payload tallies, so a suite attached mid-life
-  /// checks only the delta. The destructor removes exactly its own slots,
-  /// leaving any other registered monitors untouched.
+  bool ok() const { return total_ == 0; }
+  /// All breaches observed, including re-fires past the recording cap.
+  std::uint64_t total_violations() const { return total_; }
+  /// The first `max_recorded` breaches, in order of occurrence.
+  const std::vector<Violation>& violations() const { return violations_; }
+
+  /// Human-readable summary: every recorded violation plus totals, or a
+  /// one-line all-clear, headed by the suite's name.
+  std::string report() const;
+
+ protected:
+  ViolationLog(MonitorConfig cfg, const char* name) : cfg_(cfg), name_(name) {}
+  void record(const char* monitor, Picos now, std::string detail);
+
+ private:
+  MonitorConfig cfg_;
+  const char* name_;
+  std::vector<Violation> violations_;
+  std::uint64_t total_ = 0;
+};
+
+class MonitorSuite : public ViolationLog {
+ public:
+  /// Registers the suite's one devirtualized monitor slot on the
+  /// system's simulator and captures baseline payload tallies, so a
+  /// suite attached mid-life checks only the delta. The destructor
+  /// removes exactly its own slot, leaving any other registered monitors
+  /// untouched.
   explicit MonitorSuite(sim::System& system, MonitorConfig cfg = {});
+  /// One ledger per VF; recovery is checked per VF ladder.
+  explicit MonitorSuite(sim::MultiTenantSystem& system, MonitorConfig cfg = {});
   ~MonitorSuite();
 
   MonitorSuite(const MonitorSuite&) = delete;
@@ -94,48 +126,42 @@ class MonitorSuite {
   /// (after the benchmark returns). Also re-runs the step invariants.
   void check_quiescent();
 
-  bool ok() const { return total_ == 0; }
-  /// All breaches observed, including re-fires past the recording cap.
-  std::uint64_t total_violations() const { return total_; }
-  /// The first `max_recorded` breaches, in order of occurrence.
-  const std::vector<Violation>& violations() const { return violations_; }
-
-  /// Human-readable summary: every recorded violation plus totals, or a
-  /// one-line all-clear.
-  std::string report() const;
-
  private:
-  // Simulator::MonitorFn trampolines — one flattened dispatch slot per
-  // invariant, so the per-event path is an indirect call through a plain
-  // function pointer instead of a std::function.
-  static void clock_monitor(void* ctx, Picos now);
-  static void credits_monitor(void* ctx, Picos now);
-  static void tags_monitor(void* ctx, Picos now);
-  static void replay_monitor(void* ctx, Picos now);
+  /// One function's ledgers: its detail prefix and the payload tallies
+  /// at attach time (all zero on a fresh system).
+  struct Ledger {
+    const sim::PcieFunction* fn;
+    std::string label;
+    std::uint64_t write_issued;
+    std::uint64_t write_committed;
+    std::uint64_t write_lost;
+    std::uint64_t read_requested;
+    std::uint64_t read_delivered;
+    std::uint64_t read_failed;
+  };
 
-  void clock_check(Picos now);
-  void credits_check(Picos now);
-  void tags_check(Picos now);
-  void replay_check(Picos now);
+  /// The body both public constructors delegate to. `per_vf` labels each
+  /// function's details "vfN: " and scopes recovery to per-function
+  /// convergence; otherwise the single function's ladder owns the port.
+  MonitorSuite(sim::Simulator& sim,
+               const std::vector<const sim::PcieFunction*>& functions,
+               const sim::Link& up, const sim::Link& down, bool per_vf,
+               MonitorConfig cfg);
+
+  /// Simulator::MonitorFn trampoline: the per-event path is one indirect
+  /// call through a plain function pointer, not a std::function.
+  static void step_monitor(void* ctx, Picos now);
   void step_checks(Picos now);
-  void record(const char* monitor, Picos now, std::string detail);
+  void check_recovery(Picos now);
 
-  sim::System& system_;
-  MonitorConfig cfg_;
-
-  // Payload baselines at attach time (all zero on a fresh System).
-  std::uint64_t base_write_issued_;
-  std::uint64_t base_write_committed_;
-  std::uint64_t base_write_lost_;
-  std::uint64_t base_read_requested_;
-  std::uint64_t base_read_delivered_;
-  std::uint64_t base_read_failed_;
+  sim::Simulator& sim_;
+  const sim::Link& up_;
+  const sim::Link& down_;
+  bool port_ladder_;
+  std::vector<Ledger> ledgers_;
 
   Picos last_now_ = 0;
   bool clock_seen_ = false;
-
-  std::vector<Violation> violations_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace pcieb::check

@@ -4,23 +4,14 @@
 
 namespace pcieb::check {
 
-OverloadMonitorSuite::OverloadMonitorSuite(MonitorConfig cfg) : cfg_(cfg) {
+OverloadMonitorSuite::OverloadMonitorSuite(MonitorConfig cfg)
+    : ViolationLog(cfg, "overload monitors") {
   probe_.on_epoch = [this](const nic::OverloadStats& st, Picos now) {
     on_epoch(st, now);
   };
   probe_.on_quiesce = [this](const nic::OverloadStats& st,
                              const std::vector<core::FlowStats>& flows,
                              Picos now) { on_quiesce(st, flows, now); };
-}
-
-void OverloadMonitorSuite::record(const char* monitor, Picos now,
-                                  std::string detail) {
-  ++total_;
-  Violation v{monitor, now, std::move(detail)};
-  if (cfg_.throw_on_violation) throw InvariantError(v);
-  if (violations_.size() < cfg_.max_recorded) {
-    violations_.push_back(std::move(v));
-  }
 }
 
 void OverloadMonitorSuite::check_conservation(const nic::OverloadStats& st,
@@ -120,20 +111,6 @@ void OverloadMonitorSuite::on_quiesce(const nic::OverloadStats& st,
        << st.dropped_total();
     record("overload.conservation", now, os.str());
   }
-}
-
-std::string OverloadMonitorSuite::report() const {
-  if (total_ == 0) return "overload monitors: all invariants held\n";
-  std::ostringstream os;
-  for (const auto& v : violations_) os << v.format() << "\n";
-  if (total_ > violations_.size()) {
-    os << "... and " << (total_ - violations_.size())
-       << " further violations past the recording cap\n";
-  }
-  os << "overload monitors: " << total_ << " violation"
-     << (total_ == 1 ? "" : "s") << " (" << violations_.size()
-     << " recorded)\n";
-  return os.str();
 }
 
 }  // namespace pcieb::check

@@ -26,13 +26,13 @@
 //    backlog never exceeds the admission threshold (when armed), and
 //    cumulative PAUSE time never exceeds the pause budget.
 //
-// Same contract as check::MonitorSuite: record violations by default so
-// campaigns can shrink failing trials, or throw InvariantError at first
-// breach (--throw-monitors / CI soak legs). See docs/OVERLOAD.md.
+// Same contract and the same ViolationLog as check::MonitorSuite: record
+// violations by default so campaigns can shrink failing trials, or throw
+// InvariantError at first breach (--throw-monitors / CI soak legs). See
+// docs/OVERLOAD.md.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "check/monitors.hpp"
@@ -40,7 +40,7 @@
 
 namespace pcieb::check {
 
-class OverloadMonitorSuite {
+class OverloadMonitorSuite : public ViolationLog {
  public:
   explicit OverloadMonitorSuite(MonitorConfig cfg = {});
 
@@ -48,13 +48,7 @@ class OverloadMonitorSuite {
   /// for the suite's lifetime; one run per suite.
   const nic::OverloadProbe* probe() const { return &probe_; }
 
-  bool ok() const { return total_ == 0; }
-  std::uint64_t total_violations() const { return total_; }
-  const std::vector<Violation>& violations() const { return violations_; }
   bool quiesced() const { return quiesced_; }
-
-  /// Human-readable summary, mirroring MonitorSuite::report().
-  std::string report() const;
 
  private:
   void on_epoch(const nic::OverloadStats& st, Picos now);
@@ -62,18 +56,13 @@ class OverloadMonitorSuite {
                   const std::vector<core::FlowStats>& flows, Picos now);
   void check_conservation(const nic::OverloadStats& st, Picos now);
   void check_occupancy(const nic::OverloadStats& st, Picos now);
-  void record(const char* monitor, Picos now, std::string detail);
 
-  MonitorConfig cfg_;
   nic::OverloadProbe probe_;
 
   std::uint64_t last_delivered_ = 0;
   std::uint64_t last_in_service_ = 0;
   bool epoch_seen_ = false;
   bool quiesced_ = false;
-
-  std::vector<Violation> violations_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace pcieb::check

@@ -103,15 +103,11 @@ std::vector<TenantResult> TenantRunner::run() {
   };
   std::vector<VfState> st(system_.tenants());
 
-  const auto delivered_bytes = [this](unsigned vf) {
-    return system_.root_complex(vf).write_bytes_committed() +
-           system_.device(vf).read_payload_delivered();
-  };
   const auto begin_measurement = [&](unsigned vf) {
     VfState& s = st[vf];
     s.start_time = sim.now();
-    s.base_delivered = delivered_bytes(vf);
-    s.base_lost = system_.lost_write_bytes(vf);
+    s.base_delivered = system_.function(vf).delivered_bytes();
+    s.base_lost = system_.function(vf).lost_write_bytes();
     s.base_failed = system_.device(vf).failed_read_bytes();
   };
 
@@ -182,8 +178,8 @@ std::vector<TenantResult> TenantRunner::run() {
         complete_op();
       }
     };
-    system_.set_write_observer(vf, on_write_retire);
-    system_.set_write_drop_observer(vf, on_write_retire);
+    system_.function(vf).set_write_observer(on_write_retire);
+    system_.function(vf).set_write_drop_observer(on_write_retire);
     (void)dev;
   }
 
@@ -193,8 +189,8 @@ std::vector<TenantResult> TenantRunner::run() {
   }
   sim.run();
   for (unsigned vf = 0; vf < system_.tenants(); ++vf) {
-    system_.set_write_observer(vf, {});
-    system_.set_write_drop_observer(vf, {});
+    system_.function(vf).set_write_observer({});
+    system_.function(vf).set_write_drop_observer({});
   }
   system_.check_deadlock();
   for (unsigned vf = 0; vf < system_.tenants(); ++vf) {
@@ -207,6 +203,7 @@ std::vector<TenantResult> TenantRunner::run() {
   std::vector<TenantResult> results(system_.tenants());
   for (unsigned vf = 0; vf < system_.tenants(); ++vf) {
     VfState& s = st[vf];
+    const sim::PcieFunction& fn = system_.function(vf);
     TenantResult& r = results[vf];
     r.vf = vf;
     r.latency = std::move(s.digest);
@@ -215,11 +212,10 @@ std::vector<TenantResult> TenantRunner::run() {
     const std::uint64_t per_op =
         kind == BenchKind::LatWrRd ? 2ull * sz : static_cast<std::uint64_t>(sz);
     r.payload_bytes = per_op * params_.iterations;
-    r.lost_payload_bytes =
-        (system_.lost_write_bytes(vf) - s.base_lost) +
-        (system_.device(vf).failed_read_bytes() - s.base_failed);
+    r.lost_payload_bytes = (fn.lost_write_bytes() - s.base_lost) +
+                           (fn.device().failed_read_bytes() - s.base_failed);
     r.elapsed = s.end_time > s.start_time ? s.end_time - s.start_time : 0;
-    r.goodput_gbps = gbps(delivered_bytes(vf) - s.base_delivered, r.elapsed);
+    r.goodput_gbps = gbps(fn.delivered_bytes() - s.base_delivered, r.elapsed);
   }
   return results;
 }

@@ -279,12 +279,6 @@ Picos Link::send(const proto::Tlp& tlp) {
     obs::ProfScope prof(obs::CostCenter::FaultPredicates);
     decision = injector_->on_link_tx(tlp, upstream_, sim_.now());
   }
-  // Legacy LinkFaultModel shim: one corruption draw per TLP, feeding the
-  // same replay state machine the injector uses.
-  if (faults_.replay_probability > 0.0 &&
-      rng_.uniform() < faults_.replay_probability) {
-    ++decision.corrupt_attempts;
-  }
 
   if (decision.linkdown) {
     // Surprise link-down: the port drops to detect mid-transfer. The

@@ -11,9 +11,9 @@
 // replay; and when one TLP accumulates REPLAY_NUM (4) replays the link
 // escalates to a retrain, which blocks the wire for LinkDllConfig::
 // retrain_time. The retry buffer preserves order, so recovery simply
-// extends the wire occupancy in front of later TLPs. Faults come either
-// from an attached fault::FaultInjector (drops, forced corruption bursts,
-// poison, downtrain windows) or from the legacy LinkFaultModel shim.
+// extends the wire occupancy in front of later TLPs. Faults come from an
+// attached fault::FaultInjector (random or forced corruption, ack loss,
+// drops, poison, downtrain windows).
 #pragma once
 
 #include <array>
@@ -22,7 +22,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "fault/aer.hpp"
 #include "fault/injector.hpp"
 #include "obs/trace.hpp"
@@ -32,18 +31,6 @@
 #include "sim/simulator.hpp"
 
 namespace pcieb::sim {
-
-/// Legacy DLL error injection (kept as a thin compat shim over the replay
-/// state machine): with the given per-TLP probability a TLP fails its
-/// LCRC check once, the receiver NAKs it, and the transmitter replays it
-/// after `replay_penalty` — consuming the wire twice. New code should
-/// configure a fault::FaultPlan instead (corrupt@prob=...), which adds
-/// bursts, ack-loss, drops, poison and downtrain on top.
-struct LinkFaultModel {
-  double replay_probability = 0.0;
-  Picos replay_penalty = from_nanos(250);
-  std::uint64_t seed = 0x11ce;
-};
 
 /// Data-link-layer recovery parameters.
 struct LinkDllConfig {
@@ -63,14 +50,9 @@ class Link {
   using Deliver = std::function<void(const proto::Tlp&)>;
 
   Link(Simulator& sim, const proto::LinkConfig& cfg, Picos propagation,
-       const LinkFaultModel& faults = {}, const LinkDllConfig& dll = {})
+       const LinkDllConfig& dll = {})
       : sim_(sim), cfg_(cfg), wire_(sim), propagation_(propagation),
-        faults_(faults), dll_(dll), rng_(faults.seed),
-        line_rate_(cfg.tlp_gbps()) {
-    // The compat shim's penalty is the NAK round trip of its era.
-    if (faults_.replay_probability > 0.0) {
-      dll_.ack_latency = faults_.replay_penalty;
-    }
+        dll_(dll), line_rate_(cfg.tlp_gbps()) {
     for (std::size_t t = 0; t < proto::kTlpTypeCount; ++t) {
       overhead_[t] =
           proto::overhead_bytes(static_cast<proto::TlpType>(t), cfg_);
@@ -218,20 +200,13 @@ class Link {
   }
 
   /// Trial-reuse reset to the just-constructed state for the same wire
-  /// shape (LinkConfig and propagation are fixed at construction). The
-  /// fault shim / DLL parameters are re-derived exactly as the
-  /// constructor does, the legacy RNG is re-seeded, and every hook,
-  /// attachment, counter and containment/derate latch is dropped. The
-  /// serialization memo survives: it is a pure function of the unchanged
-  /// line rate.
-  void reset(const LinkFaultModel& faults, const LinkDllConfig& dll) {
+  /// shape (LinkConfig and propagation are fixed at construction): the
+  /// DLL parameters are replaced, and every hook, attachment, counter and
+  /// containment/derate latch is dropped. The serialization memo
+  /// survives: it is a pure function of the unchanged line rate.
+  void reset(const LinkDllConfig& dll) {
     wire_.reset();
-    faults_ = faults;
     dll_ = dll;
-    if (faults_.replay_probability > 0.0) {
-      dll_.ack_latency = faults_.replay_penalty;
-    }
-    rng_ = Xoshiro256(faults_.seed);
     deliver_ = {};
     on_drop_ = {};
     on_linkdown_ = {};
@@ -285,9 +260,7 @@ class Link {
   proto::LinkConfig cfg_;
   SerialResource wire_;
   Picos propagation_;
-  LinkFaultModel faults_;
   LinkDllConfig dll_;
-  Xoshiro256 rng_;
   Deliver deliver_;
   DropHook on_drop_;
   LinkDownHook on_linkdown_;

@@ -4,223 +4,150 @@
 
 namespace pcieb::sim {
 
-System::System(const SystemConfig& cfg) : cfg_(cfg) {
-  obs::ProfScope prof(obs::CostCenter::SystemBuild);
-  cfg_.link.validate();
-  LinkFaultModel up_faults = cfg_.link_faults;
-  LinkFaultModel down_faults = cfg_.link_faults;
-  down_faults.seed ^= 0xd041ULL;
-  up_ = std::make_unique<Link>(sim_, cfg_.link, cfg_.up_propagation, up_faults,
-                               cfg_.dll);
-  down_ = std::make_unique<Link>(sim_, cfg_.link, cfg_.down_propagation,
-                                 down_faults, cfg_.dll);
-  mem_ = std::make_unique<MemorySystem>(sim_, cfg_.cache, cfg_.mem,
-                                        cfg_.jitter, cfg_.seed);
-  iommu_ = std::make_unique<Iommu>(sim_, cfg_.iommu);
-  rc_ = std::make_unique<RootComplex>(sim_, cfg_.link, cfg_.rc, *mem_,
-                                      *iommu_, *down_);
-  device_ = std::make_unique<DmaDevice>(sim_, cfg_.device, cfg_.link, *up_);
+namespace {
+
+const SystemConfig& validated(const SystemConfig& cfg) {
+  cfg.link.validate();
+  return cfg;
+}
+
+}  // namespace
+
+System::System(const SystemConfig& cfg)
+    : System(cfg, obs::ProfScope(obs::CostCenter::SystemBuild)) {}
+
+System::System(const SystemConfig& cfg, const obs::ProfScope& /*build*/)
+    : cfg_(validated(cfg)),
+      up_(sim_, cfg_.link, cfg_.up_propagation, cfg_.dll),
+      down_(sim_, cfg_.link, cfg_.down_propagation, cfg_.dll),
+      mem_(sim_, cfg_.cache, cfg_.mem, cfg_.jitter, cfg_.seed),
+      iommu_(sim_, cfg_.iommu),
+      fn_(sim_, cfg_, mem_, iommu_, up_, down_) {
   wire();
 }
 
 void System::reset(const SystemConfig& cfg) {
   obs::ProfScope prof(obs::CostCenter::SystemBuild);
-  // Per-trial machinery first: the AER listener points into the recovery
-  // manager and the simulator's step hook into the watchdog, so detach
-  // before destroying either.
-  aer_.reset();
-  recovery_.reset();
-  watchdog_.reset();
-  injector_.reset();
-  cfg_ = cfg;
-  cfg_.link.validate();
+  cfg_ = validated(cfg);
+  // Per-trial machinery first: the simulator's step hook points into the
+  // watchdog and the AER listener into the recovery ladder, so both are
+  // detached (sim_.reset(), then inside fn_.reset()) before the function
+  // destroys either.
   sim_.reset();
-  LinkFaultModel up_faults = cfg_.link_faults;
-  LinkFaultModel down_faults = cfg_.link_faults;
-  down_faults.seed ^= 0xd041ULL;
-  up_->reset(up_faults, cfg_.dll);
-  down_->reset(down_faults, cfg_.dll);
-  mem_->reset(cfg_.seed);
-  iommu_->reset();
-  rc_->reset();
-  device_->reset();
-  buffer_ = nullptr;
-  write_observer_ = {};
-  write_drop_observer_ = {};
+  fn_.reset();
+  injector_.reset();
+  up_.reset(cfg_.dll);
+  down_.reset(cfg_.dll);
+  mem_.reset(cfg_.seed);
+  iommu_.reset();
   trace_ = nullptr;
-  lost_write_bytes_ = 0;
   test_leak_credits_on_drop_ = false;
   wire();
 }
 
 void System::wire() {
-  up_->set_deliver([this](const proto::Tlp& t) { rc_->on_upstream(t); });
-  down_->set_deliver([this](const proto::Tlp& t) { device_->on_downstream(t); });
-  rc_->set_write_commit_hook([this](std::uint32_t bytes) {
-    device_->grant_posted_credits(bytes);
-    if (watchdog_) watchdog_->kick();
-    if (write_observer_) write_observer_(bytes);
-  });
-  // Any write the RC discards still returns its flow-control credits —
-  // an error must degrade goodput, never wedge the device.
-  rc_->set_write_drop_hook([this](std::uint32_t bytes) {
-    device_->grant_posted_credits(bytes);
-    lost_write_bytes_ += bytes;
-    if (write_drop_observer_) write_drop_observer_(bytes);
-  });
-  // An FLR discards queued-but-unsent writes; their payload is lost
-  // goodput exactly like an RC-side drop, but no credits were ever taken
-  // for them, so only the loss is accounted.
-  device_->set_write_abort_hook([this](std::uint32_t bytes) {
-    lost_write_bytes_ += bytes;
-    if (write_drop_observer_) write_drop_observer_(bytes);
-  });
+  up_.set_deliver(
+      [this](const proto::Tlp& t) { fn_.root_complex().on_upstream(t); });
+  down_.set_deliver(
+      [this](const proto::Tlp& t) { fn_.device().on_downstream(t); });
 
-  // Error reporting is always on (legacy LinkFaultModel replays show up
-  // too); the injector, read timeouts and watchdog arm only with a plan,
-  // keeping plan-free runs bit-identical to the seed.
-  up_->set_aer(&aer_);
-  down_->set_aer(&aer_);
-  iommu_->set_aer(&aer_);
-  rc_->set_aer(&aer_);
-  device_->set_aer(&aer_);
+  // Error reporting is always on; the injector, read timeouts and
+  // watchdog arm only with a plan, keeping plan-free runs bit-identical
+  // to the seed.
+  up_.set_aer(&fn_.aer());
+  down_.set_aer(&fn_.aer());
+  iommu_.set_aer(&fn_.aer());
   if (!cfg_.fault_plan.empty()) arm_faults();
   if (cfg_.recovery.enabled) arm_recovery();
 }
 
 void System::freeze_port() {
-  up_->set_blocked(true);
-  down_->set_blocked(true);
+  up_.set_blocked(true);
+  down_.set_blocked(true);
 }
 
 void System::arm_faults() {
   injector_ = std::make_unique<fault::FaultInjector>(cfg_.fault_plan);
-  up_->set_fault_injector(injector_.get(), /*upstream=*/true);
-  down_->set_fault_injector(injector_.get(), /*upstream=*/false);
-  iommu_->set_fault_injector(injector_.get());
-  rc_->set_fault_injector(injector_.get());
-  device_->arm_timeouts(true);
+  up_.set_fault_injector(injector_.get(), /*upstream=*/true);
+  down_.set_fault_injector(injector_.get(), /*upstream=*/false);
+  iommu_.set_fault_injector(injector_.get());
+  fn_.root_complex().set_fault_injector(injector_.get());
+  fn_.device().arm_timeouts(true);
 
   // A surprise link-down is a physical event: the port pair goes dark
   // whether or not a recovery policy is armed. Without one the links stay
   // blocked forever (workloads terminate via drop accounting and
   // completion timeouts); the recovery ladder is what brings them back.
-  up_->set_linkdown_hook([this] { freeze_port(); });
-  down_->set_linkdown_hook([this] { freeze_port(); });
+  up_.set_linkdown_hook([this] { freeze_port(); });
+  down_.set_linkdown_hook([this] { freeze_port(); });
 
-  // A dropped posted write has no completion to time out on: reclaim its
-  // credits at the loss site and report it as failed goodput. Dropped
-  // reads/completions recover via the device's completion timeout.
-  up_->set_drop_hook([this](const proto::Tlp& t) {
+  // Dropped reads/completions recover via the device's completion
+  // timeout; a dropped posted write is accounted at the loss site.
+  up_.set_drop_hook([this](const proto::Tlp& t) {
     if (t.type != proto::TlpType::MemWr) return;
-    aer_.record(fault::ErrorType::TransactionFailed, sim_.now(), t.addr,
-                t.tag, t.payload);
     // test_leak_credits_on_drop_ omits the credit return (and only the
     // credit return) so monitor self-tests can watch the ledger drift.
-    if (!test_leak_credits_on_drop_) device_->grant_posted_credits(t.payload);
-    lost_write_bytes_ += t.payload;
-    if (write_drop_observer_) write_drop_observer_(t.payload);
+    fn_.drop_posted_write(t, !test_leak_credits_on_drop_);
   });
 
-  watchdog_ = std::make_unique<fault::Watchdog>(cfg_.watchdog);
+  fn_.arm_watchdog(cfg_.watchdog, injector_.get());
   sim_.set_step_hook(
       [this](Picos now, std::size_t executed) {
-        watchdog_->on_event(now, executed);
+        fn_.watchdog()->on_event(now, executed);
       },
       cfg_.watchdog.check_every_events);
-  device_->set_progress_hook([this] { watchdog_->kick(); });
-  DmaDevice* dev = device_.get();
-  RootComplex* rc = rc_.get();
-  watchdog_->add_outstanding("device.dma_read_ops",
-                             [dev] { return dev->pending_read_ops(); });
-  watchdog_->add_outstanding("device.read_requests",
-                             [dev] { return dev->inflight_read_requests(); });
-  watchdog_->add_outstanding("device.pending_write_tlps",
-                             [dev] { return dev->pending_write_tlps(); });
-  watchdog_->add_outstanding("rc.posted_writes",
-                             [rc] { return rc->posted_writes_pending(); });
-  watchdog_->add_outstanding("rc.host_mmio_reads",
-                             [rc] { return rc->host_reads_pending(); });
-  watchdog_->add_diag("device.outstanding_tags",
-                      [dev] { return dev->outstanding_tags(); });
-  watchdog_->add_diag("aer", [this] {
-    return "correctable=" +
-           std::to_string(aer_.total(fault::ErrorSeverity::Correctable)) +
-           " nonfatal=" +
-           std::to_string(aer_.total(fault::ErrorSeverity::NonFatal)) +
-           " fatal=" + std::to_string(aer_.total(fault::ErrorSeverity::Fatal));
-  });
-  watchdog_->add_diag("injector", [this] {
-    return "injected_total=" + std::to_string(injector_->injected_total());
-  });
 }
 
 void System::arm_recovery() {
   // Recovery needs the read-timeout machinery even without a fault plan:
   // completions discarded during containment must time out and retry (or
   // fail with accounting) rather than strand their tags.
-  device_->arm_timeouts(true);
+  fn_.device().arm_timeouts(true);
 
+  // The ladder owns the whole port: every action acts on both links.
   fault::RecoveryManager::Actions a;
   a.downtrain = [this](unsigned lanes, unsigned gen) {
-    up_->set_recovery_derate(lanes, gen);
-    down_->set_recovery_derate(lanes, gen);
+    up_.set_recovery_derate(lanes, gen);
+    down_.set_recovery_derate(lanes, gen);
   };
   a.restore_link = [this] {
-    up_->clear_recovery_derate();
-    down_->clear_recovery_derate();
+    up_.clear_recovery_derate();
+    down_.clear_recovery_derate();
   };
-  a.flr = [this] { device_->function_level_reset(); };
+  a.flr = [this] { fn_.device().function_level_reset(); };
   a.contain = [this] {
     freeze_port();
-    rc_->set_port_contained(true);
-    rc_->abort_host_reads();
+    fn_.root_complex().set_port_contained(true);
+    fn_.root_complex().abort_host_reads();
   };
   a.hot_reset = [this] {
     // Re-enumeration: the function resets (tags aborted, write queue
     // drained, credits re-initialized by conservation), the port
     // unfreezes and retrains at full width, and the IOMMU mappings are
     // rebuilt from scratch.
-    device_->function_level_reset();
-    up_->set_blocked(false);
-    down_->set_blocked(false);
-    up_->clear_recovery_derate();
-    down_->clear_recovery_derate();
-    rc_->set_port_contained(false);
-    iommu_->remap_after_reset();
+    fn_.device().function_level_reset();
+    up_.set_blocked(false);
+    down_.set_blocked(false);
+    up_.clear_recovery_derate();
+    down_.clear_recovery_derate();
+    fn_.root_complex().set_port_contained(false);
+    iommu_.remap_after_reset();
   };
-  a.schedule = [this](Picos delay, std::function<void()> fn) {
-    sim_.after(delay, std::move(fn));
-  };
-  a.now = [this] { return sim_.now(); };
   a.on_transition = [this] {
     // Containment and reset windows are intentionally quiet; re-prime so
     // the stall detector never mistakes them for a hang.
-    if (watchdog_) watchdog_->reprime();
+    if (fn_.watchdog()) fn_.watchdog()->reprime();
   };
-  a.delivered_bytes = [this] {
-    return rc_->write_bytes_committed() + device_->read_payload_delivered();
-  };
-  recovery_ =
-      std::make_unique<fault::RecoveryManager>(cfg_.recovery, std::move(a));
-  aer_.set_listener(
-      [this](const fault::ErrorRecord& r) { recovery_->on_error(r); });
-}
-
-void System::check_deadlock() {
-  if (watchdog_) watchdog_->check_quiescent(sim_.now());
+  fn_.arm_recovery(cfg_.recovery, std::move(a));
 }
 
 void System::set_trace_sink(obs::TraceSink* sink) {
   trace_ = sink;
-  up_->set_trace(sink, obs::Component::LinkUp);
-  down_->set_trace(sink, obs::Component::LinkDown);
-  rc_->set_trace(sink);
-  iommu_->set_trace(sink);
-  mem_->set_trace(sink);
-  device_->set_trace(sink);
-  aer_.set_trace(sink);
-  if (recovery_) recovery_->set_trace(sink);
+  up_.set_trace(sink, obs::Component::LinkUp);
+  down_.set_trace(sink, obs::Component::LinkDown);
+  iommu_.set_trace(sink);
+  mem_.set_trace(sink);
+  fn_.set_trace(sink);
 }
 
 void System::register_counters(obs::CounterRegistry& reg) {
@@ -246,10 +173,10 @@ void System::register_counters(obs::CounterRegistry& reg) {
       return now > 0 ? double(link->busy_total()) / double(now) : 0.0;
     });
   };
-  link_counters("link.up", up_.get());
-  link_counters("link.down", down_.get());
+  link_counters("link.up", &up_);
+  link_counters("link.down", &down_);
 
-  DmaDevice* dev = device_.get();
+  DmaDevice* dev = &fn_.device();
   const DmaDevice::CounterSources ds = dev->counter_sources();
   reg.add_counter("device.reads_completed", ds.reads_completed);
   reg.add_counter("device.writes_sent", ds.writes_sent);
@@ -265,7 +192,7 @@ void System::register_counters(obs::CounterRegistry& reg) {
   reg.add_gauge("device.read_tags_in_use",
                 [dev] { return double(dev->read_tags_in_use()); });
 
-  RootComplex* rc = rc_.get();
+  RootComplex* rc = &fn_.root_complex();
   const RootComplex::CounterSources rs = rc->counter_sources();
   reg.add_counter("rc.reads", rs.reads);
   reg.add_counter("rc.writes_committed", rs.writes_committed);
@@ -282,13 +209,13 @@ void System::register_counters(obs::CounterRegistry& reg) {
   reg.add_gauge("rc.posted_buffer_occupancy",
                 [rc] { return double(rc->posted_writes_pending()); });
 
-  const Iommu::CounterSources ms = iommu_->counter_sources();
+  const Iommu::CounterSources ms = iommu_.counter_sources();
   reg.add_counter("iommu.tlb_hits", ms.tlb_hits);
   reg.add_counter("iommu.tlb_misses", ms.tlb_misses);
   reg.add_counter("iommu.tlb_evictions", ms.tlb_evictions);
   reg.add_counter("iommu.faults", ms.faults);
 
-  const fault::AerLog* aer = &aer_;
+  const fault::AerLog* aer = &fn_.aer();
   reg.add_counter("aer.correctable", [aer] {
     return double(aer->total(fault::ErrorSeverity::Correctable));
   });
@@ -299,21 +226,20 @@ void System::register_counters(obs::CounterRegistry& reg) {
     return double(aer->total(fault::ErrorSeverity::Fatal));
   });
 
-  const LastLevelCache::CounterSources cs = mem_->cache().counter_sources();
+  const LastLevelCache::CounterSources cs = mem_.cache().counter_sources();
   reg.add_counter("cache.hits", cs.hits);
   reg.add_counter("cache.misses", cs.misses);
   reg.add_counter("cache.dirty_evictions", cs.dirty_evictions);
   reg.add_counter("cache.ddio_allocations", cs.ddio_allocations);
   reg.add_counter("cache.ddio_evictions", cs.ddio_evictions);
 
-  const MemorySystem::CounterSources es = mem_->counter_sources();
+  const MemorySystem::CounterSources es = mem_.counter_sources();
   reg.add_counter("mem.reads", es.reads);
   reg.add_counter("mem.writes", es.writes);
 
   // Recovery-ladder counters register only when a policy is armed, so
   // recovery-free counter CSVs stay bit-identical to previous releases.
-  if (recovery_) {
-    fault::RecoveryManager* rec = recovery_.get();
+  if (fault::RecoveryManager* rec = fn_.recovery()) {
     reg.add_counter("recovery.transitions",
                     [rec] { return double(rec->transitions()); });
     reg.add_counter("recovery.downtrains",
@@ -337,10 +263,10 @@ void System::register_counters(obs::CounterRegistry& reg) {
                     [dev] { return double(dev->flr_dropped_writes()); });
     reg.add_counter("rc.contained_host_reads",
                     [rc] { return double(rc->contained_host_reads()); });
-    Iommu* mmu = iommu_.get();
+    Iommu* mmu = &iommu_;
     reg.add_counter("iommu.remaps", [mmu] { return double(mmu->remaps()); });
-    Link* up = up_.get();
-    Link* down = down_.get();
+    Link* up = &up_;
+    Link* down = &down_;
     reg.add_counter("link.up.blocked_drops",
                     [up] { return double(up->blocked_drops()); });
     reg.add_counter("link.down.blocked_drops",
@@ -348,27 +274,19 @@ void System::register_counters(obs::CounterRegistry& reg) {
   }
 }
 
-void System::attach_buffer(const HostBuffer* buf) {
-  buffer_ = buf;
-  rc_->set_locality_resolver([this](std::uint64_t addr) {
-    if (buffer_ && buffer_->contains_iova(addr)) return buffer_->local();
-    return true;
-  });
-}
-
 void System::warm_host(const HostBuffer& buf, std::uint64_t offset,
                        std::uint64_t len) {
   // The buffer's IOVA range is contiguous, so this is the bulk (lazily
   // materialized) form of host_touch(buf.iova(o), true) per line.
-  mem_->cache().warm_host_range(buf.window_iova(offset, len), len,
+  mem_.cache().warm_host_range(buf.window_iova(offset, len), len,
                                 /*dirty=*/true);
 }
 
 void System::warm_device(const HostBuffer& buf, std::uint64_t offset,
                          std::uint64_t len) {
-  mem_->cache().warm_device_range(buf.window_iova(offset, len), len);
+  mem_.cache().warm_device_range(buf.window_iova(offset, len), len);
 }
 
-void System::thrash_cache() { mem_->cache().thrash(); }
+void System::thrash_cache() { mem_.cache().thrash(); }
 
 }  // namespace pcieb::sim

@@ -18,6 +18,7 @@
 #include "fault/recovery.hpp"
 #include "fault/watchdog.hpp"
 #include "obs/counters.hpp"
+#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "sim/cache.hpp"
 #include "sim/device.hpp"
@@ -26,6 +27,7 @@
 #include "sim/jitter.hpp"
 #include "sim/link.hpp"
 #include "sim/memory_system.hpp"
+#include "sim/pcie_function.hpp"
 #include "sim/root_complex.hpp"
 #include "sim/simulator.hpp"
 
@@ -43,9 +45,6 @@ struct SystemConfig {
   /// One-way PHY + switch-fabric pipeline delay per direction.
   Picos up_propagation = from_nanos(140);
   Picos down_propagation = from_nanos(140);
-  /// DLL error injection (replays); off by default. Legacy shim — new
-  /// code should put corrupt@prob=... rules in `fault_plan` instead.
-  LinkFaultModel link_faults;
   /// DLL recovery parameters (ACK latency, REPLAY_TIMER/NUM, retrain).
   LinkDllConfig dll;
   /// Deterministic fault plan; empty keeps the system entirely fault-free
@@ -68,58 +67,59 @@ class System {
   /// Trial-reuse reset: rewind every component to its just-constructed
   /// state and re-arm from `cfg`, without reallocating the component
   /// graph. `cfg` must describe the same system *shape* as construction —
-  /// identical link, cache, memory, IOMMU, RC, device, jitter,
-  /// propagation, legacy link-fault and seed fields; only the per-trial
-  /// fields (fault_plan, watchdog, recovery) may differ. Used by
-  /// check::run_campaign to reuse one pooled System per system spec; the
-  /// reset-vs-fresh property test pins byte-identical behaviour.
+  /// identical link, cache, memory, IOMMU, RC, device, jitter, propagation
+  /// and seed fields; only the per-trial fields (fault_plan, watchdog,
+  /// recovery) may differ. Used by check::run_campaign to reuse one pooled
+  /// System per system spec; the reset-vs-fresh property test pins
+  /// byte-identical behaviour.
   void reset(const SystemConfig& cfg);
 
   Simulator& sim() { return sim_; }
-  DmaDevice& device() { return *device_; }
-  RootComplex& root_complex() { return *rc_; }
-  MemorySystem& memory() { return *mem_; }
-  Iommu& iommu() { return *iommu_; }
-  Link& upstream() { return *up_; }
-  Link& downstream() { return *down_; }
+  /// The port's one PCIe function: RC, DMA engine and their ledgers.
+  PcieFunction& function() { return fn_; }
+  DmaDevice& device() { return fn_.device(); }
+  RootComplex& root_complex() { return fn_.root_complex(); }
+  MemorySystem& memory() { return mem_; }
+  Iommu& iommu() { return iommu_; }
+  Link& upstream() { return up_; }
+  Link& downstream() { return down_; }
   const SystemConfig& config() const { return cfg_; }
 
   /// Register the benchmark buffer so NUMA locality resolves per-address.
-  void attach_buffer(const HostBuffer* buf);
+  void attach_buffer(const HostBuffer* buf) { fn_.attach_buffer(buf); }
 
   /// Observe posted-write commits (payload bytes) — used to time BW_WR.
-  /// The observer must not replace or clear itself from within its own
-  /// invocation (that destroys the std::function mid-call); install it
-  /// for the run and clear it once the simulator has drained.
-  using WriteObserver = std::function<void(std::uint32_t)>;
-  void set_write_observer(WriteObserver obs) { write_observer_ = std::move(obs); }
+  /// See PcieFunction::set_write_observer for the lifetime rule.
+  using WriteObserver = PcieFunction::WriteObserver;
+  void set_write_observer(WriteObserver obs) {
+    fn_.set_write_observer(std::move(obs));
+  }
 
   /// Observe posted-write payload lost to a drop anywhere on the path
   /// (link loss, poisoned/malformed reject, IOMMU fault) — BW_WR uses
   /// commits + drops to terminate under faults and report goodput.
   void set_write_drop_observer(WriteObserver obs) {
-    write_drop_observer_ = std::move(obs);
+    fn_.set_write_drop_observer(std::move(obs));
   }
   /// Posted-write payload bytes lost to drops so far.
-  std::uint64_t lost_write_bytes() const { return lost_write_bytes_; }
+  std::uint64_t lost_write_bytes() const { return fn_.lost_write_bytes(); }
 
   // --- fault machinery (armed iff config().fault_plan is non-empty) ----
-  /// AER-style error log; always attached (legacy LinkFaultModel replays
-  /// report too), cheap when nothing records.
-  fault::AerLog& aer() { return aer_; }
-  const fault::AerLog& aer() const { return aer_; }
+  /// AER-style error log; always attached, cheap when nothing records.
+  fault::AerLog& aer() { return fn_.aer(); }
+  const fault::AerLog& aer() const { return fn_.aer(); }
   /// The active injector, or nullptr when no fault plan is armed.
   fault::FaultInjector* fault_injector() { return injector_.get(); }
-  fault::Watchdog* watchdog() { return watchdog_.get(); }
+  fault::Watchdog* watchdog() { return fn_.watchdog(); }
   bool faults_armed() const { return injector_ != nullptr; }
   /// The recovery ladder, or nullptr when config().recovery is disabled.
-  fault::RecoveryManager* recovery() { return recovery_.get(); }
-  const fault::RecoveryManager* recovery() const { return recovery_.get(); }
+  fault::RecoveryManager* recovery() { return fn_.recovery(); }
+  const fault::RecoveryManager* recovery() const { return fn_.recovery(); }
 
   /// Call once the event queue drains: throws fault::WatchdogError when
   /// transactions are still outstanding (swallowed completion with no
   /// timeout armed). No-op when faults are unarmed.
-  void check_deadlock();
+  void check_deadlock() { fn_.check_deadlock(); }
 
   /// TEST-ONLY bug seeding for the invariant monitors (check::MonitorSuite
   /// self-tests): when enabled, the up-link drop path "forgets" to return
@@ -152,10 +152,15 @@ class System {
   void thrash_cache();
 
  private:
-  /// Shared by the constructor and reset(): install the inter-component
-  /// hooks and AER attachments, then arm fault/recovery machinery per
-  /// cfg_. Components must be in their just-constructed (or just-reset)
-  /// state when called.
+  /// The public constructor's body: `build` is its SystemBuild profiling
+  /// scope, a temporary that lives until this constructor returns, so the
+  /// member initializers that build every component are charged to it.
+  System(const SystemConfig& cfg, const obs::ProfScope& build);
+
+  /// Shared by the constructor and reset(): install the link routing and
+  /// port AER attachments, then arm fault/recovery machinery per cfg_.
+  /// Components must be in their just-constructed (or just-reset) state
+  /// when called.
   void wire();
   void arm_faults();
   void arm_recovery();
@@ -165,21 +170,13 @@ class System {
 
   SystemConfig cfg_;
   Simulator sim_;
-  std::unique_ptr<Link> up_;
-  std::unique_ptr<Link> down_;
-  std::unique_ptr<MemorySystem> mem_;
-  std::unique_ptr<Iommu> iommu_;
-  std::unique_ptr<RootComplex> rc_;
-  std::unique_ptr<DmaDevice> device_;
-  const HostBuffer* buffer_ = nullptr;
-  WriteObserver write_observer_;
-  WriteObserver write_drop_observer_;
+  Link up_;
+  Link down_;
+  MemorySystem mem_;
+  Iommu iommu_;
+  PcieFunction fn_;
   obs::TraceSink* trace_ = nullptr;
-  fault::AerLog aer_;
   std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<fault::Watchdog> watchdog_;
-  std::unique_ptr<fault::RecoveryManager> recovery_;
-  std::uint64_t lost_write_bytes_ = 0;
   bool test_leak_credits_on_drop_ = false;
 };
 

@@ -52,13 +52,9 @@ MultiTenantSystem::MultiTenantSystem(const MultiTenantConfig& cfg)
   SystemConfig& base = cfg_.base;
   base.link.validate();
 
-  LinkFaultModel up_faults = base.link_faults;
-  LinkFaultModel down_faults = base.link_faults;
-  down_faults.seed ^= 0xd041ULL;
-  up_ = std::make_unique<Link>(sim_, base.link, base.up_propagation, up_faults,
-                               base.dll);
+  up_ = std::make_unique<Link>(sim_, base.link, base.up_propagation, base.dll);
   down_ = std::make_unique<Link>(sim_, base.link, base.down_propagation,
-                                 down_faults, base.dll);
+                                 base.dll);
   if (cfg_.isolation.tdm_link) {
     std::vector<unsigned> w = cfg_.weights;
     if (w.empty()) w.assign(n, 1);
@@ -74,22 +70,17 @@ MultiTenantSystem::MultiTenantSystem(const MultiTenantConfig& cfg)
                                                  base.jitter, base.seed);
   }
 
-  vfs_.resize(n);
   for (unsigned vf = 0; vf < n; ++vf) {
-    Vf& v = vfs_[vf];
+    MemorySystem* mem = shared_mem_.get();
     if (cfg_.isolation.per_vf_uncore) {
       // Independent jitter stream per tenant: a golden-ratio stride keeps
       // the per-VF seeds distinct for any base seed.
-      v.mem = std::make_unique<MemorySystem>(
+      slices_.push_back(std::make_unique<MemorySystem>(
           sim_, slice_cache(base.cache, n, cfg_.ddio_quota, vf), base.mem,
-          base.jitter, base.seed + 0x9e3779b97f4a7c15ull * (vf + 1));
+          base.jitter, base.seed + 0x9e3779b97f4a7c15ull * (vf + 1)));
+      mem = slices_.back().get();
     }
-    MemorySystem& mem = v.mem ? *v.mem : *shared_mem_;
-    v.rc = std::make_unique<RootComplex>(sim_, base.link, base.rc, mem,
-                                         *iommu_, *down_);
-    v.rc->set_function(vf);
-    v.device = std::make_unique<DmaDevice>(sim_, base.device, base.link, *up_);
-    v.device->set_function(vf);
+    vfs_.emplace_back(sim_, base, *mem, *iommu_, *up_, *down_).set_function(vf);
   }
 
   // Upstream TLPs route to the requester function's own root complex;
@@ -102,30 +93,9 @@ MultiTenantSystem::MultiTenantSystem(const MultiTenantConfig& cfg)
                        t.tag, t.func);
       return;
     }
-    vfs_[t.func].rc->on_upstream(t);
+    vfs_[t.func].root_complex().on_upstream(t);
   });
   down_->set_deliver([this](const proto::Tlp& t) { deliver_downstream(t); });
-
-  for (unsigned vf = 0; vf < n; ++vf) {
-    Vf& v = vfs_[vf];
-    RootComplex* rc = v.rc.get();
-    DmaDevice* dev = v.device.get();
-    v.rc->set_write_commit_hook([this, vf, dev](std::uint32_t bytes) {
-      dev->grant_posted_credits(bytes);
-      if (vfs_[vf].watchdog) vfs_[vf].watchdog->kick();
-      if (vfs_[vf].write_observer) vfs_[vf].write_observer(bytes);
-    });
-    v.rc->set_write_drop_hook([this, vf, dev](std::uint32_t bytes) {
-      dev->grant_posted_credits(bytes);
-      vfs_[vf].lost_write_bytes += bytes;
-      if (vfs_[vf].write_drop_observer) vfs_[vf].write_drop_observer(bytes);
-    });
-    v.device->set_write_abort_hook([this, vf](std::uint32_t bytes) {
-      vfs_[vf].lost_write_bytes += bytes;
-      if (vfs_[vf].write_drop_observer) vfs_[vf].write_drop_observer(bytes);
-    });
-    (void)rc;
-  }
 
   // Error attribution. TDM mode routes each lane's DLL records (replays,
   // retrains, drops, poison) to the owning VF's log; the shared-FIFO
@@ -139,62 +109,28 @@ MultiTenantSystem::MultiTenantSystem(const MultiTenantConfig& cfg)
   iommu_->set_aer(&port_aer_);
   const bool domains = n > 1 || cfg_.isolation.per_vf_iotlb;
   for (unsigned vf = 0; vf < n; ++vf) {
-    Vf& v = vfs_[vf];
+    fault::AerLog* aer = &vfs_[vf].aer();
     if (cfg_.isolation.tdm_link) {
-      up_->set_func_aer(vf, &v.aer);
-      down_->set_func_aer(vf, &v.aer);
+      up_->set_func_aer(vf, aer);
+      down_->set_func_aer(vf, aer);
     }
-    if (domains) iommu_->set_domain_aer(vf, &v.aer);
-    v.rc->set_aer(&v.aer);
-    v.device->set_aer(&v.aer);
+    if (domains) iommu_->set_domain_aer(vf, aer);
   }
 
+  if (!base.fault_plan.empty()) arm_faults();
   // Tenant mode arms timeouts and watchdogs UNCONDITIONALLY — the
   // differential identity compares a run with the attacker's plan armed
   // against one with it stripped, and the victim's event schedule must
   // not depend on which of the two we are in.
-  for (Vf& v : vfs_) {
-    v.device->arm_timeouts(true);
-    v.watchdog = std::make_unique<fault::Watchdog>(base.watchdog);
-    DmaDevice* dev = v.device.get();
-    dev->set_progress_hook([w = v.watchdog.get()] { w->kick(); });
+  for (PcieFunction& f : vfs_) {
+    f.device().arm_timeouts(true);
+    f.arm_watchdog(base.watchdog, injector_.get());
   }
   sim_.set_step_hook(
       [this](Picos now, std::size_t executed) {
-        for (Vf& v : vfs_) v.watchdog->on_event(now, executed);
+        for (PcieFunction& f : vfs_) f.watchdog()->on_event(now, executed);
       },
       base.watchdog.check_every_events);
-  for (unsigned vf = 0; vf < n; ++vf) {
-    Vf& v = vfs_[vf];
-    fault::Watchdog* w = v.watchdog.get();
-    DmaDevice* dev = v.device.get();
-    RootComplex* rc = v.rc.get();
-    w->add_outstanding("device.dma_read_ops",
-                       [dev] { return dev->pending_read_ops(); });
-    w->add_outstanding("device.read_requests",
-                       [dev] { return dev->inflight_read_requests(); });
-    w->add_outstanding("device.pending_write_tlps",
-                       [dev] { return dev->pending_write_tlps(); });
-    w->add_outstanding("rc.posted_writes",
-                       [rc] { return rc->posted_writes_pending(); });
-    w->add_outstanding("rc.host_mmio_reads",
-                       [rc] { return rc->host_reads_pending(); });
-    // The rid prefix in the tag dump names the owning VF — the whole
-    // point of a per-VF quiescent-deadlock report.
-    w->add_diag("device.outstanding_tags",
-                [dev] { return dev->outstanding_tags(); });
-    fault::AerLog* aer = &v.aer;
-    w->add_diag("aer", [aer] {
-      return "correctable=" +
-             std::to_string(aer->total(fault::ErrorSeverity::Correctable)) +
-             " nonfatal=" +
-             std::to_string(aer->total(fault::ErrorSeverity::NonFatal)) +
-             " fatal=" +
-             std::to_string(aer->total(fault::ErrorSeverity::Fatal));
-    });
-  }
-
-  if (!base.fault_plan.empty()) arm_faults();
   if (base.recovery.enabled) {
     for (unsigned vf = 0; vf < n; ++vf) arm_recovery(vf);
   }
@@ -220,7 +156,7 @@ void MultiTenantSystem::deliver_downstream(const proto::Tlp& tlp) {
     misroute_pending_ = -1;
     target = (target + 1) % static_cast<unsigned>(vfs_.size());
   }
-  vfs_[target].device->on_downstream(tlp);
+  vfs_[target].device().on_downstream(tlp);
 }
 
 void MultiTenantSystem::arm_faults() {
@@ -228,37 +164,24 @@ void MultiTenantSystem::arm_faults() {
   up_->set_fault_injector(injector_.get(), /*upstream=*/true);
   down_->set_fault_injector(injector_.get(), /*upstream=*/false);
   iommu_->set_fault_injector(injector_.get());
-  for (Vf& v : vfs_) v.rc->set_fault_injector(injector_.get());
+  for (PcieFunction& f : vfs_) {
+    f.root_complex().set_fault_injector(injector_.get());
+  }
 
   // A surprise link-down darkens the whole physical port — every tenant.
   up_->set_linkdown_hook([this] { freeze_port(); });
   down_->set_linkdown_hook([this] { freeze_port(); });
 
-  // A dropped posted write has no completion to time out on: reclaim the
-  // owning VF's credits at the loss site and attribute the failure to its
-  // own error log.
+  // A posted write lost on the up link is accounted to the function that
+  // sent it: its credits, its error log, its lost goodput.
   up_->set_drop_hook([this](const proto::Tlp& t) {
     if (test_misroute_) misroute_pending_ = static_cast<int>(t.func);
-    if (t.type != proto::TlpType::MemWr) return;
-    if (t.func >= vfs_.size()) return;
-    Vf& v = vfs_[t.func];
-    v.aer.record(fault::ErrorType::TransactionFailed, sim_.now(), t.addr,
-                 t.tag, t.payload);
-    v.device->grant_posted_credits(t.payload);
-    v.lost_write_bytes += t.payload;
-    if (v.write_drop_observer) v.write_drop_observer(t.payload);
+    if (t.type != proto::TlpType::MemWr || t.func >= vfs_.size()) return;
+    vfs_[t.func].drop_posted_write(t);
   });
-
-  for (unsigned vf = 0; vf < tenants(); ++vf) {
-    fault::Watchdog* w = vfs_[vf].watchdog.get();
-    w->add_diag("injector", [this] {
-      return "injected_total=" + std::to_string(injector_->injected_total());
-    });
-  }
 }
 
 void MultiTenantSystem::arm_recovery(unsigned vf) {
-  Vf& v = vfs_[vf];
   const bool scoped = cfg_.isolation.vf_scoped_recovery;
   const bool tdm = cfg_.isolation.tdm_link;
 
@@ -288,7 +211,7 @@ void MultiTenantSystem::arm_recovery(unsigned vf) {
     // VF-level FLR: only this function's in-flight work aborts. Scoped
     // mode rebuilds only its IOMMU domain; weakened mode flushes every
     // tenant's cached translations — counted device-wide.
-    vfs_[vf].device->function_level_reset();
+    vfs_[vf].device().function_level_reset();
     if (scoped) {
       iommu_->remap_domain(vf);
     } else {
@@ -302,13 +225,13 @@ void MultiTenantSystem::arm_recovery(unsigned vf) {
       // requests answer UR, everyone else keeps running.
       up_->set_func_blocked(vf, true);
       down_->set_func_blocked(vf, true);
-      vfs_[vf].rc->set_port_contained(true);
-      vfs_[vf].rc->abort_host_reads();
+      vfs_[vf].root_complex().set_port_contained(true);
+      vfs_[vf].root_complex().abort_host_reads();
     } else {
       freeze_port();
-      for (Vf& o : vfs_) {
-        o.rc->set_port_contained(true);
-        o.rc->abort_host_reads();
+      for (PcieFunction& o : vfs_) {
+        o.root_complex().set_port_contained(true);
+        o.root_complex().abort_host_reads();
       }
       ++device_wide_actions_;
     }
@@ -319,7 +242,7 @@ void MultiTenantSystem::arm_recovery(unsigned vf) {
     // full width, and all IOMMU mappings rebuild — the explicit,
     // counted blast-radius expansion of the escalation ladder.
     ++device_wide_actions_;
-    for (Vf& o : vfs_) o.device->function_level_reset();
+    for (PcieFunction& o : vfs_) o.device().function_level_reset();
     up_->set_blocked(false);
     down_->set_blocked(false);
     up_->clear_recovery_derate();
@@ -332,46 +255,16 @@ void MultiTenantSystem::arm_recovery(unsigned vf) {
         down_->clear_func_recovery_derate(f);
       }
     }
-    for (Vf& o : vfs_) o.rc->set_port_contained(false);
+    for (PcieFunction& o : vfs_) o.root_complex().set_port_contained(false);
     iommu_->remap_after_reset();
   };
-  a.schedule = [this](Picos delay, std::function<void()> fn) {
-    sim_.after(delay, std::move(fn));
-  };
-  a.now = [this] { return sim_.now(); };
   a.on_transition = [this] {
     // Containment/reset windows are intentionally quiet — and a
     // device-wide action quiets *every* tenant, so all stall detectors
     // re-prime, not just the erring VF's.
-    for (Vf& o : vfs_) {
-      if (o.watchdog) o.watchdog->reprime();
-    }
+    for (PcieFunction& o : vfs_) o.watchdog()->reprime();
   };
-  a.delivered_bytes = [this, vf] {
-    return vfs_[vf].rc->write_bytes_committed() +
-           vfs_[vf].device->read_payload_delivered();
-  };
-  v.recovery = std::make_unique<fault::RecoveryManager>(cfg_.base.recovery,
-                                                        std::move(a));
-  v.aer.set_listener([this, vf](const fault::ErrorRecord& r) {
-    vfs_[vf].recovery->on_error(r);
-  });
-}
-
-void MultiTenantSystem::check_deadlock() {
-  for (Vf& v : vfs_) {
-    if (v.watchdog) v.watchdog->check_quiescent(sim_.now());
-  }
-}
-
-void MultiTenantSystem::attach_buffer(unsigned vf, const HostBuffer* buf) {
-  Vf& v = vfs_.at(vf);
-  v.buffer = buf;
-  const HostBuffer* const* slot = &v.buffer;
-  v.rc->set_locality_resolver([slot](std::uint64_t addr) {
-    if (*slot && (*slot)->contains_iova(addr)) return (*slot)->local();
-    return true;
-  });
+  vfs_[vf].arm_recovery(cfg_.base.recovery, std::move(a));
 }
 
 void MultiTenantSystem::warm_host(unsigned vf, const HostBuffer& buf,
@@ -390,7 +283,7 @@ void MultiTenantSystem::thrash_cache(unsigned vf) {
 }
 
 std::string MultiTenantSystem::counters_line(unsigned vf) const {
-  const Vf& v = vfs_.at(vf);
+  const PcieFunction& f = vfs_.at(vf);
   std::string out;
   out.reserve(1024);
   auto add = [&out](const char* key, std::uint64_t value) {
@@ -400,7 +293,7 @@ std::string MultiTenantSystem::counters_line(unsigned vf) const {
     out += std::to_string(value);
   };
 
-  const DmaDevice& dev = *v.device;
+  const DmaDevice& dev = f.device();
   add("dev.reads_completed", dev.reads_completed());
   add("dev.writes_sent", dev.writes_sent());
   add("dev.read_reqs_issued", dev.read_requests_issued());
@@ -420,7 +313,7 @@ std::string MultiTenantSystem::counters_line(unsigned vf) const {
   add("dev.flr_dropped_writes", dev.flr_dropped_writes());
   add("dev.foreign_tlps", dev.foreign_tlps());
 
-  const RootComplex& rc = *v.rc;
+  const RootComplex& rc = f.root_complex();
   add("rc.reads", rc.reads_handled());
   add("rc.writes_committed", rc.writes_committed());
   add("rc.write_bytes", rc.write_bytes_committed());
@@ -474,20 +367,20 @@ std::string MultiTenantSystem::counters_line(unsigned vf) const {
     add("iommu.remaps", iommu_->remaps());
   }
 
-  add("aer.correctable", v.aer.total(fault::ErrorSeverity::Correctable));
-  add("aer.nonfatal", v.aer.total(fault::ErrorSeverity::NonFatal));
-  add("aer.fatal", v.aer.total(fault::ErrorSeverity::Fatal));
-  add("lost_write_bytes", v.lost_write_bytes);
+  add("aer.correctable", f.aer().total(fault::ErrorSeverity::Correctable));
+  add("aer.nonfatal", f.aer().total(fault::ErrorSeverity::NonFatal));
+  add("aer.fatal", f.aer().total(fault::ErrorSeverity::Fatal));
+  add("lost_write_bytes", f.lost_write_bytes());
 
-  if (v.recovery) {
-    add("recovery.transitions", v.recovery->transitions());
-    add("recovery.downtrains", v.recovery->downtrains());
-    add("recovery.restores", v.recovery->restores());
-    add("recovery.flrs", v.recovery->flrs());
-    add("recovery.containments", v.recovery->containments());
-    add("recovery.hot_resets", v.recovery->hot_resets());
-    add("recovery.quarantines", v.recovery->quarantines());
-    add("recovery.state", static_cast<unsigned>(v.recovery->state()));
+  if (const fault::RecoveryManager* rec = f.recovery()) {
+    add("recovery.transitions", rec->transitions());
+    add("recovery.downtrains", rec->downtrains());
+    add("recovery.restores", rec->restores());
+    add("recovery.flrs", rec->flrs());
+    add("recovery.containments", rec->containments());
+    add("recovery.hot_resets", rec->hot_resets());
+    add("recovery.quarantines", rec->quarantines());
+    add("recovery.state", static_cast<unsigned>(rec->state()));
   }
   return out;
 }

@@ -12,9 +12,10 @@
 //  * per-VF IOMMU domains — translations are domain-qualified so a page
 //    cached by one VF never satisfies another's lookup, with independent
 //    per-domain IO-TLB hit/miss/eviction/fault/remap accounting;
-//  * per-VF error reporting and recovery — each VF has its own AerLog,
-//    recovery ladder and watchdog; VF-level FLR aborts only that VF's
-//    in-flight work and remaps only its IOMMU domain.
+//  * per-VF error reporting and recovery — each VF is a sim::PcieFunction
+//    with its own AerLog, recovery ladder and watchdog; VF-level FLR
+//    aborts only that VF's in-flight work and remaps only its IOMMU
+//    domain.
 //
 // The TenantIsolation knobs select between isolating and shared
 // implementations of each layer; `armed()` (all knobs on) is the
@@ -42,7 +43,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,7 +58,7 @@
 #include "sim/iommu.hpp"
 #include "sim/link.hpp"
 #include "sim/memory_system.hpp"
-#include "sim/root_complex.hpp"
+#include "sim/pcie_function.hpp"
 #include "sim/simulator.hpp"
 #include "sim/system.hpp"
 
@@ -102,10 +103,11 @@ class MultiTenantSystem {
   unsigned tenants() const { return static_cast<unsigned>(vfs_.size()); }
   const MultiTenantConfig& config() const { return cfg_; }
 
-  DmaDevice& device(unsigned vf) { return *vfs_.at(vf).device; }
-  RootComplex& root_complex(unsigned vf) { return *vfs_.at(vf).rc; }
+  /// VF `vf`'s PCIe function: RC, DMA engine and their ledgers.
+  PcieFunction& function(unsigned vf) { return vfs_.at(vf); }
+  DmaDevice& device(unsigned vf) { return function(vf).device(); }
   MemorySystem& memory(unsigned vf) {
-    return vfs_.at(vf).mem ? *vfs_.at(vf).mem : *shared_mem_;
+    return slices_.empty() ? *shared_mem_ : *slices_.at(vf);
   }
   Iommu& iommu() { return *iommu_; }
   Link& upstream() { return *up_; }
@@ -113,15 +115,13 @@ class MultiTenantSystem {
 
   /// VF-scoped AER log (completer errors, timeouts, per-lane DLL records
   /// in TDM mode). Link-wide physical events land in port_aer().
-  fault::AerLog& aer(unsigned vf) { return vfs_.at(vf).aer; }
+  fault::AerLog& aer(unsigned vf) { return function(vf).aer(); }
   fault::AerLog& port_aer() { return port_aer_; }
   fault::FaultInjector* fault_injector() { return injector_.get(); }
   fault::RecoveryManager* recovery(unsigned vf) {
-    return vfs_.at(vf).recovery.get();
+    return function(vf).recovery();
   }
-  fault::Watchdog* watchdog(unsigned vf) {
-    return vfs_.at(vf).watchdog.get();
-  }
+  fault::Watchdog* watchdog(unsigned vf) { return function(vf).watchdog(); }
 
   /// Device-wide recovery actions performed on behalf of a single VF's
   /// ladder — the blast-radius expansion count. Zero for a fully-armed
@@ -129,17 +129,8 @@ class MultiTenantSystem {
   std::uint64_t device_wide_actions() const { return device_wide_actions_; }
 
   /// Register VF `vf`'s benchmark buffer for NUMA locality resolution.
-  void attach_buffer(unsigned vf, const HostBuffer* buf);
-
-  using WriteObserver = std::function<void(std::uint32_t)>;
-  void set_write_observer(unsigned vf, WriteObserver obs) {
-    vfs_.at(vf).write_observer = std::move(obs);
-  }
-  void set_write_drop_observer(unsigned vf, WriteObserver obs) {
-    vfs_.at(vf).write_drop_observer = std::move(obs);
-  }
-  std::uint64_t lost_write_bytes(unsigned vf) const {
-    return vfs_.at(vf).lost_write_bytes;
+  void attach_buffer(unsigned vf, const HostBuffer* buf) {
+    function(vf).attach_buffer(buf);
   }
 
   // Cache-state preparation, scoped to one VF's memory system (the
@@ -152,8 +143,10 @@ class MultiTenantSystem {
   void thrash_cache(unsigned vf);
 
   /// Call once the event queue drains: every VF's watchdog verifies no
-  /// transaction is still outstanding. No-op when faults are unarmed.
-  void check_deadlock();
+  /// transaction is still outstanding.
+  void check_deadlock() {
+    for (PcieFunction& f : vfs_) f.check_deadlock();
+  }
 
   /// Canonical per-VF counter line ("k=v k=v ..."), the tenant-chaos
   /// identity artifact: every counter that describes VF `vf`'s observable
@@ -172,19 +165,6 @@ class MultiTenantSystem {
   bool test_misroutes_completions() const { return test_misroute_; }
 
  private:
-  struct Vf {
-    std::unique_ptr<MemorySystem> mem;  ///< null = shared_mem_
-    std::unique_ptr<RootComplex> rc;
-    std::unique_ptr<DmaDevice> device;
-    fault::AerLog aer;
-    std::unique_ptr<fault::RecoveryManager> recovery;
-    std::unique_ptr<fault::Watchdog> watchdog;
-    const HostBuffer* buffer = nullptr;
-    WriteObserver write_observer;
-    WriteObserver write_drop_observer;
-    std::uint64_t lost_write_bytes = 0;
-  };
-
   void arm_faults();
   void arm_recovery(unsigned vf);
   void freeze_port();
@@ -195,8 +175,11 @@ class MultiTenantSystem {
   std::unique_ptr<Link> up_;
   std::unique_ptr<Link> down_;
   std::unique_ptr<MemorySystem> shared_mem_;  ///< non-isolated uncore
+  std::vector<std::unique_ptr<MemorySystem>> slices_;  ///< per_vf_uncore
   std::unique_ptr<Iommu> iommu_;
-  std::vector<Vf> vfs_;
+  /// One function per VF; a deque so every function keeps its address
+  /// (its hooks capture it) while the rest are built.
+  std::deque<PcieFunction> vfs_;
   fault::AerLog port_aer_;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::uint64_t device_wide_actions_ = 0;

@@ -1,6 +1,10 @@
+// DLL replay cost driven by corrupt@prob= fault plans: each match is one
+// LCRC failure, NAKed and replayed after the default 250 ns ACK latency.
 #include <gtest/gtest.h>
 
 #include "core/runner.hpp"
+#include "fault/injector.hpp"
+#include "fault/plan.hpp"
 #include "sim/link.hpp"
 #include "sysconfig/profiles.hpp"
 
@@ -9,6 +13,12 @@ namespace {
 
 proto::Tlp write_tlp(std::uint32_t payload) {
   return proto::Tlp{proto::TlpType::MemWr, 0x1000, payload, 0, 0};
+}
+
+/// A system profile whose links corrupt each TLP with probability `prob`.
+SystemConfig corrupting(SystemConfig cfg, const std::string& prob) {
+  cfg.fault_plan = fault::parse_plan("corrupt@prob=" + prob);
+  return cfg;
 }
 
 TEST(LinkFaultsTest, NoFaultsByDefault) {
@@ -21,9 +31,9 @@ TEST(LinkFaultsTest, NoFaultsByDefault) {
 
 TEST(LinkFaultsTest, AlwaysFaultReplaysEveryTlp) {
   Simulator sim;
-  LinkFaultModel faults;
-  faults.replay_probability = 1.0;
-  Link link(sim, proto::gen3_x8(), 0, faults);
+  Link link(sim, proto::gen3_x8(), 0);
+  fault::FaultInjector injector(fault::parse_plan("corrupt@prob=1"));
+  link.set_fault_injector(&injector, /*upstream=*/true);
   for (int i = 0; i < 100; ++i) link.send(write_tlp(64));
   sim.run();
   EXPECT_EQ(link.replays(), 100u);
@@ -38,21 +48,21 @@ TEST(LinkFaultsTest, ReplayDelaysDelivery) {
   const Picos clean_done = clean.send(write_tlp(64));
 
   Simulator faulty_sim;
-  LinkFaultModel faults;
-  faults.replay_probability = 1.0;
-  faults.replay_penalty = from_nanos(250);
-  Link faulty(faulty_sim, cfg, 0, faults);
+  Link faulty(faulty_sim, cfg, 0);
+  fault::FaultInjector injector(fault::parse_plan("corrupt@prob=1"));
+  faulty.set_fault_injector(&injector, /*upstream=*/true);
   const Picos faulty_done = faulty.send(write_tlp(64));
-  // One extra serialization plus the ack-timeout penalty.
+  // One extra serialization plus the NAK round trip (the default 250 ns
+  // LinkDllConfig::ack_latency).
   EXPECT_EQ(faulty_done - clean_done,
             serialization_ps(88, cfg.tlp_gbps()) + from_nanos(250));
 }
 
 TEST(LinkFaultsTest, DeliveryStillInOrder) {
   Simulator sim;
-  LinkFaultModel faults;
-  faults.replay_probability = 0.5;
-  Link link(sim, proto::gen3_x8(), from_nanos(10), faults);
+  Link link(sim, proto::gen3_x8(), from_nanos(10));
+  fault::FaultInjector injector(fault::parse_plan("corrupt@prob=0.5"));
+  link.set_fault_injector(&injector, /*upstream=*/true);
   std::vector<std::uint32_t> tags;
   link.set_deliver([&](const proto::Tlp& t) { tags.push_back(t.tag); });
   for (std::uint32_t i = 0; i < 50; ++i) {
@@ -67,8 +77,7 @@ TEST(LinkFaultsTest, DeliveryStillInOrder) {
 
 TEST(LinkFaultsTest, RareReplaysWidenLatencyTailNotMedian) {
   auto clean_cfg = sys::netfpga_hsw().config;
-  auto faulty_cfg = clean_cfg;
-  faulty_cfg.link_faults.replay_probability = 0.01;
+  auto faulty_cfg = corrupting(clean_cfg, "0.01");
 
   core::BenchParams p;
   p.kind = core::BenchKind::LatRd;
@@ -85,8 +94,7 @@ TEST(LinkFaultsTest, RareReplaysWidenLatencyTailNotMedian) {
 
 TEST(LinkFaultsTest, HeavyReplaysCutWriteBandwidth) {
   auto clean_cfg = sys::netfpga_hsw().config;
-  auto faulty_cfg = clean_cfg;
-  faulty_cfg.link_faults.replay_probability = 0.1;
+  auto faulty_cfg = corrupting(clean_cfg, "0.1");
 
   core::BenchParams p;
   p.kind = core::BenchKind::BwWr;

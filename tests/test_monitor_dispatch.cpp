@@ -12,8 +12,10 @@
 #include "check/monitors.hpp"
 #include "core/params.hpp"
 #include "core/runner.hpp"
+#include "core/tenant_runner.hpp"
 #include "sim/simulator.hpp"
 #include "sim/system.hpp"
+#include "sim/vf.hpp"
 #include "sysconfig/profiles.hpp"
 
 using namespace pcieb;
@@ -92,15 +94,16 @@ TEST(MonitorDispatch, SimulatorResetDetachesAllMonitors) {
   EXPECT_TRUE(log.empty());
 }
 
-// MonitorSuite registers one devirtualized slot per invariant (clock,
-// credits, tags, replay) and its destructor removes exactly its own —
-// the RAII contract the trial loop leans on with pooled Systems.
-TEST(MonitorDispatch, MonitorSuiteOwnsFourSlotsAndDetachesOnDestruction) {
+// MonitorSuite registers one devirtualized slot that runs every per-step
+// invariant (clock, then bleed/credits/tags per function, then replay),
+// and its destructor removes exactly its own — the RAII contract the
+// trial loop leans on with pooled Systems.
+TEST(MonitorDispatch, MonitorSuiteOwnsOneSlotAndDetachesOnDestruction) {
   sim::System system(sys::nfp6000_hsw().config);
   EXPECT_EQ(system.sim().monitor_count(), 0u);
   {
     check::MonitorSuite suite(system);
-    EXPECT_EQ(system.sim().monitor_count(), 4u);
+    EXPECT_EQ(system.sim().monitor_count(), 1u);
   }
   EXPECT_EQ(system.sim().monitor_count(), 0u);
 }
@@ -131,5 +134,39 @@ TEST(MonitorDispatch, ArmedBenchMatchesDisarmedBitForBit) {
     EXPECT_EQ(a[i], b[i]) << "sample " << i;
   }
   EXPECT_EQ(bare.summary.median_ns, armed.summary.median_ns);
+  EXPECT_EQ(bare_sys.sim().executed(), armed_sys.sim().executed());
+}
+
+// The same contract over a tenant port: one suite watching three VFs'
+// ledgers must leave every VF's latency digest, counter line and the
+// executed-event count exactly as an unwatched run produces them.
+TEST(MonitorDispatch, ArmedTenantBenchMatchesDisarmedBitForBit) {
+  sim::MultiTenantConfig cfg;
+  cfg.base = sys::nfp6000_hsw().config;
+  cfg.tenants = 3;
+  core::BenchParams p;
+  p.kind = core::BenchKind::BwRdWr;
+  p.transfer_size = 256;
+  p.window_bytes = 1ull << 20;
+  p.iterations = 300;
+  p.warmup = 20;
+
+  sim::MultiTenantSystem bare_sys(cfg);
+  const auto bare = core::run_tenant_bench(bare_sys, p);
+
+  sim::MultiTenantSystem armed_sys(cfg);
+  check::MonitorSuite suite(armed_sys);
+  EXPECT_EQ(armed_sys.sim().monitor_count(), 1u);
+  const auto armed = core::run_tenant_bench(armed_sys, p);
+  suite.check_quiescent();
+  EXPECT_TRUE(suite.ok()) << suite.report();
+
+  ASSERT_EQ(bare.size(), 3u);
+  ASSERT_EQ(armed.size(), 3u);
+  for (unsigned vf = 0; vf < 3; ++vf) {
+    EXPECT_EQ(bare[vf].latency.serialize(), armed[vf].latency.serialize())
+        << "vf " << vf;
+    EXPECT_EQ(bare[vf].counters, armed[vf].counters) << "vf " << vf;
+  }
   EXPECT_EQ(bare_sys.sim().executed(), armed_sys.sim().executed());
 }

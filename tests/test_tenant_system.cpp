@@ -2,8 +2,9 @@
 // workload independence, the canonical counters_line schema, the armed
 // differential identity (victim artifact invariant under an attacker's
 // vf-scoped fault plan), blast-radius accounting with shared recovery,
-// the seeded misroute bug firing the bleed monitor, and VF-attributed
-// watchdog deadlock reports. See docs/ISOLATION.md.
+// the seeded misroute bug firing the bleed monitor, per-VF ladder
+// convergence, and VF-attributed watchdog deadlock reports. See
+// docs/ISOLATION.md.
 #include "sim/vf.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "check/tenant_monitors.hpp"
+#include "check/monitors.hpp"
 #include "core/tenant_runner.hpp"
 #include "fault/plan.hpp"
 #include "fault/recovery.hpp"
@@ -63,7 +64,7 @@ TEST(MultiTenantSystemTest, CtorValidatesConfig) {
 
 TEST(MultiTenantSystemTest, ArmedTenantsCompleteIndependentWorkloads) {
   sim::MultiTenantSystem system(tenant_cfg(3));
-  check::TenantMonitorSuite monitors(system);
+  check::MonitorSuite monitors(system);
   const auto results =
       core::run_tenant_bench(system, bench_params(core::BenchKind::BwRd));
   monitors.check_quiescent();
@@ -158,7 +159,7 @@ TEST(MultiTenantSystemTest, SeededMisrouteFiresBleedMonitor) {
   auto cfg = tenant_cfg(4, "drop@nth=5,vf=0");
   sim::MultiTenantSystem system(cfg);
   system.test_misroute_completions(true);
-  check::TenantMonitorSuite monitors(system);
+  check::MonitorSuite monitors(system);
   core::run_tenant_bench(system, bench_params(core::BenchKind::BwRd));
   // vf0's dropped upstream TLP armed a one-shot misroute: its next
   // completion was delivered to vf1 carrying vf0's RID, which vf1's
@@ -170,6 +171,32 @@ TEST(MultiTenantSystemTest, SeededMisrouteFiresBleedMonitor) {
     if (std::string(v.monitor) == "bleed") bleed = true;
   }
   EXPECT_TRUE(bleed) << monitors.report();
+}
+
+// The suite checks every VF's recovery ladder for convergence, as it does
+// System's: a fatal record on vf1 moves that ladder to Contained
+// synchronously, and with the simulator never run its hold-off never
+// expires — a quiesce in that state is a liveness violation of vf1 alone.
+TEST(MultiTenantSystemTest, ConvergenceMonitorFlagsAStuckVfLadder) {
+  auto cfg = tenant_cfg(4);
+  cfg.base.recovery = fault::parse_recovery_policy("default");
+  sim::MultiTenantSystem system(cfg);
+  check::MonitorSuite monitors(system);
+  system.aer(1).record(fault::ErrorType::SurpriseLinkDown, 0);
+  ASSERT_EQ(system.recovery(1)->state(), fault::RecoveryState::Contained);
+  monitors.check_quiescent();
+
+  std::vector<check::Violation> recovery;
+  for (const auto& v : monitors.violations()) {
+    if (v.monitor == "recovery") recovery.push_back(v);
+    for (const char* other : {"vf0", "vf2", "vf3"}) {
+      EXPECT_EQ(v.detail.find(other), std::string::npos) << v.format();
+    }
+  }
+  ASSERT_EQ(recovery.size(), 1u) << monitors.report();
+  EXPECT_NE(recovery[0].detail.find("vf1"), std::string::npos);
+  EXPECT_NE(recovery[0].detail.find("did not converge"), std::string::npos);
+  EXPECT_EQ(monitors.total_violations(), 1u) << monitors.report();
 }
 
 // Satellite: a quiescent-deadlock report names the owning VF. The tag

@@ -30,7 +30,6 @@
 #include "check/monitors.hpp"
 #include "check/overload_monitors.hpp"
 #include "check/perf.hpp"
-#include "check/tenant_monitors.hpp"
 #include "core/tenant_runner.hpp"
 #include "core/multi_runner.hpp"
 #include "core/observe.hpp"
@@ -601,7 +600,7 @@ int cmd_run_tenants(const Args& args, const TenantOpt& topt) {
                                : sim::TenantIsolation::all_armed();
   sim::MultiTenantSystem system(mc);
 
-  std::optional<check::TenantMonitorSuite> monitors;
+  std::optional<check::MonitorSuite> monitors;
   if (args.has_flag("monitors")) monitors.emplace(system);
 
   const auto results = core::run_tenant_bench(system, params);

@@ -22,10 +22,13 @@ int main() {
   TextTable tlps({"size_B", "offset0", "offset4", "offset60"});
   for (std::uint32_t sz : {64u, 128u, 256u, 512u, 1024u}) {
     auto count = [&](std::uint32_t off) {
+      proto::TlpVec reqs;
+      proto::TlpVec cpls;
       std::size_t n = 0;
-      for (const auto& req :
-           proto::segment_read_requests(cfg.link, off, sz)) {
-        n += proto::segment_completions(cfg.link, req.addr, req.read_len).size();
+      proto::segment_read_requests(cfg.link, off, sz, reqs);
+      for (const auto& req : reqs) {
+        proto::segment_completions(cfg.link, req.addr, req.read_len, cpls);
+        n += cpls.size();
       }
       return n;
     };

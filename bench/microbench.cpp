@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the library's hot paths: the
-// packetizer (both the allocating and the caller-owned-TlpVec forms), the
-// event engine and its SmallFn callable wrapper, the DMA in-flight map,
-// the cache tag array and the RNG. These guard the simulator's own
+// packetizer (into a caller-owned TlpVec), the event engine and its
+// SmallFn callable wrapper, the DMA in-flight map, the cache tag array
+// and the RNG. These guard the simulator's own
 // performance (a full figure sweep executes hundreds of millions of
 // events); `pciebench perf` measures the same paths end to end.
 #include <benchmark/benchmark.h>
@@ -26,17 +26,7 @@ namespace {
 
 using namespace pcieb;
 
-void BM_SegmentWrite(benchmark::State& state) {
-  const auto cfg = proto::gen3_x8();
-  const auto len = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(proto::segment_write(cfg, 0x1000, len));
-  }
-}
-BENCHMARK(BM_SegmentWrite)->Arg(64)->Arg(1500)->Arg(4096);
-
-// The zero-copy form: one reusable caller-owned TlpVec, no allocation per
-// call. Contrast with BM_SegmentWrite's returned std::vector.
+// One reusable caller-owned TlpVec: no allocation per call.
 void BM_SegmentWriteIntoTlpVec(benchmark::State& state) {
   const auto cfg = proto::gen3_x8();
   const auto len = static_cast<std::uint32_t>(state.range(0));
@@ -127,7 +117,7 @@ void BM_FlatU32MapWindow(benchmark::State& state) {
   const auto window = static_cast<std::uint32_t>(state.range(0));
   sim::FlatU32Map<std::uint64_t> map;
   std::uint32_t next = 1;
-  for (std::uint32_t i = 0; i < window; ++i) map.insert(next++, next);
+  for (std::uint32_t i = 0; i < window; ++i, ++next) map.insert(next, next);
   for (auto _ : state) {
     map.insert(next, next);
     benchmark::DoNotOptimize(map.find(next));

@@ -46,8 +46,9 @@ ReadStageBudget dma_read_stage_budget(const StageBudgetInputs& in,
   if (size == 0) {
     throw std::invalid_argument("dma_read_stage_budget: zero size");
   }
-  const auto reqs = proto::segment_read_requests(in.link, addr, size);
-  if (reqs.size() != 1) {
+  proto::TlpVec tlps;
+  proto::segment_read_requests(in.link, addr, size, tlps);
+  if (tlps.size() != 1) {
     throw std::invalid_argument(
         "dma_read_stage_budget: size must fit one read request "
         "(<= MRRS, no 4 KB crossing)");
@@ -59,7 +60,7 @@ ReadStageBudget dma_read_stage_budget(const StageBudgetInputs& in,
   ReadStageBudget b;
   b.device_issue_ns =
       to_nanos(from_nanos(in.device_front_ns) + from_nanos(in.issue_interval_ns));
-  b.link_up_ns = to_nanos(serialization_ps(reqs.front().wire_bytes(in.link), rate) +
+  b.link_up_ns = to_nanos(serialization_ps(tlps[0].wire_bytes(in.link), rate) +
                           from_nanos(in.up_propagation_ns));
   b.rc_pipeline_ns = to_nanos(from_nanos(in.rc_pipeline_ns));
   b.iommu_ns = to_nanos(from_nanos(in.iommu_walk_ns));
@@ -89,7 +90,8 @@ ReadStageBudget dma_read_stage_budget(const StageBudgetInputs& in,
   // Completions stream back-to-back down the wire; the last one's arrival
   // closes the link-down stage.
   Picos down_ser = 0;
-  for (const auto& cpl : proto::segment_completions(in.link, addr, size)) {
+  proto::segment_completions(in.link, addr, size, tlps);
+  for (const proto::Tlp& cpl : tlps) {
     down_ser += serialization_ps(cpl.wire_bytes(in.link), rate);
   }
   b.link_down_ns = to_nanos(down_ser + from_nanos(in.down_propagation_ns));

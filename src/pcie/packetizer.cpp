@@ -18,8 +18,8 @@ void check_len(std::uint32_t len) {
 }
 
 // The three cut rules, each written once as a loop over an emitter so the
-// vector, TlpVec, counting, and byte-totalling forms all share one
-// definition and cannot drift apart.
+// TlpVec, counting, and byte-totalling forms all share one definition and
+// cannot drift apart.
 
 template <typename Emit>
 void emit_write(const LinkConfig& cfg, std::uint64_t addr, std::uint32_t len,
@@ -72,55 +72,13 @@ void emit_completions(const LinkConfig& cfg, std::uint64_t addr,
   }
 }
 
-template <typename Emit>
-std::uint32_t counting(Emit&& emitter, const LinkConfig& cfg,
-                       std::uint64_t addr, std::uint32_t len) {
-  std::uint32_t n = 0;
-  emitter(cfg, addr, len, [&n](const Tlp&) { ++n; });
-  return n;
-}
-
 }  // namespace
-
-std::uint32_t count_write_tlps(const LinkConfig& cfg, std::uint64_t addr,
-                               std::uint32_t len) {
-  return counting([](auto&&... a) { emit_write(a...); }, cfg, addr, len);
-}
 
 std::uint32_t count_read_requests(const LinkConfig& cfg, std::uint64_t addr,
                                   std::uint32_t len) {
-  return counting([](auto&&... a) { emit_read_requests(a...); }, cfg, addr,
-                  len);
-}
-
-std::uint32_t count_completions(const LinkConfig& cfg, std::uint64_t addr,
-                                std::uint32_t len) {
-  return counting([](auto&&... a) { emit_completions(a...); }, cfg, addr, len);
-}
-
-std::vector<Tlp> segment_write(const LinkConfig& cfg, std::uint64_t addr,
-                               std::uint32_t len) {
-  std::vector<Tlp> out;
-  out.reserve(count_write_tlps(cfg, addr, len));
-  emit_write(cfg, addr, len, [&out](const Tlp& t) { out.push_back(t); });
-  return out;
-}
-
-std::vector<Tlp> segment_read_requests(const LinkConfig& cfg,
-                                       std::uint64_t addr, std::uint32_t len) {
-  std::vector<Tlp> out;
-  out.reserve(count_read_requests(cfg, addr, len));
-  emit_read_requests(cfg, addr, len,
-                     [&out](const Tlp& t) { out.push_back(t); });
-  return out;
-}
-
-std::vector<Tlp> segment_completions(const LinkConfig& cfg, std::uint64_t addr,
-                                     std::uint32_t len) {
-  std::vector<Tlp> out;
-  out.reserve(count_completions(cfg, addr, len));
-  emit_completions(cfg, addr, len, [&out](const Tlp& t) { out.push_back(t); });
-  return out;
+  std::uint32_t n = 0;
+  emit_read_requests(cfg, addr, len, [&n](const Tlp&) { ++n; });
+  return n;
 }
 
 void segment_write(const LinkConfig& cfg, std::uint64_t addr,

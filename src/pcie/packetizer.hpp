@@ -12,16 +12,13 @@
 //    model explicitly does not capture but pcie-bench can measure via the
 //    offset parameter.
 //
-// Each segmentation comes in two forms: a vector-returning convenience
-// (reserved to the exact TLP count up front) and an emit-into overload
-// writing into a caller-owned reusable TlpVec — the simulator hot path
-// uses the latter with per-component scratch buffers so steady-state
-// segmentation performs no allocations. The *_bytes totals are computed
-// without materializing TLP sequences at all.
+// Each segmentation writes into a caller-owned, reusable TlpVec: the
+// simulator's components keep one per segmentation site as a scratch
+// buffer, so steady-state segmentation performs no allocations. The
+// *_bytes totals are computed without materializing TLP sequences at all.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "pcie/link_config.hpp"
 #include "pcie/tlp.hpp"
@@ -36,34 +33,25 @@ struct DirectionBytes {
   std::uint64_t downstream = 0;
 };
 
-/// Split a device DMA write into MWr TLPs (upstream).
-std::vector<Tlp> segment_write(const LinkConfig& cfg, std::uint64_t addr,
-                               std::uint32_t len);
-
-/// Split a device DMA read into MRd request TLPs (upstream).
-std::vector<Tlp> segment_read_requests(const LinkConfig& cfg,
-                                       std::uint64_t addr, std::uint32_t len);
-
-/// Completions generated for ONE read request (downstream).
-std::vector<Tlp> segment_completions(const LinkConfig& cfg, std::uint64_t addr,
-                                     std::uint32_t len);
-
-/// Allocation-free variants: replace `out`'s contents with the split
-/// (identical TLPs, same order, as the vector-returning forms).
+/// Split a device DMA write into MWr TLPs (upstream), replacing `out`'s
+/// contents.
 void segment_write(const LinkConfig& cfg, std::uint64_t addr,
                    std::uint32_t len, TlpVec& out);
+
+/// Split a device DMA read into MRd request TLPs (upstream), replacing
+/// `out`'s contents.
 void segment_read_requests(const LinkConfig& cfg, std::uint64_t addr,
                            std::uint32_t len, TlpVec& out);
+
+/// Completions generated for ONE read request (downstream), replacing
+/// `out`'s contents.
 void segment_completions(const LinkConfig& cfg, std::uint64_t addr,
                          std::uint32_t len, TlpVec& out);
 
-/// TLP counts of the corresponding splits, without building them.
-std::uint32_t count_write_tlps(const LinkConfig& cfg, std::uint64_t addr,
-                               std::uint32_t len);
+/// Number of MRd TLPs segment_read_requests would emit, without building
+/// them.
 std::uint32_t count_read_requests(const LinkConfig& cfg, std::uint64_t addr,
                                   std::uint32_t len);
-std::uint32_t count_completions(const LinkConfig& cfg, std::uint64_t addr,
-                                std::uint32_t len);
 
 /// Wire bytes for a device DMA write of `len` at `addr`.
 DirectionBytes dma_write_bytes(const LinkConfig& cfg, std::uint64_t addr,

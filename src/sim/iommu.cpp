@@ -9,97 +9,77 @@
 namespace pcieb::sim {
 
 Iommu::Iommu(Simulator& sim, const IommuConfig& cfg)
-    : sim_(sim), cfg_(cfg), walkers_(sim, cfg.walkers) {
+    : sim_(sim), cfg_(cfg), domains_(1) {
   if (cfg_.enabled) {
     if (cfg_.tlb_entries == 0 || cfg_.walkers == 0 || cfg_.page_bytes == 0) {
       throw std::invalid_argument("IommuConfig: zero-sized structure");
     }
   }
+  pools_.emplace_back(sim_, cfg_.tlb_entries, cfg_.walkers);
 }
 
 void Iommu::configure_domains(unsigned n, bool partitioned) {
   if (n == 0 || n > 256) {
     throw std::invalid_argument("Iommu: domain count must be in 1..256");
   }
-  if (!tlb_.empty() || hits_ != 0 || misses_ != 0) {
+  if (!pools_.front().tlb.empty() || hits_ != 0 || misses_ != 0) {
     throw std::logic_error("Iommu: configure_domains after translations");
   }
-  domains_.clear();
-  partitioned_ = partitioned;
-  if (n == 1 && !partitioned) return;  // single-domain default path
-  domains_.resize(n);
+  domains_.assign(n, Domain{});
   if (partitioned) {
     // Each domain owns an equal slice of the IO-TLB and the walker pool;
     // a slice is never smaller than one entry/walker so every tenant can
     // always make forward progress.
-    const unsigned cap = std::max(1u, cfg_.tlb_entries / n);
-    const unsigned wlk = std::max(1u, cfg_.walkers / n);
-    for (auto& d : domains_) {
-      d.capacity = cap;
-      d.walkers = std::make_unique<TokenPool>(sim_, wlk);
-    }
+    set_pools(n, std::max(1u, cfg_.tlb_entries / n),
+              std::max(1u, cfg_.walkers / n));
+  } else {
+    set_pools(1, cfg_.tlb_entries, cfg_.walkers);
   }
 }
 
-const Iommu::DomainStats& Iommu::domain_stats(unsigned domain) const {
-  static const DomainStats kEmpty;
-  if (domains_.empty()) return kEmpty;
-  return domains_.at(domain).stats;
+void Iommu::set_pools(unsigned n, unsigned capacity, unsigned walkers) {
+  while (pools_.size() > 1) pools_.pop_back();
+  Pool& first = pools_.front();
+  first.tlb.clear();
+  first.lru.clear();
+  first.capacity = capacity;
+  first.walkers.reset(walkers);
+  while (pools_.size() < n) pools_.emplace_back(sim_, capacity, walkers);
+}
+
+void Iommu::reset() {
+  set_pools(1, cfg_.tlb_entries, cfg_.walkers);
+  domains_.assign(1, Domain{});
+  hits_ = misses_ = evictions_ = faults_ = remaps_ = 0;
+  injector_ = nullptr;
+  aer_ = nullptr;
+  trace_ = nullptr;
 }
 
 void Iommu::set_domain_aer(unsigned domain, fault::AerLog* aer) {
   domains_.at(domain).aer = aer;
 }
 
-bool Iommu::tlb_lookup(std::uint64_t page) {
-  auto it = tlb_.find(page);
-  if (it == tlb_.end()) return false;
-  lru_.splice(lru_.begin(), lru_, it->second);
+bool Iommu::tlb_lookup(Pool& pool, std::uint64_t key) {
+  auto it = pool.tlb.find(key);
+  if (it == pool.tlb.end()) return false;
+  pool.lru.splice(pool.lru.begin(), pool.lru, it->second);
   return true;
 }
 
-void Iommu::tlb_insert(std::uint64_t page) {
-  if (tlb_.contains(page)) return;  // a concurrent walk already filled it
-  if (tlb_.size() >= cfg_.tlb_entries) {
-    const std::uint64_t victim = lru_.back();
-    lru_.pop_back();
-    tlb_.erase(victim);
+void Iommu::tlb_insert(Pool& pool, std::uint64_t key) {
+  if (pool.tlb.contains(key)) return;  // a concurrent walk already filled it
+  if (pool.tlb.size() >= pool.capacity) {
+    const std::uint64_t victim = pool.lru.back();
+    pool.lru.pop_back();
+    pool.tlb.erase(victim);
     ++evictions_;
-    if (!domains_.empty()) {
-      // Shared-mode eviction bills the domain that loses the entry, not
-      // the one that caused it — the cross-tenant interference signal.
-      ++domains_[victim & 0xff].stats.evictions;
-    }
+    // Eviction bills the domain that loses the entry, not the one that
+    // caused it — in a shared pool, the cross-tenant interference signal.
+    ++domains_[victim & 0xff].stats.evictions;
   }
-  lru_.push_front(page);
-  tlb_[page] = lru_.begin();
-}
-
-bool Iommu::domain_lookup(unsigned domain, std::uint64_t page) {
-  if (!partitioned_) return tlb_lookup(shared_key(domain, page));
-  Domain& d = domains_[domain];
-  auto it = d.tlb.find(page);
-  if (it == d.tlb.end()) return false;
-  d.lru.splice(d.lru.begin(), d.lru, it->second);
-  return true;
-}
-
-void Iommu::domain_insert(unsigned domain, std::uint64_t page) {
-  if (!partitioned_) {
-    tlb_insert(shared_key(domain, page));
-    return;
-  }
-  Domain& d = domains_[domain];
-  if (d.tlb.contains(page)) return;
-  if (d.tlb.size() >= d.capacity) {
-    const std::uint64_t victim = d.lru.back();
-    d.lru.pop_back();
-    d.tlb.erase(victim);
-    ++evictions_;
-    ++d.stats.evictions;
-  }
-  d.lru.push_front(page);
-  d.tlb[page] = d.lru.begin();
+  pool.lru.push_front(key);
+  pool.tlb[key] = pool.lru.begin();
 }
 
 bool Iommu::probe(std::uint64_t addr, bool is_write, unsigned domain,
@@ -113,60 +93,53 @@ bool Iommu::probe(std::uint64_t addr, bool is_write, unsigned domain,
   } else {
     fault = false;
   }
-  const std::uint64_t page = addr / cfg_.page_bytes;
-  const bool hit =
-      !fault && (domains_.empty() ? tlb_lookup(page)
-                                  : domain_lookup(domain, page));
-  if (hit) {
-    ++hits_;
-    if (!domains_.empty()) ++domains_[domain].stats.hits;
-    if (trace_) {
-      trace_->record({sim_.now(), 0, addr, 0, 0, obs::EventKind::IommuHit,
-                      obs::Component::Iommu,
-                      static_cast<std::uint8_t>(is_write ? 1 : 0)});
-    }
-    return true;
+  if (fault ||
+      !tlb_lookup(pool_of(domain), tlb_key(domain, addr / cfg_.page_bytes))) {
+    return false;
   }
-  return false;
+  ++hits_;
+  ++domains_[domain].stats.hits;
+  if (trace_) {
+    trace_->record({sim_.now(), 0, addr, 0, 0, obs::EventKind::IommuHit,
+                    obs::Component::Iommu,
+                    static_cast<std::uint8_t>(is_write ? 1 : 0)});
+  }
+  return true;
 }
 
 void Iommu::walk(std::uint64_t addr, bool is_write, unsigned domain,
                  bool fault, CheckedCallback done) {
-  const std::uint64_t page = addr / cfg_.page_bytes;
+  const std::uint64_t key = tlb_key(domain, addr / cfg_.page_bytes);
   ++misses_;
-  if (!domains_.empty()) ++domains_[domain].stats.misses;
+  ++domains_[domain].stats.misses;
   const Picos requested = sim_.now();
   const Picos occupancy =
       is_write ? cfg_.walk_occupancy_write : cfg_.walk_occupancy_read;
   const Picos latency = cfg_.walk_latency;
-  // Partitioned mode: the walk queues on the domain's own walker slice,
-  // so one tenant's miss storm cannot starve another's translations.
-  TokenPool& pool = (partitioned_ && !domains_.empty())
-                        ? *domains_[domain].walkers
-                        : walkers_;
-  pool.acquire([this, &pool, page, addr, is_write, domain, fault, requested,
-                occupancy, latency, done = std::move(done)]() mutable {
+  // The walk queues on its pool's walkers: in partitioned mode the
+  // domain's own slice, so one tenant's miss storm cannot starve another's
+  // translations.
+  Pool& pool = pool_of(domain);
+  pool.walkers.acquire([this, &pool, key, addr, is_write, domain, fault,
+                        requested, occupancy, latency,
+                        done = std::move(done)]() mutable {
     // The walker is busy for `occupancy`; the requester additionally waits
     // the full walk latency (occupancy <= latency).
     const Picos start = sim_.now();
-    sim_.after(occupancy, [&pool] { pool.release(); });
-    sim_.at(start + latency, [this, page, addr, is_write, domain, fault,
+    sim_.after(occupancy, [&pool] { pool.walkers.release(); });
+    sim_.at(start + latency, [this, &pool, key, addr, is_write, domain, fault,
                               requested, done = std::move(done)] {
       if (fault) {
         ++faults_;
-        fault::AerLog* aer = aer_;
-        if (!domains_.empty()) {
-          ++domains_[domain].stats.faults;
-          if (domains_[domain].aer) aer = domains_[domain].aer;
-        }
+        Domain& d = domains_[domain];
+        ++d.stats.faults;
+        fault::AerLog* aer = d.aer ? d.aer : aer_;
         if (aer) {
           aer->record(fault::ErrorType::IommuFault, sim_.now(), addr, 0,
                       is_write ? 1 : 0);
         }
-      } else if (domains_.empty()) {
-        tlb_insert(page);
       } else {
-        domain_insert(domain, page);
+        tlb_insert(pool, key);
       }
       if (trace_) {
         // Span covers the requester's whole wait, including any queueing
@@ -182,30 +155,19 @@ void Iommu::walk(std::uint64_t addr, bool is_write, unsigned domain,
 }
 
 void Iommu::flush_tlb() {
-  tlb_.clear();
-  lru_.clear();
-  for (auto& d : domains_) {
-    d.tlb.clear();
-    d.lru.clear();
+  for (Pool& pool : pools_) {
+    pool.tlb.clear();
+    pool.lru.clear();
   }
 }
 
 void Iommu::flush_domain(unsigned domain) {
-  if (domains_.empty()) {
-    flush_tlb();
-    return;
-  }
-  if (partitioned_) {
-    Domain& d = domains_.at(domain);
-    d.tlb.clear();
-    d.lru.clear();
-    return;
-  }
-  // Shared pool: erase only this domain's composite keys.
-  for (auto it = lru_.begin(); it != lru_.end();) {
+  // Erase only this domain's keys: a shared pool holds every domain's.
+  Pool& pool = pools_.size() == 1 ? pools_.front() : pools_.at(domain);
+  for (auto it = pool.lru.begin(); it != pool.lru.end();) {
     if ((*it & 0xff) == domain) {
-      tlb_.erase(*it);
-      it = lru_.erase(it);
+      pool.tlb.erase(*it);
+      it = pool.lru.erase(it);
     } else {
       ++it;
     }
@@ -215,7 +177,7 @@ void Iommu::flush_domain(unsigned domain) {
 void Iommu::remap_domain(unsigned domain) {
   flush_domain(domain);
   ++remaps_;
-  if (!domains_.empty()) ++domains_.at(domain).stats.remaps;
+  ++domains_.at(domain).stats.remaps;
 }
 
 }  // namespace pcieb::sim

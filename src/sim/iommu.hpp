@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -52,19 +51,18 @@ class Iommu {
     std::uint64_t remaps = 0;  ///< domain-scoped remaps (VF-level FLR)
   };
 
-  /// Split the IOMMU into `n` translation domains (SR-IOV: one per VF).
-  /// `partitioned` gives each domain an independent IO-TLB slice
-  /// (tlb_entries/n) and walker-pool slice — one tenant's miss stream
-  /// cannot evict another's entries or starve its walks. Shared mode
-  /// keeps one capacity pool keyed by (domain, page): translations still
-  /// never resolve across domains, but tenants contend for entries and
-  /// walkers. Must be called before any translation; n in 1..256.
+  /// Split the IOMMU into `n` translation domains (SR-IOV: one per VF);
+  /// a plain IOMMU is one domain over one pool. `partitioned` gives each
+  /// domain an independent IO-TLB slice (tlb_entries/n) and walker-pool
+  /// slice — one tenant's miss stream cannot evict another's entries or
+  /// starve its walks. Shared mode keeps one capacity pool keyed by
+  /// (domain, page): translations still never resolve across domains, but
+  /// tenants contend for entries and walkers. Must be called before any
+  /// translation; n in 1..256.
   void configure_domains(unsigned n, bool partitioned);
-  unsigned domain_count() const {
-    return domains_.empty() ? 1u : static_cast<unsigned>(domains_.size());
+  const DomainStats& domain_stats(unsigned domain) const {
+    return domains_.at(domain).stats;
   }
-  bool partitioned() const { return partitioned_; }
-  const DomainStats& domain_stats(unsigned domain) const;
 
   /// Translate the page containing `addr`; `done` runs when the
   /// translation is available (immediately-ish on a TLB hit). Faulting
@@ -159,51 +157,56 @@ class Iommu {
   void set_fault_injector(fault::FaultInjector* inj) { injector_ = inj; }
   void set_aer(fault::AerLog* aer) { aer_ = aer; }
   /// Route one domain's translation faults to its own AER log (falls back
-  /// to the shared log when unset). Requires configured domains.
+  /// to the shared log when unset).
   void set_domain_aer(unsigned domain, fault::AerLog* aer);
 
   /// Attach tracing (nullptr detaches).
   void set_trace(obs::TraceSink* sink) { trace_ = sink; }
 
   /// Trial-reuse reset to the just-constructed state: translations and
-  /// domains dropped, walker tokens freed, every statistic (including
-  /// remaps, unlike reset_stats) zeroed, attachments detached. The TLB
-  /// map's bucket array survives — rebuilding it was part of the per-trial
-  /// build cost this path removes.
-  void reset() {
-    flush_tlb();
-    walkers_.reset();
-    domains_.clear();
-    partitioned_ = false;
-    hits_ = misses_ = evictions_ = faults_ = remaps_ = 0;
-    injector_ = nullptr;
-    aer_ = nullptr;
-    trace_ = nullptr;
-  }
+  /// extra domains and pools dropped, walker tokens freed, every statistic
+  /// (including remaps, unlike reset_stats) zeroed, attachments detached.
+  /// Pool 0 and its TLB map's bucket array survive — rebuilding them was
+  /// part of the per-trial build cost this path removes.
+  void reset();
 
  private:
   using LruList = std::list<std::uint64_t>;  // front = most recent
 
-  /// One translation domain's private state (populated only when
-  /// configure_domains was called; the single-domain default keeps using
-  /// the flat members below so that path is unchanged).
-  struct Domain {
+  /// One IO-TLB capacity pool with its page-table walkers: shared by
+  /// every domain, or one per domain when partitioned.
+  struct Pool {
+    Pool(Simulator& sim, unsigned capacity, unsigned walkers)
+        : capacity(capacity), walkers(sim, walkers) {}
+    /// Pools are built before any walk captures one, so a move is only
+    /// ever a vector relocation; std::deque's move (inside TokenPool) is
+    /// not noexcept, which would otherwise force an impossible copy.
+    Pool(Pool&&) noexcept = default;
     LruList lru;
     std::unordered_map<std::uint64_t, LruList::iterator> tlb;
-    unsigned capacity = 0;                 ///< partitioned TLB slice
-    std::unique_ptr<TokenPool> walkers;    ///< partitioned walker slice
+    unsigned capacity;
+    TokenPool walkers;
+  };
+
+  /// One translation domain's accounting.
+  struct Domain {
     DomainStats stats;
     fault::AerLog* aer = nullptr;
   };
 
-  bool tlb_lookup(std::uint64_t page);
-  void tlb_insert(std::uint64_t page);
-  bool domain_lookup(unsigned domain, std::uint64_t page);
-  void domain_insert(unsigned domain, std::uint64_t page);
-  /// Shared-mode composite key: translations are domain-qualified even
-  /// when the capacity pool is shared, so a cross-domain hit is
-  /// structurally impossible.
-  static std::uint64_t shared_key(unsigned domain, std::uint64_t page) {
+  /// Drop every pool but pool 0 (kept in place), empty it, give it
+  /// `capacity` entries and `walkers` walkers, and add pools of the same
+  /// shape up to `n`.
+  void set_pools(unsigned n, unsigned capacity, unsigned walkers);
+  Pool& pool_of(unsigned domain) {
+    return pools_.size() == 1 ? pools_.front() : pools_[domain];
+  }
+  bool tlb_lookup(Pool& pool, std::uint64_t key);
+  void tlb_insert(Pool& pool, std::uint64_t key);
+  /// Translations are domain-qualified even when the capacity pool is
+  /// shared, so a cross-domain hit is structurally impossible; the low
+  /// byte names the domain an eviction bills.
+  static std::uint64_t tlb_key(unsigned domain, std::uint64_t page) {
     return (page << 8) | domain;
   }
   /// Fault-injection check plus TLB probe; true on a hit (counted and
@@ -215,11 +218,8 @@ class Iommu {
 
   Simulator& sim_;
   IommuConfig cfg_;
-  TokenPool walkers_;
-  LruList lru_;
-  std::unordered_map<std::uint64_t, LruList::iterator> tlb_;
-  std::vector<Domain> domains_;  ///< empty until configure_domains
-  bool partitioned_ = false;
+  std::vector<Pool> pools_;      ///< at least one
+  std::vector<Domain> domains_;  ///< at least one
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

@@ -19,7 +19,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "fault/aer.hpp"
@@ -51,12 +50,13 @@ class Link {
 
   Link(Simulator& sim, const proto::LinkConfig& cfg, Picos propagation,
        const LinkDllConfig& dll = {})
-      : sim_(sim), cfg_(cfg), wire_(sim), propagation_(propagation),
-        dll_(dll), line_rate_(cfg.tlp_gbps()) {
+      : sim_(sim), cfg_(cfg), propagation_(propagation), dll_(dll),
+        line_rate_(cfg.tlp_gbps()) {
     for (std::size_t t = 0; t < proto::kTlpTypeCount; ++t) {
       overhead_[t] =
           proto::overhead_bytes(static_cast<proto::TlpType>(t), cfg_);
     }
+    lanes_.emplace_back(sim_, 1.0, line_rate_);
   }
 
   void set_deliver(Deliver d) { deliver_ = std::move(d); }
@@ -66,9 +66,6 @@ class Link {
   /// serialization-complete + propagation. Returns the delivery time
   /// (for dropped TLPs: when delivery would have happened).
   Picos send(const proto::Tlp& tlp);
-
-  /// When the wire would next be free (for backpressure decisions).
-  Picos next_free() const { return wire_.next_free(); }
 
   std::uint64_t tlps_sent() const { return tlps_; }
   std::uint64_t wire_bytes_sent() const { return bytes_; }
@@ -82,7 +79,8 @@ class Link {
   /// TLPs sent but not yet delivered (retry-buffer occupancy proxy).
   std::uint64_t unacked() const { return unacked_; }
   std::uint64_t unacked_hwm() const { return unacked_hwm_; }
-  Picos busy_total() const { return wire_.busy_total(); }
+  /// Wire occupancy summed over every lane.
+  Picos busy_total() const;
 
   const proto::LinkConfig& config() const { return cfg_; }
   const LinkDllConfig& dll_config() const { return dll_; }
@@ -121,43 +119,55 @@ class Link {
   /// to `lanes`/`gen` until cleared. An injected downtrain window takes
   /// precedence while it is active — the fault models the marginal
   /// hardware, the recovery derate models policy on top of it.
-  void set_recovery_derate(unsigned lanes, unsigned gen);
+  void set_recovery_derate(unsigned lanes, unsigned gen) {
+    recovery_rate_ = rate_at(lanes, gen);
+    recovery_derate_active_ = true;
+  }
   void clear_recovery_derate() { recovery_derate_active_ = false; }
   bool recovery_derated() const { return recovery_derate_active_; }
 
-  // --- SR-IOV tenant mode: weighted TDM virtual lanes -----------------
+  // --- Weighted TDM virtual lanes ---------------------------------------
   //
-  // configure_tenants splits this direction into one virtual lane per
-  // function, each serializing independently at weight/total of the link
-  // rate (non-work-conserving time-division arbitration, like a fixed
-  // DLL timeslot schedule). A lane's timing is a pure function of its own
+  // Every TLP serializes on a virtual lane, each at weight/total of the
+  // link rate (non-work-conserving time-division arbitration, like a fixed
+  // DLL timeslot schedule). A plain link is one lane of weight 1 that
+  // carries every function's TLPs; configure_tenants gives each SR-IOV
+  // function its own lane. A lane's timing is a pure function of its own
   // traffic: one tenant saturating its slice never delays another — the
   // property the isolation-identity acceptance pins. Aggregate counters
   // keep counting across all lanes; per-function counters ride alongside.
 
-  /// Enter tenant mode with one lane per function; weights[f] is lane
-  /// f's arbitration weight (> 0). Call once, before any traffic.
+  /// One lane per function; weights[f] is lane f's arbitration weight
+  /// (> 0). Call once, before any traffic.
   void configure_tenants(const std::vector<unsigned>& weights);
-  bool tenant_mode() const { return !lanes_.empty(); }
-  unsigned tenant_count() const { return static_cast<unsigned>(lanes_.size()); }
 
   /// Per-function containment: discard function f's TLPs at this port
   /// (before the injector is consulted — same determinism contract as
   /// set_blocked) while other functions keep transmitting.
-  void set_func_blocked(unsigned func, bool blocked);
+  void set_func_blocked(unsigned func, bool blocked) {
+    lanes_.at(func).blocked = blocked;
+  }
   bool func_blocked(unsigned func) const { return lanes_.at(func).blocked; }
 
   /// VF-scoped recovery derate: only function f's lane retrains to the
   /// reduced lanes/gen share.
-  void set_func_recovery_derate(unsigned func, unsigned lanes, unsigned gen);
-  void clear_func_recovery_derate(unsigned func);
+  void set_func_recovery_derate(unsigned func, unsigned lanes, unsigned gen) {
+    Lane& lane = lanes_.at(func);
+    lane.derate_rate = rate_at(lanes, gen);
+    lane.derate_active = true;
+  }
+  void clear_func_recovery_derate(unsigned func) {
+    lanes_.at(func).derate_active = false;
+  }
 
   /// Route function f's DLL error records (replays, retrains, poison) to
   /// its own AER log; link-wide events (surprise link-down, downtrain)
   /// stay on the shared log.
-  void set_func_aer(unsigned func, fault::AerLog* aer);
+  void set_func_aer(unsigned func, fault::AerLog* aer) {
+    lanes_.at(func).aer = aer;
+  }
 
-  /// Per-function counters (tenant mode only).
+  /// Per-lane counters (function f's lane; lane 0 on a plain link).
   struct FuncCounters {
     std::uint64_t tlps = 0;
     std::uint64_t wire_bytes = 0;
@@ -201,64 +211,39 @@ class Link {
 
   /// Trial-reuse reset to the just-constructed state for the same wire
   /// shape (LinkConfig and propagation are fixed at construction): the
-  /// DLL parameters are replaced, and every hook, attachment, counter and
-  /// containment/derate latch is dropped. The serialization memo
-  /// survives: it is a pure function of the unchanged line rate.
-  void reset(const LinkDllConfig& dll) {
-    wire_.reset();
-    dll_ = dll;
-    deliver_ = {};
-    on_drop_ = {};
-    on_linkdown_ = {};
-    injector_ = nullptr;
-    aer_ = nullptr;
-    upstream_ = true;
-    trace_ = nullptr;
-    trace_comp_ = obs::Component::LinkUp;
-    tlps_ = bytes_ = payload_bytes_ = 0;
-    replays_ = replay_timeouts_ = retrains_ = 0;
-    dropped_ = poisoned_ = downtrains_ = 0;
-    unacked_ = unacked_hwm_ = 0;
-    downtrained_ = false;
-    derated_rule_ = nullptr;
-    derated_rate_ = 0.0;
-    blocked_ = false;
-    blocked_drops_ = 0;
-    recovery_derate_active_ = false;
-    recovery_rate_ = 0.0;
-    lanes_.clear();
-  }
+  /// DLL parameters are replaced, and every hook, attachment, counter,
+  /// containment/derate latch and extra lane is dropped. Lane 0 keeps its
+  /// serialization memo, a pure function of the unchanged line rate.
+  void reset(const LinkDllConfig& dll);
 
  private:
-  /// One TDM virtual lane (tenant mode).
+  /// One TDM virtual lane. The delivery callback captures `&lane`, so
+  /// lanes change only before traffic or after the simulator is reset.
   struct Lane {
-    std::unique_ptr<SerialResource> wire;
-    double share = 1.0;      ///< weight / total weight
-    double base_rate = 0.0;  ///< share * line rate, memo anchor
+    Lane(Simulator& sim, double share, double base_rate)
+        : wire(sim), share(share), base_rate(base_rate) {}
+    SerialResource wire;
+    double share;      ///< weight / total weight
+    double base_rate;  ///< share * line rate, memo anchor
     bool blocked = false;
     bool derate_active = false;
     double derate_rate = 0.0;  ///< derated link rate (share applied later)
     fault::AerLog* aer = nullptr;
     FuncCounters counters;
+    /// wire_bytes -> serialization time at base_rate, filled lazily with
+    /// the identical FP expression (-1 = not yet computed). Bypassed while
+    /// a downtrain window or recovery derate changes the rate.
     std::vector<Picos> ser_memo;
   };
 
   /// TLP-layer rate honouring any active downtrain window; logs the
   /// transition into a window once per entry.
   double effective_rate();
-  /// Run `n` replay attempts (each: wasted serialization + `gap`),
-  /// escalating to a retrain at REPLAY_NUM. Returns false once a retrain
-  /// happened (the fault is gone; stop injecting attempts).
-  bool replay_attempts(unsigned n, Picos gap, Picos ser, unsigned wire_bytes,
-                       const proto::Tlp& tlp, fault::ErrorType type,
-                       unsigned& consecutive);
-  /// Tenant-mode transmit path: serialization and DLL recovery on the
-  /// sender function's own lane clock.
-  Picos send_tenant(const proto::Tlp& tlp);
+  /// TLP-layer rate of this link retrained to `lanes`/`gen` (0 = keep).
+  double rate_at(unsigned lanes, unsigned gen) const;
 
   Simulator& sim_;
   proto::LinkConfig cfg_;
-  SerialResource wire_;
   Picos propagation_;
   LinkDllConfig dll_;
   Deliver deliver_;
@@ -298,14 +283,9 @@ class Link {
   /// cfg_.tlp_gbps() computed once — it chains two switch lookups and
   /// floating-point math, far too heavy for a per-TLP call.
   double line_rate_;
-  /// Memo bound for ser_memo_: max header + MPS payload with margin.
+  /// Memo bound for Lane::ser_memo: max header + MPS payload with margin.
   static constexpr unsigned kSerMemoMax = 8192;
-  /// wire_bytes -> serialization time at line_rate_, filled lazily with
-  /// the identical FP expression (-1 = not yet computed). Bypassed while
-  /// a downtrain window derates the rate.
-  std::vector<Picos> ser_memo_;
-  /// Tenant mode: one virtual lane per function (empty = single-tenant,
-  /// which keeps the flat path above byte-identical and branch-light).
+  /// At least one lane; with exactly one, every function's TLPs use it.
   std::vector<Lane> lanes_;
 };
 

@@ -34,7 +34,7 @@ void PcieSwitch::on_port_ingress(unsigned port, const proto::Tlp& tlp) {
     // Translate the tag so completions can be routed back; real switches
     // key on requester ID, which our TLPs fold into the tag.
     const std::uint32_t switch_tag = next_tag_++;
-    tags_[switch_tag] = {port, tlp.tag};
+    tags_[switch_tag] = {port, tlp.tag, tlp.read_len};
     out.tag = switch_tag;
   }
   upstream_.send(out);
@@ -47,15 +47,18 @@ void PcieSwitch::on_downstream(const proto::Tlp& tlp) {
     if (it == tags_.end()) {
       throw std::logic_error("PcieSwitch: completion for unknown tag");
     }
-    const auto [port, device_tag] = it->second;
+    Route& route = it->second;
+    const unsigned port = route.port;
     proto::Tlp out = tlp;
-    out.tag = device_tag;
-    // A request's completions may arrive as several CplDs; drop the
-    // mapping only once the full read length has been delivered. We track
-    // remaining bytes in the map by shrinking read_len... simpler: keep
-    // the mapping until a zero-remainder heuristic is impossible here, so
-    // retain mappings (bounded by tag wrap) — benchmarks reuse systems
-    // briefly, and 2^32 tags outlast any run.
+    out.tag = route.device_tag;
+    // A read's completions may arrive as several CplDs: the route retires
+    // with the one that carries its last byte, or with a data-less error
+    // completion, which ends the request.
+    if (tlp.type == proto::TlpType::Cpl || tlp.payload >= route.remaining) {
+      tags_.erase(it);
+    } else {
+      route.remaining -= tlp.payload;
+    }
     ports_.at(port).egress->send(out);
     return;
   }

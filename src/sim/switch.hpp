@@ -8,7 +8,8 @@
 //    forward, per-port ingress then shared egress serialization);
 //  * translates request tags so concurrent devices' MRd tags cannot
 //    collide (real switches disambiguate by requester ID);
-//  * routes completions back to the issuing port.
+//  * routes completions back to the issuing port, retiring each read's
+//    route once its last completion has passed.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +52,8 @@ class PcieSwitch {
 
   std::uint64_t forwarded_upstream() const { return forwarded_up_; }
   std::uint64_t forwarded_downstream() const { return forwarded_down_; }
+  /// Forwarded reads still waiting for completion bytes.
+  std::size_t reads_in_flight() const { return tags_.size(); }
 
  private:
   void on_port_ingress(unsigned port, const proto::Tlp& tlp);
@@ -64,9 +67,15 @@ class PcieSwitch {
   SwitchConfig cfg_;
   Link& upstream_;
   std::vector<Port> ports_;
+  /// Where one forwarded read's completions go, and how many of its
+  /// bytes are still owed.
+  struct Route {
+    unsigned port;
+    std::uint32_t device_tag;
+    std::uint32_t remaining;
+  };
   std::uint32_t next_tag_ = 1;
-  /// switch tag -> (port, original device tag)
-  std::unordered_map<std::uint32_t, std::pair<unsigned, std::uint32_t>> tags_;
+  std::unordered_map<std::uint32_t, Route> tags_;  ///< keyed by switch tag
   std::uint64_t forwarded_up_ = 0;
   std::uint64_t forwarded_down_ = 0;
 };

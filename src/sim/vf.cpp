@@ -331,8 +331,10 @@ std::string MultiTenantSystem::counters_line(unsigned vf) const {
   // schema (zeroed) so lines from either mode align column-for-column.
   Link::FuncCounters up{};
   Link::FuncCounters down{};
-  if (up_->tenant_mode()) up = up_->func_counters(vf);
-  if (down_->tenant_mode()) down = down_->func_counters(vf);
+  if (cfg_.isolation.tdm_link) {
+    up = up_->func_counters(vf);
+    down = down_->func_counters(vf);
+  }
   add("lane.up.tlps", up.tlps);
   add("lane.up.wire_bytes", up.wire_bytes);
   add("lane.up.payload_bytes", up.payload_bytes);

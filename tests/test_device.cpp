@@ -25,7 +25,9 @@ struct Fixture {
       host_received.push_back(t);
       if (t.type == proto::TlpType::MemRd) {
         sim.after(host_latency, [this, t] {
-          for (auto cpl : proto::segment_completions(link_cfg, t.addr, t.read_len)) {
+          proto::TlpVec cpls;
+          proto::segment_completions(link_cfg, t.addr, t.read_len, cpls);
+          for (auto cpl : cpls) {
             cpl.tag = t.tag;
             downstream.send(cpl);
           }

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
+#include "fault/plan.hpp"
 
 namespace pcieb::sim {
 namespace {
@@ -254,6 +260,76 @@ TEST(IommuDomainTest, PartitioningContainsEvictionStorms) {
           << "shared pool should have evicted the victim entry";
     }
   }
+}
+
+// A plain IOMMU is one domain over one pool: configuring that shape
+// explicitly, shared or partitioned, changes nothing observable under a
+// random read/write stream with evictions, walker queueing and faults.
+struct IommuRun {
+  std::vector<std::pair<Picos, bool>> done;  ///< per request: time, ok
+  std::array<std::uint64_t, 4> totals{};     ///< hits, misses, evictions, faults
+  std::array<std::uint64_t, 4> domain0{};
+};
+
+IommuRun run_random_stream(int shape) {
+  Simulator sim;
+  IommuConfig cfg = enabled_cfg();
+  cfg.tlb_entries = 8;
+  cfg.walkers = 2;
+  Iommu iommu(sim, cfg);
+  if (shape > 0) iommu.configure_domains(1, /*partitioned=*/shape == 2);
+  fault::FaultInjector injector(fault::parse_plan("iommu@prob=0.05"));
+  iommu.set_fault_injector(&injector);
+
+  IommuRun r;
+  r.done.assign(3000, {-1, false});
+  Xoshiro256 rng(0x10bb);
+  for (std::size_t i = 0; i < r.done.size(); ++i) {
+    const std::uint64_t addr = rng.below(24) * 4096 + rng.below(4096);
+    const bool is_write = rng.below(2) != 0;
+    sim.at(from_nanos(40) * static_cast<Picos>(i), [&, i, addr, is_write] {
+      iommu.translate_checked(addr, is_write, [&, i](bool ok) {
+        r.done[i] = {sim.now(), ok};
+      });
+    });
+  }
+  sim.run();
+  r.totals = {iommu.tlb_hits(), iommu.tlb_misses(), iommu.tlb_evictions(),
+              iommu.faults()};
+  const Iommu::DomainStats& d = iommu.domain_stats(0);
+  r.domain0 = {d.hits, d.misses, d.evictions, d.faults};
+  return r;
+}
+
+TEST(IommuDomainTest, PlainIommuIsOneDomainOverOnePool) {
+  const IommuRun plain = run_random_stream(0);
+  for (const int shape : {1, 2}) {
+    const IommuRun configured = run_random_stream(shape);
+    EXPECT_EQ(configured.done, plain.done) << "shape " << shape;
+    EXPECT_EQ(configured.totals, plain.totals) << "shape " << shape;
+    EXPECT_EQ(configured.domain0, plain.domain0) << "shape " << shape;
+  }
+  // The one domain is billed for everything, and every path ran.
+  EXPECT_EQ(plain.domain0, plain.totals);
+  EXPECT_GT(plain.totals[0], 0u);
+  EXPECT_GT(plain.totals[2], 0u);
+  EXPECT_GT(plain.totals[3], 0u);
+  for (const auto& [t, ok] : plain.done) ASSERT_GE(t, 0);
+}
+
+TEST(IommuDomainTest, ResetReturnsToOneDomainOverOnePool) {
+  Simulator sim;
+  Iommu iommu(sim, enabled_cfg());
+  iommu.configure_domains(4, /*partitioned=*/true);
+  translate_dom(sim, iommu, 3, 0x1000);
+  sim.reset();
+  iommu.reset();
+  EXPECT_THROW(iommu.domain_stats(1), std::out_of_range);
+  EXPECT_EQ(iommu.tlb_misses(), 0u);
+  // The full 4-entry pool is back: five pages evict exactly one.
+  for (std::uint64_t p = 0; p < 5; ++p) translate_dom(sim, iommu, 0, p * 4096);
+  EXPECT_EQ(iommu.tlb_evictions(), 1u);
+  EXPECT_EQ(iommu.domain_stats(0).evictions, 1u);
 }
 
 }  // namespace

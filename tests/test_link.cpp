@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "fault/plan.hpp"
 
 namespace pcieb::sim {
 namespace {
@@ -86,6 +91,246 @@ TEST(LinkTest, NoDeliverCallbackIsSafe) {
   Link link(sim, proto::gen3_x8(), 0);
   link.send(write_tlp(64));
   EXPECT_NO_THROW(sim.run());
+}
+
+// ---- weighted TDM lanes: the path every TLP takes ---------------------------
+
+proto::Tlp func_tlp(unsigned func, std::uint32_t payload = 256) {
+  proto::Tlp t = write_tlp(payload);
+  t.func = static_cast<std::uint8_t>(func);
+  return t;
+}
+
+TEST(LinkLaneTest, EachLaneSerializesAtItsShare) {
+  const proto::LinkConfig cfg = proto::gen3_x8();
+  Simulator sim;
+  Link link(sim, cfg, from_nanos(100));
+  link.configure_tenants({3, 1});
+  // Both start at t=0: each lane is its own server at weight/total.
+  EXPECT_EQ(link.send(func_tlp(0)),
+            serialization_ps(280, 0.75 * cfg.tlp_gbps()) + from_nanos(100));
+  EXPECT_EQ(link.send(func_tlp(1)),
+            serialization_ps(280, 0.25 * cfg.tlp_gbps()) + from_nanos(100));
+  sim.run();
+  EXPECT_EQ(link.func_counters(0).tlps, 1u);
+  EXPECT_EQ(link.func_counters(1).tlps, 1u);
+  EXPECT_EQ(link.tlps_sent(), 2u);
+  EXPECT_EQ(link.busy_total(), serialization_ps(280, 0.75 * cfg.tlp_gbps()) +
+                                   serialization_ps(280, 0.25 * cfg.tlp_gbps()));
+}
+
+TEST(LinkLaneTest, BurstOnOneLaneNeverDelaysAnother) {
+  std::vector<Picos> quiet;
+  std::vector<Picos> loaded;
+  for (const bool burst : {false, true}) {
+    Simulator sim;
+    Link link(sim, proto::gen3_x8(), from_nanos(100));
+    link.configure_tenants({3, 1});
+    std::vector<Picos>& lane0 = burst ? loaded : quiet;
+    link.set_deliver([&](const proto::Tlp& t) {
+      if (t.func == 0) lane0.push_back(sim.now());
+    });
+    for (int i = 0; i < 20; ++i) {
+      sim.at(from_nanos(50) * i, [&link, burst] {
+        if (burst) {
+          for (int k = 0; k < 10; ++k) link.send(func_tlp(1, 512));
+        }
+        link.send(func_tlp(0));
+      });
+    }
+    sim.run();
+  }
+  ASSERT_EQ(quiet.size(), 20u);
+  EXPECT_EQ(loaded, quiet);
+}
+
+TEST(LinkLaneTest, BlockedLaneDropsOnlyItsOwnTlps) {
+  Simulator sim;
+  Link link(sim, proto::gen3_x8(), from_nanos(100));
+  link.configure_tenants({1, 1});
+  std::vector<unsigned> delivered;
+  std::vector<unsigned> dropped;
+  link.set_deliver([&](const proto::Tlp& t) { delivered.push_back(t.func); });
+  link.set_drop_hook([&](const proto::Tlp& t) { dropped.push_back(t.func); });
+  link.set_func_blocked(1, true);
+  for (int i = 0; i < 4; ++i) {
+    link.send(func_tlp(0));
+    link.send(func_tlp(1));
+  }
+  sim.run();
+  EXPECT_EQ(delivered, std::vector<unsigned>(4, 0));
+  EXPECT_EQ(dropped, std::vector<unsigned>(4, 1));
+  EXPECT_EQ(link.func_counters(0).tlps, 4u);
+  EXPECT_EQ(link.func_counters(0).blocked_drops, 0u);
+  EXPECT_EQ(link.func_counters(1).tlps, 0u);
+  EXPECT_EQ(link.func_counters(1).blocked_drops, 4u);
+  EXPECT_EQ(link.blocked_drops(), 4u);
+
+  // Port-wide and per-lane containment are separate latches: a port
+  // freeze and thaw leaves the function contained.
+  link.set_blocked(true);
+  link.set_blocked(false);
+  EXPECT_TRUE(link.func_blocked(1));
+  EXPECT_FALSE(link.func_blocked(0));
+}
+
+TEST(LinkLaneTest, DerateSlowsOnlyItsLane) {
+  const proto::LinkConfig cfg = proto::gen3_x8();
+  proto::LinkConfig x4 = cfg;
+  x4.lanes = 4;
+  Simulator sim;
+  Link link(sim, cfg, 0);
+  link.configure_tenants({1, 1});
+  link.set_func_recovery_derate(1, 4, 0);
+  EXPECT_EQ(link.send(func_tlp(0)), serialization_ps(280, 0.5 * cfg.tlp_gbps()));
+  EXPECT_EQ(link.send(func_tlp(1)), serialization_ps(280, 0.5 * x4.tlp_gbps()));
+  EXPECT_FALSE(link.recovery_derated());
+  sim.run();
+  link.clear_func_recovery_derate(1);
+  const Picos now = sim.now();
+  EXPECT_EQ(link.send(func_tlp(1)),
+            now + serialization_ps(280, 0.5 * cfg.tlp_gbps()));
+}
+
+TEST(LinkLaneTest, LaneAerTakesItsOwnDllRecords) {
+  Simulator sim;
+  Link link(sim, proto::gen3_x8(), 0);
+  link.configure_tenants({1, 1});
+  fault::FaultInjector injector(fault::parse_plan("corrupt@prob=1"));
+  fault::AerLog port;
+  fault::AerLog vf1;
+  link.set_fault_injector(&injector, /*upstream=*/true);
+  link.set_aer(&port);
+  link.set_func_aer(1, &vf1);
+  link.send(func_tlp(0));
+  link.send(func_tlp(1));
+  sim.run();
+  // Lane 1 logs to its own AER; lane 0 has none and falls back to the port.
+  EXPECT_EQ(vf1.count(fault::ErrorType::BadTlp), 1u);
+  EXPECT_EQ(port.count(fault::ErrorType::BadTlp), 1u);
+  EXPECT_EQ(link.func_counters(0).replays, 1u);
+  EXPECT_EQ(link.func_counters(1).replays, 1u);
+  EXPECT_EQ(link.replays(), 2u);
+}
+
+TEST(LinkLaneTest, ConfigureTenantsOnlyBeforeTraffic) {
+  Simulator sim;
+  Link used(sim, proto::gen3_x8(), 0);
+  used.send(write_tlp(64));
+  EXPECT_THROW(used.configure_tenants({1, 1}), std::logic_error);
+
+  Link twice(sim, proto::gen3_x8(), 0);
+  twice.configure_tenants({1, 1});
+  EXPECT_THROW(twice.configure_tenants({1, 1}), std::logic_error);
+
+  Link bad(sim, proto::gen3_x8(), 0);
+  EXPECT_THROW(bad.configure_tenants({}), std::invalid_argument);
+  EXPECT_THROW(bad.configure_tenants({1, 0}), std::invalid_argument);
+}
+
+TEST(LinkLaneTest, ResetReturnsToOneLaneAtLineRate) {
+  const proto::LinkConfig cfg = proto::gen3_x8();
+  Simulator sim;
+  Link link(sim, cfg, 0);
+  link.configure_tenants({3, 1});
+  link.send(func_tlp(1));
+  sim.run();
+  sim.reset();
+  link.reset(LinkDllConfig{});
+  EXPECT_THROW(link.func_counters(1), std::out_of_range);
+  // Every function rides the one lane again, at the full line rate.
+  EXPECT_EQ(link.send(func_tlp(1)), serialization_ps(280, cfg.tlp_gbps()));
+  EXPECT_EQ(link.func_counters(0).tlps, 1u);
+  EXPECT_EQ(link.tlps_sent(), 1u);
+}
+
+// A plain link is one lane of weight 1: configuring that lane explicitly
+// changes nothing observable, with every DLL fault path exercised.
+constexpr const char* kLanePlan =
+    "corrupt@prob=0.04;corrupt@prob=0.01,count=6;ack-loss@prob=0.03;"
+    "drop@prob=0.02;poison@prob=0.02;downtrain@time=3us-6us,lanes=4,gen=1";
+
+std::array<std::uint64_t, 9> fields(const Link::FuncCounters& c) {
+  return {c.tlps,     c.wire_bytes, c.payload_bytes, c.replays,
+          c.replay_timeouts, c.retrains, c.dropped,  c.poisoned,
+          c.blocked_drops};
+}
+
+struct FaultedRun {
+  std::vector<std::string> transcript;
+  std::array<std::uint64_t, 9> totals{};
+  std::array<std::uint64_t, 9> lane0{};
+  std::uint64_t downtrains = 0;
+};
+
+FaultedRun run_faulted(bool configure_one_lane) {
+  Simulator sim;
+  Link link(sim, proto::gen3_x8(), from_nanos(100));
+  if (configure_one_lane) link.configure_tenants({1});
+  fault::FaultInjector injector(fault::parse_plan(kLanePlan));
+  fault::AerLog aer;
+  obs::TraceSink trace;
+  link.set_fault_injector(&injector, /*upstream=*/true);
+  link.set_aer(&aer);
+  link.set_trace(&trace, obs::Component::LinkUp);
+
+  FaultedRun r;
+  const auto note = [&r](const char* what, Picos t, const proto::Tlp& tlp) {
+    r.transcript.push_back(std::string(what) + " " + std::to_string(t) + " " +
+                           tlp.describe());
+  };
+  link.set_deliver([&](const proto::Tlp& t) { note("deliver", sim.now(), t); });
+  link.set_drop_hook([&](const proto::Tlp& t) { note("drop", sim.now(), t); });
+  for (std::uint32_t i = 0; i < 600; ++i) {
+    proto::Tlp t = write_tlp(64u << (i % 3));
+    t.tag = i;
+    sim.at(from_nanos(15) * i, [&, t] { note("send", link.send(t), t); });
+  }
+  // A containment window: discards at send time and in flight.
+  sim.at(from_nanos(7000), [&link] { link.set_blocked(true); });
+  sim.at(from_nanos(7400), [&link] { link.set_blocked(false); });
+  sim.run();
+
+  for (const fault::ErrorRecord& e : aer.records()) {
+    r.transcript.push_back("aer " + std::string(fault::to_string(e.type)) +
+                           " " + std::to_string(e.ts) + " " +
+                           std::to_string(e.addr) + " " +
+                           std::to_string(e.tag) + " " +
+                           std::to_string(e.info));
+  }
+  for (const obs::TraceEvent& e : trace.events()) {
+    r.transcript.push_back(
+        "trace " + std::string(obs::to_string(e.kind)) + " " +
+        std::to_string(e.ts) + " " + std::to_string(e.dur) + " " +
+        std::to_string(e.id) + " " + std::to_string(e.len));
+  }
+  r.totals = {link.tlps_sent(),       link.wire_bytes_sent(),
+              link.payload_bytes_sent(), link.replays(),
+              link.replay_timeouts(), link.retrains(),
+              link.dropped(),         link.poisoned(),
+              link.blocked_drops()};
+  r.lane0 = fields(link.func_counters(0));
+  r.downtrains = link.downtrains();
+  return r;
+}
+
+TEST(LinkLaneTest, PlainLinkIsOneLaneOfWeightOne) {
+  const FaultedRun plain = run_faulted(false);
+  const FaultedRun one_lane = run_faulted(true);
+  EXPECT_EQ(plain.transcript, one_lane.transcript);
+  EXPECT_EQ(plain.totals, one_lane.totals);
+  EXPECT_EQ(plain.lane0, one_lane.lane0);
+  EXPECT_EQ(plain.downtrains, one_lane.downtrains);
+  // The lane's counters are the link's: one lane carries everything.
+  EXPECT_EQ(plain.lane0, plain.totals);
+  // Every fault path actually ran.
+  EXPECT_GT(plain.totals[3], 0u);  // replays
+  EXPECT_GT(plain.totals[4], 0u);  // replay timeouts
+  EXPECT_GT(plain.totals[5], 0u);  // retrains
+  EXPECT_GT(plain.totals[6], 0u);  // drops
+  EXPECT_GT(plain.totals[7], 0u);  // poisoned
+  EXPECT_GT(plain.totals[8], 0u);  // blocked drops
+  EXPECT_EQ(plain.downtrains, 1u);
 }
 
 }  // namespace

@@ -7,14 +7,14 @@
 namespace pcieb::proto {
 namespace {
 
-std::uint64_t total_payload(const std::vector<Tlp>& tlps) {
+std::uint64_t total_payload(const TlpVec& tlps) {
   return std::accumulate(tlps.begin(), tlps.end(), std::uint64_t{0},
                          [](std::uint64_t acc, const Tlp& t) {
                            return acc + t.payload;
                          });
 }
 
-std::uint64_t total_requested(const std::vector<Tlp>& tlps) {
+std::uint64_t total_requested(const TlpVec& tlps) {
   return std::accumulate(tlps.begin(), tlps.end(), std::uint64_t{0},
                          [](std::uint64_t acc, const Tlp& t) {
                            return acc + t.read_len;
@@ -23,7 +23,8 @@ std::uint64_t total_requested(const std::vector<Tlp>& tlps) {
 
 TEST(SegmentWrite, SingleTlpWhenWithinMps) {
   const LinkConfig cfg = gen3_x8();
-  auto tlps = segment_write(cfg, 0, 256);
+  TlpVec tlps;
+  segment_write(cfg, 0, 256, tlps);
   ASSERT_EQ(tlps.size(), 1u);
   EXPECT_EQ(tlps[0].payload, 256u);
   EXPECT_EQ(tlps[0].type, TlpType::MemWr);
@@ -31,7 +32,8 @@ TEST(SegmentWrite, SingleTlpWhenWithinMps) {
 
 TEST(SegmentWrite, SplitsAtMps) {
   const LinkConfig cfg = gen3_x8();
-  auto tlps = segment_write(cfg, 0, 257);
+  TlpVec tlps;
+  segment_write(cfg, 0, 257, tlps);
   ASSERT_EQ(tlps.size(), 2u);
   EXPECT_EQ(tlps[0].payload, 256u);
   EXPECT_EQ(tlps[1].payload, 1u);
@@ -40,7 +42,8 @@ TEST(SegmentWrite, SplitsAtMps) {
 
 TEST(SegmentWrite, NeverCrosses4KBoundary) {
   const LinkConfig cfg = gen3_x8();
-  auto tlps = segment_write(cfg, 4096 - 100, 300);
+  TlpVec tlps;
+  segment_write(cfg, 4096 - 100, 300, tlps);
   for (const auto& t : tlps) {
     const std::uint64_t first_page = t.addr / 4096;
     const std::uint64_t last_page = (t.addr + t.payload - 1) / 4096;
@@ -51,12 +54,14 @@ TEST(SegmentWrite, NeverCrosses4KBoundary) {
 
 TEST(SegmentWrite, ZeroLengthThrows) {
   const LinkConfig cfg = gen3_x8();
-  EXPECT_THROW(segment_write(cfg, 0, 0), std::invalid_argument);
+  TlpVec tlps;
+  EXPECT_THROW(segment_write(cfg, 0, 0, tlps), std::invalid_argument);
 }
 
 TEST(SegmentReadRequests, SplitsAtMrrs) {
   const LinkConfig cfg = gen3_x8();  // MRRS 512
-  auto reqs = segment_read_requests(cfg, 0, 2048);
+  TlpVec reqs;
+  segment_read_requests(cfg, 0, 2048, reqs);
   ASSERT_EQ(reqs.size(), 4u);
   for (const auto& r : reqs) {
     EXPECT_EQ(r.type, TlpType::MemRd);
@@ -68,7 +73,8 @@ TEST(SegmentReadRequests, SplitsAtMrrs) {
 
 TEST(SegmentReadRequests, TagsAreDistinct) {
   const LinkConfig cfg = gen3_x8();
-  auto reqs = segment_read_requests(cfg, 0, 2048);
+  TlpVec reqs;
+  segment_read_requests(cfg, 0, 2048, reqs);
   for (std::size_t i = 1; i < reqs.size(); ++i) {
     EXPECT_NE(reqs[i].tag, reqs[i - 1].tag);
   }
@@ -76,14 +82,16 @@ TEST(SegmentReadRequests, TagsAreDistinct) {
 
 TEST(SegmentCompletions, AlignedSingleRcbChunk) {
   const LinkConfig cfg = gen3_x8();
-  auto cpls = segment_completions(cfg, 0, 64);
+  TlpVec cpls;
+  segment_completions(cfg, 0, 64, cpls);
   ASSERT_EQ(cpls.size(), 1u);
   EXPECT_EQ(cpls[0].payload, 64u);
 }
 
 TEST(SegmentCompletions, FirstCplEndsAtRcbBoundaryWhenUnaligned) {
   const LinkConfig cfg = gen3_x8();  // RCB 64
-  auto cpls = segment_completions(cfg, 0x10, 128);
+  TlpVec cpls;
+  segment_completions(cfg, 0x10, 128, cpls);
   ASSERT_GE(cpls.size(), 2u);
   EXPECT_EQ(cpls[0].payload, 64u - 0x10);
   EXPECT_EQ((cpls[0].addr + cpls[0].payload) % cfg.rcb, 0u);
@@ -92,14 +100,18 @@ TEST(SegmentCompletions, FirstCplEndsAtRcbBoundaryWhenUnaligned) {
 TEST(SegmentCompletions, UnalignedReadsCostExtraTlps) {
   // §3: "unaligned PCIe reads may generate additional TLPs".
   const LinkConfig cfg = gen3_x8();
-  const auto aligned = segment_completions(cfg, 0, 512);
-  const auto unaligned = segment_completions(cfg, 4, 512);
+  TlpVec aligned;
+  TlpVec unaligned;
+  segment_completions(cfg, 0, 512, aligned);
+  segment_completions(cfg, 4, 512, unaligned);
   EXPECT_GT(unaligned.size(), aligned.size());
 }
 
 TEST(SegmentCompletions, ChunksBoundedByMps) {
   const LinkConfig cfg = gen3_x8();
-  for (const auto& c : segment_completions(cfg, 0, 4096)) {
+  TlpVec cpls;
+  segment_completions(cfg, 0, 4096, cpls);
+  for (const auto& c : cpls) {
     EXPECT_LE(c.payload, cfg.mps);
   }
 }
@@ -151,7 +163,8 @@ class SegmentationSweep : public ::testing::TestWithParam<SegCase> {};
 TEST_P(SegmentationSweep, WriteConservesBytesAndRespectsMps) {
   const LinkConfig cfg = gen3_x8();
   const auto [addr, len] = GetParam();
-  auto tlps = segment_write(cfg, addr, len);
+  TlpVec tlps;
+  segment_write(cfg, addr, len, tlps);
   EXPECT_EQ(total_payload(tlps), len);
   std::uint64_t expected_addr = addr;
   for (const auto& t : tlps) {
@@ -165,7 +178,8 @@ TEST_P(SegmentationSweep, WriteConservesBytesAndRespectsMps) {
 TEST_P(SegmentationSweep, ReadRequestsConserveAndRespectMrrs) {
   const LinkConfig cfg = gen3_x8();
   const auto [addr, len] = GetParam();
-  auto reqs = segment_read_requests(cfg, addr, len);
+  TlpVec reqs;
+  segment_read_requests(cfg, addr, len, reqs);
   EXPECT_EQ(total_requested(reqs), len);
   for (const auto& r : reqs) {
     EXPECT_LE(r.read_len, cfg.mrrs);
@@ -176,7 +190,8 @@ TEST_P(SegmentationSweep, ReadRequestsConserveAndRespectMrrs) {
 TEST_P(SegmentationSweep, CompletionsConserveAndStayRcbCut) {
   const LinkConfig cfg = gen3_x8();
   const auto [addr, len] = GetParam();
-  auto cpls = segment_completions(cfg, addr, len);
+  TlpVec cpls;
+  segment_completions(cfg, addr, len, cpls);
   EXPECT_EQ(total_payload(cpls), len);
   // Every completion except the last ends on an RCB boundary.
   for (std::size_t i = 0; i + 1 < cpls.size(); ++i) {
@@ -190,9 +205,13 @@ TEST_P(SegmentationSweep, ReadByteTotalsConsistentAcrossApis) {
   const auto [addr, len] = GetParam();
   const auto b = dma_read_bytes(cfg, addr, len);
   std::uint64_t up = 0, down = 0;
-  for (const auto& r : segment_read_requests(cfg, addr, len)) {
+  TlpVec reqs;
+  TlpVec cpls;
+  segment_read_requests(cfg, addr, len, reqs);
+  for (const auto& r : reqs) {
     up += r.wire_bytes(cfg);
-    for (const auto& c : segment_completions(cfg, r.addr, r.read_len)) {
+    segment_completions(cfg, r.addr, r.read_len, cpls);
+    for (const auto& c : cpls) {
       down += c.wire_bytes(cfg);
     }
   }

@@ -64,14 +64,18 @@ TEST_P(ConfigSweep, SegmentationConservesBytes) {
   const LinkConfig cfg = make(GetParam());
   for (std::uint64_t addr : {0ull, 7ull, 63ull, 4093ull}) {
     for (std::uint32_t sz : {1u, 64u, 513u, 4097u}) {
+      TlpVec tlps;
       std::uint64_t wr = 0;
-      for (const auto& t : segment_write(cfg, addr, sz)) wr += t.payload;
+      segment_write(cfg, addr, sz, tlps);
+      for (const auto& t : tlps) wr += t.payload;
       EXPECT_EQ(wr, sz);
       std::uint64_t rd = 0;
-      for (const auto& t : segment_read_requests(cfg, addr, sz)) rd += t.read_len;
+      segment_read_requests(cfg, addr, sz, tlps);
+      for (const auto& t : tlps) rd += t.read_len;
       EXPECT_EQ(rd, sz);
       std::uint64_t cpl = 0;
-      for (const auto& t : segment_completions(cfg, addr, sz)) cpl += t.payload;
+      segment_completions(cfg, addr, sz, tlps);
+      for (const auto& t : tlps) cpl += t.payload;
       EXPECT_EQ(cpl, sz);
     }
   }
@@ -80,7 +84,8 @@ TEST_P(ConfigSweep, SegmentationConservesBytes) {
 TEST_P(ConfigSweep, CompletionsRespectRcbAndMps) {
   const LinkConfig cfg = make(GetParam());
   for (std::uint64_t addr : {0ull, 4ull, 60ull, 100ull}) {
-    const auto cpls = segment_completions(cfg, addr, 4096);
+    TlpVec cpls;
+    segment_completions(cfg, addr, 4096, cpls);
     for (std::size_t i = 0; i < cpls.size(); ++i) {
       EXPECT_LE(cpls[i].payload, cfg.mps);
       if (i + 1 < cpls.size()) {

@@ -50,8 +50,8 @@ TEST(PerfHarness, QuickRunHasExactEventCounts) {
 TEST(PerfHarness, JsonAndSummaryCarryEveryWorkload) {
   PerfReport report;
   report.quick = true;
-  report.workloads.push_back({"fig04_bw_sweep", 100, 10, 0.5, 200.0, 7.5});
-  report.workloads.push_back({"chaos_dry_run", 300, 30, 1.5, 200.0, 9.5});
+  report.workloads.push_back({"fig04_bw_sweep", 100, 10, 0.5, 200.0, 7.5, {}});
+  report.workloads.push_back({"chaos_dry_run", 300, 30, 1.5, 200.0, 9.5, {}});
   report.fig04_speedup_vs_baseline = 1.25;
 
   const std::string json = report.to_json();

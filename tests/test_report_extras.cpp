@@ -72,7 +72,9 @@ TEST(TimeSeriesDump, ThinnedToRequestedPoints) {
   std::size_t prev_idx = 0;
   bool first = true;
   while (is >> idx >> value) {
-    if (!first) EXPECT_GT(idx, prev_idx);
+    if (!first) {
+      EXPECT_GT(idx, prev_idx);
+    }
     prev_idx = idx;
     first = false;
     ++lines;

@@ -187,7 +187,9 @@ TEST_P(PercentileSweep, PercentileIsMonotoneInP) {
   std::exponential_distribution<double> d(0.01);
   for (int i = 0; i < 2000; ++i) s.add(d(gen));
   const double p = GetParam();
-  if (p >= 1.0) EXPECT_LE(s.percentile(p - 1.0), s.percentile(p));
+  if (p >= 1.0) {
+    EXPECT_LE(s.percentile(p - 1.0), s.percentile(p));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, PercentileSweep,

@@ -83,6 +83,36 @@ TEST(PcieSwitchTest, TranslatesReadTags) {
   EXPECT_EQ(f.at_ports[1][0].tag, 7u);
 }
 
+TEST(PcieSwitchTest, ReadRouteRetiresWithItsLastCompletion) {
+  SwitchFixture f;
+  const unsigned p = f.make_port();
+  f.sw.port_ingress(p).send({proto::TlpType::MemRd, 0x1000, 0, 128, 3});
+  f.sw.port_ingress(p).send({proto::TlpType::MemRd, 0x2000, 0, 64, 4});
+  f.sim.run();
+  ASSERT_EQ(f.at_rc.size(), 2u);
+  EXPECT_EQ(f.sw.reads_in_flight(), 2u);
+
+  // The 128 B read completes in two RCB-sized pieces.
+  const std::uint32_t split = f.at_rc[0].tag;
+  f.sw.on_downstream({proto::TlpType::CplD, 0x1000, 64, 0, split});
+  EXPECT_EQ(f.sw.reads_in_flight(), 2u);
+  f.sw.on_downstream({proto::TlpType::CplD, 0x1040, 64, 0, split});
+  EXPECT_EQ(f.sw.reads_in_flight(), 1u);
+  EXPECT_THROW(f.sw.on_downstream({proto::TlpType::CplD, 0x1040, 64, 0, split}),
+               std::logic_error);
+
+  // A data-less error completion ends its request too.
+  proto::Tlp ur{proto::TlpType::Cpl, 0x2000, 0, 0, f.at_rc[1].tag};
+  ur.cpl_status = proto::CplStatus::UR;
+  f.sw.on_downstream(ur);
+  EXPECT_EQ(f.sw.reads_in_flight(), 0u);
+  f.sim.run();
+  ASSERT_EQ(f.at_ports[0].size(), 3u);
+  EXPECT_EQ(f.at_ports[0][0].tag, 3u);
+  EXPECT_EQ(f.at_ports[0][1].tag, 3u);
+  EXPECT_EQ(f.at_ports[0][2].tag, 4u);
+}
+
 TEST(PcieSwitchTest, UnknownCompletionTagThrows) {
   SwitchFixture f;
   f.make_port();
@@ -124,6 +154,16 @@ TEST(SwitchedSystemTest, IndependentLinksScaleWhereSharedDoNot) {
   sim::MultiDeviceSystem indep(host(), 4);
   const auto ri = core::run_multi_device_bandwidth(indep, read_spec(512));
   EXPECT_GT(ri.total_gbps, 3.0 * rs.total_gbps);
+}
+
+TEST(SwitchedSystemTest, BandwidthRunLeavesNoReadRoutes) {
+  // Default spec: 24,000 reads per device, every one forwarded by the
+  // switch, every one completed by the end of the run.
+  sim::SwitchedSystem system(sys::nfp6000_hsw().config, 3);
+  const auto r = core::run_multi_device_bandwidth(system, MultiDeviceSpec{});
+  ASSERT_EQ(r.per_device_gbps.size(), 3u);
+  EXPECT_GE(system.fabric().forwarded_upstream(), 3u * 24000u);
+  EXPECT_EQ(system.fabric().reads_in_flight(), 0u);
 }
 
 TEST(SwitchedSystemTest, FairSharingAcrossPorts) {

@@ -25,6 +25,7 @@ void expect_round_trip(const Tlp& t) {
 
 TEST(TlpRoundTrip, PacketizerOutputsAcrossConfigs) {
   proto::LinkConfig cfg;
+  proto::TlpVec out;
   std::size_t tlps = 0;
   for (const unsigned mps : {128u, 256u, 512u}) {
     for (const unsigned rcb : {64u, 128u}) {
@@ -39,15 +40,18 @@ TEST(TlpRoundTrip, PacketizerOutputsAcrossConfigs) {
              {std::uint64_t{0}, std::uint64_t{60}, std::uint64_t{0xFFC},
               std::uint64_t{0x10000} - 130}) {
           for (const std::uint32_t len : {1u, 64u, 257u, 1500u, 4096u}) {
-            for (auto& t : proto::segment_write(cfg, addr, len)) {
+            proto::segment_write(cfg, addr, len, out);
+            for (auto& t : out) {
               expect_round_trip(t);
               ++tlps;
             }
-            for (auto& t : proto::segment_read_requests(cfg, addr, len)) {
+            proto::segment_read_requests(cfg, addr, len, out);
+            for (auto& t : out) {
               expect_round_trip(t);
               ++tlps;
             }
-            for (auto& t : proto::segment_completions(cfg, addr, len)) {
+            proto::segment_completions(cfg, addr, len, out);
+            for (auto& t : out) {
               expect_round_trip(t);
               ++tlps;
             }

@@ -6,25 +6,15 @@
 # must be a deliberate act (update the constants here AND in
 # tests/test_perf_harness.cpp in the same commit, with the reason).
 #
-# Rates (events/sec, ns/TLP) are machine-dependent and are NOT gated
-# absolutely; they are appended to a history file (BENCH_history.jsonl,
-# one JSON object per run) and gated as a TRENDLINE: the run fails when a
-# workload's events/sec drops more than 15% below the best rate ever
-# recorded on the same host class (arch + core count + quick/full mode).
-# A host class with no recorded history only appends — first runs on a
-# new machine can never flake.
+# Rates (events/sec, ns/TLP) are machine-dependent and are not gated here:
+# they land in the JSON report as trajectory data only. Timing claims go
+# through perfbench/compare.py's interleaved pairs instead.
 #
-# Usage: ci_perf_check.sh [path-to-pciebench] [json-output-path] [history]
-# Env:   PCIEB_PERF_HOSTKEY  override the host-class key (CI runners with
-#                            stable hardware should pin this)
-#        PCIEB_PERF_NO_APPEND=1  gate against history without recording
+# Usage: ci_perf_check.sh [path-to-pciebench] [json-output-path]
 set -u
 
 PCIEBENCH="${1:-./build/tools/pciebench}"
 OUT="${2:-BENCH_perf_quick.json}"
-HISTORY="${3:-BENCH_history.jsonl}"
-HOSTKEY="${PCIEB_PERF_HOSTKEY:-$(uname -m)-$(nproc)c}"
-MODE=quick
 
 # Quick-mode event counts (full-run counts for reference: fig04 2226000,
 # fig05 2144000, chaos 1874425). Chaos counts last moved when linkdown
@@ -47,7 +37,6 @@ if ! "$PCIEBENCH" perf --quick --json "$OUT"; then
 fi
 
 fail=0
-declare -A RATE=()
 for workload in fig04_bw_sweep fig05_latency chaos_dry_run; do
     want="${EXPECT[$workload]}"
     # One object per line in the report:
@@ -59,8 +48,6 @@ for workload in fig04_bw_sweep fig05_latency chaos_dry_run; do
         continue
     fi
     got=$(sed -n 's/.*"events": \([0-9]*\).*/\1/p' <<<"$line")
-    RATE[$workload]=$(sed -n 's/.*"events_per_sec": \([0-9.]*\).*/\1/p' \
-                      <<<"$line")
     if [[ "$got" != "$want" ]]; then
         echo "ci_perf_check: FAIL: $workload executed $got events," \
              "expected exactly $want — the simulated workload changed" >&2
@@ -73,50 +60,4 @@ done
 if [[ $fail -ne 0 ]]; then
     exit 1
 fi
-
-# -- Trendline gate: each workload's events/sec vs the best recorded rate
-#    for this host class. 15% tolerance absorbs normal scheduler noise;
-#    a real hot-path regression (the kind the profiler exists to localize)
-#    overshoots it.
-echo "== trendline vs $HISTORY (hostkey $HOSTKEY, mode $MODE)"
-for workload in fig04_bw_sweep fig05_latency chaos_dry_run; do
-    rate="${RATE[$workload]}"
-    if [[ -z "$rate" ]]; then
-        echo "ci_perf_check: FAIL: no events_per_sec for $workload in $OUT" >&2
-        fail=1
-        continue
-    fi
-    best=""
-    if [[ -f "$HISTORY" ]]; then
-        best=$(grep -F "\"hostkey\": \"$HOSTKEY\"" "$HISTORY" 2>/dev/null |
-               grep -F "\"mode\": \"$MODE\"" |
-               sed -n "s/.*\"$workload\": \([0-9.]*\).*/\1/p" |
-               sort -g | tail -1)
-    fi
-    if [[ -z "$best" ]]; then
-        echo "   $workload: $rate events/sec (no recorded history for" \
-             "this host class; appending only)"
-        continue
-    fi
-    if awk -v r="$rate" -v b="$best" 'BEGIN { exit !(r < 0.85 * b) }'; then
-        echo "ci_perf_check: FAIL: $workload at $rate events/sec," \
-             "> 15% below best recorded $best for $HOSTKEY" >&2
-        fail=1
-    else
-        echo "   $workload: $rate events/sec (best recorded: $best)"
-    fi
-done
-
-if [[ "${PCIEB_PERF_NO_APPEND:-0}" != "1" ]]; then
-    printf '{"schema": "pcieb-perf-history-v1", "hostkey": "%s", "mode": "%s", "date": "%s", "fig04_bw_sweep": %s, "fig05_latency": %s, "chaos_dry_run": %s}\n' \
-        "$HOSTKEY" "$MODE" "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-        "${RATE[fig04_bw_sweep]:-0}" "${RATE[fig05_latency]:-0}" \
-        "${RATE[chaos_dry_run]:-0}" >> "$HISTORY"
-    echo "   appended run to $HISTORY"
-fi
-
-if [[ $fail -ne 0 ]]; then
-    exit 1
-fi
-echo "ok: all perf workloads executed their exact event counts and rates" \
-     "are within 15% of the best recorded (trajectory in $OUT, $HISTORY)"
+echo "ok: all perf workloads executed their exact event counts (report in $OUT)"

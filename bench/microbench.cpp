@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the library's hot paths: the
 // packetizer (into a caller-owned TlpVec), the event engine and its
-// SmallFn callable wrapper, the DMA in-flight map, the cache tag array
-// and the RNG. These guard the simulator's own
+// SmallFn callable wrapper, a link direction, the DMA in-flight map, the
+// cache tag array and the RNG. These guard the simulator's own
 // performance (a full figure sweep executes hundreds of millions of
 // events); `pciebench perf` measures the same paths end to end.
 #include <benchmark/benchmark.h>
@@ -16,6 +16,7 @@
 #include "sim/cache.hpp"
 #include "sim/flat_map.hpp"
 #include "sim/host_buffer.hpp"
+#include "sim/link.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 #include "sim/small_fn.hpp"
@@ -306,6 +307,28 @@ void BM_SerialResource(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SerialResource);
+
+// One link direction under a 64-TLP burst: each send serializes a TLP
+// and files its arrival, then the run delivers all 64 — one event per
+// TLP. `per_tlp` is wall time per TLP sent and delivered (printed in ns).
+void BM_LinkBurst(benchmark::State& state) {
+  constexpr int kBurst = 64;
+  sim::Simulator sim;
+  sim::Link link(sim, proto::gen3_x8(), from_nanos(100));
+  std::uint64_t delivered = 0;
+  link.set_deliver([&delivered](const proto::Tlp&) { ++delivered; });
+  const proto::Tlp cpl{proto::TlpType::CplD, 0x1000, 256, 0, 0};
+  for (auto _ : state) {
+    for (int i = 0; i < kBurst; ++i) link.send(cpl);
+    sim.run();
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(state.iterations() * kBurst);
+  state.counters["per_tlp"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kBurst),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LinkBurst);
 
 }  // namespace
 

@@ -21,17 +21,14 @@ double seconds_since(Clock::time_point t0) {
 }
 
 void finalize(PerfWorkloadResult& r) {
-  if (r.wall_seconds > 0.0) {
-    r.events_per_sec = static_cast<double>(r.events) / r.wall_seconds;
-    if (r.tlps > 0) {
-      r.ns_per_tlp = r.wall_seconds * 1e9 / static_cast<double>(r.tlps);
-    }
+  if (r.wall_seconds > 0.0 && r.tlps > 0) {
+    r.ns_per_tlp = r.wall_seconds * 1e9 / static_cast<double>(r.tlps);
   }
 }
 
 /// The paper's Figure 4 bandwidth sweep: BW_RD on NFP6000-HSW, one system
 /// per transfer size. Matches the workload the pre-change baseline was
-/// measured on (see kBaselineEventsPerSec).
+/// measured on (see kBaselineNsPerTlp).
 PerfWorkloadResult run_fig04(bool quick) {
   PerfWorkloadResult r;
   r.name = "fig04_bw_sweep";
@@ -124,7 +121,6 @@ PerfWorkloadResult run_workload(PerfWorkloadResult (*fn)(bool), bool quick,
 void json_workload(std::ostringstream& os, const PerfWorkloadResult& r) {
   os << "    {\"name\": \"" << r.name << "\", \"events\": " << r.events
      << ", \"tlps\": " << r.tlps << ", \"wall_seconds\": " << r.wall_seconds
-     << ", \"events_per_sec\": " << r.events_per_sec
      << ", \"ns_per_tlp\": " << r.ns_per_tlp << "}";
 }
 
@@ -141,10 +137,10 @@ std::string PerfReport::to_json() const {
   std::ostringstream os;
   os.setf(std::ios::fixed);
   os.precision(4);
-  os << "{\n  \"schema\": \"pcieb-perf-v1\",\n  \"quick\": "
+  os << "{\n  \"schema\": \"pcieb-perf-v2\",\n  \"quick\": "
      << (quick ? "true" : "false") << ",\n  \"baseline\": {\"workload\": "
-     << "\"fig04_bw_sweep\", \"events_per_sec\": " << baseline_events_per_sec
-     << ", \"events\": " << kFig04Events << "},\n  \"workloads\": [\n";
+     << "\"fig04_bw_sweep\", \"ns_per_tlp\": " << baseline_ns_per_tlp
+     << "},\n  \"workloads\": [\n";
   for (std::size_t i = 0; i < workloads.size(); ++i) {
     json_workload(os, workloads[i]);
     os << (i + 1 < workloads.size() ? ",\n" : "\n");
@@ -162,19 +158,16 @@ std::string PerfReport::summary() const {
     os.precision(3);
     os << "  " << w.name << ": " << w.events << " events, " << w.tlps
        << " TLPs, " << w.wall_seconds << "s";
-    os.precision(0);
-    os << " -> " << w.events_per_sec << " events/sec";
     os.precision(1);
-    os << ", " << w.ns_per_tlp << " ns/TLP\n";
+    os << " -> " << w.ns_per_tlp << " ns/TLP\n";
     if (!w.profile_table.empty()) {
       std::istringstream table(w.profile_table);
       std::string line;
       while (std::getline(table, line)) os << "    " << line << '\n';
     }
   }
-  os.precision(0);
-  os << "  baseline (pre-change, fig04): " << baseline_events_per_sec
-     << " events/sec";
+  os.precision(1);
+  os << "  baseline (seed, fig04): " << baseline_ns_per_tlp << " ns/TLP";
   os.precision(2);
   os << "; speedup " << fig04_speedup_vs_baseline << "x\n";
   return os.str();
@@ -189,7 +182,7 @@ PerfReport run_perf(const PerfConfig& cfg) {
       run_workload(run_chaos_dry, cfg.quick, cfg.profile));
   if (const auto* fig04 = report.find("fig04_bw_sweep")) {
     report.fig04_speedup_vs_baseline =
-        fig04->events_per_sec / report.baseline_events_per_sec;
+        report.baseline_ns_per_tlp / fig04->ns_per_tlp;
   }
   return report;
 }

@@ -1,6 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <bit>
+#include <stdexcept>
 
 namespace pcieb::sim {
 namespace {
@@ -105,6 +106,10 @@ Picos EventQueue::settle() {
           levels_[0].occupied,
           static_cast<unsigned>(base_ >> (kSubShift + 6)) & 3u);
       return levels_[0].slots[bottom].head->time;
+    }
+    if (levels_occupied_ == 0) {
+      // Only next_time() can get here empty (pop() checks size_ first).
+      throw std::logic_error("EventQueue::next_time: queue is empty");
     }
     // Cascade the earliest occupied coarse slot down one step. All bits
     // of every pending timestamp above level L match base_ for levels

@@ -68,8 +68,9 @@ class EventQueue {
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
-  /// Earliest pending timestamp; the queue must be non-empty. Cascades
-  /// coarse slots as a side effect but never reorders or drops events.
+  /// Earliest pending timestamp; throws std::logic_error when the queue
+  /// is empty. Cascades coarse slots as a side effect but never reorders
+  /// or drops events.
   Picos next_time() { return settle(); }
 
   /// Detach and return the earliest (time, schedule-order) node. The
@@ -127,7 +128,7 @@ class EventQueue {
   /// slot's FIFO list.
   void file(EventNode* node);
   /// Advance base_ / cascade until the earliest event sits in a level-0
-  /// slot; returns its timestamp. Queue must be non-empty.
+  /// slot; returns its timestamp. Throws when the queue is empty.
   Picos settle();
 
   Level levels_[kLevels];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/profiler.hpp"
 
@@ -251,28 +252,28 @@ Picos Link::send(const proto::Tlp& tlp) {
   }
   ++unacked_;
   unacked_hwm_ = std::max(unacked_hwm_, unacked_);
-  const Picos done = lane.wire.occupy(ser, [this, &lane, copy] {
-    if (deliver_) {
-      // Deliver after the propagation delay; Link::send callers rely on
-      // in-order delivery, which holds because propagation is constant.
-      sim_.after(propagation_, [this, &lane, copy] {
-        // The far end's ACK retires the retry-buffer entry.
-        if (unacked_ > 0) --unacked_;
-        if (blocked_ || lane.blocked) {
-          // Containment hit while this TLP was in flight: DPC discards
-          // it at the port instead of delivering (deterministically —
-          // the discard point is fixed by the blocking event's time).
-          ++blocked_drops_;
-          ++lane.counters.blocked_drops;
-          if (on_drop_) on_drop_(copy);
-          return;
-        }
-        deliver_(copy);
-      });
-    } else if (unacked_ > 0) {
-      --unacked_;
+  // The arrival instant is closed-form once the wire is claimed, so it is
+  // filed now: one event per TLP. In-order delivery holds because the
+  // wire is FIFO and propagation is constant.
+  const Picos done = lane.wire.occupy(ser);
+  sim_.sample_point(done);
+  auto arrive = [this, &lane, copy] {
+    // The far end's ACK retires the retry-buffer entry.
+    if (unacked_ > 0) --unacked_;
+    if (blocked_ || lane.blocked) {
+      // Containment hit while this TLP was in flight: DPC discards it at
+      // the port instead of delivering (deterministically — the discard
+      // point is fixed by the blocking event's time).
+      ++blocked_drops_;
+      ++lane.counters.blocked_drops;
+      if (on_drop_) on_drop_(copy);
+      return;
     }
-  });
+    if (deliver_) deliver_(copy);
+  };
+  static_assert(SmallFn::stored_inline<decltype(arrive)>(),
+                "the per-TLP arrival must not allocate");
+  sim_.at(done + propagation_, std::move(arrive));
   return done + propagation_;
 }
 

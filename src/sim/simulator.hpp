@@ -108,6 +108,19 @@ class Simulator {
   using SampleHook = std::function<void(Picos)>;
   void set_sample_hook(SampleHook hook, std::uint64_t every = 1);
 
+  /// While a sample hook is armed, file an empty event at `t`, an instant
+  /// the model needs no event at (a link's serialization end: the link
+  /// files the TLP's arrival at send time). The sample hook counts
+  /// executed events, so armed telemetry keeps one event per such instant
+  /// and samples the same event sequence as a model that scheduled it;
+  /// unarmed runs file nothing. The empty events count in executed(), so
+  /// they also shift the step hook's cadence and the watchdog's window.
+  /// Goes away once telemetry is stamped with simulated time instead of
+  /// sampled per event.
+  void sample_point(Picos t) {
+    if (sample_hook_) at(t, [] {});
+  }
+
   /// Trial-reuse reset: rewind the engine to its just-constructed state —
   /// time zero, zero executed events, empty queue (pool kept warm), all
   /// hooks and monitors detached, default cadences — and re-cache the

@@ -178,6 +178,75 @@ TEST(EventQueue, ClearDestroysPendingCallables) {
   EXPECT_EQ(live, 0);
 }
 
+// reset() is clear() plus rewinding the lower bound. Nodes spread over
+// five levels, some cascaded by a partial drain and some in upper slots
+// never touched, must all be reclaimed, and the queue must then behave
+// exactly like a fresh one. 128 events fill one
+// pool chunk exactly, so a single node missed by reset() would force the
+// refill to allocate another chunk.
+TEST(EventQueue, ResetReclaimsEveryLevelAndRefillsLikeFresh) {
+  struct Recorder {
+    std::vector<int>* order;
+    int id;
+    int* live;
+    Recorder(std::vector<int>* o, int i, int* l) : order(o), id(i), live(l) {
+      ++*live;
+    }
+    Recorder(Recorder&& r) noexcept : order(r.order), id(r.id), live(r.live) {
+      ++*live;
+    }
+    ~Recorder() { --*live; }
+    void operator()() { order->push_back(id); }
+  };
+  std::vector<Picos> times;
+  for (int i = 0; i < 128; ++i) {
+    const unsigned level = static_cast<unsigned>(i % 5);
+    const Picos k = i / 10 + 1;  // each (level, k) twice: same-time ties
+    times.push_back((Picos{1} << (12 + 8 * level)) * k + 17 * k);
+  }
+  int live = 0;
+  const auto fill = [&](EventQueue& q, std::vector<int>& order) {
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      q.push(times[i], Recorder(&order, static_cast<int>(i), &live));
+    }
+  };
+
+  std::vector<int> fresh_order;
+  {
+    EventQueue fresh;
+    fill(fresh, fresh_order);
+    while (!fresh.empty()) drain_one(fresh, fresh_order);
+  }
+
+  EventQueue q;
+  std::vector<int> order;
+  fill(q, order);
+  const std::size_t allocated = q.nodes_allocated();
+  for (int i = 0; i < 30; ++i) drain_one(q, order);  // cascades level 1
+  q.reset();
+  EXPECT_EQ(live, 0);
+  EXPECT_TRUE(q.empty());
+  EXPECT_THROW(q.next_time(), std::logic_error);
+
+  order.clear();
+  fill(q, order);
+  EXPECT_EQ(q.nodes_allocated(), allocated);
+  while (!q.empty()) drain_one(q, order);
+  EXPECT_EQ(order, fresh_order);
+}
+
+TEST(EventQueue, NextTimeOnEmptyQueueThrows) {
+  EventQueue q;
+  EXPECT_THROW(q.next_time(), std::logic_error);
+  // Drained after a cascade from an upper level: still empty, still throws.
+  std::vector<int> order;
+  q.push(Picos{1} << 30, [&order] { order.push_back(0); });
+  EXPECT_EQ(q.next_time(), Picos{1} << 30);
+  drain_one(q, order);
+  EXPECT_THROW(q.next_time(), std::logic_error);
+  EXPECT_EQ(q.pop(), nullptr);
+}
+
 // ---------------------------------------------------------------------------
 // Node pool reuse.
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 #include <string>
@@ -91,6 +92,103 @@ TEST(LinkTest, NoDeliverCallbackIsSafe) {
   Link link(sim, proto::gen3_x8(), 0);
   link.send(write_tlp(64));
   EXPECT_NO_THROW(sim.run());
+  // Same single arrival event as a wired link; it retires the entry.
+  EXPECT_EQ(sim.executed(), 1u);
+  EXPECT_EQ(link.unacked(), 0u);
+}
+
+// ---- one event per delivered TLP ---------------------------------------------
+
+// A TLP's arrival is closed-form once the wire is claimed: it is filed at
+// send time for max(now, wire free) + serialization + propagation, and it
+// is the only event the TLP costs.
+TEST(LinkTest, EachDeliveredTlpIsOneEventAtItsClosedFormArrival) {
+  const proto::LinkConfig cfg = proto::gen3_x8();
+  const Picos prop = from_nanos(100);
+  Simulator sim;
+  Link link(sim, cfg, prop);
+  std::vector<Picos> arrived;
+  link.set_deliver([&](const proto::Tlp&) { arrived.push_back(sim.now()); });
+  std::vector<Picos> predicted;
+  Picos wire_free = 0;
+  // A back-to-back burst at t=0, then a second burst after the wire idles.
+  for (const Picos start : {Picos{0}, from_nanos(5000)}) {
+    sim.at(start, [&, start] {
+      const std::size_t pending = sim.pending();
+      for (std::uint32_t i = 0; i < 8; ++i) {
+        const proto::Tlp t = write_tlp(64u << (i % 3));
+        const Picos done = std::max(start, wire_free) +
+                           serialization_ps(t.wire_bytes(cfg), cfg.tlp_gbps());
+        wire_free = done;
+        predicted.push_back(done + prop);
+        EXPECT_EQ(link.send(t), done + prop);
+      }
+      EXPECT_EQ(sim.pending() - pending, 8u);
+    });
+  }
+  sim.run();
+  EXPECT_EQ(arrived, predicted);
+  EXPECT_EQ(sim.executed(), 2u + 16u);  // two burst events + one per TLP
+  EXPECT_EQ(link.unacked(), 0u);
+}
+
+TEST(LinkTest, LostTlpsFileNoEvent) {
+  Simulator sim;
+  Link link(sim, proto::gen3_x8(), from_nanos(100));
+  std::size_t delivered = 0;
+  std::size_t dropped = 0;
+  link.set_deliver([&](const proto::Tlp&) { ++delivered; });
+  link.set_drop_hook([&](const proto::Tlp&) { ++dropped; });
+
+  // Contained port: discarded before the wire.
+  link.set_blocked(true);
+  link.send(write_tlp(64));
+  EXPECT_EQ(sim.pending(), 0u);
+  link.set_blocked(false);
+
+  // Injected drop: occupies the wire, never arrives.
+  fault::FaultInjector drop(fault::parse_plan("drop@nth=1"));
+  link.set_fault_injector(&drop, /*upstream=*/true);
+  link.send(write_tlp(64));
+  EXPECT_EQ(sim.pending(), 0u);
+
+  // Surprise link-down: the trigger TLP is lost.
+  fault::FaultInjector linkdown(fault::parse_plan("linkdown@nth=1"));
+  link.set_fault_injector(&linkdown, /*upstream=*/true);
+  bool went_down = false;
+  link.set_linkdown_hook([&] { went_down = true; });
+  link.send(write_tlp(64));
+  EXPECT_TRUE(went_down);
+  EXPECT_EQ(sim.pending(), 0u);
+
+  sim.run();
+  EXPECT_EQ(sim.executed(), 0u);
+  EXPECT_EQ(delivered, 0u);
+  EXPECT_EQ(dropped, 3u);
+  EXPECT_EQ(link.unacked(), 0u);
+}
+
+// Armed telemetry keeps the serialization-end instant as an empty event
+// (Simulator::sample_point) so the sampler sees the executed-event
+// sequence it always did; unarmed runs file nothing there.
+TEST(LinkTest, SampleHookKeepsOneEventAtSerializationEnd) {
+  for (const bool armed : {false, true}) {
+    Simulator sim;
+    Link link(sim, proto::gen3_x8(), from_nanos(100));
+    std::vector<Picos> sampled;
+    if (armed) {
+      sim.set_sample_hook([&](Picos now) { sampled.push_back(now); });
+    }
+    link.set_deliver([](const proto::Tlp&) {});
+    const Picos arrival = link.send(write_tlp(256));
+    sim.run();
+    if (armed) {
+      EXPECT_EQ(sampled,
+                (std::vector<Picos>{arrival - from_nanos(100), arrival}));
+    } else {
+      EXPECT_EQ(sim.executed(), 1u);
+    }
+  }
 }
 
 // ---- weighted TDM lanes: the path every TLP takes ---------------------------
@@ -172,6 +270,29 @@ TEST(LinkLaneTest, BlockedLaneDropsOnlyItsOwnTlps) {
   link.set_blocked(false);
   EXPECT_TRUE(link.func_blocked(1));
   EXPECT_FALSE(link.func_blocked(0));
+}
+
+TEST(LinkLaneTest, LaneBlockedInFlightStillDiscardsAtArrival) {
+  Simulator sim;
+  Link link(sim, proto::gen3_x8(), from_nanos(100));
+  link.configure_tenants({1, 1});
+  std::vector<unsigned> delivered;
+  std::vector<Picos> dropped_at;
+  link.set_deliver([&](const proto::Tlp& t) { delivered.push_back(t.func); });
+  link.set_drop_hook(
+      [&](const proto::Tlp&) { dropped_at.push_back(sim.now()); });
+  const Picos arrive0 = link.send(func_tlp(0));
+  const Picos arrive1 = link.send(func_tlp(1));
+  // Contain function 1 while its TLP is on the wire; the arrival event
+  // filed at send time must check containment when it runs.
+  sim.at(from_nanos(10), [&link] { link.set_func_blocked(1, true); });
+  sim.run();
+  EXPECT_EQ(delivered, std::vector<unsigned>{0});
+  EXPECT_EQ(dropped_at, std::vector<Picos>{arrive1});
+  EXPECT_GT(arrive1, from_nanos(10));
+  EXPECT_EQ(arrive0, arrive1);  // equal shares, equal sizes
+  EXPECT_EQ(link.func_counters(1).blocked_drops, 1u);
+  EXPECT_EQ(link.unacked(), 0u);
 }
 
 TEST(LinkLaneTest, DerateSlowsOnlyItsLane) {

@@ -125,3 +125,57 @@ TEST(TelemetryIdentity, TimeSeriesSamplerDoesNotPerturbTheBench) {
   }
   EXPECT_EQ(bare.summary.median_ns, armed.summary.median_ns);
 }
+
+// Armed telemetry keeps one empty event per delivered TLP at the link's
+// serialization end (Simulator::sample_point), so the sampler walks the
+// executed-event sequence it always did. Everything simulated stays
+// put: counters, the latency digest and the end time match an unarmed
+// run of the canonical fig05 configuration.
+TEST(TelemetryIdentity, ArmedFig05RunAddsOneEventPerDeliveredTlp) {
+  struct Run {
+    std::string counters;
+    std::string latency;
+    Picos end = 0;
+    std::size_t events = 0;
+    std::uint64_t delivered = 0;
+  };
+  const auto run = [](bool telemetry) {
+    sim::System system(sys::with_iommu(sys::nfp6000_hsw().config,
+                                       /*enabled=*/true, /*page_bytes=*/4096));
+    core::ObsSession::Options oopts;
+    oopts.telemetry = telemetry;
+    oopts.telemetry_interval_ps = 1'000'000;
+    core::ObsSession obs(system, oopts);
+    core::BenchParams p;
+    p.kind = core::BenchKind::LatRd;
+    p.transfer_size = 64;
+    p.window_bytes = 8192;
+    p.cache_state = core::CacheState::HostWarm;
+    p.page_bytes = 4096;
+    p.iterations = 5000;
+    p.warmup = 1000;
+    p.seed = 42;
+    const auto result = core::run_latency_bench(system, p);
+    obs::Digest latency;
+    for (const double ns : result.samples_ns.raw()) latency.add_ns(ns);
+    Run r;
+    r.counters = obs.counters().to_table();
+    r.latency = latency.serialize();
+    r.end = system.sim().now();
+    r.events = system.sim().executed();
+    for (const sim::Link* link : {&system.upstream(), &system.downstream()}) {
+      // Fault-free: every TLP sent reaches the far end.
+      EXPECT_EQ(link->dropped() + link->blocked_drops(), 0u);
+      r.delivered += link->tlps_sent();
+    }
+    return r;
+  };
+  const Run bare = run(false);
+  const Run armed = run(true);
+  EXPECT_EQ(bare.counters, armed.counters);
+  EXPECT_EQ(bare.latency, armed.latency);
+  EXPECT_EQ(bare.end, armed.end);
+  EXPECT_EQ(bare.delivered, armed.delivered);
+  EXPECT_GT(bare.delivered, 0u);
+  EXPECT_EQ(armed.events - bare.events, bare.delivered);
+}

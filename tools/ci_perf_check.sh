@@ -2,13 +2,16 @@
 # Perf-regression gate (docs/PERFORMANCE.md): run `pciebench perf --quick`
 # and assert the machine-independent half of its output — the exact event
 # counts of each fixed workload. The simulator is deterministic, so any
-# drift in these counts means the simulated workload itself changed, which
-# must be a deliberate act (update the constants here AND in
-# tests/test_perf_harness.cpp in the same commit, with the reason).
+# drift is a deliberate act (update the constants here AND in
+# tests/test_perf_harness.cpp in the same commit, with the reason). The
+# exact TLP counts are gated in tests/test_perf_harness.cpp only: a TLP
+# count that moves means the simulated workload changed, an event count
+# that moves alone means the engine spends a different number of events
+# on the same workload.
 #
-# Rates (events/sec, ns/TLP) are machine-dependent and are not gated here:
-# they land in the JSON report as trajectory data only. Timing claims go
-# through perfbench/compare.py's interleaved pairs instead.
+# ns/TLP is machine-dependent and is not gated here: it lands in the JSON
+# report as trajectory data only. Timing claims go through
+# perfbench/compare.py's interleaved pairs instead.
 #
 # Usage: ci_perf_check.sh [path-to-pciebench] [json-output-path]
 set -u
@@ -16,13 +19,14 @@ set -u
 PCIEBENCH="${1:-./build/tools/pciebench}"
 OUT="${2:-BENCH_perf_quick.json}"
 
-# Quick-mode event counts (full-run counts for reference: fig04 2226000,
-# fig05 2144000, chaos 1874425). Chaos counts last moved when linkdown
-# joined the fault-kind pool (trial generation draws shifted).
+# Quick-mode event counts (full-run counts for reference: fig04 1659000,
+# fig05 1640000, chaos 1491176). They last moved when each link TLP went
+# from two events (serialization end, then arrival) to one; the TLP counts
+# did not move.
 declare -A EXPECT=(
-    [fig04_bw_sweep]=222600
-    [fig05_latency]=214400
-    [chaos_dry_run]=194023
+    [fig04_bw_sweep]=165900
+    [fig05_latency]=164000
+    [chaos_dry_run]=157126
 )
 
 if [[ ! -x "$PCIEBENCH" ]]; then
@@ -50,7 +54,8 @@ for workload in fig04_bw_sweep fig05_latency chaos_dry_run; do
     got=$(sed -n 's/.*"events": \([0-9]*\).*/\1/p' <<<"$line")
     if [[ "$got" != "$want" ]]; then
         echo "ci_perf_check: FAIL: $workload executed $got events," \
-             "expected exactly $want — the simulated workload changed" >&2
+             "expected exactly $want — the simulated workload or the" \
+             "engine's event cost changed" >&2
         fail=1
     else
         echo "   $workload: $got events (exact match)"

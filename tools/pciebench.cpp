@@ -218,8 +218,8 @@ quarantined; completed results append to a resumable journal. docs/EXEC.md):
                       (mutually exclusive with --journal)
 
 perf options (docs/PERFORMANCE.md):
-  --quick           ~10x smaller workloads (CI-sized; event counts stay
-                    exact, just different constants)
+  --quick           ~10x smaller workloads (CI-sized; event and TLP counts
+                    stay exact, just different constants)
   --json FILE       write the report JSON            (default BENCH_perf.json)
   --profile         arm the in-sim cost-center profiler around each workload
                     and print a ranked attribution table (distorts the

@@ -17,74 +17,16 @@ namespace {
 constexpr const char* kRecordHeader = "pcieb-trial v1";
 constexpr const char* kMetaHeader = "pcieb-campaign v1";
 
-/// Parse "key=value" lines (values escape_line-encoded) into a map; the
-/// first line is returned separately as the header.
-std::map<std::string, std::string> parse_kv(const std::string& payload,
-                                            std::string* header) {
-  std::map<std::string, std::string> kv;
-  std::istringstream is(payload);
-  std::string line;
-  bool first = true;
-  while (std::getline(is, line)) {
-    if (first) {
-      if (header) *header = line;
-      first = false;
-      continue;
-    }
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    kv[line.substr(0, eq)] = exec::unescape_line(line.substr(eq + 1));
+/// A worker's payload is its trial's journal record. One that does not
+/// parse is a supervisor-side fault, never a passing trial.
+TrialRecord worker_record(std::uint64_t id, const std::string& payload) {
+  auto rec = TrialRecord::deserialize(payload);
+  if (!rec) {
+    throw exec::InfraError("trial " + std::to_string(id) +
+                           ": worker returned a malformed record");
   }
-  return kv;
-}
-
-std::uint64_t kv_u64(const std::map<std::string, std::string>& kv,
-                     const std::string& key) {
-  const auto it = kv.find(key);
-  if (it == kv.end()) return 0;
-  try {
-    return std::stoull(it->second);
-  } catch (const std::exception&) {
-    return 0;
-  }
-}
-
-std::string kv_str(const std::map<std::string, std::string>& kv,
-                   const std::string& key) {
-  const auto it = kv.find(key);
-  return it == kv.end() ? std::string{} : it->second;
-}
-
-/// What a worker sends back to the supervisor: the TrialOutcome fields
-/// the campaign needs, in the same key=value shape as journal records.
-std::string serialize_worker_result(const TrialOutcome& out) {
-  std::ostringstream os;
-  os << "failed=" << (out.failed ? 1 : 0) << '\n'
-     << "violations=" << out.total_violations << '\n'
-     << "first="
-     << exec::escape_line(out.violations.empty() ? ""
-                                                 : out.violations.front().format())
-     << '\n'
-     << "error=" << exec::escape_line(out.error) << '\n'
-     << "digests=" << exec::escape_line(out.digests.serialize()) << '\n';
-  if (!out.recovery_state.empty()) {
-    os << "recovery=" << exec::escape_line(out.recovery_digest) << '\n'
-       << "recovery_state=" << exec::escape_line(out.recovery_state) << '\n';
-  }
-  // Tenant-chaos blast radius: keys written only when nonzero so classic
-  // campaigns serialize exactly as before.
-  if (out.perturbed_victims != 0) {
-    os << "perturbed=" << out.perturbed_victims << '\n';
-  }
-  if (out.device_wide_actions != 0) {
-    os << "device_wide=" << out.device_wide_actions << '\n';
-  }
-  // Overload ledger only when the trial ran the overload datapath, so
-  // classic campaigns serialize exactly as before.
-  if (!out.overload.empty()) {
-    os << "overload=" << exec::escape_line(out.overload) << '\n';
-  }
-  return os.str();
+  rec->resumed = false;
+  return std::move(*rec);
 }
 
 /// CSV cell quoting (RFC-4180 style): fault specs contain commas.
@@ -98,6 +40,10 @@ std::string csv_quote(const std::string& s) {
   return out;
 }
 
+/// campaign.meta pins everything that changes a trial's record; a
+/// resume must find it byte-identical. Keys past telemetry are written
+/// only when their mode is on, so journals of campaigns without it keep
+/// resuming.
 void check_or_write_meta(const exec::Journal& journal,
                          const ChaosConfig& chaos, bool resume) {
   const std::string path = journal.dir() + "/campaign.meta";
@@ -106,51 +52,29 @@ void check_or_write_meta(const exec::Journal& journal,
      << "master_seed=" << chaos.master_seed << '\n'
      << "iters=" << chaos.iterations << '\n'
      << "telemetry=" << (chaos.telemetry ? 1 : 0) << '\n';
-  // Written only when armed so pre-recovery journals (no key) resume
-  // cleanly with recovery off.
   if (chaos.recovery.enabled) {
     os << "recovery=" << exec::escape_line(chaos.recovery.describe()) << '\n';
   }
-  // Tenant keys only when tenant mode is on, so classic journals (no
-  // keys) keep resuming with tenants off.
   if (chaos.tenants > 0) {
     os << "tenants=" << chaos.tenants << '\n'
        << "attacker=" << chaos.attacker << '\n'
        << "isolation=" << (chaos.isolation_weakened ? "weakened" : "armed")
        << '\n';
   }
-  // Overload keys only when overload mode is on, so classic journals (no
-  // keys) keep resuming with overload off.
-  std::string overload_desc;
   if (chaos.offered_load > 0) {
     std::ostringstream od;
     od << chaos.offered_load << "x " << nic::to_string(chaos.service)
        << " bp=" << (chaos.backpressure ? "on" : "off");
-    overload_desc = od.str();
-    os << "overload=" << exec::escape_line(overload_desc) << '\n';
+    os << "overload=" << exec::escape_line(od.str()) << '\n';
   }
+  if (chaos.monitors_throw) os << "throw_monitors=1\n";
+  if (chaos.seed_credit_leak_bug) os << "seed_credit_leak_bug=1\n";
+  if (chaos.seed_misroute_bug) os << "seed_misroute_bug=1\n";
   if (resume && fs::exists(path)) {
-    std::string header;
-    const auto kv = parse_kv(exec::read_file(path), &header);
-    // Journals written before telemetry existed lack the key; kv_u64's
-    // zero default makes them resumable with telemetry off only.
-    if (header != kMetaHeader ||
-        kv_u64(kv, "master_seed") != chaos.master_seed ||
-        kv_u64(kv, "iters") != chaos.iterations ||
-        kv_u64(kv, "telemetry") != (chaos.telemetry ? 1u : 0u) ||
-        kv_str(kv, "recovery") !=
-            (chaos.recovery.enabled ? chaos.recovery.describe() : "") ||
-        kv_u64(kv, "tenants") != chaos.tenants ||
-        kv_u64(kv, "attacker") != chaos.attacker ||
-        kv_str(kv, "isolation") !=
-            (chaos.tenants > 0
-                 ? (chaos.isolation_weakened ? "weakened" : "armed")
-                 : "") ||
-        kv_str(kv, "overload") != overload_desc) {
+    if (exec::read_file(path) != os.str()) {
       throw exec::InfraError(
           "resume: journal " + journal.dir() +
-          " was written by a different campaign "
-          "(seed/iters/telemetry/recovery/tenants/overload mismatch)");
+          " was written by a different campaign (campaign.meta differs)");
     }
     return;
   }
@@ -222,29 +146,28 @@ std::string TrialRecord::serialize() const {
 
 std::optional<TrialRecord> TrialRecord::deserialize(
     const std::string& payload) {
-  std::string header;
-  const auto kv = parse_kv(payload, &header);
-  if (header != kRecordHeader) return std::nullopt;
+  const exec::Record kv = exec::parse_record(payload);
+  if (kv.header != kRecordHeader) return std::nullopt;
   TrialRecord rec;
-  rec.index = kv_u64(kv, "index");
-  const std::string status = kv_str(kv, "status");
+  rec.index = exec::record_u64(kv, "index");
+  const std::string status = exec::record_str(kv, "status");
   if (status == "ok") rec.status = Status::Ok;
   else if (status == "violation") rec.status = Status::Violation;
   else if (status == "quarantined") rec.status = Status::Quarantined;
   else return std::nullopt;
-  rec.classification = kv_str(kv, "classification");
-  rec.attempts = static_cast<unsigned>(kv_u64(kv, "attempts"));
-  rec.violations = kv_u64(kv, "violations");
-  rec.first_violation = kv_str(kv, "first");
-  rec.error = kv_str(kv, "error");
-  rec.spec = kv_str(kv, "spec");
-  rec.repro = kv_str(kv, "repro");
-  rec.digests = kv_str(kv, "digests");
-  rec.recovery = kv_str(kv, "recovery");
-  rec.recovery_state = kv_str(kv, "recovery_state");
-  rec.perturbed = kv_u64(kv, "perturbed");
-  rec.device_wide = kv_u64(kv, "device_wide");
-  rec.overload = kv_str(kv, "overload");
+  rec.classification = exec::record_str(kv, "classification");
+  rec.attempts = static_cast<unsigned>(exec::record_u64(kv, "attempts"));
+  rec.violations = exec::record_u64(kv, "violations");
+  rec.first_violation = exec::record_str(kv, "first");
+  rec.error = exec::record_str(kv, "error");
+  rec.spec = exec::record_str(kv, "spec");
+  rec.repro = exec::record_str(kv, "repro");
+  rec.digests = exec::record_str(kv, "digests");
+  rec.recovery = exec::record_str(kv, "recovery");
+  rec.recovery_state = exec::record_str(kv, "recovery_state");
+  rec.perturbed = exec::record_u64(kv, "perturbed");
+  rec.device_wide = exec::record_u64(kv, "device_wide");
+  rec.overload = exec::record_str(kv, "overload");
   rec.resumed = true;
   return rec;
 }
@@ -384,20 +307,22 @@ ExecCampaignResult run_campaign_isolated(const ExecCampaignConfig& cfg,
     // Captured by value: the closure must stay self-contained across fork.
     const ChaosConfig chaos = cfg.chaos;
     spec.fn = [chaos, i](unsigned /*attempt*/) {
-      return serialize_worker_result(run_trial(generate_trial(chaos, i),
-                                               chaos.telemetry,
-                                               chaos.monitors_throw));
+      const TrialSpec trial = generate_trial(chaos, i);
+      return TrialRecord::of(trial, run_trial(trial, chaos.telemetry,
+                                              chaos.monitors_throw))
+          .serialize();
     };
     specs.push_back(std::move(spec));
   }
 
   const auto on_job = [&](const exec::JobResult& job) {
-    TrialRecord rec;
-    rec.index = job.id;
+    // A quarantined trial produced no outcome: its record is the spec's
+    // with an empty one.
+    TrialRecord rec =
+        job.quarantined
+            ? TrialRecord::of(generate_trial(cfg.chaos, job.id), {})
+            : worker_record(job.id, job.outcome.payload);
     rec.attempts = job.attempts;
-    const TrialSpec spec = generate_trial(cfg.chaos, job.id);
-    rec.spec = spec.describe();
-    rec.repro = spec.repro_command();
     rec.classification = job.outcome.classify();
     if (job.quarantined) {
       rec.status = TrialRecord::Status::Quarantined;
@@ -407,19 +332,6 @@ ExecCampaignResult run_campaign_isolated(const ExecCampaignConfig& cfg,
       exec::atomic_write_file(
           res.artifacts_dir + "/trial-" + std::to_string(job.id) + ".txt",
           artifact_text(rec, job, ""), /*sync=*/true);
-    } else {
-      const auto kv = parse_kv("h\n" + job.outcome.payload, nullptr);
-      rec.status = kv_u64(kv, "failed") ? TrialRecord::Status::Violation
-                                        : TrialRecord::Status::Ok;
-      rec.violations = kv_u64(kv, "violations");
-      rec.first_violation = kv_str(kv, "first");
-      rec.error = kv_str(kv, "error");
-      rec.digests = kv_str(kv, "digests");
-      rec.recovery = kv_str(kv, "recovery");
-      rec.recovery_state = kv_str(kv, "recovery_state");
-      rec.perturbed = kv_u64(kv, "perturbed");
-      rec.device_wide = kv_u64(kv, "device_wide");
-      rec.overload = kv_str(kv, "overload");
     }
     journal.append(rec.index, rec.serialize());
     if (observe) observe(rec);
@@ -433,17 +345,14 @@ ExecCampaignResult run_campaign_isolated(const ExecCampaignConfig& cfg,
   // records were shrunk (or not) by the run that produced them.
   if (cfg.chaos.shrink && cfg.quarantine_shrink_budget > 0) {
     for (auto& [id, job] : quarantined_jobs) {
-      if (job.outcome.kind == exec::OutcomeKind::Timeout &&
-          !cfg.shrink_timeouts) {
-        continue;
-      }
+      if (job.outcome.kind == exec::OutcomeKind::Timeout) continue;
       const std::string prefix = pool.scratch_dir + "/shrink-" +
                                  std::to_string(id);
       const TrialRunner worker_runner = [&](const TrialSpec& cand) {
         const exec::Outcome out = exec::run_job(
             id, 0,
             [cand](unsigned) {
-              return serialize_worker_result(run_trial(cand));
+              return TrialRecord::of(cand, run_trial(cand)).serialize();
             },
             pool.limits, prefix);
         TrialOutcome t;
@@ -452,10 +361,10 @@ ExecCampaignResult run_campaign_isolated(const ExecCampaignConfig& cfg,
           t.error = "worker " + out.classify();
           return t;
         }
-        const auto kv = parse_kv("h\n" + out.payload, nullptr);
-        t.failed = kv_u64(kv, "failed") != 0;
-        t.total_violations = kv_u64(kv, "violations");
-        t.error = kv_str(kv, "error");
+        const TrialRecord rec = worker_record(id, out.payload);
+        t.failed = rec.status == TrialRecord::Status::Violation;
+        t.total_violations = rec.violations;
+        t.error = rec.error;
         return t;
       };
       const ShrinkResult shrunk = shrink_trial(
@@ -481,24 +390,7 @@ ExecCampaignResult run_campaign_isolated(const ExecCampaignConfig& cfg,
       case TrialRecord::Status::Quarantined: ++res.quarantined; break;
     }
     if (rec.resumed) ++res.resumed;
-    if (!rec.recovery.empty()) ++res.trials_recovered;
-    if (rec.recovery_state == "quarantined") ++res.trials_quarantined;
-    res.perturbed_victims += rec.perturbed;
-    res.device_wide_actions += rec.device_wide;
-    std::uint64_t off = 0, del = 0, drop = 0;
-    if (parse_overload_ledger(rec.overload, off, del, drop)) {
-      res.overload_offered += off;
-      res.overload_delivered += del;
-      res.overload_dropped += drop;
-    }
-    if (!rec.digests.empty()) {
-      obs::DigestSet set;
-      // Malformed digests (hand-edited journal) are dropped, not fatal:
-      // the campaign verdict never depends on telemetry.
-      if (obs::DigestSet::deserialize(rec.digests, &set)) {
-        res.digests.merge(set);
-      }
-    }
+    res.add(rec);
     res.records.push_back(std::move(rec));
   }
 

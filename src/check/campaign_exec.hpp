@@ -40,61 +40,17 @@ struct ExecCampaignConfig {
   /// Quarantine artifacts directory; empty = "<journal>/artifacts".
   std::string artifacts_dir;
   /// Worker-isolated shrink budget for quarantined trials (0 = off;
-  /// honored only when chaos.shrink). Timeout-class quarantines are only
-  /// shrunk when shrink_timeouts — every candidate re-run costs a full
-  /// deadline.
+  /// honored only when chaos.shrink). Timeout-class quarantines are not
+  /// shrunk: every candidate re-run would cost a full deadline.
   std::size_t quarantine_shrink_budget = 32;
-  bool shrink_timeouts = false;
   /// TEST-ONLY: commit at most this many new records then return early,
   /// simulating a campaign killed mid-run (0 = run everything).
   std::size_t stop_after = 0;
 };
 
-struct TrialRecord {
-  enum class Status : std::uint8_t { Ok, Violation, Quarantined };
-
-  std::uint64_t index = 0;
-  Status status = Status::Ok;
-  /// exec classification of the final attempt: "ok", "signal(SIGSEGV)"...
-  std::string classification = "ok";
-  unsigned attempts = 1;
-  std::uint64_t violations = 0;
-  std::string first_violation;  ///< formatted first monitor violation
-  std::string error;            ///< abort reason from inside the run
-  std::string spec;             ///< TrialSpec::describe()
-  std::string repro;            ///< TrialSpec::repro_command()
-  /// Serialized obs::DigestSet of the trial's per-DMA latencies; empty
-  /// unless the campaign ran with chaos.telemetry. Carried through the
-  /// journal so resumed campaigns merge identical campaign digests.
-  std::string digests;
-  /// Recovery-ladder outcome (empty unless chaos.recovery armed): the
-  /// canonical transition digest and final state, journal-carried so
-  /// resumed/forked campaigns summarize byte-identically.
-  std::string recovery;
-  std::string recovery_state;
-  /// Tenant-chaos blast radius (zero for classic trials): victims
-  /// perturbed by the attacker and device-wide recovery actions.
-  /// Journal-carried only when nonzero so classic records are unchanged.
-  std::uint64_t perturbed = 0;
-  std::uint64_t device_wide = 0;
-  /// Overload-trial frame ledger (empty for classic trials). Journal-
-  /// carried only when nonempty so classic records are unchanged.
-  std::string overload;
-  bool resumed = false;         ///< loaded from the journal, not re-run
-
-  /// Canonical journal payload ("pcieb-trial v1" + key=value lines).
-  std::string serialize() const;
-  /// Inverse; nullopt on malformed/foreign payloads (the trial is re-run).
-  static std::optional<TrialRecord> deserialize(const std::string& payload);
-
-  /// One canonical line for the summary ("  12 ok ..."). Excludes
-  /// attempts/timing so resumed output matches uninterrupted output.
-  std::string summary_line() const;
-};
-
-const char* to_string(TrialRecord::Status s);
-
-struct ExecCampaignResult {
+/// The tally covers every record, journaled or run: Ok, Violation and
+/// Quarantined alike.
+struct ExecCampaignResult : CampaignTally {
   std::vector<TrialRecord> records;  ///< sorted by trial index
   std::size_t ok = 0;
   std::size_t violation = 0;
@@ -105,21 +61,6 @@ struct ExecCampaignResult {
   /// In-process shrink of the lowest-index Violation trial (when
   /// chaos.shrink and one exists).
   std::optional<ShrinkResult> minimized;
-  /// Campaign-level latency digests: every record's digests merged in
-  /// trial-index order (empty unless chaos.telemetry). Identical whether
-  /// records came from workers or the resume journal.
-  obs::DigestSet digests;
-  /// Recovery-ladder tallies (zero when chaos.recovery was disarmed).
-  std::size_t trials_recovered = 0;    ///< trials where the ladder fired
-  std::size_t trials_quarantined = 0;  ///< trials ending quarantined
-  /// Tenant-chaos blast-radius tallies (zero for classic campaigns).
-  std::uint64_t perturbed_victims = 0;
-  std::uint64_t device_wide_actions = 0;
-  /// Overload-chaos frame tallies (zero for classic campaigns), summed
-  /// from each record's journal-carried ledger.
-  std::uint64_t overload_offered = 0;
-  std::uint64_t overload_delivered = 0;
-  std::uint64_t overload_dropped = 0;
 
   bool all_ok() const { return violation == 0 && quarantined == 0; }
 
@@ -136,7 +77,8 @@ struct ExecCampaignResult {
 using ExecTrialObserver = std::function<void(const TrialRecord&)>;
 
 /// Run (or resume) the campaign to completion. Throws exec::InfraError
-/// for supervisor-side failures (journal I/O, fork, mismatched resume).
+/// for supervisor-side failures (journal I/O, fork, mismatched resume, a
+/// worker record that does not parse).
 ExecCampaignResult run_campaign_isolated(const ExecCampaignConfig& cfg,
                                          const ExecTrialObserver& observe = {});
 

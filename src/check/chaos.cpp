@@ -291,6 +291,43 @@ bool parse_overload_ledger(const std::string& ledger, std::uint64_t& offered,
   return true;
 }
 
+TrialRecord TrialRecord::of(const TrialSpec& spec, const TrialOutcome& out) {
+  TrialRecord rec;
+  rec.index = spec.index;
+  rec.status = out.failed ? Status::Violation : Status::Ok;
+  rec.violations = out.total_violations;
+  if (!out.violations.empty()) {
+    rec.first_violation = out.violations.front().format();
+  }
+  rec.error = out.error;
+  rec.spec = spec.describe();
+  rec.repro = spec.repro_command();
+  rec.digests = out.digests.serialize();
+  rec.recovery = out.recovery_digest;
+  rec.recovery_state = out.recovery_state;
+  rec.perturbed = out.perturbed_victims;
+  rec.device_wide = out.device_wide_actions;
+  rec.overload = out.overload;
+  return rec;
+}
+
+void CampaignTally::add(const TrialRecord& rec) {
+  obs::DigestSet set;
+  if (!rec.digests.empty() && obs::DigestSet::deserialize(rec.digests, &set)) {
+    digests.merge(set);
+  }
+  if (!rec.recovery.empty()) ++trials_recovered;
+  if (rec.recovery_state == "quarantined") ++trials_quarantined;
+  perturbed_victims += rec.perturbed;
+  device_wide_actions += rec.device_wide;
+  std::uint64_t off = 0, del = 0, drop = 0;
+  if (parse_overload_ledger(rec.overload, off, del, drop)) {
+    overload_offered += off;
+    overload_delivered += del;
+    overload_dropped += drop;
+  }
+}
+
 TrialSpec generate_trial(const ChaosConfig& cfg, std::uint64_t index) {
   // Stateless per-index stream: any trial regenerates without replaying
   // the campaign prefix (SplitMix decorrelates master seed from index).
@@ -744,83 +781,37 @@ ShrinkResult shrink_trial(const TrialSpec& failing, std::size_t budget,
   return res;
 }
 
-namespace {
-
-/// Thread-parallel campaign body: every trial executes (each on its own
-/// Simulator), outcomes are buffered by index, and the serial campaign's
-/// observable behaviour is then replayed from the buffer — observer calls
-/// in index order up to the lowest failure, trials_run = f + 1, one
-/// counted failure, serial shrink. Byte-identical to the serial path by
-/// construction; only wall-clock (and how many trials past f burned CPU)
-/// differs.
-CampaignResult run_campaign_threaded(const ChaosConfig& cfg,
-                                     const TrialObserver& observe) {
-  std::vector<TrialSpec> specs(cfg.trials);
-  std::vector<TrialOutcome> outs(cfg.trials);
-  exec::ThreadPool pool(cfg.threads);
-  pool.parallel_indexed(cfg.trials, [&](std::size_t i) {
-    specs[i] = generate_trial(cfg, i);
-    outs[i] = run_trial(specs[i], cfg.telemetry, cfg.monitors_throw);
-  });
-
-  std::size_t last = cfg.trials;  // one past the last trial "run"
-  for (std::size_t i = 0; i < cfg.trials; ++i) {
-    if (outs[i].failed) {
-      last = i + 1;
-      break;
-    }
-  }
-
-  CampaignResult res;
-  for (std::size_t i = 0; i < last && i < cfg.trials; ++i) {
-    ++res.trials_run;
-    if (observe) observe(specs[i], outs[i]);
-    res.digests.merge(outs[i].digests);
-    if (!outs[i].recovery_digest.empty()) ++res.trials_recovered;
-    if (outs[i].recovery_state == "quarantined") ++res.trials_quarantined;
-    res.perturbed_victims += outs[i].perturbed_victims;
-    res.device_wide_actions += outs[i].device_wide_actions;
-    std::uint64_t off = 0, del = 0, drop = 0;
-    if (parse_overload_ledger(outs[i].overload, off, del, drop)) {
-      res.overload_offered += off;
-      res.overload_delivered += del;
-      res.overload_dropped += drop;
-    }
-    if (outs[i].failed) {
-      ++res.failures;
-      res.first_failure = specs[i];
-      if (cfg.shrink) {
-        res.minimized = shrink_trial(specs[i], cfg.shrink_budget);
-      }
-    }
-  }
-  return res;
-}
-
-}  // namespace
-
 CampaignResult run_campaign(const ChaosConfig& cfg,
                             const TrialObserver& observe) {
-  if (cfg.threads > 1 && cfg.trials > 1) {
-    return run_campaign_threaded(cfg, observe);
+  // With threads, every trial executes up front on the pool (each on its
+  // own Simulator, outcomes buffered by index) and the loop below replays
+  // the buffer; serially, the loop generates and runs each trial as it
+  // goes. Either way the observer, the tally, the first failure and the
+  // shrink see trials 0..f in order, so the two are byte-identical; only
+  // wall-clock (and how many trials past f burned CPU) differs.
+  const bool pooled = cfg.threads > 1 && cfg.trials > 1;
+  std::vector<TrialSpec> specs;
+  std::vector<TrialOutcome> outs;
+  if (pooled) {
+    specs.resize(cfg.trials);
+    outs.resize(cfg.trials);
+    exec::ThreadPool pool(cfg.threads);
+    pool.parallel_indexed(cfg.trials, [&](std::size_t i) {
+      specs[i] = generate_trial(cfg, i);
+      outs[i] = run_trial(specs[i], cfg.telemetry, cfg.monitors_throw);
+    });
   }
+
   CampaignResult res;
   for (std::size_t i = 0; i < cfg.trials; ++i) {
-    const TrialSpec spec = generate_trial(cfg, i);
-    const TrialOutcome out = run_trial(spec, cfg.telemetry, cfg.monitors_throw);
+    const TrialSpec spec =
+        pooled ? std::move(specs[i]) : generate_trial(cfg, i);
+    const TrialOutcome out =
+        pooled ? std::move(outs[i])
+               : run_trial(spec, cfg.telemetry, cfg.monitors_throw);
     ++res.trials_run;
     if (observe) observe(spec, out);
-    res.digests.merge(out.digests);
-    if (!out.recovery_digest.empty()) ++res.trials_recovered;
-    if (out.recovery_state == "quarantined") ++res.trials_quarantined;
-    res.perturbed_victims += out.perturbed_victims;
-    res.device_wide_actions += out.device_wide_actions;
-    std::uint64_t off = 0, del = 0, drop = 0;
-    if (parse_overload_ledger(out.overload, off, del, drop)) {
-      res.overload_offered += off;
-      res.overload_delivered += del;
-      res.overload_dropped += drop;
-    }
+    res.add(TrialRecord::of(spec, out));
     if (out.failed) {
       ++res.failures;
       res.first_failure = spec;

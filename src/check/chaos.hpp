@@ -120,6 +120,86 @@ struct TrialOutcome {
 bool parse_overload_ledger(const std::string& ledger, std::uint64_t& offered,
                            std::uint64_t& delivered, std::uint64_t& dropped);
 
+/// One trial's verdict, as every campaign mode records it: a forked
+/// worker sends it back, the journal stores it, a resumed campaign reads
+/// it, and CampaignTally::add folds it in every mode.
+struct TrialRecord {
+  enum class Status : std::uint8_t { Ok, Violation, Quarantined };
+
+  std::uint64_t index = 0;
+  Status status = Status::Ok;
+  /// exec classification of the final attempt: "ok", "signal(SIGSEGV)"...
+  std::string classification = "ok";
+  unsigned attempts = 1;
+  std::uint64_t violations = 0;
+  std::string first_violation;  ///< formatted first monitor violation
+  std::string error;            ///< abort reason from inside the run
+  std::string spec;             ///< TrialSpec::describe()
+  std::string repro;            ///< TrialSpec::repro_command()
+  /// Serialized obs::DigestSet of the trial's per-DMA latencies; empty
+  /// unless the campaign ran with telemetry. Carried through the journal
+  /// so resumed campaigns merge identical campaign digests.
+  std::string digests;
+  /// Recovery-ladder outcome (empty unless recovery armed): the canonical
+  /// transition digest and final state, journal-carried so resumed/forked
+  /// campaigns summarize byte-identically.
+  std::string recovery;
+  std::string recovery_state;
+  /// Tenant-chaos blast radius (zero for classic trials): victims
+  /// perturbed by the attacker and device-wide recovery actions.
+  /// Journal-carried only when nonzero so classic records are unchanged.
+  std::uint64_t perturbed = 0;
+  std::uint64_t device_wide = 0;
+  /// Overload-trial frame ledger (empty for classic trials). Journal-
+  /// carried only when nonempty so classic records are unchanged.
+  std::string overload;
+  bool resumed = false;         ///< loaded from the journal, not re-run
+
+  /// The record of a trial that ran to a verdict: Ok or Violation, one
+  /// attempt, classification "ok".
+  static TrialRecord of(const TrialSpec& spec, const TrialOutcome& out);
+
+  /// Canonical journal payload ("pcieb-trial v1" + key=value lines).
+  std::string serialize() const;
+  /// Inverse; nullopt on malformed/foreign payloads. Sets `resumed`.
+  static std::optional<TrialRecord> deserialize(const std::string& payload);
+
+  /// One canonical line for the summary ("  12 ok ..."). Excludes
+  /// attempts/timing so resumed output matches uninterrupted output.
+  std::string summary_line() const;
+};
+
+const char* to_string(TrialRecord::Status s);
+
+/// Campaign-level tallies over the trials a campaign observed, folded
+/// from their records in index order. Serial, threaded, forked and
+/// resumed campaigns all fold through add(), so equal records give equal
+/// tallies.
+struct CampaignTally {
+  /// The trials' latency digests merged (empty unless telemetry). Digest
+  /// merge is commutative count addition, so every mode serializes the
+  /// same bytes.
+  obs::DigestSet digests;
+  /// Recovery-ladder tallies (zero when no policy was armed): trials
+  /// where the ladder fired at all, and trials that ended permanently
+  /// quarantined.
+  std::size_t trials_recovered = 0;
+  std::size_t trials_quarantined = 0;
+  /// Tenant-chaos blast radius (zero for classic campaigns): perturbed
+  /// victim-runs and device-wide recovery actions, summed.
+  std::uint64_t perturbed_victims = 0;
+  std::uint64_t device_wide_actions = 0;
+  /// Overload-chaos frame tallies (zero for classic campaigns), summed
+  /// from each trial's ledger.
+  std::uint64_t overload_offered = 0;
+  std::uint64_t overload_delivered = 0;
+  std::uint64_t overload_dropped = 0;
+
+  /// Fold one trial in. Malformed digests or ledgers (a hand-edited
+  /// journal) are skipped, not fatal: no verdict depends on them.
+  void add(const TrialRecord& rec);
+};
+
 struct ChaosConfig {
   std::uint64_t master_seed = 0xc4a05;
   std::size_t trials = 20;
@@ -201,31 +281,12 @@ ShrinkResult shrink_trial(const TrialSpec& failing, std::size_t budget = 128);
 ShrinkResult shrink_trial(const TrialSpec& failing, std::size_t budget,
                           const TrialRunner& runner);
 
-struct CampaignResult {
+/// The tally covers the observed trials: 0..f for a first failure f.
+struct CampaignResult : CampaignTally {
   std::size_t trials_run = 0;
   std::size_t failures = 0;
   std::optional<TrialSpec> first_failure;
   std::optional<ShrinkResult> minimized;  ///< present when shrink was on
-  /// Campaign-level latency digests: the observed trials' digests merged
-  /// in index order (empty unless cfg.telemetry). Because digest merge is
-  /// commutative count addition, the serial and threaded paths produce
-  /// byte-identical serializations.
-  obs::DigestSet digests;
-  /// Recovery-ladder tallies over the observed trials (zero when no
-  /// policy was armed): trials where the ladder fired at all, and trials
-  /// that ended permanently quarantined.
-  std::size_t trials_recovered = 0;
-  std::size_t trials_quarantined = 0;
-  /// Tenant-chaos blast-radius tallies over the observed trials (zero
-  /// for classic campaigns): perturbed victim-runs and device-wide
-  /// recovery actions, summed.
-  std::uint64_t perturbed_victims = 0;
-  std::uint64_t device_wide_actions = 0;
-  /// Overload-chaos frame tallies over the observed trials (zero for
-  /// classic campaigns), summed from each trial's ledger.
-  std::uint64_t overload_offered = 0;
-  std::uint64_t overload_delivered = 0;
-  std::uint64_t overload_dropped = 0;
 
   bool ok() const { return failures == 0; }
 };

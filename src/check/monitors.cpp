@@ -28,7 +28,7 @@ void ViolationLog::record(const char* monitor, Picos now, std::string detail) {
   ++total_;
   Violation v{monitor, now, std::move(detail)};
   if (cfg_.throw_on_violation) throw InvariantError(v);
-  if (violations_.size() < cfg_.max_recorded) violations_.push_back(std::move(v));
+  if (violations_.size() < kMaxRecorded) violations_.push_back(std::move(v));
 }
 
 std::string ViolationLog::report() const {

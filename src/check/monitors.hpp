@@ -72,20 +72,21 @@ class InvariantError : public std::runtime_error {
 struct MonitorConfig {
   /// Throw InvariantError at the first breach instead of recording it.
   bool throw_on_violation = false;
-  /// Recorded-violation cap: past it, breaches are counted but not kept
-  /// (one broken invariant re-fires every event; keep reports readable).
-  std::size_t max_recorded = 16;
 };
 
 /// The violation log every monitor suite records through: each breach is
-/// counted, the first `max_recorded` are kept in order, and throw mode
+/// counted, the first kMaxRecorded are kept in order, and throw mode
 /// raises InvariantError at the first one.
 class ViolationLog {
  public:
+  /// Recorded-violation cap: past it, breaches are counted but not kept
+  /// (one broken invariant re-fires every event; keep reports readable).
+  static constexpr std::size_t kMaxRecorded = 16;
+
   bool ok() const { return total_ == 0; }
   /// All breaches observed, including re-fires past the recording cap.
   std::uint64_t total_violations() const { return total_; }
-  /// The first `max_recorded` breaches, in order of occurrence.
+  /// The first kMaxRecorded breaches, in order of occurrence.
   const std::vector<Violation>& violations() const { return violations_; }
 
   /// Human-readable summary: every recorded violation plus totals, or a

@@ -5,7 +5,7 @@
 // The simulator is deterministic, so every workload here executes an
 // EXACT number of events and TLPs on every run and every machine; only
 // wall-clock varies. That split is what makes the harness CI-able:
-// tools/ci_perf_check.sh asserts the counts (non-flaky), while ns per
+// tests/test_perf_harness.cpp asserts the counts (non-flaky), while ns per
 // simulated TLP is recorded as trajectory data in BENCH_perf.json rather
 // than gated. The TLP count is the simulated workload; the event count is
 // what the engine spent on it. A change that cuts events keeps the TLPs,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <deque>
 #include <filesystem>
 #include <functional>
@@ -17,7 +16,6 @@
 #include "exec/journal.hpp"
 #include "exec/thread_pool.hpp"
 #include "sim/host_buffer.hpp"
-#include "sysconfig/profiles.hpp"
 
 namespace pcieb::core {
 namespace {
@@ -188,29 +186,6 @@ std::string experiment_artifact_text(const Experiment& e,
   return os.str();
 }
 
-/// The body of Suite::run for one experiment, runnable inside a worker.
-ExperimentRecord run_one_experiment(const Experiment& e) {
-  const auto& profile = sys::profile_by_name(e.system_name);
-  const auto t0 = std::chrono::steady_clock::now();
-  sim::System system(profile.config);
-  ExperimentRecord record;
-  record.experiment = e;
-  if (is_latency(e.params.kind)) {
-    record.latency = run_latency_bench(system, e.params);
-    obs::Digest digest;
-    for (const double ns : record.latency->samples_ns.raw()) {
-      digest.add_ns(ns);
-    }
-    record.latency_digest = digest.serialize();
-  } else {
-    record.bandwidth = run_bandwidth_bench(system, e.params);
-  }
-  record.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return record;
-}
-
 }  // namespace
 
 MultiRunner::MultiRunner(const Suite& suite, IsolatedRunConfig cfg)
@@ -285,7 +260,7 @@ IsolatedRunResult MultiRunner::run(const std::string& filter,
       const std::size_t idx = pending[i];
       const Experiment& e = experiments[idx];
       try {
-        ExperimentRecord rec = run_one_experiment(e);
+        ExperimentRecord rec = run_experiment(e);
         const std::string payload = serialize_record(rec);
         std::lock_guard<std::mutex> lock(m);
         journal.append(idx, payload);
@@ -319,7 +294,7 @@ IsolatedRunResult MultiRunner::run(const std::string& filter,
       spec.name = experiments[idx].name;
       const Experiment e = experiments[idx];  // by value across fork
       spec.fn = [e](unsigned) {
-        return serialize_record(run_one_experiment(e));
+        return serialize_record(run_experiment(e));
       };
       specs.push_back(std::move(spec));
     }

@@ -8,7 +8,7 @@ ObsSession::ObsSession(sim::System& system, const Options& opts)
     : system_(system) {
   system_.register_counters(counters_);
   if (opts.trace || opts.breakdown) {
-    sink_ = std::make_unique<obs::TraceSink>(opts.trace_capacity);
+    sink_ = std::make_unique<obs::TraceSink>(kTraceCapacity);
     if (opts.breakdown) {
       breakdown_ = std::make_unique<obs::LatencyBreakdown>();
       sink_->set_listener(
@@ -22,8 +22,7 @@ ObsSession::ObsSession(sim::System& system, const Options& opts)
     series_ = std::make_unique<obs::TimeSeries>(counters_,
                                                 opts.telemetry_interval_ps);
     system_.sim().set_sample_hook(
-        [s = series_.get()](Picos now) { s->observe(now); },
-        opts.telemetry_every_events);
+        [s = series_.get()](Picos now) { s->observe(now); });
     sample_hook_set_ = true;
   }
 }

@@ -27,12 +27,12 @@ class ObsSession {
   struct Options {
     bool trace = false;      ///< capture events for Chrome-JSON export
     bool breakdown = false;  ///< attribute latency stages live
-    std::size_t trace_capacity = 1 << 16;  ///< ring size (events)
     bool telemetry = false;  ///< stream counter deltas per sim interval
     Picos telemetry_interval_ps = 1'000'000;  ///< sampling cadence (1 us)
-    /// Sample-hook cadence in executed events; 1 = exact boundaries.
-    std::uint64_t telemetry_every_events = 1;
   };
+
+  /// Trace ring size (events).
+  static constexpr std::size_t kTraceCapacity = 1 << 16;
 
   /// Attaches to `system`; counters are always registered (they read the
   /// components' existing tallies and cost nothing until sampled), the

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -25,41 +24,8 @@ std::string num(double v) {
   return buf;
 }
 
-std::map<std::string, std::string> parse_kv(const std::string& payload,
-                                            std::string* header) {
-  std::map<std::string, std::string> kv;
-  std::istringstream is(payload);
-  std::string line;
-  bool first = true;
-  while (std::getline(is, line)) {
-    if (first) {
-      if (header) *header = line;
-      first = false;
-      continue;
-    }
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    kv[line.substr(0, eq)] = exec::unescape_line(line.substr(eq + 1));
-  }
-  return kv;
-}
-
-double kv_num(const std::map<std::string, std::string>& kv,
-              const std::string& key) {
-  const auto it = kv.find(key);
-  return it == kv.end() ? 0.0 : std::strtod(it->second.c_str(), nullptr);
-}
-
-std::uint64_t kv_u64(const std::map<std::string, std::string>& kv,
-                     const std::string& key) {
-  const auto it = kv.find(key);
-  return it == kv.end() ? 0 : std::strtoull(it->second.c_str(), nullptr, 10);
-}
-
-std::string kv_str(const std::map<std::string, std::string>& kv,
-                   const std::string& key) {
-  const auto it = kv.find(key);
-  return it == kv.end() ? std::string{} : it->second;
+double record_num(const exec::Record& rec, const std::string& key) {
+  return std::strtod(exec::record_str(rec, key).c_str(), nullptr);
 }
 
 }  // namespace
@@ -106,30 +72,35 @@ void Suite::add_bandwidth(const std::string& name, const std::string& system,
   add(std::move(e));
 }
 
+ExperimentRecord run_experiment(const Experiment& e) {
+  const auto& profile = sys::profile_by_name(e.system_name);
+  const auto t0 = std::chrono::steady_clock::now();
+  sim::System system(profile.config);
+  ExperimentRecord record;
+  record.experiment = e;
+  if (is_latency(e.params.kind)) {
+    record.latency = run_latency_bench(system, e.params);
+    obs::Digest digest;
+    for (const double ns : record.latency->samples_ns.raw()) {
+      digest.add_ns(ns);
+    }
+    record.latency_digest = digest.serialize();
+  } else {
+    record.bandwidth = run_bandwidth_bench(system, e.params);
+  }
+  record.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  return record;
+}
+
 std::vector<ExperimentRecord> Suite::run(
     const std::string& filter,
     std::function<void(const ExperimentRecord&)> progress) const {
   std::vector<ExperimentRecord> records;
   for (const auto& e : experiments_) {
     if (!filter.empty() && e.name.find(filter) == std::string::npos) continue;
-    const auto& profile = sys::profile_by_name(e.system_name);
-    const auto t0 = std::chrono::steady_clock::now();
-    sim::System system(profile.config);
-    ExperimentRecord record;
-    record.experiment = e;
-    if (is_latency(e.params.kind)) {
-      record.latency = run_latency_bench(system, e.params);
-      obs::Digest digest;
-      for (const double ns : record.latency->samples_ns.raw()) {
-        digest.add_ns(ns);
-      }
-      record.latency_digest = digest.serialize();
-    } else {
-      record.bandwidth = run_bandwidth_bench(system, e.params);
-    }
-    record.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    ExperimentRecord record = run_experiment(e);
     if (progress) progress(record);
     records.push_back(std::move(record));
   }
@@ -204,42 +175,39 @@ std::string serialize_record(const ExperimentRecord& record) {
 
 std::optional<ExperimentRecord> deserialize_record(const std::string& payload,
                                                    const Experiment& expected) {
-  std::string header;
-  const auto kv = parse_kv(payload, &header);
-  if (header != kRecordHeader) return std::nullopt;
-  const auto name = kv.find("name");
-  if (name == kv.end() || name->second != expected.name) return std::nullopt;
+  const exec::Record kv = exec::parse_record(payload);
+  if (kv.header != kRecordHeader) return std::nullopt;
+  if (exec::record_str(kv, "name") != expected.name) return std::nullopt;
 
   ExperimentRecord rec;
   rec.experiment = expected;
-  rec.wall_seconds = kv_num(kv, "wall");
-  const auto kind = kv.find("kind");
-  if (kind == kv.end()) return std::nullopt;
-  if (kind->second == "lat") {
+  rec.wall_seconds = record_num(kv, "wall");
+  const std::string kind = exec::record_str(kv, "kind");
+  if (kind == "lat") {
     LatencyResult lat;
     lat.params = expected.params;
-    lat.summary.count = kv_u64(kv, "count");
-    lat.summary.mean_ns = kv_num(kv, "mean");
-    lat.summary.median_ns = kv_num(kv, "median");
-    lat.summary.min_ns = kv_num(kv, "min");
-    lat.summary.max_ns = kv_num(kv, "max");
-    lat.summary.p95_ns = kv_num(kv, "p95");
-    lat.summary.p99_ns = kv_num(kv, "p99");
-    lat.summary.p999_ns = kv_num(kv, "p999");
+    lat.summary.count = exec::record_u64(kv, "count");
+    lat.summary.mean_ns = record_num(kv, "mean");
+    lat.summary.median_ns = record_num(kv, "median");
+    lat.summary.min_ns = record_num(kv, "min");
+    lat.summary.max_ns = record_num(kv, "max");
+    lat.summary.p95_ns = record_num(kv, "p95");
+    lat.summary.p99_ns = record_num(kv, "p99");
+    lat.summary.p999_ns = record_num(kv, "p999");
     rec.latency = std::move(lat);
     // Absent in pre-digest journals; those records simply have no digest.
-    rec.latency_digest = kv_str(kv, "digest");
-  } else if (kind->second == "bw") {
+    rec.latency_digest = exec::record_str(kv, "digest");
+  } else if (kind == "bw") {
     BandwidthResult bw;
     bw.params = expected.params;
-    bw.payload_bytes = kv_u64(kv, "payload_bytes");
-    bw.elapsed = static_cast<Picos>(kv_u64(kv, "elapsed"));
-    bw.gbps = kv_num(kv, "gbps");
-    bw.mtps = kv_num(kv, "mtps");
-    bw.lost_payload_bytes = kv_u64(kv, "lost");
-    bw.wire_bytes = kv_u64(kv, "wire_bytes");
-    bw.goodput_gbps = kv_num(kv, "goodput");
-    bw.wire_gbps = kv_num(kv, "wire_gbps");
+    bw.payload_bytes = exec::record_u64(kv, "payload_bytes");
+    bw.elapsed = static_cast<Picos>(exec::record_u64(kv, "elapsed"));
+    bw.gbps = record_num(kv, "gbps");
+    bw.mtps = record_num(kv, "mtps");
+    bw.lost_payload_bytes = exec::record_u64(kv, "lost");
+    bw.wire_bytes = exec::record_u64(kv, "wire_bytes");
+    bw.goodput_gbps = record_num(kv, "goodput");
+    bw.wire_gbps = record_num(kv, "wire_gbps");
     rec.bandwidth = std::move(bw);
   } else {
     return std::nullopt;

@@ -71,6 +71,10 @@ class Suite {
   std::vector<Experiment> experiments_;
 };
 
+/// Run one experiment on a fresh system: the body of Suite::run, and what
+/// a MultiRunner worker or thread executes.
+ExperimentRecord run_experiment(const Experiment& experiment);
+
 /// Canonical serialization of a completed record ("pcieb-exp v1" +
 /// key=value lines, doubles at full precision) — the payload a
 /// process-isolated suite worker returns and the resume journal stores

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -129,6 +130,33 @@ std::string unescape_line(const std::string& s) {
     }
   }
   return out;
+}
+
+Record parse_record(const std::string& payload) {
+  Record rec;
+  std::istringstream is(payload);
+  std::string line;
+  std::getline(is, rec.header);
+  while (std::getline(is, line)) {
+    const auto eq = line.find('=');
+    if (eq == std::string::npos) continue;
+    rec.fields[line.substr(0, eq)] = unescape_line(line.substr(eq + 1));
+  }
+  return rec;
+}
+
+std::string record_str(const Record& rec, const std::string& key) {
+  const auto it = rec.fields.find(key);
+  return it == rec.fields.end() ? std::string{} : it->second;
+}
+
+std::uint64_t record_u64(const Record& rec, const std::string& key) {
+  const auto it = rec.fields.find(key);
+  if (it == rec.fields.end()) return 0;
+  const std::string& s = it->second;
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  return ec == std::errc{} && end == s.data() + s.size() ? v : 0;
 }
 
 Journal::Journal(std::string dir) : dir_(std::move(dir)) {

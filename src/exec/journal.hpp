@@ -41,6 +41,22 @@ std::string read_file_tail(const std::string& path, std::size_t max_bytes);
 std::string escape_line(const std::string& s);
 std::string unescape_line(const std::string& s);
 
+/// A parsed line-oriented record: the first line is the header (e.g.
+/// "pcieb-trial v1"), every later line is `key=value` with an
+/// escape_line()-encoded value. Lines without '=' are skipped; a key
+/// that repeats keeps its last value.
+struct Record {
+  std::string header;
+  std::map<std::string, std::string> fields;
+};
+Record parse_record(const std::string& payload);
+
+/// Field `key` (unescaped), or "" when absent.
+std::string record_str(const Record& rec, const std::string& key);
+/// Field `key` as an unsigned decimal. An absent value, or one that is
+/// not entirely decimal digits (or overflows 64 bits), reads 0.
+std::uint64_t record_u64(const Record& rec, const std::string& key);
+
 class Journal {
  public:
   /// Opens (creating if needed) the journal directory.

@@ -4,8 +4,7 @@
 
 namespace pcieb::sim {
 
-SwitchedSystem::SwitchedSystem(const SystemConfig& base, unsigned device_count,
-                               Picos switch_forward_latency)
+SwitchedSystem::SwitchedSystem(const SystemConfig& base, unsigned device_count)
     : cfg_(base) {
   if (device_count == 0) {
     throw std::invalid_argument("SwitchedSystem: need >= 1 device");
@@ -21,7 +20,6 @@ SwitchedSystem::SwitchedSystem(const SystemConfig& base, unsigned device_count,
   uplink_->set_deliver([this](const proto::Tlp& t) { rc_->on_upstream(t); });
 
   SwitchConfig sw_cfg;
-  sw_cfg.forward_latency = switch_forward_latency;
   sw_cfg.port_link = cfg_.link;
   switch_ = std::make_unique<PcieSwitch>(sim_, sw_cfg, *uplink_);
   downlink_->set_deliver(

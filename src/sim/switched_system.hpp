@@ -17,8 +17,8 @@ class SwitchedSystem {
  public:
   /// `base.link` describes the shared uplink; each port gets a link of
   /// the same configuration (a device cannot out-run its own slot).
-  SwitchedSystem(const SystemConfig& base, unsigned device_count,
-                 Picos switch_forward_latency = from_nanos(100));
+  /// The switch forwards with SwitchConfig's default latency (100 ns).
+  SwitchedSystem(const SystemConfig& base, unsigned device_count);
 
   Simulator& sim() { return sim_; }
   unsigned device_count() const { return static_cast<unsigned>(devices_.size()); }

@@ -1,7 +1,7 @@
 // Unit tests for the src/exec job-execution layer: outcome
-// classification, backoff, the crash-safe journal, forked workers under
-// deadlines and RSS budgets (driven by the test-only CrashHook), and the
-// retry/quarantine pool.
+// classification, backoff, the crash-safe journal and its key=value
+// record parser, forked workers under deadlines and RSS budgets (driven
+// by the test-only CrashHook), and the retry/quarantine pool.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -108,6 +108,53 @@ TEST(Journal, EscapeRoundTrip) {
   const std::string nasty = "a\\b\nc\rd\\ne\\\\";
   EXPECT_EQ(exec::unescape_line(exec::escape_line(nasty)), nasty);
   EXPECT_EQ(exec::escape_line("x\ny").find('\n'), std::string::npos);
+}
+
+TEST(ParseRecord, HeaderIsTheFirstLineAndNeverAField) {
+  const auto rec = exec::parse_record("pcieb-test v1\nindex=4\n");
+  EXPECT_EQ(rec.header, "pcieb-test v1");
+  ASSERT_EQ(rec.fields.size(), 1u);
+  EXPECT_EQ(exec::record_u64(rec, "index"), 4u);
+  // A header that looks like a field stays the header.
+  const auto odd = exec::parse_record("k=v\nk2=v2");
+  EXPECT_EQ(odd.header, "k=v");
+  EXPECT_EQ(exec::record_str(odd, "k"), "");
+  EXPECT_EQ(exec::record_str(odd, "k2"), "v2");
+  EXPECT_EQ(exec::parse_record("").header, "");
+}
+
+TEST(ParseRecord, ValuesAreUnescapedAndMaySplitOnlyAtTheFirstEquals) {
+  const std::string value = "line one\nline two\\ with = signs";
+  const auto rec = exec::parse_record("h\nmsg=" + exec::escape_line(value) +
+                                      "\nempty=\n");
+  EXPECT_EQ(exec::record_str(rec, "msg"), value);
+  EXPECT_EQ(exec::record_str(rec, "empty"), "");
+  EXPECT_EQ(rec.fields.count("empty"), 1u);
+}
+
+TEST(ParseRecord, LinesWithoutEqualsAreSkipped) {
+  const auto rec = exec::parse_record("h\nno equals here\n\nkey=1\njunk");
+  ASSERT_EQ(rec.fields.size(), 1u);
+  EXPECT_EQ(exec::record_u64(rec, "key"), 1u);
+}
+
+TEST(ParseRecord, AbsentKeyReadsEmptyAndZero) {
+  const auto rec = exec::parse_record("h\npresent=9\n");
+  EXPECT_EQ(exec::record_str(rec, "absent"), "");
+  EXPECT_EQ(exec::record_u64(rec, "absent"), 0u);
+}
+
+TEST(ParseRecord, NonNumericValueReadsZero) {
+  const auto rec = exec::parse_record(
+      "h\nword=abc\ntrailing=12abc\nneg=-1\nspace= 7\nempty=\n"
+      "huge=99999999999999999999\nmax=18446744073709551615\n");
+  EXPECT_EQ(exec::record_u64(rec, "word"), 0u);
+  EXPECT_EQ(exec::record_u64(rec, "trailing"), 0u);
+  EXPECT_EQ(exec::record_u64(rec, "neg"), 0u);
+  EXPECT_EQ(exec::record_u64(rec, "space"), 0u);
+  EXPECT_EQ(exec::record_u64(rec, "empty"), 0u);
+  EXPECT_EQ(exec::record_u64(rec, "huge"), 0u);  // overflows 64 bits
+  EXPECT_EQ(exec::record_u64(rec, "max"), 18446744073709551615ull);
 }
 
 TEST(CrashHook, ParsesRulesAndWildcard) {

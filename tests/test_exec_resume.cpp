@@ -8,12 +8,14 @@
 #include <filesystem>
 #include <string>
 
+#include "campaign_tally_expect.hpp"
 #include "check/campaign_exec.hpp"
 #include "core/multi_runner.hpp"
 #include "core/suite.hpp"
 #include "exec/crash_hook.hpp"
 #include "exec/journal.hpp"
 #include "exec/worker.hpp"
+#include "fault/recovery.hpp"
 
 namespace fs = std::filesystem;
 using namespace pcieb;
@@ -69,6 +71,32 @@ TEST(TrialRecord, SerializeRoundTrips) {
   EXPECT_EQ(back->repro, rec.repro);
   EXPECT_TRUE(back->resumed);
   EXPECT_FALSE(check::TrialRecord::deserialize("not a record").has_value());
+}
+
+// A forked worker sends TrialRecord::of(spec, outcome) and the supervisor
+// only adds the attempt count and classification, so each journal record
+// is exactly the in-process record of the same trial.
+TEST(TrialRecord, OfMatchesForkedJournal) {
+  TempDir tmp;
+  auto cfg = small_campaign(6);
+  cfg.journal_dir = tmp.path;
+  cfg.chaos.iterations = 400;
+  cfg.chaos.recovery = fault::parse_recovery_policy("default");
+  cfg.chaos.seed_credit_leak_bug = true;
+  const auto res = check::run_campaign_isolated(cfg);
+  ASSERT_GT(res.violation, 0u) << "seeded bug not caught; test is vacuous";
+
+  const auto journal = exec::Journal::load(tmp.path);
+  ASSERT_EQ(journal.size(), cfg.chaos.trials);
+  for (const auto& [i, payload] : journal) {
+    const check::TrialSpec spec = check::generate_trial(cfg.chaos, i);
+    check::TrialRecord rec = check::TrialRecord::of(
+        spec, check::run_trial(spec, cfg.chaos.telemetry,
+                               cfg.chaos.monitors_throw));
+    rec.attempts = 1;
+    rec.classification = "ok";
+    EXPECT_EQ(payload, rec.serialize()) << "trial " << i;
+  }
 }
 
 // The ISSUE's acceptance scenario: a campaign whose trials segfault, hang
@@ -132,6 +160,7 @@ TEST(ExecCampaign, ResumeIsByteIdenticalToUninterrupted) {
   const auto resumed = check::run_campaign_isolated(cut);
   EXPECT_EQ(resumed.resumed, 3u);
   EXPECT_EQ(resumed.summary_text(cut.chaos), ref.summary_text(full.chaos));
+  expect_same_tally(resumed, ref);
 
   const std::string csv_ref = full_dir.path + "/ref.csv";
   const std::string csv_res = full_dir.path + "/resumed.csv";
@@ -149,6 +178,36 @@ TEST(ExecCampaign, ResumeRejectsForeignJournal) {
   other.resume = true;
   other.chaos.master_seed ^= 1;  // a different campaign entirely
   EXPECT_THROW(check::run_campaign_isolated(other), exec::InfraError);
+}
+
+// The throw mode and the seeded bugs change trial records, so
+// campaign.meta pins them: a resume with either flipped must refuse the
+// journal instead of mixing records of two campaigns.
+TEST(ExecCampaign, ResumeRejectsFlippedThrowModeOrSeededBug) {
+  const auto flip_refused = [](check::ExecCampaignConfig cfg,
+                               void (*flip)(check::ChaosConfig&)) {
+    TempDir tmp;
+    cfg.journal_dir = tmp.path;
+    check::run_campaign_isolated(cfg);
+    cfg.resume = true;
+    EXPECT_EQ(check::run_campaign_isolated(cfg).resumed, cfg.chaos.trials);
+    flip(cfg.chaos);
+    EXPECT_THROW(check::run_campaign_isolated(cfg), exec::InfraError);
+  };
+  auto classic = small_campaign(2);
+  flip_refused(classic, [](check::ChaosConfig& c) { c.monitors_throw = true; });
+  flip_refused(classic,
+               [](check::ChaosConfig& c) { c.seed_credit_leak_bug = true; });
+  classic.chaos.monitors_throw = true;
+  classic.chaos.seed_credit_leak_bug = true;
+  flip_refused(classic, [](check::ChaosConfig& c) { c.monitors_throw = false; });
+  flip_refused(classic,
+               [](check::ChaosConfig& c) { c.seed_credit_leak_bug = false; });
+
+  auto tenant = small_campaign(2);
+  tenant.chaos.tenants = 4;
+  tenant.chaos.attacker = 1;
+  flip_refused(tenant, [](check::ChaosConfig& c) { c.seed_misroute_bug = true; });
 }
 
 // Quarantined trials are minimized in isolated workers; the enriched

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign_tally_expect.hpp"
 #include "check/campaign_exec.hpp"
 #include "check/chaos.hpp"
 #include "exec/journal.hpp"
@@ -38,26 +39,31 @@ check::ChaosConfig overload_campaign() {
   return cfg;
 }
 
-/// Per-trial ledgers in index order, via the campaign observer.
-std::vector<std::string> collect(check::ChaosConfig cfg) {
+/// Per-trial ledgers in index order, via the campaign observer; the
+/// campaign's result lands in `result` when given.
+std::vector<std::string> collect(check::ChaosConfig cfg,
+                                 check::CampaignResult* result = nullptr) {
   std::vector<std::string> out;
-  check::run_campaign(cfg, [&](const check::TrialSpec&,
-                               const check::TrialOutcome& o) {
+  auto res = check::run_campaign(cfg, [&](const check::TrialSpec&,
+                                          const check::TrialOutcome& o) {
     out.push_back(o.overload);
   });
+  if (result) *result = std::move(res);
   return out;
 }
 
 }  // namespace
 
 TEST(OverloadIdentity, ThreadedCampaignMatchesSerialTrialForTrial) {
-  const auto serial = collect(overload_campaign());
+  check::CampaignResult serial_res, threaded_res;
+  const auto serial = collect(overload_campaign(), &serial_res);
   ASSERT_EQ(serial.size(), 10u);
   for (const auto& ledger : serial) EXPECT_FALSE(ledger.empty());
 
   auto threaded = overload_campaign();
   threaded.threads = 8;
-  EXPECT_EQ(collect(threaded), serial);
+  EXPECT_EQ(collect(threaded, &threaded_res), serial);
+  expect_same_tally(threaded_res, serial_res);
 }
 
 TEST(OverloadIdentity, ForkIsolatedAndResumedCampaignsMatchByteForByte) {
@@ -76,11 +82,14 @@ TEST(OverloadIdentity, ForkIsolatedAndResumedCampaignsMatchByteForByte) {
   EXPECT_EQ(ref.overload_offered,
             ref.overload_delivered + ref.overload_dropped);
 
-  // The worker ledgers agree with the in-process campaign's.
-  const auto in_process = collect(overload_campaign());
+  // The worker ledgers, and the tally folded from them, agree with the
+  // in-process campaign's.
+  check::CampaignResult in_process_res;
+  const auto in_process = collect(overload_campaign(), &in_process_res);
   for (std::size_t i = 0; i < ref.records.size(); ++i) {
     EXPECT_EQ(ref.records[i].overload, in_process[i]) << i;
   }
+  expect_same_tally(ref, in_process_res);
 
   // A campaign killed mid-run and resumed reproduces the canonical
   // summary and CSV byte for byte — ledger columns included, read back
@@ -97,9 +106,7 @@ TEST(OverloadIdentity, ForkIsolatedAndResumedCampaignsMatchByteForByte) {
   const auto resumed = check::run_campaign_isolated(cut);
   EXPECT_EQ(resumed.resumed, 4u);
   EXPECT_EQ(resumed.summary_text(cut.chaos), ref.summary_text(ref_cfg.chaos));
-  EXPECT_EQ(resumed.overload_offered, ref.overload_offered);
-  EXPECT_EQ(resumed.overload_delivered, ref.overload_delivered);
-  EXPECT_EQ(resumed.overload_dropped, ref.overload_dropped);
+  expect_same_tally(resumed, ref);
 
   const std::string csv_ref = ref_dir.path + "/ref.csv";
   const std::string csv_res = ref_dir.path + "/resumed.csv";

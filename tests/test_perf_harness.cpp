@@ -1,11 +1,10 @@
 // The perf-regression harness (check/perf.hpp). Rates depend on the
 // machine, so the assertions pin what is machine-independent: the exact
 // event and TLP counts of each workload (the simulator is deterministic;
-// tools/ci_perf_check.sh checks the same event counts in CI, the TLP
-// counts are gated here only), the report structure, and the JSON
-// serialization. The TLP counts are the simulated workload and must not
-// move when the engine cuts events; the event counts are the engine's cost
-// and move only with a deliberate change to it.
+// this is the one place both are pinned), the report structure, and the
+// JSON serialization. The TLP counts are the simulated workload and must
+// not move when the engine cuts events; the event counts are the engine's
+// cost and move only with a deliberate change to it.
 #include "check/perf.hpp"
 
 #include <gtest/gtest.h>
@@ -15,11 +14,10 @@
 namespace pcieb::check {
 namespace {
 
-// Quick-mode totals (iterations cut 10x). Keep the event counts in sync
-// with tools/ci_perf_check.sh. A TLP count that moves means the simulated
-// workload changed; an event count that moves alone means the engine
-// spends a different number of events on the same workload (last: one
-// event per link TLP instead of two).
+// Quick-mode totals (iterations cut 10x). A TLP count that moves means the
+// simulated workload changed; an event count that moves alone means the
+// engine spends a different number of events on the same workload (last:
+// one event per link TLP instead of two).
 constexpr std::uint64_t kQuickFig04Events = 165900;
 constexpr std::uint64_t kQuickFig05Events = 164000;
 constexpr std::uint64_t kQuickChaosEvents = 157126;

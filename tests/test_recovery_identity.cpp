@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "campaign_tally_expect.hpp"
 #include "check/campaign_exec.hpp"
 #include "check/chaos.hpp"
 #include "exec/journal.hpp"
@@ -39,20 +40,24 @@ check::ChaosConfig recovery_campaign() {
 
 using Outcomes = std::vector<std::pair<std::string, std::string>>;
 
-/// (state, digest) per trial, in index order, via the campaign observer.
-Outcomes collect(check::ChaosConfig cfg) {
+/// (state, digest) per trial, in index order, via the campaign observer;
+/// the campaign's result lands in `result` when given.
+Outcomes collect(check::ChaosConfig cfg,
+                 check::CampaignResult* result = nullptr) {
   Outcomes out;
-  check::run_campaign(cfg, [&](const check::TrialSpec&,
-                               const check::TrialOutcome& o) {
+  auto res = check::run_campaign(cfg, [&](const check::TrialSpec&,
+                                          const check::TrialOutcome& o) {
     out.emplace_back(o.recovery_state, o.recovery_digest);
   });
+  if (result) *result = std::move(res);
   return out;
 }
 
 }  // namespace
 
 TEST(RecoveryIdentity, ThreadedCampaignMatchesSerialTrialForTrial) {
-  const Outcomes serial = collect(recovery_campaign());
+  check::CampaignResult serial_res, threaded_res;
+  const Outcomes serial = collect(recovery_campaign(), &serial_res);
   ASSERT_EQ(serial.size(), 12u);
   // The campaign must actually exercise the ladder for this to mean
   // anything.
@@ -65,14 +70,14 @@ TEST(RecoveryIdentity, ThreadedCampaignMatchesSerialTrialForTrial) {
 
   auto threaded_cfg = recovery_campaign();
   threaded_cfg.threads = 8;
-  EXPECT_EQ(collect(threaded_cfg), serial);
+  EXPECT_EQ(collect(threaded_cfg, &threaded_res), serial);
+  expect_same_tally(threaded_res, serial_res);
 }
 
 TEST(RecoveryIdentity, CampaignTalliesAreDeterministicAcrossRepeats) {
   const auto a = check::run_campaign(recovery_campaign());
   const auto b = check::run_campaign(recovery_campaign());
-  EXPECT_EQ(a.trials_recovered, b.trials_recovered);
-  EXPECT_EQ(a.trials_quarantined, b.trials_quarantined);
+  expect_same_tally(a, b);
   EXPECT_GT(a.trials_recovered, 0u);
 }
 
@@ -90,12 +95,15 @@ TEST(RecoveryIdentity, ForkIsolatedAndResumedCampaignsMatchByteForByte) {
   EXPECT_EQ(ref.violation, 0u);
   EXPECT_GT(ref.trials_recovered, 0u);
 
-  // The worker outcomes agree with the in-process campaign's.
-  const Outcomes in_process = collect(recovery_campaign());
+  // The worker outcomes, and the tally folded from them, agree with the
+  // in-process campaign's.
+  check::CampaignResult in_process_res;
+  const Outcomes in_process = collect(recovery_campaign(), &in_process_res);
   for (std::size_t i = 0; i < ref.records.size(); ++i) {
     EXPECT_EQ(ref.records[i].recovery_state, in_process[i].first) << i;
     EXPECT_EQ(ref.records[i].recovery, in_process[i].second) << i;
   }
+  expect_same_tally(ref, in_process_res);
 
   // A campaign killed mid-run and resumed reproduces the canonical
   // summary and CSV byte for byte — recovery columns included, read
@@ -112,8 +120,7 @@ TEST(RecoveryIdentity, ForkIsolatedAndResumedCampaignsMatchByteForByte) {
   const auto resumed = check::run_campaign_isolated(cut);
   EXPECT_EQ(resumed.resumed, 5u);
   EXPECT_EQ(resumed.summary_text(cut.chaos), ref.summary_text(ref_cfg.chaos));
-  EXPECT_EQ(resumed.trials_recovered, ref.trials_recovered);
-  EXPECT_EQ(resumed.trials_quarantined, ref.trials_quarantined);
+  expect_same_tally(resumed, ref);
 
   const std::string csv_ref = ref_dir.path + "/ref.csv";
   const std::string csv_res = ref_dir.path + "/resumed.csv";

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign_tally_expect.hpp"
 #include "check/campaign_exec.hpp"
 #include "check/chaos.hpp"
 #include "core/observe.hpp"
@@ -46,7 +47,7 @@ TEST(TelemetryIdentity, ThreadedCampaignDigestsMatchSerialByteForByte) {
   threaded_cfg.threads = 8;
   const auto threaded = check::run_campaign(threaded_cfg);
 
-  EXPECT_EQ(serial.digests.serialize(), threaded.digests.serialize());
+  expect_same_tally(threaded, serial);
   EXPECT_EQ(serial.digests.to_table(), threaded.digests.to_table());
 }
 
@@ -60,7 +61,7 @@ TEST(TelemetryIdentity, ForkIsolatedAndResumedCampaignsMatchInProcess) {
   iso.journal_dir = tmp.path;
   iso.pool.jobs = 3;
   const auto forked = check::run_campaign_isolated(iso);
-  EXPECT_EQ(forked.digests.serialize(), in_process.digests.serialize());
+  expect_same_tally(forked, in_process);
 
   // Resume from the completed journal: every trial's digest payload is
   // read back, never re-run, and the merge must still be byte-identical.
@@ -68,13 +69,13 @@ TEST(TelemetryIdentity, ForkIsolatedAndResumedCampaignsMatchInProcess) {
   again.resume = true;
   const auto resumed = check::run_campaign_isolated(again);
   EXPECT_EQ(resumed.resumed, iso.chaos.trials);
-  EXPECT_EQ(resumed.digests.serialize(), in_process.digests.serialize());
+  expect_same_tally(resumed, in_process);
 }
 
 TEST(TelemetryIdentity, CampaignDigestsAreDeterministicAcrossRepeats) {
   const auto a = check::run_campaign(small_campaign());
   const auto b = check::run_campaign(small_campaign());
-  EXPECT_EQ(a.digests.serialize(), b.digests.serialize());
+  expect_same_tally(a, b);
 }
 
 // Telemetry is observational: a trial run with digests recorded must make

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign_tally_expect.hpp"
 #include "check/campaign_exec.hpp"
 #include "fault/plan.hpp"
 
@@ -120,8 +121,8 @@ TEST(TenantChaosTest, SerialAndThreadedCampaignsMatch) {
   EXPECT_EQ(threaded_log, serial_log);
   EXPECT_EQ(threaded.trials_run, serial.trials_run);
   EXPECT_EQ(threaded.failures, serial.failures);
-  EXPECT_EQ(threaded.perturbed_victims, serial.perturbed_victims);
-  EXPECT_EQ(threaded.device_wide_actions, serial.device_wide_actions);
+  EXPECT_GT(serial.perturbed_victims, 0u);
+  expect_same_tally(threaded, serial);
 }
 
 TEST(TenantChaosTest, TrialRecordCarriesBlastRadius) {

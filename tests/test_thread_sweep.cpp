@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign_tally_expect.hpp"
 #include "check/chaos.hpp"
 #include "core/multi_runner.hpp"
 #include "core/suite.hpp"
@@ -113,6 +114,7 @@ TEST(ThreadSweep, CleanCampaignByteIdenticalToSerial) {
     EXPECT_EQ(threaded, serial) << "threads=" << threads;
     EXPECT_EQ(res.trials_run, serial_res.trials_run);
     EXPECT_EQ(res.failures, serial_res.failures);
+    expect_same_tally(res, serial_res);
   }
 }
 
@@ -138,6 +140,7 @@ TEST(ThreadSweep, FailingCampaignStopsAtSameTrialAsSerial) {
   EXPECT_EQ(threaded, serial);
   EXPECT_EQ(res.trials_run, serial_res.trials_run);
   EXPECT_EQ(res.failures, serial_res.failures);
+  expect_same_tally(res, serial_res);
   ASSERT_TRUE(res.first_failure.has_value());
   EXPECT_EQ(res.first_failure->describe(),
             serial_res.first_failure->describe());

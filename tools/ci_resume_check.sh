@@ -4,11 +4,17 @@
 # SIGKILL instead of the test-only stop_after hook:
 #
 #   1. run an uninterrupted reference campaign and keep its CSV;
-#   2. run the same campaign into a fresh journal and SIGKILL the whole
-#      process group mid-run;
-#   3. resume from the half-written journal;
+#   2. run the same campaign into a fresh journal with trials HANG_AT and
+#      HANG_AT+1 hung by the test-only crash hook (exec/crash_hook.hpp),
+#      so its two workers stall with exactly HANG_AT records journaled;
+#      wait for the journal to reach HANG_AT records and stop growing,
+#      then SIGKILL the whole process group;
+#   3. resume from the half-written journal (hook disarmed);
 #   4. require the resumed CSV and canonical summary to be byte-identical
 #      to the reference.
+#
+# The hang pins the cut at HANG_AT of TRIALS records on any host speed,
+# so the resume always re-simulates the rest of the campaign.
 #
 # Usage: ci_resume_check.sh [path-to-pciebench]
 # PCIEB_RESUME_EXTRA adds flags to every campaign invocation — CI's
@@ -20,8 +26,9 @@ PCIEBENCH="${1:-./build/tools/pciebench}"
 TRIALS=300
 ITERS=300
 SEED=0xc4a05
-JOBS=2
-KILL_AFTER=1.0   # seconds into the interrupted run
+JOBS=2          # one worker per hung trial: nothing runs past the hang
+HANG_AT=100
+WAIT_LIMIT=90   # seconds to reach HANG_AT records (trial timeout is 120)
 read -r -a EXTRA <<< "${PCIEB_RESUME_EXTRA:-}"
 
 if [[ ! -x "$PCIEBENCH" ]]; then
@@ -49,24 +56,39 @@ if [[ $status -ne 0 && $status -ne 1 ]]; then
     exit 3
 fi
 
-echo "== interrupted run (SIGKILL after ${KILL_AFTER}s)"
+echo "== interrupted run (trials $HANG_AT and $((HANG_AT + 1)) hang, then SIGKILL)"
+PCIEB_CRASH_HOOK="hang@$HANG_AT;hang@$((HANG_AT + 1))" \
 setsid "$PCIEBENCH" chaos --trials "$TRIALS" --iters "$ITERS" \
     --master-seed "$SEED" --jobs "$JOBS" --no-shrink \
     ${EXTRA[@]+"${EXTRA[@]}"} \
     --journal "$WORK/cut" >/dev/null 2>"$WORK/cut.log" &
 VICTIM=$!
-sleep "$KILL_AFTER"
+
+records() { find "$WORK/cut" -maxdepth 1 -name 'r*.rec' 2>/dev/null | wc -l; }
+# Wait for HANG_AT records, then for the count to hold across a second
+# look: both workers are then stuck in the hung trials.
+deadline=$((SECONDS + WAIT_LIMIT))
+stable=0
+while [[ $stable -lt 2 ]]; do
+    if [[ $SECONDS -ge $deadline ]] || ! kill -0 "$VICTIM" 2>/dev/null; then
+        break
+    fi
+    sleep 0.5
+    if [[ $(records) -eq $HANG_AT ]]; then stable=$((stable + 1)); else stable=0; fi
+done
 # Kill the whole process group: the supervisor AND its forked workers
 # die instantly, mid-campaign, exactly like a crashed CI box.
 kill -KILL -- "-$VICTIM" 2>/dev/null
 wait "$VICTIM" 2>/dev/null
 
-COMMITTED=$(find "$WORK/cut" -maxdepth 1 -name 'r*.rec' | wc -l)
+COMMITTED=$(records)
 echo "   journal holds $COMMITTED/$TRIALS records after the kill"
-if [[ "$COMMITTED" -ge "$TRIALS" ]]; then
-    echo "ci_resume_check: WARNING: the interrupted run completed before" \
-         "the kill; the resume below proves nothing extra. Consider" \
-         "lowering KILL_AFTER or raising TRIALS." >&2
+if [[ $stable -lt 2 || "$COMMITTED" -le 0 || "$COMMITTED" -ge "$TRIALS" ]]; then
+    echo "ci_resume_check: FAIL: the interrupted run did not stop at" \
+         "$HANG_AT/$TRIALS records within ${WAIT_LIMIT}s, so the resume" \
+         "below would not test a resume" >&2
+    tail -20 "$WORK/cut.log" >&2
+    exit 1
 fi
 
 echo "== resumed run"

@@ -23,7 +23,7 @@
 #include "core/tenant_runner.hpp"
 #include "fault/plan.hpp"
 #include "fault/recovery.hpp"
-#include "sim/vf.hpp"
+#include "sim/system.hpp"
 #include "sysconfig/profiles.hpp"
 
 namespace pcieb::bench {
@@ -63,14 +63,13 @@ inline sim::TenantIsolation isolation_by_name(const std::string& name) {
 /// opens one specific coupling path; `weakened` opens them all.
 inline IsolationSweepRow run_isolation_sweep_point(const std::string& isolation,
                                                    const std::string& faults) {
-  sim::MultiTenantConfig cfg;
-  cfg.base = sys::profile_by_name("NFP6000-HSW").config;
-  if (faults != "none") cfg.base.fault_plan = fault::parse_plan(faults);
-  cfg.base.recovery = fault::parse_recovery_policy("default");
+  sim::SystemConfig cfg = sys::profile_by_name("NFP6000-HSW").config;
+  if (faults != "none") cfg.fault_plan = fault::parse_plan(faults);
+  cfg.recovery = fault::parse_recovery_policy("default");
   cfg.tenants = 4;
   cfg.isolation = isolation_by_name(isolation);
 
-  sim::MultiTenantSystem system(cfg);
+  sim::System system(cfg);
   core::BenchParams p;
   p.kind = core::BenchKind::BwWr;
   p.transfer_size = 256;

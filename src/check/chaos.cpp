@@ -13,7 +13,6 @@
 #include "core/tenant_runner.hpp"
 #include "exec/thread_pool.hpp"
 #include "sim/system.hpp"
-#include "sim/vf.hpp"
 #include "sysconfig/profiles.hpp"
 
 namespace pcieb::check {
@@ -427,24 +426,21 @@ struct TenantRunArtifacts {
 TenantRunArtifacts run_tenant_once(const TrialSpec& spec, bool armed,
                                    bool telemetry, bool throw_monitors) {
   TenantRunArtifacts a;
-  sim::MultiTenantConfig mc;
-  mc.base = sys::profile_by_name(spec.system).config;
-  if (spec.iommu) {
-    mc.base = sys::with_iommu(mc.base, true, spec.params.page_bytes);
-  }
-  if (armed) mc.base.fault_plan = spec.plan;
-  mc.base.recovery = spec.recovery;
+  sim::SystemConfig cfg = sys::profile_by_name(spec.system).config;
+  if (spec.iommu) cfg = sys::with_iommu(cfg, true, spec.params.page_bytes);
+  if (armed) cfg.fault_plan = spec.plan;
+  cfg.recovery = spec.recovery;
   // Unconditional (not plan-gated as in the classic path): the victim's
   // event schedule must be identical whether or not the attacker's plan
   // rides along, or the differential identity would compare two
   // different simulations.
-  mc.base.watchdog.max_sim_time = kTrialMaxSimTime;
-  mc.tenants = spec.tenants;
-  mc.isolation = spec.isolation_weakened
-                     ? sim::TenantIsolation::all_weakened()
-                     : sim::TenantIsolation::all_armed();
+  cfg.watchdog.max_sim_time = kTrialMaxSimTime;
+  cfg.tenants = spec.tenants;
+  cfg.isolation = spec.isolation_weakened
+                      ? sim::TenantIsolation::all_weakened()
+                      : sim::TenantIsolation::all_armed();
 
-  sim::MultiTenantSystem system(mc);
+  sim::System system(cfg);
   if (armed && spec.seed_misroute_bug) system.test_misroute_completions(true);
   MonitorConfig mon_cfg;
   mon_cfg.throw_on_violation = throw_monitors;

@@ -60,7 +60,7 @@ struct TrialSpec {
   /// recovery): victim perturbation is then the measured blast radius,
   /// not a failure. Armed (default) makes any perturbation a violation.
   bool isolation_weakened = false;
-  /// TEST-ONLY: arm sim::MultiTenantSystem::test_misroute_completions so
+  /// TEST-ONLY: arm sim::System::test_misroute_completions so
   /// the isolation monitors have a known cross-VF bleed to catch.
   bool seed_misroute_bug = false;
 

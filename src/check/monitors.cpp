@@ -4,19 +4,6 @@
 
 namespace pcieb::check {
 
-namespace {
-
-std::vector<const sim::PcieFunction*> functions_of(
-    sim::MultiTenantSystem& system) {
-  std::vector<const sim::PcieFunction*> fns;
-  for (unsigned vf = 0; vf < system.tenants(); ++vf) {
-    fns.push_back(&system.function(vf));
-  }
-  return fns;
-}
-
-}  // namespace
-
 std::string Violation::format() const {
   std::ostringstream os;
   os << "invariant '" << monitor << "' violated @ " << to_nanos(when)
@@ -45,24 +32,14 @@ std::string ViolationLog::report() const {
 }
 
 MonitorSuite::MonitorSuite(sim::System& system, MonitorConfig cfg)
-    : MonitorSuite(system.sim(), {&system.function()}, system.upstream(),
-                   system.downstream(), /*per_vf=*/false, cfg) {}
-
-MonitorSuite::MonitorSuite(sim::MultiTenantSystem& system, MonitorConfig cfg)
-    : MonitorSuite(system.sim(), functions_of(system), system.upstream(),
-                   system.downstream(), /*per_vf=*/true, cfg) {}
-
-MonitorSuite::MonitorSuite(
-    sim::Simulator& sim, const std::vector<const sim::PcieFunction*>& functions,
-    const sim::Link& up, const sim::Link& down, bool per_vf, MonitorConfig cfg)
     : ViolationLog(cfg, "monitors"),
-      sim_(sim),
-      up_(up),
-      down_(down),
-      port_ladder_(!per_vf) {
-  for (std::size_t i = 0; i < functions.size(); ++i) {
-    const sim::PcieFunction& f = *functions[i];
-    ledgers_.push_back({&f, per_vf ? "vf" + std::to_string(i) + ": " : "",
+      sim_(system.sim()),
+      up_(system.upstream()),
+      down_(system.downstream()),
+      port_ladder_(!system.shared()) {
+  for (unsigned i = 0; i < system.tenants(); ++i) {
+    const sim::PcieFunction& f = system.function(i);
+    ledgers_.push_back({&f, port_ladder_ ? "" : "vf" + std::to_string(i) + ": ",
                         f.device().write_payload_issued(),
                         f.root_complex().write_bytes_committed(),
                         f.lost_write_bytes(),

@@ -1,6 +1,6 @@
 // Invariant monitors: a self-checking harness over the PCIe functions of
-// one port — the single function of a sim::System (n = 1), or every SR-IOV
-// VF of a sim::MultiTenantSystem.
+// one sim::System port — its single function (n = 1), or every SR-IOV VF
+// of a shared port.
 //
 // A MonitorSuite takes one slot of the simulator's per-event monitor array
 // and asserts, after every executed event, the conservation laws of each
@@ -24,13 +24,13 @@
 //    and are empty at quiesce.
 //  * recovery — every armed ladder converged once the queue drained:
 //    Operational or permanently Quarantined, never stuck mid-ladder
-//    (Contained/Resetting) or Degraded with no probation pending. A ladder
-//    that owns the whole port (System's) must also agree with the port:
+//    (Contained/Resetting) or Degraded with no probation pending. A lone
+//    function's ladder owns the whole port and must also agree with it:
 //    Operational = links unblocked at full rate; Quarantined = frozen.
 //
 // Per step: clock, then bleed/credits/tags per function, then replay. At
 // quiesce: credits/tags/payload per function, then replay, then recovery.
-// Tenant details carry a "vfN: " prefix.
+// On a shared port each detail carries a "vfN: " prefix.
 //
 // Monitors are strictly opt-in (pciebench --monitors, the chaos driver,
 // tests); an unarmed simulator pays one integer test per event, so runs
@@ -46,7 +46,6 @@
 
 #include "common/units.hpp"
 #include "sim/system.hpp"
-#include "sim/vf.hpp"
 
 namespace pcieb::check {
 
@@ -108,12 +107,11 @@ class MonitorSuite : public ViolationLog {
  public:
   /// Registers the suite's one devirtualized monitor slot on the
   /// system's simulator and captures baseline payload tallies, so a
-  /// suite attached mid-life checks only the delta. The destructor
+  /// suite attached mid-life checks only the delta. One ledger per
+  /// function; on a shared port each detail names its VF. The destructor
   /// removes exactly its own slot, leaving any other registered monitors
   /// untouched.
   explicit MonitorSuite(sim::System& system, MonitorConfig cfg = {});
-  /// One ledger per VF; recovery is checked per VF ladder.
-  explicit MonitorSuite(sim::MultiTenantSystem& system, MonitorConfig cfg = {});
   ~MonitorSuite();
 
   MonitorSuite(const MonitorSuite&) = delete;
@@ -140,14 +138,6 @@ class MonitorSuite : public ViolationLog {
     std::uint64_t read_delivered;
     std::uint64_t read_failed;
   };
-
-  /// The body both public constructors delegate to. `per_vf` labels each
-  /// function's details "vfN: " and scopes recovery to per-function
-  /// convergence; otherwise the single function's ladder owns the port.
-  MonitorSuite(sim::Simulator& sim,
-               const std::vector<const sim::PcieFunction*>& functions,
-               const sim::Link& up, const sim::Link& down, bool per_vf,
-               MonitorConfig cfg);
 
   /// Simulator::MonitorFn trampoline: the per-event path is one indirect
   /// call through a plain function pointer, not a std::function.

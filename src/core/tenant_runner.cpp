@@ -32,8 +32,7 @@ BenchParams tenant_params(const BenchParams& p, unsigned vf) {
 
 }  // namespace
 
-TenantRunner::TenantRunner(sim::MultiTenantSystem& system,
-                           const BenchParams& params)
+TenantRunner::TenantRunner(sim::System& system, const BenchParams& params)
     : system_(system), params_(params) {
   params_.validate();
   if (!system_.sim().empty()) {
@@ -48,7 +47,7 @@ TenantRunner::TenantRunner(sim::MultiTenantSystem& system,
   for (unsigned vf = 0; vf < system_.tenants(); ++vf) {
     buffers_.push_back(
         std::make_unique<sim::HostBuffer>(tenant_buffer_config(params_, vf)));
-    system_.attach_buffer(vf, buffers_.back().get());
+    system_.attach_buffer(buffers_.back().get(), vf);
   }
   // Cache-state preparation, one tenant at a time (deterministic even
   // when the weakened uncore makes them all the same physical cache).
@@ -58,10 +57,10 @@ TenantRunner::TenantRunner(sim::MultiTenantSystem& system,
       case CacheState::Thrash:
         break;
       case CacheState::HostWarm:
-        system_.warm_host(vf, *buffers_[vf], 0, params_.window_bytes);
+        system_.warm_host(*buffers_[vf], 0, params_.window_bytes, vf);
         break;
       case CacheState::DeviceWarm:
-        system_.warm_device(vf, *buffers_[vf], 0, params_.window_bytes);
+        system_.warm_device(*buffers_[vf], 0, params_.window_bytes, vf);
         break;
     }
   }
@@ -117,7 +116,6 @@ std::vector<TenantResult> TenantRunner::run() {
     s.seq = std::make_unique<AddressSequence>(p, *buffers_[vf]);
     s.remaining = params_.warmup + params_.iterations;
     s.discard = params_.warmup;
-    auto& dev = system_.device(vf);
 
     auto complete_op = [&, vf] {
       VfState& v = st[vf];
@@ -180,7 +178,6 @@ std::vector<TenantResult> TenantRunner::run() {
     };
     system_.function(vf).set_write_observer(on_write_retire);
     system_.function(vf).set_write_drop_observer(on_write_retire);
-    (void)dev;
   }
 
   for (unsigned vf = 0; vf < system_.tenants(); ++vf) {
@@ -220,7 +217,7 @@ std::vector<TenantResult> TenantRunner::run() {
   return results;
 }
 
-std::vector<TenantResult> run_tenant_bench(sim::MultiTenantSystem& system,
+std::vector<TenantResult> run_tenant_bench(sim::System& system,
                                            const BenchParams& params) {
   return TenantRunner(system, params).run();
 }

@@ -1,12 +1,12 @@
 // Multi-tenant benchmark driver: one closed-loop DMA workload per VF, all
-// tenants running concurrently on one sim::MultiTenantSystem.
+// tenants running concurrently on one sim::System port.
 //
 // Each VF gets its own HostBuffer at a distinct IOVA base (no aliasing in
 // caches or the IO-TLB) and a seed-perturbed copy of the shared
 // BenchParams, and executes its ops strictly serially — op N+1 issues when
 // op N completes — while the VFs interleave on the shared fabric. Per-op
 // latency lands in a per-VF obs::Digest whose canonical serialization,
-// together with MultiTenantSystem::counters_line, is the victim artifact
+// together with System::counters_line, is the victim artifact
 // the tenant chaos campaign compares byte-for-byte between
 // attacker-armed and attacker-stripped runs (docs/ISOLATION.md).
 //
@@ -24,7 +24,7 @@
 #include "core/params.hpp"
 #include "obs/digest.hpp"
 #include "sim/host_buffer.hpp"
-#include "sim/vf.hpp"
+#include "sim/system.hpp"
 
 namespace pcieb::core {
 
@@ -32,7 +32,7 @@ namespace pcieb::core {
 struct TenantResult {
   unsigned vf = 0;
   obs::Digest latency;        ///< per-op latency, picoseconds
-  std::string counters;       ///< MultiTenantSystem::counters_line(vf)
+  std::string counters;       ///< System::counters_line(vf)
   std::uint64_t ops = 0;      ///< measured ops (excludes warmup)
   std::uint64_t payload_bytes = 0;       ///< offered payload (measured ops)
   std::uint64_t lost_payload_bytes = 0;  ///< lost to faults in-phase
@@ -45,7 +45,7 @@ class TenantRunner {
   /// Prepares per-VF buffers and cache state. `params` applies to every
   /// tenant; each VF's address stream and buffer layout are perturbed by
   /// its index so tenants never share a reference pattern.
-  TenantRunner(sim::MultiTenantSystem& system, const BenchParams& params);
+  TenantRunner(sim::System& system, const BenchParams& params);
 
   /// Run every tenant's workload to completion (one sim::run) and return
   /// one result per VF.
@@ -54,13 +54,13 @@ class TenantRunner {
   const sim::HostBuffer& buffer(unsigned vf) const { return *buffers_.at(vf); }
 
  private:
-  sim::MultiTenantSystem& system_;
+  sim::System& system_;
   BenchParams params_;
   std::vector<std::unique_ptr<sim::HostBuffer>> buffers_;
 };
 
 /// Convenience wrapper: construct + run.
-std::vector<TenantResult> run_tenant_bench(sim::MultiTenantSystem& system,
+std::vector<TenantResult> run_tenant_bench(sim::System& system,
                                            const BenchParams& params);
 
 }  // namespace pcieb::core

@@ -2,7 +2,8 @@
 // commits its posted writes and answers its reads, the DMA engine that
 // issues them, its AER log, watchdog and recovery ladder, and the write
 // observers and lost-write tally the benchmarks and invariant monitors
-// read. A sim::System holds one; a sim::MultiTenantSystem one per VF.
+// read. A sim::System holds one per function on its port: one for the
+// paper's device, one per SR-IOV VF on a shared port.
 //
 // What a function does to its own ledgers is wired here once: the write
 // commit, RC-drop and FLR-abort hooks, up-link write-drop accounting, the

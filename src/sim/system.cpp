@@ -1,6 +1,7 @@
 #include "sim/system.hpp"
 
-#include "obs/profiler.hpp"
+#include <algorithm>
+#include <stdexcept>
 
 namespace pcieb::sim {
 
@@ -8,7 +9,74 @@ namespace {
 
 const SystemConfig& validated(const SystemConfig& cfg) {
   cfg.link.validate();
+  const unsigned n = cfg.tenants;
+  if (n < 1 || n > 64) {
+    throw std::invalid_argument("tenants must be in 1..64, got " +
+                                std::to_string(n));
+  }
+  if (!cfg.weights.empty()) {
+    if (cfg.weights.size() != n) {
+      throw std::invalid_argument("weights must name every tenant (" +
+                                  std::to_string(cfg.weights.size()) +
+                                  " vs " + std::to_string(n) + " tenants)");
+    }
+    if (!cfg.isolation.tdm_link) {
+      throw std::invalid_argument(
+          "weights need TDM link isolation: a shared FIFO link has no lanes "
+          "to weight");
+    }
+    if (std::find(cfg.weights.begin(), cfg.weights.end(), 0u) !=
+        cfg.weights.end()) {
+      throw std::invalid_argument("zero arbitration weight");
+    }
+  }
+  if (!cfg.ddio_quota.empty()) {
+    if (cfg.ddio_quota.size() != n) {
+      throw std::invalid_argument("ddio quota must name every tenant (" +
+                                  std::to_string(cfg.ddio_quota.size()) +
+                                  " vs " + std::to_string(n) + " tenants)");
+    }
+    if (!cfg.isolation.per_vf_uncore) {
+      throw std::invalid_argument(
+          "ddio quota needs per-VF uncore isolation: a shared uncore has no "
+          "slices to give a quota");
+    }
+  }
   return cfg;
+}
+
+/// Per-VF LLC slices exist only on a shared port with per_vf_uncore.
+bool sliced(const SystemConfig& cfg) {
+  return cfg.tenants > 1 && cfg.isolation.per_vf_uncore;
+}
+
+/// Memory system `i`'s LLC: a per-VF slice is an equal share of the
+/// configured capacity (floor one full set); any memory system takes its
+/// function's DDIO-way quota.
+CacheConfig cache_of(const SystemConfig& cfg, unsigned i) {
+  CacheConfig c = cfg.cache;
+  if (sliced(cfg)) {
+    const std::uint64_t min_bytes =
+        static_cast<std::uint64_t>(c.ways) * c.line_bytes;
+    c.size_bytes =
+        std::max<std::uint64_t>(min_bytes, c.size_bytes / cfg.tenants);
+  }
+  if (!cfg.ddio_quota.empty()) {
+    if (cfg.ddio_quota[i] > c.ways) {
+      throw std::invalid_argument(
+          "ddio quota for vf " + std::to_string(i) + " (" +
+          std::to_string(cfg.ddio_quota[i]) + " ways) exceeds cache ways (" +
+          std::to_string(c.ways) + ")");
+    }
+    c.ddio_ways = cfg.ddio_quota[i];
+  }
+  return c;
+}
+
+/// Memory system `i`'s jitter seed: a per-VF slice draws an independent
+/// stream (a golden-ratio stride keeps the seeds distinct for any base).
+std::uint64_t seed_of(const SystemConfig& cfg, unsigned i) {
+  return sliced(cfg) ? cfg.seed + 0x9e3779b97f4a7c15ull * (i + 1) : cfg.seed;
 }
 
 }  // namespace
@@ -20,9 +88,17 @@ System::System(const SystemConfig& cfg, const obs::ProfScope& /*build*/)
     : cfg_(validated(cfg)),
       up_(sim_, cfg_.link, cfg_.up_propagation, cfg_.dll),
       down_(sim_, cfg_.link, cfg_.down_propagation, cfg_.dll),
-      mem_(sim_, cfg_.cache, cfg_.mem, cfg_.jitter, cfg_.seed),
-      iommu_(sim_, cfg_.iommu),
-      fn_(sim_, cfg_, mem_, iommu_, up_, down_) {
+      mems_([this](Slots<MemorySystem>& mems) {
+        for (unsigned i = 0; i < (sliced(cfg_) ? cfg_.tenants : 1); ++i) {
+          mems.emplace_back(sim_, cache_of(cfg_, i), cfg_.mem, cfg_.jitter,
+                            seed_of(cfg_, i));
+        }
+      }),
+      iommu_(sim_, cfg_.iommu) {
+  for (unsigned f = 0; f < cfg_.tenants; ++f) {
+    fns_.emplace_back(sim_, cfg_, memory(f), iommu_, up_, down_);
+  }
+  if (shared()) port_aer_ = std::make_unique<fault::AerLog>();
   wire();
 }
 
@@ -30,35 +106,117 @@ void System::reset(const SystemConfig& cfg) {
   obs::ProfScope prof(obs::CostCenter::SystemBuild);
   cfg_ = validated(cfg);
   // Per-trial machinery first: the simulator's step hook points into the
-  // watchdog and the AER listener into the recovery ladder, so both are
-  // detached (sim_.reset(), then inside fn_.reset()) before the function
-  // destroys either.
+  // watchdogs and the AER listeners into the recovery ladders, so both are
+  // detached (sim_.reset(), then inside each function's reset()) before
+  // the functions destroy either.
   sim_.reset();
-  fn_.reset();
+  for (PcieFunction& f : fns_) f.reset();
   injector_.reset();
   up_.reset(cfg_.dll);
   down_.reset(cfg_.dll);
-  mem_.reset(cfg_.seed);
+  for (unsigned i = 0; i < mems_.size(); ++i) mems_[i].reset(seed_of(cfg_, i));
   iommu_.reset();
+  if (port_aer_) port_aer_->reset();
   trace_ = nullptr;
+  device_wide_actions_ = 0;
   test_leak_credits_on_drop_ = false;
+  test_misroute_ = false;
+  misroute_pending_ = -1;
   wire();
 }
 
 void System::wire() {
-  up_.set_deliver(
-      [this](const proto::Tlp& t) { fn_.root_complex().on_upstream(t); });
-  down_.set_deliver(
-      [this](const proto::Tlp& t) { fn_.device().on_downstream(t); });
+  // Error reporting is always on; the injector arms only with a plan,
+  // keeping plan-free runs bit-identical to the seed. A lone function's
+  // log is the port's.
+  up_.set_aer(&port_aer());
+  down_.set_aer(&port_aer());
+  iommu_.set_aer(&port_aer());
+  if (!shared()) {
+    // A lone function has no RID: every TLP on the port is its own.
+    PcieFunction* fn = &fns_[0];
+    up_.set_deliver(
+        [fn](const proto::Tlp& t) { fn->root_complex().on_upstream(t); });
+    down_.set_deliver(
+        [fn](const proto::Tlp& t) { fn->device().on_downstream(t); });
+  } else {
+    // Requester IDs, one TDM lane per VF (tdm_link) and one IOMMU domain
+    // per VF. Upstream TLPs route to the requester function's own root
+    // complex, downstream ones to its device.
+    if (cfg_.isolation.tdm_link) {
+      std::vector<unsigned> w = cfg_.weights;
+      if (w.empty()) w.assign(tenants(), 1);
+      up_.configure_tenants(w);
+      down_.configure_tenants(w);
+    }
+    iommu_.configure_domains(tenants(), cfg_.isolation.per_vf_iotlb);
+    up_.set_deliver([this](const proto::Tlp& t) {
+      if (PcieFunction* fn = addressee(t, /*downstream=*/false)) {
+        fn->root_complex().on_upstream(t);
+      }
+    });
+    down_.set_deliver([this](const proto::Tlp& t) {
+      if (PcieFunction* fn = addressee(t, /*downstream=*/true)) {
+        fn->device().on_downstream(t);
+      }
+    });
+    // Error attribution. TDM mode routes each lane's DLL records
+    // (replays, retrains, drops, poison) to the owning VF's log; the
+    // shared-FIFO weakened link cannot attribute DLL state per tenant, so
+    // those records land in the port log — completer-side errors
+    // (timeouts, UR/CA, IOMMU faults) stay per-VF either way. Physical
+    // link-wide events (SurpriseLinkDown) always go to the port log.
+    for (unsigned f = 0; f < tenants(); ++f) {
+      fns_[f].set_function(f);
+      if (cfg_.isolation.tdm_link) {
+        up_.set_func_aer(f, &fns_[f].aer());
+        down_.set_func_aer(f, &fns_[f].aer());
+      }
+      iommu_.set_domain_aer(f, &fns_[f].aer());
+    }
+  }
 
-  // Error reporting is always on; the injector, read timeouts and
-  // watchdog arm only with a plan, keeping plan-free runs bit-identical
-  // to the seed.
-  up_.set_aer(&fn_.aer());
-  down_.set_aer(&fn_.aer());
-  iommu_.set_aer(&fn_.aer());
   if (!cfg_.fault_plan.empty()) arm_faults();
-  if (cfg_.recovery.enabled) arm_recovery();
+  // Read timeouts and watchdogs arm with a plan. A shared port arms them
+  // unconditionally: the differential identity compares a run with the
+  // attacker's plan armed against one with it stripped, and the victim's
+  // event schedule must not depend on which of the two we are in.
+  if (faults_armed() || shared()) {
+    for (PcieFunction& f : fns_) {
+      f.device().arm_timeouts(true);
+      f.arm_watchdog(cfg_.watchdog, injector_.get());
+    }
+    sim_.set_step_hook(
+        [this](Picos now, std::size_t executed) {
+          for (PcieFunction& f : fns_) f.watchdog()->on_event(now, executed);
+        },
+        cfg_.watchdog.check_every_events);
+  }
+  if (cfg_.recovery.enabled) {
+    for (unsigned f = 0; f < tenants(); ++f) arm_recovery(f);
+  }
+}
+
+PcieFunction* System::addressee(const proto::Tlp& tlp, bool downstream) {
+  // The function number is stamped at the source by our own components,
+  // so an out-of-range RID is a wiring bug — counted into the port log
+  // and dropped, never fatal.
+  if (tlp.func >= fns_.size()) {
+    port_aer_->record(fault::ErrorType::MalformedTlp, sim_.now(), tlp.addr,
+                     tlp.tag, tlp.func);
+    return nullptr;
+  }
+  unsigned target = tlp.func;
+  if (downstream && test_misroute_ &&
+      misroute_pending_ == static_cast<int>(tlp.func) &&
+      (tlp.type == proto::TlpType::CplD || tlp.type == proto::TlpType::Cpl)) {
+    // Seeded bug: deliver the completion to the neighbouring function
+    // without rewriting its RID — the neighbour's requester-ID check is
+    // what must catch it.
+    misroute_pending_ = -1;
+    target = (target + 1) % tenants();
+  }
+  return &fns_[target];
 }
 
 void System::freeze_port() {
@@ -71,74 +229,134 @@ void System::arm_faults() {
   up_.set_fault_injector(injector_.get(), /*upstream=*/true);
   down_.set_fault_injector(injector_.get(), /*upstream=*/false);
   iommu_.set_fault_injector(injector_.get());
-  fn_.root_complex().set_fault_injector(injector_.get());
-  fn_.device().arm_timeouts(true);
+  for (PcieFunction& f : fns_) {
+    f.root_complex().set_fault_injector(injector_.get());
+  }
 
-  // A surprise link-down is a physical event: the port pair goes dark
-  // whether or not a recovery policy is armed. Without one the links stay
-  // blocked forever (workloads terminate via drop accounting and
-  // completion timeouts); the recovery ladder is what brings them back.
+  // A surprise link-down is a physical event: the port pair goes dark —
+  // every tenant — whether or not a recovery policy is armed. Without one
+  // the links stay blocked forever (workloads terminate via drop
+  // accounting and completion timeouts); the recovery ladder is what
+  // brings them back.
   up_.set_linkdown_hook([this] { freeze_port(); });
   down_.set_linkdown_hook([this] { freeze_port(); });
 
   // Dropped reads/completions recover via the device's completion
-  // timeout; a dropped posted write is accounted at the loss site.
+  // timeout; a posted write lost on the up link is accounted at the loss
+  // site, to the function that sent it: its credits, its error log, its
+  // lost goodput.
   up_.set_drop_hook([this](const proto::Tlp& t) {
-    if (t.type != proto::TlpType::MemWr) return;
+    if (test_misroute_) misroute_pending_ = static_cast<int>(t.func);
+    if (t.type != proto::TlpType::MemWr || t.func >= fns_.size()) return;
     // test_leak_credits_on_drop_ omits the credit return (and only the
     // credit return) so monitor self-tests can watch the ledger drift.
-    fn_.drop_posted_write(t, !test_leak_credits_on_drop_);
+    fns_[t.func].drop_posted_write(t, !test_leak_credits_on_drop_);
   });
-
-  fn_.arm_watchdog(cfg_.watchdog, injector_.get());
-  sim_.set_step_hook(
-      [this](Picos now, std::size_t executed) {
-        fn_.watchdog()->on_event(now, executed);
-      },
-      cfg_.watchdog.check_every_events);
 }
 
-void System::arm_recovery() {
+void System::arm_recovery(unsigned f) {
+  PcieFunction* fn = &fns_[f];
   // Recovery needs the read-timeout machinery even without a fault plan:
   // completions discarded during containment must time out and retry (or
   // fail with accounting) rather than strand their tags.
-  fn_.device().arm_timeouts(true);
+  fn->device().arm_timeouts(true);
 
-  // The ladder owns the whole port: every action acts on both links.
+  // A lone function's ladder owns the whole port: every action acts on
+  // both links and nothing it does is a blast-radius expansion. On a
+  // shared port a scoped ladder touches only its own lanes and IOMMU
+  // domain; every action that reaches past them is counted.
+  const bool shared_port = shared();
+  const bool scoped = cfg_.isolation.vf_scoped_recovery;
+  const bool lane_scoped = shared_port && scoped && cfg_.isolation.tdm_link;
+
   fault::RecoveryManager::Actions a;
-  a.downtrain = [this](unsigned lanes, unsigned gen) {
+  a.downtrain = [this, f, lane_scoped, shared_port](unsigned lanes,
+                                                    unsigned gen) {
+    if (lane_scoped) {
+      up_.set_func_recovery_derate(f, lanes, gen);
+      down_.set_func_recovery_derate(f, lanes, gen);
+      return;
+    }
+    // A lone function's burst derates its own port; a weakened VF's
+    // derates every tenant's — a counted expansion.
     up_.set_recovery_derate(lanes, gen);
     down_.set_recovery_derate(lanes, gen);
+    if (shared_port) ++device_wide_actions_;
   };
-  a.restore_link = [this] {
-    up_.clear_recovery_derate();
-    down_.clear_recovery_derate();
+  a.restore_link = [this, f, lane_scoped] {
+    if (lane_scoped) {
+      up_.clear_func_recovery_derate(f);
+      down_.clear_func_recovery_derate(f);
+    } else {
+      up_.clear_recovery_derate();
+      down_.clear_recovery_derate();
+    }
   };
-  a.flr = [this] { fn_.device().function_level_reset(); };
-  a.contain = [this] {
+  a.flr = [this, f, fn, scoped, shared_port] {
+    // Only this function's in-flight work aborts, and a lone function's
+    // FLR leaves the IOMMU alone. A scoped VF rebuilds only its IOMMU
+    // domain; a weakened one flushes every tenant's cached translations —
+    // counted device-wide.
+    fn->device().function_level_reset();
+    if (!shared_port) return;
+    if (scoped) {
+      iommu_.remap_domain(f);
+    } else {
+      iommu_.remap_after_reset();
+      ++device_wide_actions_;
+    }
+  };
+  a.contain = [this, f, fn, lane_scoped, shared_port] {
+    if (lane_scoped) {
+      // Per-VF DPC: freeze only this function's virtual lanes; its host
+      // requests answer UR, everyone else keeps running.
+      up_.set_func_blocked(f, true);
+      down_.set_func_blocked(f, true);
+      fn->root_complex().set_port_contained(true);
+      fn->root_complex().abort_host_reads();
+      return;
+    }
+    // DPC on the whole port: every function's host requests answer UR.
     freeze_port();
-    fn_.root_complex().set_port_contained(true);
-    fn_.root_complex().abort_host_reads();
+    for (PcieFunction& o : fns_) {
+      o.root_complex().set_port_contained(true);
+      o.root_complex().abort_host_reads();
+    }
+    if (shared_port) ++device_wide_actions_;
   };
-  a.hot_reset = [this] {
-    // Re-enumeration: the function resets (tags aborted, write queue
-    // drained, credits re-initialized by conservation), the port
-    // unfreezes and retrains at full width, and the IOMMU mappings are
-    // rebuilt from scratch.
-    fn_.device().function_level_reset();
+  a.hot_reset = [this, shared_port] {
+    // Hot reset + re-enumeration is inherently device-wide no matter how
+    // the ladder is scoped: every function resets (tags aborted, write
+    // queue drained, credits re-initialized by conservation), the port
+    // unfreezes and retrains at full width, and every IOMMU mapping is
+    // rebuilt — on a shared port, the explicit, counted blast-radius
+    // expansion of the escalation ladder.
+    if (shared_port) ++device_wide_actions_;
+    for (PcieFunction& o : fns_) o.device().function_level_reset();
     up_.set_blocked(false);
     down_.set_blocked(false);
     up_.clear_recovery_derate();
     down_.clear_recovery_derate();
-    fn_.root_complex().set_port_contained(false);
+    if (shared_port && cfg_.isolation.tdm_link) {
+      for (unsigned o = 0; o < tenants(); ++o) {
+        up_.set_func_blocked(o, false);
+        down_.set_func_blocked(o, false);
+        up_.clear_func_recovery_derate(o);
+        down_.clear_func_recovery_derate(o);
+      }
+    }
+    for (PcieFunction& o : fns_) o.root_complex().set_port_contained(false);
     iommu_.remap_after_reset();
   };
   a.on_transition = [this] {
-    // Containment and reset windows are intentionally quiet; re-prime so
-    // the stall detector never mistakes them for a hang.
-    if (fn_.watchdog()) fn_.watchdog()->reprime();
+    // Containment and reset windows are intentionally quiet — and a
+    // device-wide action quiets *every* tenant — so every stall detector
+    // re-primes and none mistakes the window for a hang.
+    for (PcieFunction& o : fns_) {
+      if (o.watchdog()) o.watchdog()->reprime();
+    }
   };
-  fn_.arm_recovery(cfg_.recovery, std::move(a));
+  fn->arm_recovery(cfg_.recovery, std::move(a));
 }
 
 void System::set_trace_sink(obs::TraceSink* sink) {
@@ -146,8 +364,8 @@ void System::set_trace_sink(obs::TraceSink* sink) {
   up_.set_trace(sink, obs::Component::LinkUp);
   down_.set_trace(sink, obs::Component::LinkDown);
   iommu_.set_trace(sink);
-  mem_.set_trace(sink);
-  fn_.set_trace(sink);
+  for (MemorySystem& m : mems_) m.set_trace(sink);
+  for (PcieFunction& f : fns_) f.set_trace(sink);
 }
 
 void System::register_counters(obs::CounterRegistry& reg) {
@@ -176,7 +394,7 @@ void System::register_counters(obs::CounterRegistry& reg) {
   link_counters("link.up", &up_);
   link_counters("link.down", &down_);
 
-  DmaDevice* dev = &fn_.device();
+  DmaDevice* dev = &device();
   const DmaDevice::CounterSources ds = dev->counter_sources();
   reg.add_counter("device.reads_completed", ds.reads_completed);
   reg.add_counter("device.writes_sent", ds.writes_sent);
@@ -192,7 +410,7 @@ void System::register_counters(obs::CounterRegistry& reg) {
   reg.add_gauge("device.read_tags_in_use",
                 [dev] { return double(dev->read_tags_in_use()); });
 
-  RootComplex* rc = &fn_.root_complex();
+  RootComplex* rc = &root_complex();
   const RootComplex::CounterSources rs = rc->counter_sources();
   reg.add_counter("rc.reads", rs.reads);
   reg.add_counter("rc.writes_committed", rs.writes_committed);
@@ -215,7 +433,7 @@ void System::register_counters(obs::CounterRegistry& reg) {
   reg.add_counter("iommu.tlb_evictions", ms.tlb_evictions);
   reg.add_counter("iommu.faults", ms.faults);
 
-  const fault::AerLog* aer = &fn_.aer();
+  const fault::AerLog* aer = &this->aer();
   reg.add_counter("aer.correctable", [aer] {
     return double(aer->total(fault::ErrorSeverity::Correctable));
   });
@@ -226,20 +444,21 @@ void System::register_counters(obs::CounterRegistry& reg) {
     return double(aer->total(fault::ErrorSeverity::Fatal));
   });
 
-  const LastLevelCache::CounterSources cs = mem_.cache().counter_sources();
+  MemorySystem& mem = memory();
+  const LastLevelCache::CounterSources cs = mem.cache().counter_sources();
   reg.add_counter("cache.hits", cs.hits);
   reg.add_counter("cache.misses", cs.misses);
   reg.add_counter("cache.dirty_evictions", cs.dirty_evictions);
   reg.add_counter("cache.ddio_allocations", cs.ddio_allocations);
   reg.add_counter("cache.ddio_evictions", cs.ddio_evictions);
 
-  const MemorySystem::CounterSources es = mem_.counter_sources();
+  const MemorySystem::CounterSources es = mem.counter_sources();
   reg.add_counter("mem.reads", es.reads);
   reg.add_counter("mem.writes", es.writes);
 
   // Recovery-ladder counters register only when a policy is armed, so
   // recovery-free counter CSVs stay bit-identical to previous releases.
-  if (fault::RecoveryManager* rec = fn_.recovery()) {
+  if (fault::RecoveryManager* rec = recovery()) {
     reg.add_counter("recovery.transitions",
                     [rec] { return double(rec->transitions()); });
     reg.add_counter("recovery.downtrains",
@@ -274,19 +493,126 @@ void System::register_counters(obs::CounterRegistry& reg) {
   }
 }
 
+std::string System::counters_line(unsigned f) const {
+  const PcieFunction& fn = function(f);
+  std::string out;
+  out.reserve(1024);
+  auto add = [&out](const char* key, std::uint64_t value) {
+    if (!out.empty()) out += ' ';
+    out += key;
+    out += '=';
+    out += std::to_string(value);
+  };
+
+  const DmaDevice& dev = fn.device();
+  add("dev.reads_completed", dev.reads_completed());
+  add("dev.writes_sent", dev.writes_sent());
+  add("dev.read_reqs_issued", dev.read_requests_issued());
+  add("dev.read_reqs_retired", dev.read_requests_retired());
+  add("dev.read_bytes_requested", dev.read_payload_requested());
+  add("dev.read_bytes_delivered", dev.read_payload_delivered());
+  add("dev.write_bytes_issued", dev.write_payload_issued());
+  add("dev.completion_timeouts", dev.completion_timeouts());
+  add("dev.read_retries", dev.read_retries());
+  add("dev.reads_failed", dev.reads_failed());
+  add("dev.failed_read_bytes", dev.failed_read_bytes());
+  add("dev.unexpected_cpls", dev.unexpected_completions());
+  add("dev.error_cpls", dev.error_completions_received());
+  add("dev.poisoned_rx", dev.poisoned_received());
+  add("dev.flrs", dev.flr_count());
+  add("dev.flr_aborted_reads", dev.flr_aborted_reads());
+  add("dev.flr_dropped_writes", dev.flr_dropped_writes());
+  add("dev.foreign_tlps", dev.foreign_tlps());
+
+  const RootComplex& rc = fn.root_complex();
+  add("rc.reads", rc.reads_handled());
+  add("rc.writes_committed", rc.writes_committed());
+  add("rc.write_bytes", rc.write_bytes_committed());
+  add("rc.writes_dropped", rc.writes_dropped());
+  add("rc.writes_rejected", rc.writes_rejected());
+  add("rc.write_bytes_dropped", rc.write_bytes_dropped());
+  add("rc.malformed_tlps", rc.malformed_tlps());
+  add("rc.poisoned_dropped", rc.poisoned_dropped());
+  add("rc.unexpected_cpls", rc.unexpected_completions());
+  add("rc.error_cpls", rc.error_completions());
+  add("rc.contained_host_reads", rc.contained_host_reads());
+
+  // A function's lane is its TDM lane, or a lone function's one lane.
+  // The shared-FIFO weakened link has no per-tenant DLL state to report;
+  // its keys stay in the schema (zeroed) so lines from either mode align
+  // column-for-column.
+  Link::FuncCounters up{};
+  Link::FuncCounters down{};
+  if (!shared() || cfg_.isolation.tdm_link) {
+    up = up_.func_counters(f);
+    down = down_.func_counters(f);
+  }
+  add("lane.up.tlps", up.tlps);
+  add("lane.up.wire_bytes", up.wire_bytes);
+  add("lane.up.payload_bytes", up.payload_bytes);
+  add("lane.up.replays", up.replays);
+  add("lane.up.replay_timeouts", up.replay_timeouts);
+  add("lane.up.retrains", up.retrains);
+  add("lane.up.dropped", up.dropped);
+  add("lane.up.poisoned", up.poisoned);
+  add("lane.up.blocked_drops", up.blocked_drops);
+  add("lane.down.tlps", down.tlps);
+  add("lane.down.wire_bytes", down.wire_bytes);
+  add("lane.down.payload_bytes", down.payload_bytes);
+  add("lane.down.replays", down.replays);
+  add("lane.down.replay_timeouts", down.replay_timeouts);
+  add("lane.down.retrains", down.retrains);
+  add("lane.down.dropped", down.dropped);
+  add("lane.down.poisoned", down.poisoned);
+  add("lane.down.blocked_drops", down.blocked_drops);
+
+  // A VF reports its own IOMMU domain; a lone function owns the IOMMU.
+  if (shared()) {
+    const Iommu::DomainStats& d = iommu_.domain_stats(f);
+    add("iommu.hits", d.hits);
+    add("iommu.misses", d.misses);
+    add("iommu.evictions", d.evictions);
+    add("iommu.faults", d.faults);
+    add("iommu.remaps", d.remaps);
+  } else {
+    add("iommu.hits", iommu_.tlb_hits());
+    add("iommu.misses", iommu_.tlb_misses());
+    add("iommu.evictions", iommu_.tlb_evictions());
+    add("iommu.faults", iommu_.faults());
+    add("iommu.remaps", iommu_.remaps());
+  }
+
+  add("aer.correctable", fn.aer().total(fault::ErrorSeverity::Correctable));
+  add("aer.nonfatal", fn.aer().total(fault::ErrorSeverity::NonFatal));
+  add("aer.fatal", fn.aer().total(fault::ErrorSeverity::Fatal));
+  add("lost_write_bytes", fn.lost_write_bytes());
+
+  if (const fault::RecoveryManager* rec = fn.recovery()) {
+    add("recovery.transitions", rec->transitions());
+    add("recovery.downtrains", rec->downtrains());
+    add("recovery.restores", rec->restores());
+    add("recovery.flrs", rec->flrs());
+    add("recovery.containments", rec->containments());
+    add("recovery.hot_resets", rec->hot_resets());
+    add("recovery.quarantines", rec->quarantines());
+    add("recovery.state", static_cast<unsigned>(rec->state()));
+  }
+  return out;
+}
+
 void System::warm_host(const HostBuffer& buf, std::uint64_t offset,
-                       std::uint64_t len) {
+                       std::uint64_t len, unsigned f) {
   // The buffer's IOVA range is contiguous, so this is the bulk (lazily
   // materialized) form of host_touch(buf.iova(o), true) per line.
-  mem_.cache().warm_host_range(buf.window_iova(offset, len), len,
-                                /*dirty=*/true);
+  memory(f).cache().warm_host_range(buf.window_iova(offset, len), len,
+                                    /*dirty=*/true);
 }
 
 void System::warm_device(const HostBuffer& buf, std::uint64_t offset,
-                         std::uint64_t len) {
-  mem_.cache().warm_device_range(buf.window_iova(offset, len), len);
+                         std::uint64_t len, unsigned f) {
+  memory(f).cache().warm_device_range(buf.window_iova(offset, len), len);
 }
 
-void System::thrash_cache() { mem_.cache().thrash(); }
+void System::thrash_cache(unsigned f) { memory(f).cache().thrash(); }
 
 }  // namespace pcieb::sim

@@ -5,12 +5,26 @@
 // Addressing note: DMA targets are IOVAs; with the IOMMU disabled Linux
 // direct-maps DMA, and with it enabled our page mappings are identity at
 // the chunk level, so the memory system indexes caches by IOVA directly.
+//
+// One port holds 1..64 PCIe functions (SystemConfig::tenants). The paper's
+// device is the one-function case and owns the whole port. Several
+// functions are SR-IOV VFs sharing it, each a first-class tenant with its
+// own requester ID and tag space, IOMMU domain, AER log, watchdog and
+// recovery ladder (docs/ISOLATION.md). Everything a shared port adds is a
+// branch on shared(), and each follows from "a lone function owns the
+// port": it has no requester ID, one memory system on `seed`, no TDM lanes
+// or IOMMU domains, its own AER log as the port's, timeouts and a watchdog
+// only with a fault plan, and a ladder that derates, contains and
+// hot-resets the whole port.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <stdexcept>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "fault/aer.hpp"
 #include "fault/injector.hpp"
@@ -33,6 +47,30 @@
 
 namespace pcieb::sim {
 
+/// Which isolation mechanisms a shared port keeps in force, all armed by
+/// default (docs/ISOLATION.md tabulates them). Each knob off falls back to
+/// the plain shape every VF then shares: one FIFO wire (tdm_link), one
+/// IO-TLB pool that stays domain-keyed (per_vf_iotlb), one memory system
+/// and jitter stream (per_vf_uncore), and recovery actions that hit the
+/// whole device (vf_scoped_recovery). `armed()` is the configuration under
+/// which the differential identity must hold exactly: a victim VF's latency
+/// digest and counters are byte-identical whether or not an attacker VF's
+/// fault plan is armed.
+struct TenantIsolation {
+  bool tdm_link = true;
+  bool per_vf_iotlb = true;
+  bool per_vf_uncore = true;
+  bool vf_scoped_recovery = true;
+
+  bool armed() const {
+    return tdm_link && per_vf_iotlb && per_vf_uncore && vf_scoped_recovery;
+  }
+  static TenantIsolation all_armed() { return {}; }
+  static TenantIsolation all_weakened() {
+    return {false, false, false, false};
+  }
+};
+
 struct SystemConfig {
   std::string name = "generic";
   proto::LinkConfig link;
@@ -47,79 +85,130 @@ struct SystemConfig {
   Picos down_propagation = from_nanos(140);
   /// DLL recovery parameters (ACK latency, REPLAY_TIMER/NUM, retrain).
   LinkDllConfig dll;
-  /// Deterministic fault plan; empty keeps the system entirely fault-free
-  /// (no injector, no read timeouts, no watchdog — seed benchmarks stay
-  /// bit-identical).
+  /// Deterministic fault plan; empty keeps a one-function port entirely
+  /// fault-free (no injector, no read timeouts, no watchdog — seed
+  /// benchmarks stay bit-identical).
   fault::FaultPlan fault_plan;
-  /// Watchdog thresholds; armed together with the fault plan.
+  /// Watchdog thresholds; armed together with the fault plan (always, on
+  /// a shared port).
   fault::WatchdogConfig watchdog;
   /// Error containment & recovery escalation ladder (AER-driven
   /// downtrain, FLR, DPC containment, hot reset); disabled by default —
   /// when off the manager is never constructed and nothing changes.
   fault::RecoveryPolicy recovery;
   std::uint64_t seed = 1;
+  /// PCIe functions on the port (1..64); more than one are SR-IOV VFs.
+  unsigned tenants = 1;
+  /// Link arbitration weight per function; empty = equal shares. Needs
+  /// isolation.tdm_link: a shared FIFO has no lanes to weight.
+  std::vector<unsigned> weights;
+  /// DDIO ways per function's LLC; empty keeps cache.ddio_ways. Needs
+  /// isolation.per_vf_uncore: a shared uncore has no slices to give one.
+  std::vector<unsigned> ddio_quota;
+  TenantIsolation isolation;
 };
 
 class System {
  public:
+  /// Throws std::invalid_argument on a malformed link or tenant shape.
   explicit System(const SystemConfig& cfg);
+  /// Every component's hooks capture `this` or a function's address.
+  System(const System&) = delete;
+  System& operator=(const System&) = delete;
 
   /// Trial-reuse reset: rewind every component to its just-constructed
   /// state and re-arm from `cfg`, without reallocating the component
   /// graph. `cfg` must describe the same system *shape* as construction —
-  /// identical link, cache, memory, IOMMU, RC, device, jitter, propagation
-  /// and seed fields; only the per-trial fields (fault_plan, watchdog,
-  /// recovery) may differ. Used by check::run_campaign to reuse one pooled
-  /// System per system spec; the reset-vs-fresh property test pins
-  /// byte-identical behaviour.
+  /// identical link, cache, memory, IOMMU, RC, device, jitter, propagation,
+  /// seed and tenant fields; only the per-trial fields (fault_plan,
+  /// watchdog, recovery) may differ. Used by check::run_campaign to reuse
+  /// one pooled System per system spec; the reset-vs-fresh property tests
+  /// pin byte-identical behaviour.
   void reset(const SystemConfig& cfg);
 
   Simulator& sim() { return sim_; }
-  /// The port's one PCIe function: RC, DMA engine and their ledgers.
-  PcieFunction& function() { return fn_; }
-  DmaDevice& device() { return fn_.device(); }
-  RootComplex& root_complex() { return fn_.root_complex(); }
-  MemorySystem& memory() { return mem_; }
+  const SystemConfig& config() const { return cfg_; }
+  unsigned tenants() const { return static_cast<unsigned>(fns_.size()); }
+  /// Several functions share the port (SR-IOV); one owns it.
+  bool shared() const { return fns_.size() > 1; }
+
+  /// Function `f`'s RC, DMA engine and their ledgers.
+  PcieFunction& function(unsigned f = 0) { return fns_.at(f); }
+  const PcieFunction& function(unsigned f = 0) const { return fns_.at(f); }
+  DmaDevice& device(unsigned f = 0) { return function(f).device(); }
+  RootComplex& root_complex(unsigned f = 0) {
+    return function(f).root_complex();
+  }
+  /// Function `f`'s memory system: its own LLC slice with per_vf_uncore on
+  /// a shared port, otherwise the port's one memory system.
+  MemorySystem& memory(unsigned f = 0) {
+    return mems_.size() == 1 ? mems_[0] : mems_.at(f);
+  }
   Iommu& iommu() { return iommu_; }
   Link& upstream() { return up_; }
   Link& downstream() { return down_; }
-  const SystemConfig& config() const { return cfg_; }
 
-  /// Register the benchmark buffer so NUMA locality resolves per-address.
-  void attach_buffer(const HostBuffer* buf) { fn_.attach_buffer(buf); }
+  /// Register function `f`'s benchmark buffer so NUMA locality resolves
+  /// per-address.
+  void attach_buffer(const HostBuffer* buf, unsigned f = 0) {
+    function(f).attach_buffer(buf);
+  }
 
-  /// Observe posted-write commits (payload bytes) — used to time BW_WR.
-  /// See PcieFunction::set_write_observer for the lifetime rule.
+  /// Observe function 0's posted-write commits (payload bytes) — used to
+  /// time BW_WR. See PcieFunction::set_write_observer for the lifetime
+  /// rule.
   using WriteObserver = PcieFunction::WriteObserver;
   void set_write_observer(WriteObserver obs) {
-    fn_.set_write_observer(std::move(obs));
+    function().set_write_observer(std::move(obs));
   }
 
-  /// Observe posted-write payload lost to a drop anywhere on the path
-  /// (link loss, poisoned/malformed reject, IOMMU fault) — BW_WR uses
-  /// commits + drops to terminate under faults and report goodput.
+  /// Observe function 0's posted-write payload lost to a drop anywhere on
+  /// the path (link loss, poisoned/malformed reject, IOMMU fault) — BW_WR
+  /// uses commits + drops to terminate under faults and report goodput.
   void set_write_drop_observer(WriteObserver obs) {
-    fn_.set_write_drop_observer(std::move(obs));
+    function().set_write_drop_observer(std::move(obs));
   }
-  /// Posted-write payload bytes lost to drops so far.
-  std::uint64_t lost_write_bytes() const { return fn_.lost_write_bytes(); }
+  /// Function 0's posted-write payload bytes lost to drops so far.
+  std::uint64_t lost_write_bytes() const {
+    return function().lost_write_bytes();
+  }
 
   // --- fault machinery (armed iff config().fault_plan is non-empty) ----
-  /// AER-style error log; always attached, cheap when nothing records.
-  fault::AerLog& aer() { return fn_.aer(); }
-  const fault::AerLog& aer() const { return fn_.aer(); }
+  /// Function `f`'s AER log (completer errors, timeouts, and per-lane DLL
+  /// records in TDM mode); always attached, cheap when nothing records.
+  fault::AerLog& aer(unsigned f = 0) { return function(f).aer(); }
+  /// Where link-wide and unattributed errors land: a lone function's own
+  /// log, or a shared port's separate log, which deliberately has no
+  /// recovery listener — a dead port is not one tenant's ladder to run.
+  fault::AerLog& port_aer() { return shared() ? *port_aer_ : aer(); }
   /// The active injector, or nullptr when no fault plan is armed.
   fault::FaultInjector* fault_injector() { return injector_.get(); }
-  fault::Watchdog* watchdog() { return fn_.watchdog(); }
+  /// Function `f`'s watchdog, or nullptr when unarmed.
+  fault::Watchdog* watchdog(unsigned f = 0) { return function(f).watchdog(); }
   bool faults_armed() const { return injector_ != nullptr; }
-  /// The recovery ladder, or nullptr when config().recovery is disabled.
-  fault::RecoveryManager* recovery() { return fn_.recovery(); }
-  const fault::RecoveryManager* recovery() const { return fn_.recovery(); }
+  /// Function `f`'s recovery ladder, or nullptr when config().recovery is
+  /// disabled.
+  fault::RecoveryManager* recovery(unsigned f = 0) {
+    return function(f).recovery();
+  }
+
+  /// Device-wide recovery actions performed on behalf of a single VF's
+  /// ladder — the blast-radius expansion count. Zero on a one-function
+  /// port (its ladder owns the port) and for a fully-armed shared port
+  /// that never escalates past VF-level FLR.
+  std::uint64_t device_wide_actions() const { return device_wide_actions_; }
 
   /// Call once the event queue drains: throws fault::WatchdogError when
-  /// transactions are still outstanding (swallowed completion with no
-  /// timeout armed). No-op when faults are unarmed.
-  void check_deadlock() { fn_.check_deadlock(); }
+  /// any function still has transactions outstanding (swallowed
+  /// completion with no timeout armed). No-op for unarmed watchdogs.
+  void check_deadlock() {
+    for (PcieFunction& f : fns_) f.check_deadlock();
+  }
+
+  /// Canonical per-function counter line ("k=v k=v ..."), the tenant-chaos
+  /// identity artifact: every counter that describes function `f`'s
+  /// observable behaviour, none that aggregates across tenants.
+  std::string counters_line(unsigned f) const;
 
   /// TEST-ONLY bug seeding for the invariant monitors (check::MonitorSuite
   /// self-tests): when enabled, the up-link drop path "forgets" to return
@@ -130,26 +219,40 @@ class System {
   void test_leak_credits_on_drop(bool on) { test_leak_credits_on_drop_ = on; }
   bool test_leaks_credits_on_drop() const { return test_leak_credits_on_drop_; }
 
+  /// TEST-ONLY seeded isolation bug: when enabled, an injector drop of
+  /// one VF's upstream TLP arms a one-shot completion misroute — the next
+  /// downstream completion belonging to that VF is delivered to its
+  /// neighbour's function instead (RID unchanged). The victim's
+  /// requester-ID check counts it (foreign_tlps), which is exactly the
+  /// cross-VF bleed the isolation monitors exist to catch; chaos shrinks
+  /// the trigger to the one-line vf:K fault clause. Never enable outside
+  /// tests/chaos --seed-bug.
+  void test_misroute_completions(bool on) { test_misroute_ = on; }
+  bool test_misroutes_completions() const { return test_misroute_; }
+
   /// Attach a trace sink to every component (nullptr detaches). Costs one
   /// null-pointer check per would-be event when detached.
   void set_trace_sink(obs::TraceSink* sink);
   obs::TraceSink* trace_sink() const { return trace_; }
 
-  /// Register every component's counters and gauges with `reg` under the
-  /// stable names documented in docs/OBSERVABILITY.md. Gauges sample live
-  /// state, so the registry must not outlive this System.
+  /// Register function 0's and the port's counters and gauges with `reg`
+  /// under the stable names documented in docs/OBSERVABILITY.md. Gauges
+  /// sample live state, so the registry must not outlive this System.
   void register_counters(obs::CounterRegistry& reg);
 
   // --- cache state control (the §4 warm/thrash levers) -----------------
+  // Each acts on function `f`'s memory system (the shared one without
+  // per-VF uncore — preparation then overlaps, deterministically, since
+  // functions prepare serially before traffic).
   /// Host warms a window by writing it (dirty lines, any way). Both warms
   /// throw std::out_of_range if the window runs past the buffer's end.
   void warm_host(const HostBuffer& buf, std::uint64_t offset,
-                 std::uint64_t len);
+                 std::uint64_t len, unsigned f = 0);
   /// Device warms a window (models prior DMA writes: DDIO ways, dirty).
   void warm_device(const HostBuffer& buf, std::uint64_t offset,
-                   std::uint64_t len);
+                   std::uint64_t len, unsigned f = 0);
   /// Fill the LLC with unrelated clean lines.
-  void thrash_cache();
+  void thrash_cache(unsigned f = 0);
 
  private:
   /// The public constructor's body: `build` is its SystemBuild profiling
@@ -157,27 +260,93 @@ class System {
   /// member initializers that build every component are charged to it.
   System(const SystemConfig& cfg, const obs::ProfScope& build);
 
-  /// Shared by the constructor and reset(): install the link routing and
-  /// port AER attachments, then arm fault/recovery machinery per cfg_.
-  /// Components must be in their just-constructed (or just-reset) state
-  /// when called.
+  /// Shared by the constructor and reset(): give a shared port its RIDs,
+  /// lanes and domains, install the link routing and AER attachments,
+  /// then arm fault/recovery machinery per cfg_. Components must be in
+  /// their just-constructed (or just-reset) state when called.
   void wire();
   void arm_faults();
-  void arm_recovery();
+  void arm_recovery(unsigned f);
   /// DPC/linkdown port freeze: block both directions. In-flight TLPs are
   /// discarded at delivery time; new sends drop at the entry check.
   void freeze_port();
+  /// The function a shared port delivers `tlp` to (the seeded misroute
+  /// may bend a downstream completion), or nullptr after logging an
+  /// out-of-range RID.
+  PcieFunction* addressee(const proto::Tlp& tlp, bool downstream);
+
+  /// The port's functions or memory systems, each at a fixed address (hooks
+  /// capture them). The first lives inline and the rest on the heap, so a
+  /// one-function port allocates in the order and amount its components
+  /// do: heap-held lone elements measurably slowed sweep set-up.
+  template <typename T>
+  class Slots {
+   public:
+    Slots() = default;
+    /// Built by `fill(*this)`, so a member initializer can place the
+    /// elements before the members declared after it.
+    template <typename Fill>
+    explicit Slots(Fill fill) {
+      fill(*this);
+    }
+
+    template <typename... Args>
+    void emplace_back(Args&&... args) {
+      if (!first_) {
+        first_.emplace(std::forward<Args>(args)...);
+      } else {
+        rest_.push_back(std::make_unique<T>(std::forward<Args>(args)...));
+      }
+    }
+    std::size_t size() const { return first_ ? 1 + rest_.size() : 0; }
+    T& operator[](std::size_t i) { return i == 0 ? *first_ : *rest_[i - 1]; }
+    T& at(std::size_t i) {
+      if (i >= size()) throw std::out_of_range("function index out of range");
+      return (*this)[i];
+    }
+    const T& at(std::size_t i) const { return const_cast<Slots&>(*this).at(i); }
+
+    class Iterator {
+     public:
+      Iterator(Slots* s, std::size_t i) : s_(s), i_(i) {}
+      T& operator*() const { return (*s_)[i_]; }
+      Iterator& operator++() {
+        ++i_;
+        return *this;
+      }
+      bool operator!=(const Iterator& o) const { return i_ != o.i_; }
+
+     private:
+      Slots* s_;
+      std::size_t i_;
+    };
+    Iterator begin() { return {this, 0}; }
+    Iterator end() { return {this, size()}; }
+
+   private:
+    std::optional<T> first_;
+    std::vector<std::unique_ptr<T>> rest_;
+  };
 
   SystemConfig cfg_;
   Simulator sim_;
   Link up_;
   Link down_;
-  MemorySystem mem_;
+  /// One memory system, or one LLC slice per function (per_vf_uncore on
+  /// a shared port).
+  Slots<MemorySystem> mems_;
   Iommu iommu_;
-  PcieFunction fn_;
+  /// One function per VF.
+  Slots<PcieFunction> fns_;
+  /// A shared port's link-wide log (a lone function's own log is the
+  /// port's).
+  std::unique_ptr<fault::AerLog> port_aer_;
   obs::TraceSink* trace_ = nullptr;
   std::unique_ptr<fault::FaultInjector> injector_;
+  std::uint64_t device_wide_actions_ = 0;
   bool test_leak_credits_on_drop_ = false;
+  bool test_misroute_ = false;
+  int misroute_pending_ = -1;  ///< VF whose next completion is misrouted
 };
 
 }  // namespace pcieb::sim

@@ -7,6 +7,8 @@ set -u
 
 PCIEBENCH="${1:?usage: cli_usage_check.sh <path-to-pciebench>}"
 fail=0
+tmpdir="$(mktemp -d /tmp/pcieb-usage-XXXXXX)"
+trap 'rm -rf "$tmpdir"' EXIT
 
 # expect_usage <description> -- <args...>: exit code 2 + stderr diagnostic.
 expect_usage() {
@@ -72,6 +74,8 @@ expect_usage "malformed weights list"  -- "${RUN[@]}" --tenants 2 --weights 1,,2
 expect_usage "non-numeric weight"      -- "${RUN[@]}" --tenants 2 --weights 1,heavy
 expect_usage "quota w/o tenants"       -- "${RUN[@]}" --ddio-quota 2,2
 expect_usage "quota size mismatch"     -- "${RUN[@]}" --tenants 4 --ddio-quota 2
+expect_usage "weights on shared FIFO"  -- "${RUN[@]}" --tenants 4 --isolation weakened --weights 8,1,1,1
+expect_usage "quota on shared uncore"  -- "${RUN[@]}" --tenants 4 --isolation weakened --ddio-quota 1,1,1,1
 expect_usage "tenants with trace"      -- "${RUN[@]}" --tenants 2 --trace /tmp/t.csv
 expect_usage "tenants with telemetry"  -- "${RUN[@]}" --tenants 2 --telemetry
 expect_usage "chaos zero tenants"      -- chaos --trials 1 --tenants 0
@@ -98,17 +102,29 @@ expect_usage "chaos bad backpressure"     -- chaos --trials 1 --offered-load 2 -
 expect_usage "chaos overload + tenants"   -- chaos --trials 1 --offered-load 2 --tenants 2
 
 expect_ok "bare telemetry to stdout" -- "${RUN[@]}" --telemetry
-expect_ok "telemetry to file" -- "${RUN[@]}" --telemetry="$(mktemp -u /tmp/pcieb-usage-XXXXXX.csv)"
+expect_ok "telemetry to file" -- "${RUN[@]}" --telemetry="$tmpdir/tel.csv"
 expect_ok "telemetry with interval" -- "${RUN[@]}" --telemetry --telemetry-interval 500000
 expect_ok "chaos with telemetry" -- chaos --trials 2 --iters 50 --telemetry
 expect_ok "recovery named policy" -- "${RUN[@]}" --recovery aggressive
 expect_ok "recovery with overrides" -- "${RUN[@]}" --recovery default,max-resets=3,holdoff=20us
 expect_ok "chaos recovery + throw-monitors" -- chaos --trials 2 --iters 50 --recovery default --throw-monitors
 expect_ok "tenant run" -- run --system NFP6000-HSW --bench BW_WR --iters 50 --tenants 2
-expect_ok "tenant run full knobs" -- run --system NFP6000-HSW --bench BW_WR --iters 50 --tenants 4 --attacker 1 --isolation weakened --weights 2,1,1,1 --ddio-quota 2,2,2,2
+expect_ok "tenant run full knobs" -- run --system NFP6000-HSW --bench BW_WR --iters 50 --tenants 4 --attacker 1 --weights 2,1,1,1 --ddio-quota 2,2,2,2
 expect_ok "tenant chaos" -- chaos --trials 2 --iters 50 --tenants 2 --attacker 0
 expect_ok "overload quick run" -- overload --system NFP6000-HSW --offered-load 2 --frames 400 --capacity-pps 2000000
 expect_ok "overload coalesce bp monitors" -- overload --system NFP6000-HSW --offered-load 2 --service-mode coalesce --backpressure on --frames 400 --capacity-pps 2000000 --monitors
 expect_ok "overload chaos" -- chaos --trials 2 --iters 200 --offered-load 2 --service-mode coalesce --backpressure on
+
+# The forked-worker chaos banner (stderr) names a planted bug exactly as
+# the in-process banner (stdout) does.
+err=$("$PCIEBENCH" chaos --trials 2 --iters 100 --tenants 4 --attacker 1 \
+    --seed-bug --jobs 1 --no-shrink --journal "$tmpdir/j" 2>&1 >/dev/null)
+banner="$(head -1 <<<"$err")"
+if [[ "$banner" == *"[misroute bug planted]"* ]]; then
+    echo "   ok(isolated chaos banner): '$banner'"
+else
+    echo "FAIL(isolated chaos banner): no planted-bug note in '$banner'" >&2
+    fail=1
+fi
 
 exit $fail

@@ -22,7 +22,6 @@
 #include "sim/multi_system.hpp"
 #include "sim/switched_system.hpp"
 #include "sim/system.hpp"
-#include "sim/vf.hpp"
 #include "sysconfig/profiles.hpp"
 
 namespace pcieb::sim {
@@ -388,7 +387,7 @@ TEST(CacheWarmGeometryTest, RandomShapesEvictionWalk) {
 // the per-line loop the topology used to run (kept here as the
 // reference), then compares the cache state as above.
 
-/// The per-line loops MultiTenantSystem, MultiDeviceSystem and
+/// The per-line loops a shared-port System, MultiDeviceSystem and
 /// SwitchedSystem used to run.
 void per_line_warm_host(LastLevelCache& c, const HostBuffer& buf,
                         std::uint64_t offset, std::uint64_t len) {
@@ -443,12 +442,11 @@ constexpr std::uint64_t kWindow = 3ull << 19;
 TEST(TopologyWarmTest, MultiTenantBulkWarmMatchesPerLineLoop) {
   for (const bool per_vf_uncore : {true, false}) {
     for (const bool device_warm : {false, true}) {
-      MultiTenantConfig cfg;
-      cfg.base = sys::profile_by_name("NFP6000-HSW").config;
+      SystemConfig cfg = sys::profile_by_name("NFP6000-HSW").config;
       cfg.tenants = 4;
       cfg.isolation.per_vf_uncore = per_vf_uncore;
       if (per_vf_uncore) cfg.ddio_quota = {1, 2, 3, 20};
-      MultiTenantSystem bulk(cfg), ref(cfg);
+      System bulk(cfg), ref(cfg);
       std::vector<HostBuffer> bufs;
       for (unsigned vf = 0; vf < cfg.tenants; ++vf) {
         bufs.emplace_back(window_buffer(vf));
@@ -459,10 +457,10 @@ TEST(TopologyWarmTest, MultiTenantBulkWarmMatchesPerLineLoop) {
         bulk.thrash_cache(vf);
         ref.thrash_cache(vf);
         if (device_warm) {
-          bulk.warm_device(vf, bufs[vf], 0, kWindow);
+          bulk.warm_device(bufs[vf], 0, kWindow, vf);
           per_line_warm_device(ref.memory(vf).cache(), bufs[vf], 0, kWindow);
         } else {
-          bulk.warm_host(vf, bufs[vf], 0, kWindow);
+          bulk.warm_host(bufs[vf], 0, kWindow, vf);
           per_line_warm_host(ref.memory(vf).cache(), bufs[vf], 0, kWindow);
         }
       }
@@ -485,17 +483,16 @@ TEST(TopologyWarmTest, SharedUncoreSecondWarmFallsBackIdentically) {
   // Without a thrash between them, the second VF's warm lands on a cache
   // that already holds the first's lazy range: it must fall back to the
   // per-line loop and still match.
-  MultiTenantConfig cfg;
-  cfg.base = sys::profile_by_name("NFP6000-HSW").config;
+  SystemConfig cfg = sys::profile_by_name("NFP6000-HSW").config;
   cfg.tenants = 2;
   cfg.isolation.per_vf_uncore = false;
-  MultiTenantSystem bulk(cfg), ref(cfg);
+  System bulk(cfg), ref(cfg);
   const HostBuffer b0(window_buffer(0)), b1(window_buffer(1));
   bulk.thrash_cache(0);
   ref.thrash_cache(0);
-  bulk.warm_host(0, b0, 0, kWindow);
+  bulk.warm_host(b0, 0, kWindow, 0);
   per_line_warm_host(ref.memory(0).cache(), b0, 0, kWindow);
-  bulk.warm_device(1, b1, 4096, kWindow);
+  bulk.warm_device(b1, 4096, kWindow, 1);
   per_line_warm_device(ref.memory(1).cache(), b1, 4096, kWindow);
   expect_topology_caches_equal(bulk.memory(0).cache(), ref.memory(0).cache(),
                                {&b0, &b1}, kWindow + 4096, "shared two warms");
@@ -587,23 +584,22 @@ TEST(TopologyWarmTest, EveryTopologyRejectsWindowPastBufferEnd) {
   EXPECT_NO_THROW(system.warm_host(buf, size - 64, 64));
   EXPECT_NO_THROW(system.warm_device(buf, size, 0));
 
-  MultiTenantConfig tcfg;
-  tcfg.base = base;
+  SystemConfig tcfg = base;
   tcfg.tenants = 2;
-  MultiTenantSystem tenants(tcfg);
+  System tenants(tcfg);
   expect_rejects_bad_windows(
       tenants.memory(1).cache(), buf,
       [&](std::uint64_t o, std::uint64_t l) {
-        tenants.warm_host(1, buf, o, l);
+        tenants.warm_host(buf, o, l, 1);
       },
-      "MultiTenantSystem::warm_host");
+      "System::warm_host (vf1)");
   expect_rejects_bad_windows(
       tenants.memory(1).cache(), buf,
       [&](std::uint64_t o, std::uint64_t l) {
-        tenants.warm_device(1, buf, o, l);
+        tenants.warm_device(buf, o, l, 1);
       },
-      "MultiTenantSystem::warm_device");
-  EXPECT_NO_THROW(tenants.warm_host(1, buf, 0, size));
+      "System::warm_device (vf1)");
+  EXPECT_NO_THROW(tenants.warm_host(buf, 0, size, 1));
 
   MultiDeviceSystem multi(base, 2);
   expect_rejects_bad_windows(

@@ -15,7 +15,6 @@
 #include "core/tenant_runner.hpp"
 #include "sim/simulator.hpp"
 #include "sim/system.hpp"
-#include "sim/vf.hpp"
 #include "sysconfig/profiles.hpp"
 
 using namespace pcieb;
@@ -141,8 +140,7 @@ TEST(MonitorDispatch, ArmedBenchMatchesDisarmedBitForBit) {
 // ledgers must leave every VF's latency digest, counter line and the
 // executed-event count exactly as an unwatched run produces them.
 TEST(MonitorDispatch, ArmedTenantBenchMatchesDisarmedBitForBit) {
-  sim::MultiTenantConfig cfg;
-  cfg.base = sys::nfp6000_hsw().config;
+  sim::SystemConfig cfg = sys::nfp6000_hsw().config;
   cfg.tenants = 3;
   core::BenchParams p;
   p.kind = core::BenchKind::BwRdWr;
@@ -151,10 +149,10 @@ TEST(MonitorDispatch, ArmedTenantBenchMatchesDisarmedBitForBit) {
   p.iterations = 300;
   p.warmup = 20;
 
-  sim::MultiTenantSystem bare_sys(cfg);
+  sim::System bare_sys(cfg);
   const auto bare = core::run_tenant_bench(bare_sys, p);
 
-  sim::MultiTenantSystem armed_sys(cfg);
+  sim::System armed_sys(cfg);
   check::MonitorSuite suite(armed_sys);
   EXPECT_EQ(armed_sys.sim().monitor_count(), 1u);
   const auto armed = core::run_tenant_bench(armed_sys, p);

@@ -1,9 +1,10 @@
 // Reset-vs-fresh byte identity (the trial-reuse contract): a pooled
 // sim::System that is reset() between trials must behave bit-identically
 // to a freshly constructed one — same events, TLPs, violations, latency
-// digests, recovery digest and summary — across randomized chaos trials.
-// This is the property that makes System pooling in check::run_trial a
-// pure optimization rather than a semantic change.
+// digests, recovery digest and summary — across randomized chaos trials,
+// on a one-function port and on shared (tenant) ports alike. This is the
+// property that makes System pooling in check::run_trial a pure
+// optimization rather than a semantic change.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +13,8 @@
 #include "check/chaos.hpp"
 #include "core/params.hpp"
 #include "core/runner.hpp"
+#include "core/tenant_runner.hpp"
+#include "fault/plan.hpp"
 #include "fault/recovery.hpp"
 #include "sim/system.hpp"
 #include "sysconfig/profiles.hpp"
@@ -147,6 +150,66 @@ TEST(SystemReset, ResetSystemReproducesFreshLatencySamples) {
     EXPECT_EQ(a[i], b[i]) << "sample " << i;
   }
   EXPECT_EQ(want.summary.median_ns, got.summary.median_ns);
+}
+
+// The same identity on shared ports: one tenant-shaped System per shape
+// runs another vf-scoped plan, is reset() with the real one and must
+// replay a fresh System exactly — every VF's latency digest, counter line
+// and recovery digest, the executed events, the blast-radius tally and
+// the port log. reset() drops the links' TDM lanes and the IOMMU's
+// domains; wiring rebuilds them, along with the RIDs and per-VF AER
+// routing.
+TEST(SystemReset, SharedPortResetReproducesFreshTenantRun) {
+  struct Shape {
+    const char* name;
+    unsigned tenants;
+    sim::TenantIsolation isolation;
+  };
+  const Shape shapes[] = {
+      {"armed 4-VF", 4, sim::TenantIsolation::all_armed()},
+      {"weakened 3-VF", 3, sim::TenantIsolation::all_weakened()},
+  };
+  core::BenchParams p;
+  p.kind = core::BenchKind::BwRdWr;
+  p.transfer_size = 256;
+  p.window_bytes = 1ull << 20;
+  p.iterations = 600;
+  p.warmup = 0;
+  p.seed = 7;
+  const auto artifact = [&p](sim::System& system) {
+    std::string out;
+    for (const auto& r : core::run_tenant_bench(system, p)) {
+      out += "vf" + std::to_string(r.vf) + " " + r.latency.serialize() +
+             "\n" + system.counters_line(r.vf) + "\n" +
+             system.recovery(r.vf)->digest() + "\n";
+    }
+    return out + "events=" + std::to_string(system.sim().executed()) +
+           " device_wide=" + std::to_string(system.device_wide_actions()) +
+           " port_aer=" + std::to_string(system.port_aer().recorded());
+  };
+
+  for (const Shape& shape : shapes) {
+    auto cfg = sys::profile_by_name("NFP6000-HSW").config;
+    cfg.tenants = shape.tenants;
+    cfg.isolation = shape.isolation;
+    cfg.recovery = fault::parse_recovery_policy("default");
+    auto other = cfg;
+    cfg.fault_plan = fault::parse_plan("drop@every=15,dir=up,vf=0");
+    other.fault_plan = fault::parse_plan(
+        "poison@every=9,dir=down,vf=1;corrupt@every=40,dir=up,vf=1");
+
+    sim::System fresh(cfg);
+    const std::string want = artifact(fresh);
+    // Not vacuous: a lost posted write is fatal, the ladder escalates to a
+    // device-wide hot reset, and reset() must rewind the blast-radius
+    // tally and every port-wide latch.
+    EXPECT_GT(fresh.device_wide_actions(), 0u) << shape.name;
+
+    sim::System reused(other);
+    (void)artifact(reused);
+    reused.reset(cfg);
+    EXPECT_EQ(artifact(reused), want) << shape.name;
+  }
 }
 
 // Pooling must be on by default (the perf win run_campaign relies on) and

@@ -3,9 +3,10 @@
 // differential identity (victim artifact invariant under an attacker's
 // vf-scoped fault plan), blast-radius accounting with shared recovery,
 // the seeded misroute bug firing the bleed monitor, per-VF ladder
-// convergence, and VF-attributed watchdog deadlock reports. See
+// convergence, VF-attributed watchdog deadlock reports, and a one-function
+// port behaving as the plain System whatever its tenant knobs say. See
 // docs/ISOLATION.md.
-#include "sim/vf.hpp"
+#include "sim/system.hpp"
 
 #include <gtest/gtest.h>
 
@@ -15,20 +16,20 @@
 #include <vector>
 
 #include "check/monitors.hpp"
+#include "core/runner.hpp"
 #include "core/tenant_runner.hpp"
 #include "fault/plan.hpp"
 #include "fault/recovery.hpp"
 #include "fault/watchdog.hpp"
+#include "obs/counters.hpp"
 #include "sysconfig/profiles.hpp"
 
 namespace pcieb {
 namespace {
 
-sim::MultiTenantConfig tenant_cfg(unsigned tenants,
-                                  const std::string& faults = "") {
-  sim::MultiTenantConfig cfg;
-  cfg.base = sys::profile_by_name("NFP6000-HSW").config;
-  if (!faults.empty()) cfg.base.fault_plan = fault::parse_plan(faults);
+sim::SystemConfig tenant_cfg(unsigned tenants, const std::string& faults = "") {
+  sim::SystemConfig cfg = sys::profile_by_name("NFP6000-HSW").config;
+  if (!faults.empty()) cfg.fault_plan = fault::parse_plan(faults);
   cfg.tenants = tenants;
   return cfg;
 }
@@ -45,9 +46,9 @@ core::BenchParams bench_params(core::BenchKind kind,
   return p;
 }
 
-TEST(MultiTenantSystemTest, CtorValidatesConfig) {
-  const auto build = [](const sim::MultiTenantConfig& cfg) {
-    sim::MultiTenantSystem system(cfg);
+TEST(TenantSystemTest, CtorValidatesConfig) {
+  const auto build = [](const sim::SystemConfig& cfg) {
+    sim::System system(cfg);
   };
   EXPECT_THROW(build(tenant_cfg(0)), std::invalid_argument);
   EXPECT_THROW(build(tenant_cfg(65)), std::invalid_argument);
@@ -60,10 +61,20 @@ TEST(MultiTenantSystemTest, CtorValidatesConfig) {
   auto bad_quota = tenant_cfg(2);
   bad_quota.ddio_quota = {2};  // size != tenants
   EXPECT_THROW(build(bad_quota), std::invalid_argument);
+  // A shared FIFO link has no lanes to weight and a shared uncore no
+  // slices to give a quota: weakened isolation rejects both knobs.
+  auto fifo_weights = tenant_cfg(4);
+  fifo_weights.isolation = sim::TenantIsolation::all_weakened();
+  fifo_weights.weights = {8, 1, 1, 1};
+  EXPECT_THROW(build(fifo_weights), std::invalid_argument);
+  auto shared_quota = tenant_cfg(4);
+  shared_quota.isolation = sim::TenantIsolation::all_weakened();
+  shared_quota.ddio_quota = {1, 1, 1, 1};
+  EXPECT_THROW(build(shared_quota), std::invalid_argument);
 }
 
-TEST(MultiTenantSystemTest, ArmedTenantsCompleteIndependentWorkloads) {
-  sim::MultiTenantSystem system(tenant_cfg(3));
+TEST(TenantSystemTest, ArmedTenantsCompleteIndependentWorkloads) {
+  sim::System system(tenant_cfg(3));
   check::MonitorSuite monitors(system);
   const auto results =
       core::run_tenant_bench(system, bench_params(core::BenchKind::BwRd));
@@ -80,8 +91,8 @@ TEST(MultiTenantSystemTest, ArmedTenantsCompleteIndependentWorkloads) {
   EXPECT_EQ(system.device_wide_actions(), 0u);
 }
 
-TEST(MultiTenantSystemTest, CountersLineSchemaIsStable) {
-  sim::MultiTenantSystem system(tenant_cfg(2));
+TEST(TenantSystemTest, CountersLineSchemaIsStable) {
+  sim::System system(tenant_cfg(2));
   core::run_tenant_bench(system, bench_params(core::BenchKind::BwRdWr, 50));
   const std::string line = system.counters_line(1);
   // Space-separated k=v tokens, no empties, keys unique.
@@ -108,7 +119,7 @@ TEST(MultiTenantSystemTest, CountersLineSchemaIsStable) {
   // Weakened (shared-FIFO) lines keep the same schema, zero-padded.
   auto weak_cfg = tenant_cfg(2);
   weak_cfg.isolation = sim::TenantIsolation::all_weakened();
-  sim::MultiTenantSystem weak(weak_cfg);
+  sim::System weak(weak_cfg);
   std::istringstream ws(weak.counters_line(1));
   std::vector<std::string> weak_keys;
   while (ws >> tok) weak_keys.push_back(tok.substr(0, tok.find('=')));
@@ -119,9 +130,9 @@ TEST(MultiTenantSystemTest, CountersLineSchemaIsStable) {
 // per-trial): with isolation armed, the victim's latency digest and
 // counters are byte-identical whether the attacker's plan is armed or
 // stripped.
-TEST(MultiTenantSystemTest, ArmedDifferentialIdentityHolds) {
+TEST(TenantSystemTest, ArmedDifferentialIdentityHolds) {
   const auto victim_artifact = [](const std::string& faults) {
-    sim::MultiTenantSystem system(tenant_cfg(4, faults));
+    sim::System system(tenant_cfg(4, faults));
     const auto results =
         core::run_tenant_bench(system, bench_params(core::BenchKind::BwWr));
     std::string out;
@@ -136,11 +147,11 @@ TEST(MultiTenantSystemTest, ArmedDifferentialIdentityHolds) {
   EXPECT_EQ(storm, quiet);
 }
 
-TEST(MultiTenantSystemTest, SharedRecoveryExpandsBlastRadius) {
+TEST(TenantSystemTest, SharedRecoveryExpandsBlastRadius) {
   auto cfg = tenant_cfg(4, "drop@every=15,dir=up,vf=0");
-  cfg.base.recovery = fault::parse_recovery_policy("default");
+  cfg.recovery = fault::parse_recovery_policy("default");
   cfg.isolation.vf_scoped_recovery = false;
-  sim::MultiTenantSystem system(cfg);
+  sim::System system(cfg);
   core::run_tenant_bench(system, bench_params(core::BenchKind::BwWr));
   // Every recovery action taken on behalf of vf0's ladder hit the whole
   // device; the expansion tally counted each one.
@@ -149,15 +160,15 @@ TEST(MultiTenantSystemTest, SharedRecoveryExpandsBlastRadius) {
   // Scoped recovery under the same storm keeps the count to the inherent
   // device-wide escalations only (fewer actions than the shared ladder).
   auto scoped_cfg = tenant_cfg(4, "drop@every=15,dir=up,vf=0");
-  scoped_cfg.base.recovery = fault::parse_recovery_policy("default");
-  sim::MultiTenantSystem scoped(scoped_cfg);
+  scoped_cfg.recovery = fault::parse_recovery_policy("default");
+  sim::System scoped(scoped_cfg);
   core::run_tenant_bench(scoped, bench_params(core::BenchKind::BwWr));
   EXPECT_LT(scoped.device_wide_actions(), system.device_wide_actions());
 }
 
-TEST(MultiTenantSystemTest, SeededMisrouteFiresBleedMonitor) {
+TEST(TenantSystemTest, SeededMisrouteFiresBleedMonitor) {
   auto cfg = tenant_cfg(4, "drop@nth=5,vf=0");
-  sim::MultiTenantSystem system(cfg);
+  sim::System system(cfg);
   system.test_misroute_completions(true);
   check::MonitorSuite monitors(system);
   core::run_tenant_bench(system, bench_params(core::BenchKind::BwRd));
@@ -177,10 +188,10 @@ TEST(MultiTenantSystemTest, SeededMisrouteFiresBleedMonitor) {
 // System's: a fatal record on vf1 moves that ladder to Contained
 // synchronously, and with the simulator never run its hold-off never
 // expires — a quiesce in that state is a liveness violation of vf1 alone.
-TEST(MultiTenantSystemTest, ConvergenceMonitorFlagsAStuckVfLadder) {
+TEST(TenantSystemTest, ConvergenceMonitorFlagsAStuckVfLadder) {
   auto cfg = tenant_cfg(4);
-  cfg.base.recovery = fault::parse_recovery_policy("default");
-  sim::MultiTenantSystem system(cfg);
+  cfg.recovery = fault::parse_recovery_policy("default");
+  sim::System system(cfg);
   check::MonitorSuite monitors(system);
   system.aer(1).record(fault::ErrorType::SurpriseLinkDown, 0);
   ASSERT_EQ(system.recovery(1)->state(), fault::RecoveryState::Contained);
@@ -202,8 +213,8 @@ TEST(MultiTenantSystemTest, ConvergenceMonitorFlagsAStuckVfLadder) {
 // Satellite: a quiescent-deadlock report names the owning VF. The tag
 // dump is rid-prefixed ("rid 00:00.<func>"), so a stuck read on vf2 is
 // attributed to function 2, not just "some tag on the device".
-TEST(MultiTenantSystemTest, WatchdogDeadlockReportNamesOwningVf) {
-  sim::MultiTenantSystem system(tenant_cfg(3));
+TEST(TenantSystemTest, WatchdogDeadlockReportNamesOwningVf) {
+  sim::System system(tenant_cfg(3));
   bool done = false;
   system.device(2).dma_read(0x1000, 256, [&] { done = true; });
   system.sim().run_until(from_nanos(1));  // in flight, nowhere near done
@@ -223,6 +234,51 @@ TEST(MultiTenantSystemTest, WatchdogDeadlockReportNamesOwningVf) {
   EXPECT_NO_THROW(system.watchdog(1)->check_quiescent(system.sim().now()));
   system.sim().run();  // drain so the read completes cleanly
   EXPECT_TRUE(done);
+}
+
+// A lone function owns the port, so the tenant knobs have nothing to act
+// on: weakened isolation (no shared wire, IO-TLB or uncore to fall back
+// to) and a single arbitration weight leave it the plain System. Under a
+// drop/corrupt/poison/cpl-ur plan with the IOMMU and the recovery ladder
+// armed, all three shapes give the same counters, AER log, ladder and
+// result.
+TEST(TenantSystemTest, OneFunctionPortIsThePlainSystem) {
+  auto plain = sys::with_iommu(sys::profile_by_name("NFP6000-HSW").config,
+                               true, 4096);
+  plain.fault_plan = fault::parse_plan(
+      "drop@every=1500,dir=up;corrupt@every=61,dir=down;"
+      "poison@every=45,dir=down;cpl-ur@nth=700");
+  plain.recovery = fault::parse_recovery_policy("default");
+  auto weakened = plain;
+  weakened.tenants = 1;
+  weakened.isolation = sim::TenantIsolation::all_weakened();
+  auto weighted = plain;
+  weighted.tenants = 1;
+  weighted.weights = {3};
+
+  const auto outcome = [](const sim::SystemConfig& cfg) {
+    sim::System system(cfg);
+    const core::BandwidthResult r = core::run_bandwidth_bench(
+        system, bench_params(core::BenchKind::BwRdWr, 1500));
+    // The ladder took FLRs and a hot reset, and the port's own ladder
+    // counted none of its actions as a blast-radius expansion.
+    EXPECT_GT(system.recovery()->flrs(), 0u);
+    EXPECT_GT(system.recovery()->hot_resets(), 0u);
+    EXPECT_EQ(system.device_wide_actions(), 0u);
+    obs::CounterRegistry reg;
+    system.register_counters(reg);
+    std::ostringstream os;
+    os.precision(17);
+    for (const auto& m : reg.snapshot()) os << m.name << '=' << m.value << ' ';
+    os << '\n' << system.aer().to_table() << system.recovery()->digest()
+       << '\n' << r.payload_bytes << ' ' << r.elapsed << ' '
+       << r.lost_payload_bytes << ' ' << r.wire_bytes << ' ' << r.gbps << ' '
+       << r.goodput_gbps << ' ' << system.sim().executed();
+    return os.str();
+  };
+  const std::string want = outcome(plain);
+  EXPECT_EQ(outcome(weakened), want);
+  EXPECT_EQ(outcome(weighted), want);
 }
 
 }  // namespace

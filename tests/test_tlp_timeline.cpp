@@ -24,7 +24,6 @@
 #include "core/tenant_runner.hpp"
 #include "obs/trace.hpp"
 #include "sim/system.hpp"
-#include "sim/vf.hpp"
 #include "sysconfig/profiles.hpp"
 
 namespace pcieb {
@@ -197,17 +196,14 @@ TEST(TlpTimelineDigest, FourVfTenantTrial) {
   cc.iterations = 200;
   cc.tenants = 4;
   const check::TrialSpec spec = check::generate_trial(cc, kTenantTrial);
-  sim::MultiTenantConfig mc;
-  mc.base = sys::profile_by_name(spec.system).config;
-  if (spec.iommu) {
-    mc.base = sys::with_iommu(mc.base, true, spec.params.page_bytes);
-  }
-  mc.base.fault_plan = spec.plan;
-  mc.base.recovery = spec.recovery;
-  mc.base.watchdog.max_sim_time = from_micros(2'000'000);
-  mc.tenants = spec.tenants;
-  mc.isolation = sim::TenantIsolation::all_armed();
-  sim::MultiTenantSystem system(mc);
+  sim::SystemConfig cfg = sys::profile_by_name(spec.system).config;
+  if (spec.iommu) cfg = sys::with_iommu(cfg, true, spec.params.page_bytes);
+  cfg.fault_plan = spec.plan;
+  cfg.recovery = spec.recovery;
+  cfg.watchdog.max_sim_time = from_micros(2'000'000);
+  cfg.tenants = spec.tenants;
+  cfg.isolation = sim::TenantIsolation::all_armed();
+  sim::System system(cfg);
   check::MonitorSuite monitors(system, check::MonitorConfig{});
   TimelineDigest digest;
   system.upstream().set_trace(digest.sink(), obs::Component::LinkUp);

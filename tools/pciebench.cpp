@@ -125,16 +125,19 @@ self-checking options (run):
                     exits non-zero on any violation
 
 multi-tenant options (run — docs/ISOLATION.md):
-  --tenants N       run N SR-IOV VFs sharing the port (1..64), one
-                    closed-loop workload per VF; per-VF results print one
-                    line each. --monitors arms the isolation invariants.
+  --tenants N       run N PCIe functions on the port (1..64), one
+                    closed-loop workload and one result line each: N > 1
+                    are SR-IOV VFs sharing the port, N = 1 is the plain
+                    port. --monitors arms the isolation invariants.
   --attacker K      mark VF K (0-based, < N) as the attacker for display;
                     fault plans scope themselves with vf:K clauses
   --isolation MODE  armed (default) | weakened — weakened swaps every
                     isolation mechanism for its shared implementation
   --weights LIST    comma-separated link-arbitration weight per VF,
-                    e.g. 3,1,1,1 (default: equal shares)
-  --ddio-quota LIST comma-separated DDIO ways per VF's LLC slice
+                    e.g. 3,1,1,1 (default: equal shares; armed isolation
+                    only — a shared FIFO link has no lanes to weight)
+  --ddio-quota LIST comma-separated DDIO ways per VF's LLC slice (armed
+                    isolation only — a shared uncore has no slices)
 
 chaos options:
   --trials N        trials to run                         (default 20)
@@ -570,9 +573,9 @@ sim::SystemConfig configured_system(const Args& args,
   return cfg;
 }
 
-/// Multi-tenant run: one closed-loop workload per VF on a
-/// MultiTenantSystem, one result line per VF. The observability stack
-/// (traces, counters CSV, breakdown, telemetry) is single-system-only.
+/// Multi-tenant run: one closed-loop workload per VF on a System with
+/// `--tenants` functions, one result line per VF. The observability stack
+/// (traces, counters CSV, breakdown, telemetry) is classic-run-only.
 int cmd_run_tenants(const Args& args, const TenantOpt& topt) {
   for (const char* incompatible :
        {"trace", "counters", "telemetry", "telemetry-interval"}) {
@@ -591,14 +594,13 @@ int cmd_run_tenants(const Args& args, const TenantOpt& topt) {
 
   core::BenchParams params;
   params.kind = parse_kind(args.get("bench", "LAT_RD"));
-  sim::MultiTenantConfig mc;
-  mc.base = configured_system(args, params);
-  mc.tenants = topt.tenants;
-  mc.weights = topt.weights;
-  mc.ddio_quota = topt.ddio_quota;
-  mc.isolation = topt.weakened ? sim::TenantIsolation::all_weakened()
-                               : sim::TenantIsolation::all_armed();
-  sim::MultiTenantSystem system(mc);
+  sim::SystemConfig cfg = configured_system(args, params);
+  cfg.tenants = topt.tenants;
+  cfg.weights = topt.weights;
+  cfg.ddio_quota = topt.ddio_quota;
+  cfg.isolation = topt.weakened ? sim::TenantIsolation::all_weakened()
+                                : sim::TenantIsolation::all_armed();
+  sim::System system(cfg);
 
   std::optional<check::MonitorSuite> monitors;
   if (args.has_flag("monitors")) monitors.emplace(system);
@@ -619,7 +621,10 @@ int cmd_run_tenants(const Args& args, const TenantOpt& topt) {
   }
 
   if (args.has_flag("errors")) {
-    std::printf("port AER:\n%s", system.port_aer().to_table().c_str());
+    // A lone function's own log is the port's: print it once.
+    if (system.shared()) {
+      std::printf("port AER:\n%s", system.port_aer().to_table().c_str());
+    }
     for (unsigned vf = 0; vf < system.tenants(); ++vf) {
       std::printf("vf%u AER:\n%s", vf, system.aer(vf).to_table().c_str());
     }
@@ -911,6 +916,14 @@ int cmd_overload(const Args& args) {
 
 /// Crash-safe isolated campaign: progress to stderr, the canonical
 /// byte-stable summary (what the CI resume leg diffs) alone on stdout.
+/// The campaign banner's note of a planted TEST-ONLY bug, if any (the
+/// credit leak for classic campaigns, the misroute for tenant ones).
+const char* planted_bug_note(const check::ChaosConfig& cfg) {
+  if (cfg.seed_credit_leak_bug) return " [credit-leak bug planted]";
+  if (cfg.seed_misroute_bug) return " [misroute bug planted]";
+  return "";
+}
+
 int cmd_chaos_isolated(const Args& args, const check::ChaosConfig& chaos) {
   check::ExecCampaignConfig cfg;
   cfg.chaos = chaos;
@@ -923,8 +936,7 @@ int cmd_chaos_isolated(const Args& args, const check::ChaosConfig& chaos) {
                chaos.trials,
                static_cast<unsigned long long>(chaos.master_seed),
                chaos.iterations, cfg.pool.jobs, cfg.pool.jobs == 1 ? "" : "s",
-               cfg.resume ? ", resuming" : "",
-               chaos.seed_credit_leak_bug ? " [credit-leak bug planted]" : "");
+               cfg.resume ? ", resuming" : "", planted_bug_note(chaos));
   const auto result = check::run_campaign_isolated(
       cfg, [](const check::TrialRecord& r) {
         std::fprintf(stderr, "%s%s\n", r.summary_line().c_str(),
@@ -1016,11 +1028,9 @@ int cmd_chaos(const Args& args) {
     usage("--csv/--artifacts require isolated mode (pass an exec option)");
   }
 
-  std::printf("chaos: %zu trials, master seed 0x%llx, %zu iters/trial%s%s\n",
+  std::printf("chaos: %zu trials, master seed 0x%llx, %zu iters/trial%s\n",
               cfg.trials, static_cast<unsigned long long>(cfg.master_seed),
-              cfg.iterations,
-              cfg.seed_credit_leak_bug ? " [credit-leak bug planted]" : "",
-              cfg.seed_misroute_bug ? " [misroute bug planted]" : "");
+              cfg.iterations, planted_bug_note(cfg));
   if (cfg.tenants > 0) {
     std::printf("tenants: %u VFs, attacker vf%u, isolation %s\n", cfg.tenants,
                 cfg.attacker, cfg.isolation_weakened ? "weakened" : "armed");

@@ -273,8 +273,8 @@ void BM_TraceRecordStaged(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceRecordStaged);
 
-// Trial-reuse reset vs full rebuild of a Table-1 system — the chaos
-// campaign's per-trial fixed cost (front 1 of hot-path round 3).
+// Full build of a Table-1 system — the chaos campaign's per-trial fixed
+// cost (every trial constructs its own System).
 void BM_SystemRebuild(benchmark::State& state) {
   const auto& prof = sys::profile_by_name("NFP6000-HSW");
   for (auto _ : state) {
@@ -284,17 +284,6 @@ void BM_SystemRebuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SystemRebuild);
-
-void BM_SystemReset(benchmark::State& state) {
-  const auto& prof = sys::profile_by_name("NFP6000-HSW");
-  sim::System system(prof.config);
-  for (auto _ : state) {
-    system.reset(prof.config);
-    benchmark::DoNotOptimize(system.sim().now());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SystemReset);
 
 void BM_SerialResource(benchmark::State& state) {
   for (auto _ : state) {

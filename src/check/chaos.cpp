@@ -601,36 +601,7 @@ TrialOutcome run_overload_trial(const TrialSpec& spec, bool telemetry,
   return out;
 }
 
-/// One pooled System per system shape, thread-local so threaded campaigns
-/// never share simulator state. The key captures everything run_trial
-/// varies that System::reset cannot absorb (profile name, IOMMU arming,
-/// page size); fault plan / watchdog / recovery are per-trial reset
-/// inputs. Bounded by the generator's profile set (a handful of shapes).
-struct SystemPool {
-  struct Entry {
-    std::string key;
-    std::unique_ptr<sim::System> sys;
-  };
-  std::vector<Entry> entries;
-};
-thread_local SystemPool t_system_pool;
-bool g_system_pooling = true;
-
-std::string pool_key(const TrialSpec& spec) {
-  std::string key = spec.system;
-  key += spec.iommu ? "|iommu:" : "|-:";
-  key += std::to_string(spec.params.page_bytes);
-  return key;
-}
-
 }  // namespace
-
-void set_trial_system_pooling(bool on) {
-  g_system_pooling = on;
-  if (!on) t_system_pool.entries.clear();
-}
-
-bool trial_system_pooling() { return g_system_pooling; }
 
 TrialOutcome run_trial(const TrialSpec& spec, bool telemetry,
                        bool throw_monitors) {
@@ -647,27 +618,7 @@ TrialOutcome run_trial(const TrialSpec& spec, bool telemetry,
   cfg.recovery = spec.recovery;
   if (!spec.plan.empty()) cfg.watchdog.max_sim_time = kTrialMaxSimTime;
 
-  std::unique_ptr<sim::System> fresh;
-  sim::System* pooled = nullptr;
-  if (g_system_pooling) {
-    auto& entries = t_system_pool.entries;
-    const std::string key = pool_key(spec);
-    for (auto& e : entries) {
-      if (e.key == key) {
-        e.sys->reset(cfg);
-        pooled = e.sys.get();
-        break;
-      }
-    }
-    if (pooled == nullptr) {
-      entries.push_back({key, std::make_unique<sim::System>(cfg)});
-      pooled = entries.back().sys.get();
-    }
-  } else {
-    fresh = std::make_unique<sim::System>(cfg);
-    pooled = fresh.get();
-  }
-  sim::System& system = *pooled;
+  sim::System system(cfg);
   if (spec.seed_credit_leak_bug) system.test_leak_credits_on_drop(true);
   MonitorConfig mon_cfg;
   mon_cfg.throw_on_violation = throw_monitors;

@@ -64,14 +64,16 @@ struct TrialSpec {
   /// the isolation monitors have a known cross-VF bleed to catch.
   bool seed_misroute_bug = false;
 
-  /// Overload-chaos mode (overload_armed): the trial runs the open-loop
-  /// overload datapath (nic::run_overload_point) instead of a
-  /// micro-benchmark, composing the randomized fault plan with sustained
-  /// past-capacity load, with BOTH the PCIe-level MonitorSuite and the
-  /// OverloadMonitorSuite attached. Per-trial datapath variety (frame
-  /// size, arrival process, ring size, admission threshold) is drawn from
-  /// the trial stream; the load multiple / service model / backpressure
-  /// come from the campaign config.
+  /// Overload-chaos mode (overload_armed): instead of a micro-benchmark,
+  /// the trial calibrates the datapath's capacity on a copy of `overload`
+  /// capped at 2,000 frames, then drives the open-loop overload datapath
+  /// (nic::run_overload) at the campaign's multiple of it, composing the
+  /// randomized fault plan with sustained past-capacity load, with BOTH
+  /// the PCIe-level MonitorSuite and the OverloadMonitorSuite attached.
+  /// Per-trial datapath variety (frame size, arrival process, ring size,
+  /// admission threshold) is drawn from the trial stream; the load
+  /// multiple / service model / backpressure come from the campaign
+  /// config.
   bool overload_armed = false;
   nic::OverloadConfig overload;
 
@@ -252,16 +254,6 @@ TrialSpec generate_trial(const ChaosConfig& cfg, std::uint64_t index);
 /// fills outcome.digests.
 TrialOutcome run_trial(const TrialSpec& spec, bool telemetry = false,
                        bool throw_monitors = false);
-
-/// Trial System pooling (on by default): classic (non-tenant,
-/// non-overload) trials reuse one thread-local sim::System per
-/// (profile, IOMMU, page size) shape via sim::System::reset instead of
-/// rebuilding the component graph per trial — the dominant cost of a
-/// fault-free trial. Byte-identity with pooling off is pinned by the
-/// reset-vs-fresh property test; this switch exists for that test and
-/// for A/B profiling. Disabling also drops the calling thread's pool.
-void set_trial_system_pooling(bool on);
-bool trial_system_pooling();
 
 struct ShrinkResult {
   TrialSpec minimal;      ///< smallest spec that still fails

@@ -80,13 +80,24 @@ std::vector<std::pair<double, double>> SampleSet::cdf(std::size_t points) const 
   return out;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
+namespace {
+
+/// `bins`, once the shape is known to be valid: the width initializer
+/// divides by it, so the check must come first.
+std::size_t checked_bins(double lo, double hi, std::size_t bins) {
   if (bins == 0 || hi <= lo) {
     throw std::invalid_argument("Histogram: need bins > 0 and hi > lo");
   }
+  return bins;
 }
+
+}  // namespace
+
+Histogram::Histogram(double lo, double hi, std::size_t bins)
+    : lo_(lo),
+      hi_(hi),
+      width_((hi - lo) / static_cast<double>(checked_bins(lo, hi, bins))),
+      counts_(bins, 0) {}
 
 void Histogram::add(double x) {
   if (std::isnan(x)) return;  // NaN orders with nothing; no bin is right

@@ -113,12 +113,4 @@ std::string AerLog::to_table() const {
   return os.str();
 }
 
-void AerLog::clear() {
-  ring_.clear();
-  head_ = 0;
-  recorded_ = 0;
-  counts_.fill(0);
-  severity_totals_.fill(0);
-}
-
 }  // namespace pcieb::fault

@@ -96,17 +96,6 @@ class AerLog {
     listener_ = std::move(fn);
   }
 
-  void clear();
-
-  /// Trial-reuse reset: clear() plus detaching the trace mirror and the
-  /// listener (a pooled system must never retain a pointer into a
-  /// destroyed recovery manager or trace sink).
-  void reset() {
-    clear();
-    trace_ = nullptr;
-    listener_ = {};
-  }
-
  private:
   std::size_t capacity_;
   std::vector<ErrorRecord> ring_;

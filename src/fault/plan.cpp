@@ -1,9 +1,12 @@
 #include "fault/plan.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+
+#include "common/parse.hpp"
 
 namespace pcieb::fault {
 namespace {
@@ -46,10 +49,9 @@ FaultKind parse_kind(const std::string& s) {
 }
 
 std::uint64_t parse_u64(const std::string& s, const std::string& key) {
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(s.c_str(), &end, 0);
-  if (s.empty() || (end && *end)) bad_spec("bad integer for " + key + ": '" + s + "'");
-  return v;
+  const auto v = parse_unsigned(s);
+  if (!v) bad_spec("bad integer for " + key + ": '" + s + "'");
+  return *v;
 }
 
 /// `12ns`, `3.5us`, `2ms`, `1s`, `123ps` — defaults to nanoseconds when
@@ -59,7 +61,9 @@ std::uint64_t parse_u64(const std::string& s, const std::string& key) {
 Picos parse_time(const std::string& s, const std::string& key) {
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str()) bad_spec("bad time for " + key + ": '" + s + "'");
+  if (end == s.c_str() || std::isnan(v)) {
+    bad_spec("bad time for " + key + ": '" + s + "'");
+  }
   if (v < 0.0) bad_spec("negative time for " + key + ": '" + s + "'");
   const std::string unit = end ? std::string(end) : "";
   double scale = 0.0;
@@ -112,7 +116,8 @@ FaultRule parse_rule(const std::string& text) {
     } else if (key == "prob") {
       char* end = nullptr;
       rule.prob = std::strtod(value.c_str(), &end);
-      if (value.empty() || (end && *end) || rule.prob < 0.0 || rule.prob > 1.0) {
+      if (value.empty() || (end && *end) ||
+          !(rule.prob >= 0.0 && rule.prob <= 1.0)) {
         bad_spec("prob must be in [0,1], got '" + value + "'");
       }
     } else if (key == "time") {
@@ -140,8 +145,9 @@ FaultRule parse_rule(const std::string& text) {
       }
       rule.lanes = static_cast<unsigned>(v);
     } else if (key == "gen") {
-      rule.gen = static_cast<unsigned>(parse_u64(value, key));
-      if (rule.gen < 1 || rule.gen > 5) bad_spec("gen must be 1..5");
+      const std::uint64_t v = parse_u64(value, key);
+      if (v < 1 || v > 5) bad_spec("gen must be 1..5");
+      rule.gen = static_cast<unsigned>(v);
     } else {
       bad_spec("unknown key '" + key + "'");
     }

@@ -1,9 +1,12 @@
 #include "fault/recovery.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "common/parse.hpp"
 
 namespace pcieb::fault {
 namespace {
@@ -12,20 +15,21 @@ namespace {
   throw std::invalid_argument("recovery policy: " + what);
 }
 
-std::uint64_t parse_u64(const std::string& s, const std::string& key) {
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(s.c_str(), &end, 0);
-  if (s.empty() || (end && *end)) {
-    bad_policy("bad integer for " + key + ": '" + s + "'");
-  }
-  return v;
+std::uint64_t parse_u64(
+    const std::string& s, const std::string& key,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  const auto v = parse_unsigned(s, max);
+  if (!v) bad_policy("bad integer for " + key + ": '" + s + "'");
+  return *v;
 }
 
 /// Same grammar as the fault-plan time fields: ps/ns/us/ms/s, bare = ns.
 Picos parse_time(const std::string& s, const std::string& key) {
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str()) bad_policy("bad time for " + key + ": '" + s + "'");
+  if (end == s.c_str() || std::isnan(v)) {
+    bad_policy("bad time for " + key + ": '" + s + "'");
+  }
   if (v < 0.0) bad_policy("negative time for " + key + ": '" + s + "'");
   const std::string unit = end ? std::string(end) : "";
   double scale = 0.0;
@@ -133,7 +137,8 @@ RecoveryPolicy parse_recovery_policy(const std::string& spec) {
     } else if (key == "reset-duration") {
       p.reset_duration = parse_time(value, key);
     } else if (key == "max-resets") {
-      p.max_resets = static_cast<unsigned>(parse_u64(value, key));
+      p.max_resets = static_cast<unsigned>(
+          parse_u64(value, key, std::numeric_limits<unsigned>::max()));
     } else {
       bad_policy("unknown key '" + key + "'");
     }

@@ -187,7 +187,7 @@ void LastLevelCache::materialize_slow(std::uint64_t set) {
 // that choice follows a fixed cycle:
 //  * after thrash() the fill's stamps ascend with the way index and every
 //    warm stamp is newer, so LRU takes ways 0, 1, ..., W-1;
-//  * after clear()/reset() the victim loop's !valid(w) test fires at
+//  * after clear() the victim loop's !valid(w) test fires at
 //    w = 1 before way 0 is considered, so the first touch takes way 1,
 //    the second way 0 (an invalid victim ends the scan), then 2..W-1.
 // Either way the domain then holds strictly ascending stamps in cycle
@@ -292,13 +292,6 @@ void LastLevelCache::clear() {
   // zeroed on first touch. Tag and LRU words of invalid ways are never
   // read, so they can stay stale.
   arm_fill(LazyFill::Clear);
-}
-
-void LastLevelCache::reset() {
-  clear();
-  reset_stats();
-  lru_clock_ = 0;
-  thrash_base_ = 0;
 }
 
 void LastLevelCache::reset_stats() {

@@ -86,12 +86,6 @@ class LastLevelCache {
   /// touch, so clearing costs O(sets touched afterwards), not O(capacity).
   void clear();
 
-  /// Trial-reuse reset: power-on state AND fresh statistics AND the LRU
-  /// clock rewound to zero — a reset cache behaves byte-identically to a
-  /// newly constructed one (docs/PERFORMANCE.md round 3). O(1) plus one
-  /// bitmap clear; no tag/LRU array pass.
-  void reset();
-
   const CacheConfig& config() const { return cfg_; }
 
   // Statistics since construction or reset_stats().
@@ -105,7 +99,7 @@ class LastLevelCache {
   void reset_stats();
 
   /// Stable addresses of the monotonic totals, for obs::CounterRegistry's
-  /// raw readers. Valid for the cache's lifetime, across reset().
+  /// raw readers. Valid for the cache's lifetime.
   struct CounterSources {
     const std::uint64_t* hits;
     const std::uint64_t* misses;
@@ -146,7 +140,7 @@ class LastLevelCache {
   int find_way(std::uint64_t set, std::uint64_t tag) const;
 
   /// Pending lazy bulk operation: thrash() records a whole-cache foreign
-  /// fill, clear()/reset() record a whole-cache invalidation. Either is
+  /// fill, clear() records a whole-cache invalidation. Either is
   /// applied per set on first touch via materialize().
   enum class LazyFill : std::uint8_t { Clear, Thrash };
 

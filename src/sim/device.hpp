@@ -156,7 +156,7 @@ class DmaDevice {
   std::uint64_t poisoned_received() const { return poisoned_rx_; }
 
   /// Stable addresses of the monotonic totals, for obs::CounterRegistry's
-  /// raw readers. Valid for the device's lifetime, across reset().
+  /// raw readers. Valid for the device's lifetime.
   struct CounterSources {
     const std::uint64_t* reads_completed;
     const std::uint64_t* writes_sent;
@@ -225,45 +225,6 @@ class DmaDevice {
   /// Sorted list of the tags currently in flight ("tags: 3,7,9" or
   /// "none") — the watchdog's quiescent-deadlock report names each one.
   std::string outstanding_tags() const;
-
-  /// Trial-reuse reset to the just-constructed state for the same profile:
-  /// issue engines and the tag pool freed, tag/id allocators rewound, the
-  /// posted-credit window re-initialized from the profile, every queue,
-  /// hook, attachment and counter dropped. In-flight maps keep their table
-  /// capacity (warm pool).
-  void reset() {
-    read_issue_.reset();
-    write_issue_.reset();
-    read_tags_.reset(profile_.read_tags);
-    next_tag_ = 1;
-    next_dma_id_ = 1;
-    inflight_reads_.clear();
-    read_ops_.clear();
-    posted_credits_ = static_cast<std::int64_t>(profile_.posted_credit_bytes);
-    pending_writes_.clear();
-    mmio_handler_ = {};
-    progress_ = {};
-    write_abort_ = {};
-    trace_ = nullptr;
-    aer_ = nullptr;
-    timeouts_armed_ = false;
-    reads_completed_ = writes_sent_ = 0;
-    mmio_reads_served_ = doorbells_ = 0;
-    completion_timeouts_ = read_retries_ = 0;
-    reads_failed_ = failed_read_bytes_ = 0;
-    unexpected_cpls_ = error_cpls_ = poisoned_rx_ = 0;
-    flrs_ = flr_aborted_reads_ = flr_dropped_writes_ = 0;
-    read_reqs_issued_ = read_reqs_retired_ = 0;
-    read_bytes_requested_ = read_bytes_delivered_ = 0;
-    write_bytes_issued_ = 0;
-    tags_hwm_ = 0;
-    fc_stall_ps_ = 0;
-    stall_start_ = 0;
-    stalled_ = false;
-    func_ = 0;
-    has_rid_ = false;
-    foreign_tlps_ = 0;
-  }
 
   // --- conservation probes (check::MonitorSuite) ----------------------
   /// Posted-credit bytes currently available; the full advertised window

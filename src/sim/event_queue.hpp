@@ -89,16 +89,6 @@ class EventQueue {
   /// Drop every pending event (destroying the callables).
   void clear();
 
-  /// Trial-reuse reset: clear() plus rewinding the monotone lower bound
-  /// to zero, so a reset queue files the same timestamps into the same
-  /// slots as a freshly constructed one. The node pool (chunks, free
-  /// list, nodes_allocated) is deliberately kept — reusing warmed cells
-  /// is the point of pooling a queue across trials.
-  void reset() {
-    clear();
-    base_ = 0;
-  }
-
   /// Total node cells ever allocated (pool growth probe for tests —
   /// steady-state traffic keeps this flat while events recycle).
   std::size_t nodes_allocated() const { return nodes_allocated_; }

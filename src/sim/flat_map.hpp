@@ -80,19 +80,6 @@ class FlatU32Map {
     }
   }
 
-  /// Drop every entry, keeping the table's capacity (trial-reuse reset).
-  /// O(1) when already empty — the common quiesced-trial case.
-  void clear() {
-    if (size_ == 0) return;
-    for (Entry& e : table_) {
-      if (e.key != 0) {
-        e.key = 0;
-        e.value = V{};
-      }
-    }
-    size_ = 0;
-  }
-
   /// Table capacity (growth probe for tests).
   std::size_t capacity() const { return table_.size(); }
 

@@ -22,38 +22,25 @@ void Iommu::configure_domains(unsigned n, bool partitioned) {
   if (n == 0 || n > 256) {
     throw std::invalid_argument("Iommu: domain count must be in 1..256");
   }
-  if (!pools_.front().tlb.empty() || hits_ != 0 || misses_ != 0) {
-    throw std::logic_error("Iommu: configure_domains after translations");
+  if (domains_.size() > 1 || !pools_.front().tlb.empty() || hits_ != 0 ||
+      misses_ != 0) {
+    throw std::logic_error(
+        "Iommu: configure_domains twice or after translations");
   }
   domains_.assign(n, Domain{});
   if (partitioned) {
     // Each domain owns an equal slice of the IO-TLB and the walker pool;
     // a slice is never smaller than one entry/walker so every tenant can
     // always make forward progress.
-    set_pools(n, std::max(1u, cfg_.tlb_entries / n),
-              std::max(1u, cfg_.walkers / n));
-  } else {
-    set_pools(1, cfg_.tlb_entries, cfg_.walkers);
+    const unsigned capacity = std::max(1u, cfg_.tlb_entries / n);
+    const unsigned walkers = std::max(1u, cfg_.walkers / n);
+    std::vector<Pool> pools;
+    pools.reserve(n);
+    for (unsigned d = 0; d < n; ++d) {
+      pools.emplace_back(sim_, capacity, walkers);
+    }
+    pools_ = std::move(pools);
   }
-}
-
-void Iommu::set_pools(unsigned n, unsigned capacity, unsigned walkers) {
-  while (pools_.size() > 1) pools_.pop_back();
-  Pool& first = pools_.front();
-  first.tlb.clear();
-  first.lru.clear();
-  first.capacity = capacity;
-  first.walkers.reset(walkers);
-  while (pools_.size() < n) pools_.emplace_back(sim_, capacity, walkers);
-}
-
-void Iommu::reset() {
-  set_pools(1, cfg_.tlb_entries, cfg_.walkers);
-  domains_.assign(1, Domain{});
-  hits_ = misses_ = evictions_ = faults_ = remaps_ = 0;
-  injector_ = nullptr;
-  aer_ = nullptr;
-  trace_ = nullptr;
 }
 
 void Iommu::set_domain_aer(unsigned domain, fault::AerLog* aer) {

@@ -57,8 +57,8 @@ class Iommu {
   /// slice — one tenant's miss stream cannot evict another's entries or
   /// starve its walks. Shared mode keeps one capacity pool keyed by
   /// (domain, page): translations still never resolve across domains, but
-  /// tenants contend for entries and walkers. Must be called before any
-  /// translation; n in 1..256.
+  /// tenants contend for entries and walkers. Must be called at most once
+  /// with n > 1, before any translation; n in 1..256.
   void configure_domains(unsigned n, bool partitioned);
   const DomainStats& domain_stats(unsigned domain) const {
     return domains_.at(domain).stats;
@@ -133,7 +133,7 @@ class Iommu {
   std::uint64_t faults() const { return faults_; }
 
   /// Stable addresses of the monotonic totals, for obs::CounterRegistry's
-  /// raw readers. Valid for the IOMMU's lifetime, across reset().
+  /// raw readers. Valid for the IOMMU's lifetime.
   struct CounterSources {
     const std::uint64_t* tlb_hits;
     const std::uint64_t* tlb_misses;
@@ -163,13 +163,6 @@ class Iommu {
   /// Attach tracing (nullptr detaches).
   void set_trace(obs::TraceSink* sink) { trace_ = sink; }
 
-  /// Trial-reuse reset to the just-constructed state: translations and
-  /// extra domains and pools dropped, walker tokens freed, every statistic
-  /// (including remaps, unlike reset_stats) zeroed, attachments detached.
-  /// Pool 0 and its TLB map's bucket array survive — rebuilding them was
-  /// part of the per-trial build cost this path removes.
-  void reset();
-
  private:
   using LruList = std::list<std::uint64_t>;  // front = most recent
 
@@ -194,10 +187,6 @@ class Iommu {
     fault::AerLog* aer = nullptr;
   };
 
-  /// Drop every pool but pool 0 (kept in place), empty it, give it
-  /// `capacity` entries and `walkers` walkers, and add pools of the same
-  /// shape up to `n`.
-  void set_pools(unsigned n, unsigned capacity, unsigned walkers);
   Pool& pool_of(unsigned domain) {
     return pools_.size() == 1 ? pools_.front() : pools_[domain];
   }

@@ -62,44 +62,6 @@ void Link::configure_tenants(const std::vector<unsigned>& weights) {
   lanes_ = std::move(lanes);
 }
 
-void Link::reset(const LinkDllConfig& dll) {
-  dll_ = dll;
-  deliver_ = {};
-  on_drop_ = {};
-  on_linkdown_ = {};
-  injector_ = nullptr;
-  aer_ = nullptr;
-  upstream_ = true;
-  trace_ = nullptr;
-  trace_comp_ = obs::Component::LinkUp;
-  tlps_ = bytes_ = payload_bytes_ = 0;
-  replays_ = replay_timeouts_ = retrains_ = 0;
-  dropped_ = poisoned_ = downtrains_ = 0;
-  unacked_ = unacked_hwm_ = 0;
-  downtrained_ = false;
-  derated_rule_ = nullptr;
-  derated_rate_ = 0.0;
-  blocked_ = false;
-  blocked_drops_ = 0;
-  recovery_derate_active_ = false;
-  recovery_rate_ = 0.0;
-  // Back to one lane at line rate. Lane 0 stays in place, so a pooled
-  // reset allocates nothing; its memo survives unless its rate changes.
-  while (lanes_.size() > 1) lanes_.pop_back();
-  Lane& lane = lanes_.front();
-  if (lane.share != 1.0) {
-    lane.share = 1.0;
-    lane.base_rate = line_rate_;
-    lane.ser_memo.clear();
-  }
-  lane.wire.reset();
-  lane.blocked = false;
-  lane.derate_active = false;
-  lane.derate_rate = 0.0;
-  lane.aer = nullptr;
-  lane.counters = {};
-}
-
 Picos Link::busy_total() const {
   Picos total = 0;
   for (const Lane& lane : lanes_) total += lane.wire.busy_total();

@@ -84,7 +84,6 @@ class Link {
 
   const proto::LinkConfig& config() const { return cfg_; }
   const LinkDllConfig& dll_config() const { return dll_; }
-  void set_dll_config(const LinkDllConfig& dll) { dll_ = dll; }
 
   /// Attach fault machinery (nullptrs detach). `upstream` names this
   /// direction for the injector's dir= predicate (device -> RC is up).
@@ -185,8 +184,7 @@ class Link {
 
   /// Stable addresses of this direction's monotonic totals, for
   /// obs::CounterRegistry's raw readers — snapshot reads skip the
-  /// std::function hop. Pointers stay valid for the Link's lifetime,
-  /// across reset() included.
+  /// std::function hop. Pointers stay valid for the Link's lifetime.
   struct CounterSources {
     const std::uint64_t* tlps;
     const std::uint64_t* wire_bytes;
@@ -209,16 +207,9 @@ class Link {
     trace_comp_ = comp;
   }
 
-  /// Trial-reuse reset to the just-constructed state for the same wire
-  /// shape (LinkConfig and propagation are fixed at construction): the
-  /// DLL parameters are replaced, and every hook, attachment, counter,
-  /// containment/derate latch and extra lane is dropped. Lane 0 keeps its
-  /// serialization memo, a pure function of the unchanged line rate.
-  void reset(const LinkDllConfig& dll);
-
  private:
   /// One TDM virtual lane. The delivery callback captures `&lane`, so
-  /// lanes change only before traffic or after the simulator is reset.
+  /// lanes change only before traffic.
   struct Lane {
     Lane(Simulator& sim, double share, double base_rate)
         : wire(sim), share(share), base_rate(base_rate) {}
@@ -274,8 +265,8 @@ class Link {
   double recovery_rate_ = 0.0;
   /// Per-TLP wire accounting without the per-call switch chain in
   /// proto::overhead_bytes: the overhead is a pure function of (type,
-  /// cfg_), both fixed for this link's lifetime (reset() keeps the same
-  /// wire shape), so one 4-entry table covers every TLP.
+  /// cfg_), both fixed for this link's lifetime, so one 4-entry table
+  /// covers every TLP.
   std::array<unsigned, proto::kTlpTypeCount> overhead_{};
   unsigned wire_bytes_of(const proto::Tlp& t) const {
     return overhead_[static_cast<std::size_t>(t.type)] + t.payload;

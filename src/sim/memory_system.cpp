@@ -51,27 +51,6 @@ MemorySystem::MemorySystem(Simulator& sim, const CacheConfig& cache_cfg,
   }
 }
 
-void MemorySystem::reset(std::uint64_t seed) {
-  cache_.reset();
-  dram_.reset();
-  remote_dram_.reset();
-  interconnect_.reset();
-  write_ingest_.reset();
-  read_pipeline_.reset();
-  rng_ = Xoshiro256(seed);
-  trace_ = nullptr;
-  stall_until_ = 0;
-  reads_ = writes_ = 0;
-  // Identical derivation (and draw order) to the constructor's.
-  if (mem_cfg_.stall_interval > 0) {
-    const double u = std::max(rng_.uniform(), 1e-12);
-    next_stall_at_ = static_cast<Picos>(
-        -std::log(u) * static_cast<double>(mem_cfg_.stall_interval));
-  } else {
-    next_stall_at_ = std::numeric_limits<Picos>::max();
-  }
-}
-
 Picos MemorySystem::fetch_ready(std::uint64_t addr, std::uint32_t len,
                                 bool local) {
   ++reads_;

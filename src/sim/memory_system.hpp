@@ -82,7 +82,7 @@ class MemorySystem {
   std::uint64_t writes() const { return writes_; }
 
   /// Stable addresses of the monotonic totals, for obs::CounterRegistry's
-  /// raw readers. Valid for the memory system's lifetime, across reset().
+  /// raw readers. Valid for the memory system's lifetime.
   struct CounterSources {
     const std::uint64_t* reads;
     const std::uint64_t* writes;
@@ -91,13 +91,6 @@ class MemorySystem {
 
   /// Attach tracing (nullptr detaches).
   void set_trace(obs::TraceSink* sink) { trace_ = sink; }
-
-  /// Trial-reuse reset to the just-constructed state (same cache/memory
-  /// shape): cache reset lazily, bandwidth servers freed, the RNG
-  /// re-seeded and the stall schedule re-derived with the constructor's
-  /// exact draw sequence, so a reset memory system replays a fresh one's
-  /// stall/jitter stream bit-for-bit.
-  void reset(std::uint64_t seed);
 
  private:
   /// Advance the cache/bandwidth/jitter state for one access and return

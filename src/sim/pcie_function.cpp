@@ -12,10 +12,6 @@ PcieFunction::PcieFunction(Simulator& sim, const SystemConfig& cfg,
     : sim_(sim),
       rc_(sim, cfg.link, cfg.rc, mem, iommu, down),
       device_(sim, cfg.device, cfg.link, up) {
-  wire();
-}
-
-void PcieFunction::wire() {
   rc_.set_write_commit_hook([this](std::uint32_t bytes) {
     device_.grant_posted_credits(bytes);
     if (watchdog_) watchdog_->kick();
@@ -111,20 +107,6 @@ void PcieFunction::set_trace(obs::TraceSink* sink) {
   device_.set_trace(sink);
   aer_.set_trace(sink);
   if (recovery_) recovery_->set_trace(sink);
-}
-
-void PcieFunction::reset() {
-  // The AER listener points into the ladder: detach before destroying it.
-  aer_.reset();
-  recovery_.reset();
-  watchdog_.reset();
-  rc_.reset();
-  device_.reset();
-  buffer_ = nullptr;
-  write_observer_ = {};
-  write_drop_observer_ = {};
-  lost_write_bytes_ = 0;
-  wire();
 }
 
 }  // namespace pcieb::sim

@@ -102,13 +102,7 @@ class PcieFunction {
 
   void set_trace(obs::TraceSink* sink);
 
-  /// Trial-reuse reset: detach the AER listener, destroy the ladder and
-  /// watchdog, rewind the RC and device and re-wire them. The caller
-  /// detaches its step hook from the watchdog first.
-  void reset();
-
  private:
-  void wire();
   void lose_write(std::uint32_t bytes);
 
   Simulator& sim_;

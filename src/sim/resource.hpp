@@ -46,12 +46,6 @@ class SerialResource {
   /// Total busy time accumulated (for utilization reporting).
   Picos busy_total() const { return busy_total_; }
 
-  /// Trial-reuse reset to the just-constructed state.
-  void reset() {
-    busy_until_ = 0;
-    busy_total_ = 0;
-  }
-
  private:
   Simulator& sim_;
   Picos busy_until_ = 0;
@@ -83,18 +77,6 @@ class TokenPool {
   unsigned capacity() const { return capacity_; }
   std::size_t waiting() const { return waiters_.size(); }
 
-  /// Trial-reuse reset: all tokens free, waiters dropped.
-  void reset() {
-    in_use_ = 0;
-    waiters_.clear();
-  }
-
-  /// Trial-reuse reset with a (possibly different) capacity.
-  void reset(unsigned capacity) {
-    capacity_ = capacity;
-    reset();
-  }
-
  private:
   Simulator& sim_;
   unsigned capacity_;
@@ -118,11 +100,6 @@ class BandwidthResource {
 
   double rate_gbps() const { return gbps_; }
   Picos busy_total() const { return serial_.busy_total(); }
-
-  /// Trial-reuse reset. The service-time memo is a pure function of the
-  /// (unchanged) rate, so it deliberately survives — warming it is part
-  /// of what makes a pooled system faster than a fresh one.
-  void reset() { serial_.reset(); }
 
  private:
   /// Memo bound: covers every line-, MPS- and MRRS-sized transfer the

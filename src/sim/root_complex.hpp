@@ -106,7 +106,7 @@ class RootComplex {
   std::uint64_t ordered_reads_hwm() const { return ordered_hwm_; }
 
   /// Stable addresses of the monotonic totals, for obs::CounterRegistry's
-  /// raw readers. Valid for the root complex's lifetime, across reset().
+  /// raw readers. Valid for the root complex's lifetime.
   /// Derived values (malformed_tlps, posted_writes_pending) stay lambdas.
   struct CounterSources {
     const std::uint64_t* reads;
@@ -156,30 +156,6 @@ class RootComplex {
   void abort_host_reads();
   /// Host MMIO reads answered UR by containment (immediate + aborted).
   std::uint64_t contained_host_reads() const { return contained_host_reads_; }
-
-  /// Trial-reuse reset to the just-constructed state: pipeline freed,
-  /// hooks and attachments dropped, all counters and queues cleared, the
-  /// host-tag allocator rewound. Segmentation scratch keeps its capacity.
-  void reset() {
-    pipeline_.reset();
-    is_local_ = {};
-    on_write_commit_ = {};
-    on_write_drop_ = {};
-    writes_arrived_ = writes_committed_ = write_bytes_ = reads_ = 0;
-    posted_hwm_ = ordered_hwm_ = 0;
-    writes_dropped_ = write_bytes_dropped_ = 0;
-    malformed_writes_ = malformed_reads_ = poisoned_dropped_ = 0;
-    unexpected_cpls_ = error_cpls_ = 0;
-    trace_ = nullptr;
-    injector_ = nullptr;
-    aer_ = nullptr;
-    port_contained_ = false;
-    contained_host_reads_ = 0;
-    func_ = 0;
-    ordered_reads_.clear();
-    next_host_tag_ = 0x8000'0000u;
-    host_reads_.clear();
-  }
 
  private:
   void handle_write(const proto::Tlp& tlp);

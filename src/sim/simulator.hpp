@@ -86,11 +86,6 @@ class Simulator {
   /// flattened array after every event's callback; the disarmed path pays
   /// exactly one integer test (monitor_count_ == 0). Monitors run in
   /// registration order and may throw to abort the run.
-  ///
-  /// Compile-time opt-out: building with -DPCIEB_DISABLE_CHECK_DISPATCH
-  /// removes the dispatch from step() entirely (the perf harness's
-  /// zero-cost configuration); add_monitor then throws, so a misconfigured
-  /// build fails loudly instead of silently skipping invariants.
   using MonitorFn = void (*)(void*, Picos);
   static constexpr std::size_t kMaxMonitors = 8;
   void add_monitor(MonitorFn fn, void* ctx);
@@ -120,14 +115,6 @@ class Simulator {
   void sample_point(Picos t) {
     if (sample_hook_) at(t, [] {});
   }
-
-  /// Trial-reuse reset: rewind the engine to its just-constructed state —
-  /// time zero, zero executed events, empty queue (pool kept warm), all
-  /// hooks and monitors detached, default cadences — and re-cache the
-  /// calling thread's armed profiler (a pooled Simulator outlives
-  /// individual profiler arm/disarm windows, so the constructor-time
-  /// pointer may be stale).
-  void reset();
 
  private:
   [[noreturn]] static void throw_past_schedule();

@@ -102,29 +102,6 @@ System::System(const SystemConfig& cfg, const obs::ProfScope& /*build*/)
   wire();
 }
 
-void System::reset(const SystemConfig& cfg) {
-  obs::ProfScope prof(obs::CostCenter::SystemBuild);
-  cfg_ = validated(cfg);
-  // Per-trial machinery first: the simulator's step hook points into the
-  // watchdogs and the AER listeners into the recovery ladders, so both are
-  // detached (sim_.reset(), then inside each function's reset()) before
-  // the functions destroy either.
-  sim_.reset();
-  for (PcieFunction& f : fns_) f.reset();
-  injector_.reset();
-  up_.reset(cfg_.dll);
-  down_.reset(cfg_.dll);
-  for (unsigned i = 0; i < mems_.size(); ++i) mems_[i].reset(seed_of(cfg_, i));
-  iommu_.reset();
-  if (port_aer_) port_aer_->reset();
-  trace_ = nullptr;
-  device_wide_actions_ = 0;
-  test_leak_credits_on_drop_ = false;
-  test_misroute_ = false;
-  misroute_pending_ = -1;
-  wire();
-}
-
 void System::wire() {
   // Error reporting is always on; the injector arms only with a plan,
   // keeping plan-free runs bit-identical to the seed. A lone function's

@@ -116,16 +116,6 @@ class System {
   System(const System&) = delete;
   System& operator=(const System&) = delete;
 
-  /// Trial-reuse reset: rewind every component to its just-constructed
-  /// state and re-arm from `cfg`, without reallocating the component
-  /// graph. `cfg` must describe the same system *shape* as construction —
-  /// identical link, cache, memory, IOMMU, RC, device, jitter, propagation,
-  /// seed and tenant fields; only the per-trial fields (fault_plan,
-  /// watchdog, recovery) may differ. Used by check::run_campaign to reuse
-  /// one pooled System per system spec; the reset-vs-fresh property tests
-  /// pin byte-identical behaviour.
-  void reset(const SystemConfig& cfg);
-
   Simulator& sim() { return sim_; }
   const SystemConfig& config() const { return cfg_; }
   unsigned tenants() const { return static_cast<unsigned>(fns_.size()); }
@@ -260,10 +250,9 @@ class System {
   /// member initializers that build every component are charged to it.
   System(const SystemConfig& cfg, const obs::ProfScope& build);
 
-  /// Shared by the constructor and reset(): give a shared port its RIDs,
-  /// lanes and domains, install the link routing and AER attachments,
-  /// then arm fault/recovery machinery per cfg_. Components must be in
-  /// their just-constructed (or just-reset) state when called.
+  /// The constructor's second half, once every component exists: give a
+  /// shared port its RIDs, lanes and domains, install the link routing
+  /// and AER attachments, then arm fault/recovery machinery per cfg_.
   void wire();
   void arm_faults();
   void arm_recovery(unsigned f);

@@ -101,6 +101,21 @@ expect_usage "chaos bp w/o load"          -- chaos --trials 1 --backpressure on
 expect_usage "chaos bad backpressure"     -- chaos --trials 1 --offered-load 2 --backpressure sometimes
 expect_usage "chaos overload + tenants"   -- chaos --trials 1 --offered-load 2 --tenants 2
 
+# Numbers: sizes are whole byte counts with at most one K/M/G suffix,
+# integers are unsigned, and nothing wraps, saturates or truncates.
+expect_usage "negative window"         -- "${RUN[@]}" --window -8K
+expect_usage "nan window"              -- "${RUN[@]}" --window nan
+expect_usage "window past 64 bits"     -- "${RUN[@]}" --window 1e30
+expect_usage "fractional size"         -- "${RUN[@]}" --size 64.7
+expect_usage "two-letter size suffix"  -- "${RUN[@]}" --window 8KB
+expect_usage "text after size suffix"  -- "${RUN[@]}" --window 8Kxyz
+expect_usage "size past 32 bits"       -- "${RUN[@]}" --size 4294967360
+expect_usage "chaos zero iters"        -- chaos --trials 1 --iters 0
+expect_usage "signed fault ordinal"    -- "${RUN[@]}" --faults "drop@nth=-1"
+expect_usage "fault gen past 32 bits"  -- "${RUN[@]}" --faults "downtrain@gen=4294967297"
+expect_usage "signed max-resets"       -- "${RUN[@]}" --recovery default,max-resets=-1
+expect_usage "max-resets past 32 bits" -- "${RUN[@]}" --recovery default,max-resets=4294967296
+
 expect_ok "bare telemetry to stdout" -- "${RUN[@]}" --telemetry
 expect_ok "telemetry to file" -- "${RUN[@]}" --telemetry="$tmpdir/tel.csv"
 expect_ok "telemetry with interval" -- "${RUN[@]}" --telemetry --telemetry-interval 500000
@@ -114,6 +129,9 @@ expect_ok "tenant chaos" -- chaos --trials 2 --iters 50 --tenants 2 --attacker 0
 expect_ok "overload quick run" -- overload --system NFP6000-HSW --offered-load 2 --frames 400 --capacity-pps 2000000
 expect_ok "overload coalesce bp monitors" -- overload --system NFP6000-HSW --offered-load 2 --service-mode coalesce --backpressure on --frames 400 --capacity-pps 2000000 --monitors
 expect_ok "overload chaos" -- chaos --trials 2 --iters 200 --offered-load 2 --service-mode coalesce --backpressure on
+expect_ok "fractional and hex sizes" -- "${RUN[@]}" --window 1.5K --size 0x40
+expect_ok "hex seeds and addresses" -- chaos --trials 1 --iters 50 --master-seed 0xc4a05
+expect_ok "hex fault address range" -- "${RUN[@]}" --faults "drop@addr=0x0-0xfffff,every=7"
 
 # The forked-worker chaos banner (stderr) names a planted bug exactly as
 # the in-process banner (stdout) does.

@@ -187,6 +187,23 @@ TEST(IommuDomainTest, PerDomainHitMissAccounting) {
   EXPECT_EQ(iommu.tlb_hits(), 1u);
 }
 
+TEST(IommuDomainTest, ConfigureDomainsOnceBeforeTranslations) {
+  Simulator sim;
+  Iommu used(sim, enabled_cfg());
+  translate_dom(sim, used, 0, 0x1000);
+  EXPECT_THROW(used.configure_domains(2, /*partitioned=*/true),
+               std::logic_error);
+
+  Iommu twice(sim, enabled_cfg());
+  twice.configure_domains(2, /*partitioned=*/true);
+  EXPECT_THROW(twice.configure_domains(2, /*partitioned=*/false),
+               std::logic_error);
+
+  Iommu bad(sim, enabled_cfg());
+  EXPECT_THROW(bad.configure_domains(0, true), std::invalid_argument);
+  EXPECT_THROW(bad.configure_domains(257, true), std::invalid_argument);
+}
+
 TEST(IommuDomainTest, RemapDomainFlushesOnlyThatDomain) {
   Simulator sim;
   Iommu iommu(sim, enabled_cfg());
@@ -315,21 +332,6 @@ TEST(IommuDomainTest, PlainIommuIsOneDomainOverOnePool) {
   EXPECT_GT(plain.totals[2], 0u);
   EXPECT_GT(plain.totals[3], 0u);
   for (const auto& [t, ok] : plain.done) ASSERT_GE(t, 0);
-}
-
-TEST(IommuDomainTest, ResetReturnsToOneDomainOverOnePool) {
-  Simulator sim;
-  Iommu iommu(sim, enabled_cfg());
-  iommu.configure_domains(4, /*partitioned=*/true);
-  translate_dom(sim, iommu, 3, 0x1000);
-  sim.reset();
-  iommu.reset();
-  EXPECT_THROW(iommu.domain_stats(1), std::out_of_range);
-  EXPECT_EQ(iommu.tlb_misses(), 0u);
-  // The full 4-entry pool is back: five pages evict exactly one.
-  for (std::uint64_t p = 0; p < 5; ++p) translate_dom(sim, iommu, 0, p * 4096);
-  EXPECT_EQ(iommu.tlb_evictions(), 1u);
-  EXPECT_EQ(iommu.domain_stats(0).evictions, 1u);
 }
 
 }  // namespace

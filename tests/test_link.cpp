@@ -349,22 +349,6 @@ TEST(LinkLaneTest, ConfigureTenantsOnlyBeforeTraffic) {
   EXPECT_THROW(bad.configure_tenants({1, 0}), std::invalid_argument);
 }
 
-TEST(LinkLaneTest, ResetReturnsToOneLaneAtLineRate) {
-  const proto::LinkConfig cfg = proto::gen3_x8();
-  Simulator sim;
-  Link link(sim, cfg, 0);
-  link.configure_tenants({3, 1});
-  link.send(func_tlp(1));
-  sim.run();
-  sim.reset();
-  link.reset(LinkDllConfig{});
-  EXPECT_THROW(link.func_counters(1), std::out_of_range);
-  // Every function rides the one lane again, at the full line rate.
-  EXPECT_EQ(link.send(func_tlp(1)), serialization_ps(280, cfg.tlp_gbps()));
-  EXPECT_EQ(link.func_counters(0).tlps, 1u);
-  EXPECT_EQ(link.tlps_sent(), 1u);
-}
-
 // A plain link is one lane of weight 1: configuring that lane explicitly
 // changes nothing observable, with every DLL fault path exercised.
 constexpr const char* kLanePlan =

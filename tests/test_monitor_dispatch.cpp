@@ -81,22 +81,9 @@ TEST(MonitorDispatch, SlotExhaustionAndNullFnThrow) {
   EXPECT_THROW(sim.add_monitor(nullptr, nullptr), std::logic_error);
 }
 
-TEST(MonitorDispatch, SimulatorResetDetachesAllMonitors) {
-  sim::Simulator sim;
-  std::vector<int> log;
-  OrderProbe a{1, &log};
-  sim.add_monitor(&OrderProbe::fire, &a);
-  sim.reset();
-  EXPECT_EQ(sim.monitor_count(), 0u);
-  sim.after(10, [] {});
-  sim.run();
-  EXPECT_TRUE(log.empty());
-}
-
 // MonitorSuite registers one devirtualized slot that runs every per-step
 // invariant (clock, then bleed/credits/tags per function, then replay),
-// and its destructor removes exactly its own — the RAII contract the
-// trial loop leans on with pooled Systems.
+// and its destructor removes exactly its own.
 TEST(MonitorDispatch, MonitorSuiteOwnsOneSlotAndDetachesOnDestruction) {
   sim::System system(sys::nfp6000_hsw().config);
   EXPECT_EQ(system.sim().monitor_count(), 0u);

@@ -164,8 +164,17 @@ TEST(PlanRoundTrip, MalformedSpecsRejectedWithPointedMessages) {
       {"linkdown@nth=0", "1-based"},
       {"linkdown@dir=both", "dir must be up or down"},
       {"drop@vf=256", "vf must be in 0..255"},
-      {"drop@vf=-1", "vf must be in 0..255"},  // strtoull wraps negatives
+      {"drop@vf=-1", "bad integer"},
       {"drop@vf=abc", "bad integer"},
+      // Integers are unsigned and whole: no sign, no saturation, and a
+      // range check before any narrowing.
+      {"drop@nth=-1", "bad integer"},
+      {"drop@every=+5", "bad integer"},
+      {"drop@every=99999999999999999999999", "bad integer"},
+      {"drop@count= 3", "bad integer"},
+      {"downtrain@gen=4294967297", "gen must be 1..5"},
+      {"corrupt@prob=nan", "prob must be in [0,1]"},
+      {"drop@time=nan-5us", "bad time"},
       {"downtrain@lanes=4,vf=1", "cannot scope"},
       {"linkdown@nth=5,vf=0", "cannot scope"},
   };

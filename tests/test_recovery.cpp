@@ -82,6 +82,13 @@ TEST(RecoveryPolicy, MalformedSpecsRejected) {
       {"default,gen=0", "gen must be 1..5"},
       {"default,gen=6", "gen must be 1..5"},
       {"default,nonfatal-threshold=0", "nonfatal-threshold must be >= 1"},
+      // Integers are unsigned and whole: no sign, no saturation, and a
+      // range check before any narrowing.
+      {"default,max-resets=-1", "bad integer"},
+      {"default,max-resets=4294967296", "bad integer"},
+      {"default,correctable-burst=99999999999999999999999", "bad integer"},
+      {"default,nonfatal-threshold=+4", "bad integer"},
+      {"default,holdoff=nan", "bad time"},
   };
   for (const auto& [spec, want] : bad) {
     try {

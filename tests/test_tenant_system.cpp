@@ -164,6 +164,15 @@ TEST(TenantSystemTest, SharedRecoveryExpandsBlastRadius) {
   sim::System scoped(scoped_cfg);
   core::run_tenant_bench(scoped, bench_params(core::BenchKind::BwWr));
   EXPECT_LT(scoped.device_wide_actions(), system.device_wide_actions());
+
+  // Fully weakened isolation expands it too: three VFs on one FIFO wire,
+  // IO-TLB and uncore, where vf0's lost writes escalate its ladder.
+  auto weakened_cfg = tenant_cfg(3, "drop@every=15,dir=up,vf=0");
+  weakened_cfg.recovery = fault::parse_recovery_policy("default");
+  weakened_cfg.isolation = sim::TenantIsolation::all_weakened();
+  sim::System weakened(weakened_cfg);
+  core::run_tenant_bench(weakened, bench_params(core::BenchKind::BwRdWr, 600));
+  EXPECT_GT(weakened.device_wide_actions(), 0u);
 }
 
 TEST(TenantSystemTest, SeededMisrouteFiresBleedMonitor) {

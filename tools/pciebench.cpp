@@ -13,10 +13,13 @@
 //       --window 1M --faults "drop@every=1000,dir=up" --errors
 //   pciebench suite --system NFP6000-SNB --filter BW_RD --csv out.csv
 #include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -30,6 +33,7 @@
 #include "check/monitors.hpp"
 #include "check/overload_monitors.hpp"
 #include "check/perf.hpp"
+#include "common/parse.hpp"
 #include "core/tenant_runner.hpp"
 #include "core/multi_runner.hpp"
 #include "core/observe.hpp"
@@ -244,15 +248,14 @@ unknown options are rejected; see docs/OBSERVABILITY.md for the schema.
   std::exit(2);
 }
 
-std::uint64_t parse_u64(const char* key, const std::string& s) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-  if (s.empty() || errno != 0 || end != s.c_str() + s.size() ||
-      s.front() == '-') {
-    usage(("bad number '" + s + "' for --" + key).c_str());
-  }
-  return v;
+constexpr std::uint64_t kNoMax = std::numeric_limits<std::uint64_t>::max();
+
+/// A strict unsigned integer (common/parse.hpp) no larger than `max`.
+std::uint64_t parse_u64(const char* key, const std::string& s,
+                        std::uint64_t max = kNoMax) {
+  const auto v = parse_unsigned(s, max);
+  if (!v) usage(("bad number '" + s + "' for --" + key).c_str());
+  return *v;
 }
 
 double parse_f64(const char* key, const std::string& s) {
@@ -273,20 +276,33 @@ fault::RecoveryPolicy parse_recovery(const std::string& spec) {
   }
 }
 
-std::uint64_t parse_size(const std::string& s) {
-  if (s.empty()) usage("empty size");
+/// A byte count: a number (fractions allowed, e.g. 1.5M) with at most one
+/// K/M/G binary suffix, whole and no larger than `max` once scaled.
+std::uint64_t parse_size(const char* key, const std::string& s,
+                         std::uint64_t max = kNoMax) {
+  const auto bad = [&] {
+    usage(("bad size '" + s + "' for --" + key).c_str());
+  };
+  // A digit or '.' first: no sign, space, nan or inf.
+  if (s.empty() || !((s.front() >= '0' && s.front() <= '9') ||
+                     s.front() == '.')) {
+    bad();
+  }
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  std::uint64_t mult = 1;
-  if (end && *end) {
-    switch (*end) {
-      case 'k': case 'K': mult = 1ull << 10; break;
-      case 'm': case 'M': mult = 1ull << 20; break;
-      case 'g': case 'G': mult = 1ull << 30; break;
-      default: usage(("bad size suffix in '" + s + "'").c_str());
-    }
+  const std::string suffix = end;
+  double mult = 1.0;
+  if (suffix == "k" || suffix == "K") mult = 0x1p10;
+  else if (suffix == "m" || suffix == "M") mult = 0x1p20;
+  else if (suffix == "g" || suffix == "G") mult = 0x1p30;
+  else if (!suffix.empty()) bad();
+  const double bytes = v * mult;
+  // Every whole double below 2^64 converts to uint64 exactly.
+  if (!(bytes >= 0.0 && bytes < 0x1p64) || bytes != std::floor(bytes) ||
+      static_cast<std::uint64_t>(bytes) > max) {
+    bad();
   }
-  return static_cast<std::uint64_t>(v * static_cast<double>(mult));
+  return static_cast<std::uint64_t>(bytes);
 }
 
 core::BenchKind parse_kind(const std::string& s) {
@@ -427,7 +443,8 @@ std::vector<unsigned> parse_unsigned_list(const char* key,
   std::istringstream is(s);
   std::string tok;
   while (std::getline(is, tok, ',')) {
-    out.push_back(static_cast<unsigned>(parse_u64(key, tok)));
+    out.push_back(static_cast<unsigned>(
+        parse_u64(key, tok, std::numeric_limits<unsigned>::max())));
   }
   if (out.empty()) usage(("empty list for --" + std::string(key)).c_str());
   return out;
@@ -501,9 +518,10 @@ exec::PoolConfig parse_pool_config(const Args& args, std::string& journal_dir,
       parse_f64("trial-timeout", args.get("trial-timeout", "120"));
   if (pool.limits.wall_seconds <= 0) usage("--trial-timeout must be > 0");
   pool.max_retries = static_cast<unsigned>(
-      parse_u64("max-retries", args.get("max-retries", "2")));
+      parse_u64("max-retries", args.get("max-retries", "2"),
+                std::numeric_limits<unsigned>::max()));
   const std::string rss = args.get("rss-budget", "");
-  if (!rss.empty()) pool.limits.rss_bytes = parse_size(rss);
+  if (!rss.empty()) pool.limits.rss_bytes = parse_size("rss-budget", rss);
   const std::string journal = args.get("journal", "");
   const std::string resume_dir = args.get("resume", "");
   if (!journal.empty() && !resume_dir.empty()) {
@@ -531,10 +549,11 @@ sim::SystemConfig configured_system(const Args& args,
   if (system_name.empty()) usage("--system is required");
   auto cfg = sys::profile_by_name(system_name).config;
 
-  params.transfer_size =
-      static_cast<std::uint32_t>(parse_size(args.get("size", "64")));
-  params.offset = static_cast<std::uint32_t>(parse_size(args.get("offset", "0")));
-  params.window_bytes = parse_size(args.get("window", "8K"));
+  params.transfer_size = static_cast<std::uint32_t>(
+      parse_size("size", args.get("size", "64"), UINT32_MAX));
+  params.offset = static_cast<std::uint32_t>(
+      parse_size("offset", args.get("offset", "0"), UINT32_MAX));
+  params.window_bytes = parse_size("window", args.get("window", "8K"));
   params.iterations = parse_u64("iters", args.get("iters", "20000"));
   params.warmup = parse_u64("warmup", args.get("warmup", "0"));
   params.seed = parse_u64("seed", args.get("seed", "42"));
@@ -556,7 +575,7 @@ sim::SystemConfig configured_system(const Args& args,
   else if (numa == "remote") params.numa_local = false;
   else usage("--numa must be local or remote");
 
-  params.page_bytes = parse_size(args.get("pages", "4K"));
+  params.page_bytes = parse_size("pages", args.get("pages", "4K"));
   const std::string iommu = args.get("iommu", "off");
   if (iommu == "on") {
     cfg = sys::with_iommu(cfg, true, params.page_bytes);
@@ -673,7 +692,8 @@ int cmd_run(const Args& args) {
   if (args.values.contains("telemetry-interval")) {
     if (!telemetry.enabled) usage("--telemetry-interval requires --telemetry");
     const std::uint64_t interval =
-        parse_u64("telemetry-interval", args.get("telemetry-interval", ""));
+        parse_u64("telemetry-interval", args.get("telemetry-interval", ""),
+                  std::numeric_limits<Picos>::max());
     if (interval == 0) usage("--telemetry-interval must be > 0 (picoseconds)");
     oopts.telemetry_interval_ps = static_cast<Picos>(interval);
   }
@@ -803,8 +823,8 @@ int cmd_overload(const Args& args) {
   const auto cfg = configured_system(args, params);
 
   nic::OverloadConfig ocfg;
-  ocfg.frame_bytes =
-      static_cast<std::uint32_t>(parse_size(args.get("frame", "256")));
+  ocfg.frame_bytes = static_cast<std::uint32_t>(
+      parse_size("frame", args.get("frame", "256"), UINT32_MAX));
   ocfg.offered_load = parse_f64("offered-load", args.get("offered-load", "2"));
   if (ocfg.offered_load <= 0) usage("--offered-load must be > 0");
   ocfg.service = parse_service_mode_arg(args.get("service-mode", "poll"));
@@ -814,18 +834,19 @@ int cmd_overload(const Args& args) {
   if (arrivals == "poisson") ocfg.arrivals = core::ArrivalModel::Poisson;
   else if (arrivals == "burst") ocfg.arrivals = core::ArrivalModel::Burst;
   else usage("--arrivals must be poisson or burst");
-  ocfg.burst_frames =
-      static_cast<std::uint32_t>(parse_u64("burst", args.get("burst", "16")));
-  ocfg.flows =
-      static_cast<std::uint32_t>(parse_u64("flows", args.get("flows", "64")));
+  ocfg.burst_frames = static_cast<std::uint32_t>(
+      parse_u64("burst", args.get("burst", "16"), UINT32_MAX));
+  ocfg.flows = static_cast<std::uint32_t>(
+      parse_u64("flows", args.get("flows", "64"), UINT32_MAX));
   ocfg.zipf_s = parse_f64("zipf", args.get("zipf", "1.1"));
   ocfg.frames = parse_u64("frames", args.get("frames", "20000"));
   ocfg.ring_slots = static_cast<std::uint32_t>(
-      parse_u64("ring-slots", args.get("ring-slots", "512")));
+      parse_u64("ring-slots", args.get("ring-slots", "512"), UINT32_MAX));
   ocfg.admission_slots = static_cast<std::uint32_t>(
-      parse_u64("admission", args.get("admission", "0")));
-  ocfg.pause_budget = static_cast<Picos>(from_nanos(static_cast<double>(
-      parse_u64("pause-budget", args.get("pause-budget", "500000")))));
+      parse_u64("admission", args.get("admission", "0"), UINT32_MAX));
+  ocfg.pause_budget = from_nanos(static_cast<double>(
+      parse_u64("pause-budget", args.get("pause-budget", "500000"),
+                std::numeric_limits<Picos>::max() / kPicosPerNano)));
   ocfg.capacity_pps =
       parse_u64("capacity-pps", args.get("capacity-pps", "0"));
   ocfg.seed = parse_u64("seed", args.get("seed", "42"));
@@ -978,6 +999,7 @@ int cmd_chaos(const Args& args) {
   cfg.trials = parse_u64("trials", args.get("trials", "20"));
   cfg.master_seed = parse_u64("master-seed", args.get("master-seed", "0xc4a05"));
   cfg.iterations = parse_u64("iters", args.get("iters", "400"));
+  if (cfg.iterations == 0) usage("--iters must be > 0");
   cfg.shrink = !args.has_flag("no-shrink");
   cfg.recovery = parse_recovery(args.get("recovery", "none"));
   cfg.monitors_throw = args.has_flag("throw-monitors");

@@ -199,6 +199,29 @@ IsolatedRunResult MultiRunner::run(const std::string& filter,
                         ? exec::make_temp_dir("pcieb-suite-")
                         : cfg_.journal_dir;
   exec::Journal journal(res.journal_dir);
+
+  // suite.meta pins what a record's experiment name does not carry: the
+  // systems the experiments run on. A resume must find it byte-identical.
+  std::string meta = "pcieb-suite v1\n";
+  std::vector<std::string> systems;
+  for (const auto& e : suite_.experiments()) {
+    if (std::find(systems.begin(), systems.end(), e.system_name) ==
+        systems.end()) {
+      systems.push_back(e.system_name);
+      meta += "system=" + exec::escape_line(e.system_name) + '\n';
+    }
+  }
+  const std::string meta_path = res.journal_dir + "/suite.meta";
+  if (cfg_.resume && std::filesystem::exists(meta_path)) {
+    if (exec::read_file(meta_path) != meta) {
+      throw exec::InfraError("resume: journal " + res.journal_dir +
+                             " was written by a different suite "
+                             "(suite.meta differs)");
+    }
+  } else {
+    exec::atomic_write_file(meta_path, meta, /*sync=*/true);
+  }
+
   res.artifacts_dir = res.journal_dir + "/artifacts";
   std::error_code ec;
   std::filesystem::create_directories(res.artifacts_dir, ec);

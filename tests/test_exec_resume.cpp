@@ -294,3 +294,22 @@ TEST(MultiRunner, QuarantinedExperimentRerunsOnResume) {
   ASSERT_EQ(res2.records.size(), 1u);
   EXPECT_TRUE(res2.quarantined.empty());
 }
+
+// Experiment names do not carry the system, so suite.meta pins it: a
+// journal written for one system must not resume under another and print
+// its numbers under the other's label.
+TEST(MultiRunner, ResumeRejectsJournalOfAnotherSystem) {
+  TempDir tmp;
+  const std::string filter = "LAT_RD/8/cold";
+  core::IsolatedRunConfig cfg;
+  cfg.journal_dir = tmp.path;
+  const auto hsw = core::Suite::standard("NFP6000-HSW");
+  ASSERT_EQ(core::MultiRunner(hsw, cfg).run(filter).records.size(), 1u);
+  EXPECT_EQ(exec::read_file(tmp.path + "/suite.meta"),
+            "pcieb-suite v1\nsystem=NFP6000-HSW\n");
+
+  cfg.resume = true;
+  EXPECT_EQ(core::MultiRunner(hsw, cfg).run(filter).resumed, 1u);
+  const auto bdw = core::Suite::standard("NFP6000-BDW");
+  EXPECT_THROW(core::MultiRunner(bdw, cfg).run(filter), exec::InfraError);
+}

@@ -1,6 +1,5 @@
 #include "fault/plan.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -54,32 +53,16 @@ std::uint64_t parse_u64(const std::string& s, const std::string& key) {
   return *v;
 }
 
-/// `12ns`, `3.5us`, `2ms`, `1s`, `123ps` — defaults to nanoseconds when
-/// bare. Negative times are rejected; values beyond the Picos range clamp
-/// to the maximum (the "unbounded window" sentinel), so describe() output
-/// containing the sentinel parses back to it exactly.
 Picos parse_time(const std::string& s, const std::string& key) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || std::isnan(v)) {
-    bad_spec("bad time for " + key + ": '" + s + "'");
-  }
-  if (v < 0.0) bad_spec("negative time for " + key + ": '" + s + "'");
-  const std::string unit = end ? std::string(end) : "";
-  double scale = 0.0;
-  if (unit.empty() || unit == "ns") scale = 1e3;
-  else if (unit == "ps") scale = 1.0;
-  else if (unit == "us") scale = 1e6;
-  else if (unit == "ms") scale = 1e9;
-  else if (unit == "s") scale = 1e12;
-  else bad_spec("bad time unit '" + unit + "' for " + key);
-  const double ps = v * scale;
-  constexpr Picos kMax = std::numeric_limits<Picos>::max();
-  if (ps >= static_cast<double>(kMax)) return kMax;
-  return static_cast<Picos>(ps + 0.5);
+  std::string why;
+  const auto t = pcieb::parse_time(s, &why);
+  if (!t) bad_spec(why + " for " + key + ": '" + s + "'");
+  return *t;
 }
 
-/// `A-B` split at the last '-' not preceded by an exponent or start.
+/// `A-B` split at the first '-' past the first character, so a leading
+/// '-' stays with A and its parser rejects the sign. Neither bound takes
+/// an exponent, so no '-' inside a bound needs skipping.
 std::pair<std::string, std::string> split_range(const std::string& s,
                                                 const std::string& key) {
   const auto dash = s.find('-', 1);

@@ -1,7 +1,5 @@
 #include "fault/recovery.hpp"
 
-#include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -23,26 +21,11 @@ std::uint64_t parse_u64(
   return *v;
 }
 
-/// Same grammar as the fault-plan time fields: ps/ns/us/ms/s, bare = ns.
 Picos parse_time(const std::string& s, const std::string& key) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || std::isnan(v)) {
-    bad_policy("bad time for " + key + ": '" + s + "'");
-  }
-  if (v < 0.0) bad_policy("negative time for " + key + ": '" + s + "'");
-  const std::string unit = end ? std::string(end) : "";
-  double scale = 0.0;
-  if (unit.empty() || unit == "ns") scale = 1e3;
-  else if (unit == "ps") scale = 1.0;
-  else if (unit == "us") scale = 1e6;
-  else if (unit == "ms") scale = 1e9;
-  else if (unit == "s") scale = 1e12;
-  else bad_policy("bad time unit '" + unit + "' for " + key);
-  const double ps = v * scale;
-  constexpr Picos kMax = std::numeric_limits<Picos>::max();
-  if (ps >= static_cast<double>(kMax)) return kMax;
-  return static_cast<Picos>(ps + 0.5);
+  std::string why;
+  const auto t = pcieb::parse_time(s, &why);
+  if (!t) bad_policy(why + " for " + key + ": '" + s + "'");
+  return *t;
 }
 
 }  // namespace

@@ -115,6 +115,11 @@ expect_usage "signed fault ordinal"    -- "${RUN[@]}" --faults "drop@nth=-1"
 expect_usage "fault gen past 32 bits"  -- "${RUN[@]}" --faults "downtrain@gen=4294967297"
 expect_usage "signed max-resets"       -- "${RUN[@]}" --recovery default,max-resets=-1
 expect_usage "max-resets past 32 bits" -- "${RUN[@]}" --recovery default,max-resets=4294967296
+# Times are decimal digits with an optional fraction and unit, nothing else.
+expect_usage "signed fault time"       -- "${RUN[@]}" --faults "drop@time=+5us-10us"
+expect_usage "exponent fault time"     -- "${RUN[@]}" --faults "drop@time=1e-3us-2us"
+expect_usage "infinite holdoff"        -- "${RUN[@]}" --recovery default,holdoff=inf
+expect_usage "hex probation"           -- "${RUN[@]}" --recovery default,probation=0x10
 
 expect_ok "bare telemetry to stdout" -- "${RUN[@]}" --telemetry
 expect_ok "telemetry to file" -- "${RUN[@]}" --telemetry="$tmpdir/tel.csv"

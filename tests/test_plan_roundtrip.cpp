@@ -175,6 +175,14 @@ TEST(PlanRoundTrip, MalformedSpecsRejectedWithPointedMessages) {
       {"downtrain@gen=4294967297", "gen must be 1..5"},
       {"corrupt@prob=nan", "prob must be in [0,1]"},
       {"drop@time=nan-5us", "bad time"},
+      // Times are decimal digits, an optional fraction and a unit: no
+      // sign, exponent, hex, inf or nan.
+      {"drop@time=+5us-10us", "bad time for time: '+5us'"},
+      {"drop@time=5us-inf", "bad time for time: 'inf'"},
+      {"drop@time=1e-3us-2us", "bad time unit 'e'"},
+      {"drop@time=0x10-0x20", "bad time unit 'x10'"},
+      {"drop@time= 5us-10us", "bad time for time: ' 5us'"},
+      {"drop@time=.5us-1us", "bad time for time: '.5us'"},
       {"downtrain@lanes=4,vf=1", "cannot scope"},
       {"linkdown@nth=5,vf=0", "cannot scope"},
   };

@@ -89,6 +89,11 @@ TEST(RecoveryPolicy, MalformedSpecsRejected) {
       {"default,correctable-burst=99999999999999999999999", "bad integer"},
       {"default,nonfatal-threshold=+4", "bad integer"},
       {"default,holdoff=nan", "bad time"},
+      {"default,holdoff=inf", "bad time for holdoff: 'inf'"},
+      {"default,probation=0x10", "bad time unit 'x10'"},
+      {"default,flr-duration=+1us", "bad time for flr-duration"},
+      {"default,reset-duration=1e3", "bad time unit 'e3'"},
+      {"default,correctable-window=5.us", "bad time for correctable-window"},
   };
   for (const auto& [spec, want] : bad) {
     try {

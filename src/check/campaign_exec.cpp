@@ -1,33 +1,17 @@
 #include "check/campaign_exec.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <map>
 #include <sstream>
 
 #include "common/stats.hpp"
-#include "exec/crash_hook.hpp"
 #include "exec/journal.hpp"
 
 namespace pcieb::check {
-namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* kRecordHeader = "pcieb-trial v1";
 constexpr const char* kMetaHeader = "pcieb-campaign v1";
-
-/// A worker's payload is its trial's journal record. One that does not
-/// parse is a supervisor-side fault, never a passing trial.
-TrialRecord worker_record(std::uint64_t id, const std::string& payload) {
-  auto rec = TrialRecord::deserialize(payload);
-  if (!rec) {
-    throw exec::InfraError("trial " + std::to_string(id) +
-                           ": worker returned a malformed record");
-  }
-  rec->resumed = false;
-  return std::move(*rec);
-}
 
 /// CSV cell quoting (RFC-4180 style): fault specs contain commas.
 std::string csv_quote(const std::string& s) {
@@ -40,13 +24,10 @@ std::string csv_quote(const std::string& s) {
   return out;
 }
 
-/// campaign.meta pins everything that changes a trial's record; a
-/// resume must find it byte-identical. Keys past telemetry are written
-/// only when their mode is on, so journals of campaigns without it keep
-/// resuming.
-void check_or_write_meta(const exec::Journal& journal,
-                         const ChaosConfig& chaos, bool resume) {
-  const std::string path = journal.dir() + "/campaign.meta";
+/// campaign.meta pins everything that changes a trial's record. Keys past
+/// telemetry are written only when their mode is on, so journals of
+/// campaigns without it keep resuming.
+std::string campaign_meta(const ChaosConfig& chaos) {
   std::ostringstream os;
   os << kMetaHeader << '\n'
      << "master_seed=" << chaos.master_seed << '\n'
@@ -70,42 +51,17 @@ void check_or_write_meta(const exec::Journal& journal,
   if (chaos.monitors_throw) os << "throw_monitors=1\n";
   if (chaos.seed_credit_leak_bug) os << "seed_credit_leak_bug=1\n";
   if (chaos.seed_misroute_bug) os << "seed_misroute_bug=1\n";
-  if (resume && fs::exists(path)) {
-    if (exec::read_file(path) != os.str()) {
-      throw exec::InfraError(
-          "resume: journal " + journal.dir() +
-          " was written by a different campaign (campaign.meta differs)");
-    }
-    return;
-  }
-  exec::atomic_write_file(path, os.str(), /*sync=*/true);
+  return os.str();
 }
 
 std::string artifact_text(const TrialRecord& rec, const exec::JobResult& job,
                           const std::string& shrunk_section) {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(3);
-  os << "# pciebench quarantined-trial artifact\n"
-     << "trial: " << rec.index << '\n'
-     << "spec: " << rec.spec << '\n'
-     << "status: quarantined\n"
-     << "classification: " << rec.classification << '\n'
-     << "attempts: " << rec.attempts << '\n'
-     << "wall_seconds_last_attempt: " << job.outcome.wall_seconds << '\n'
-     << "peak_rss_bytes: " << job.outcome.peak_rss_bytes << '\n'
-     << "monitor state: unavailable (worker did not complete)\n"
-     << "stderr tail:\n";
-  if (job.outcome.stderr_tail.empty()) {
-    os << "  (empty)\n";
-  } else {
-    std::istringstream tail(job.outcome.stderr_tail);
-    std::string line;
-    while (std::getline(tail, line)) os << "  " << line << '\n';
-  }
-  os << "repro:\n  " << rec.repro << '\n';
-  os << shrunk_section;
-  return os.str();
+  return "# pciebench quarantined-trial artifact\ntrial: " +
+         std::to_string(rec.index) + "\nspec: " + rec.spec +
+         "\nstatus: quarantined\n" +
+         exec::failure_report(
+             job, "monitor state: unavailable (worker did not complete)\n") +
+         "repro:\n  " + rec.repro + '\n' + shrunk_section;
 }
 
 }  // namespace
@@ -258,138 +214,87 @@ void ExecCampaignResult::write_csv(const std::string& path) const {
 
 ExecCampaignResult run_campaign_isolated(const ExecCampaignConfig& cfg,
                                          const ExecTrialObserver& observe) {
-  ExecCampaignResult res;
-  const std::string journal_dir = cfg.journal_dir.empty()
-                                      ? exec::make_temp_dir("pcieb-chaos-")
-                                      : cfg.journal_dir;
-  exec::Journal journal(journal_dir);
-  res.journal_dir = journal_dir;
-  res.artifacts_dir =
-      cfg.artifacts_dir.empty() ? journal_dir + "/artifacts" : cfg.artifacts_dir;
-  check_or_write_meta(journal, cfg.chaos, cfg.resume);
-
-  std::error_code ec;
-  fs::create_directories(res.artifacts_dir, ec);
-  if (ec) {
-    throw exec::InfraError("cannot create artifacts dir " + res.artifacts_dir +
-                           ": " + ec.message());
-  }
-
-  exec::PoolConfig pool = cfg.pool;
-  if (pool.scratch_dir.empty()) pool.scratch_dir = journal_dir + "/scratch";
-
-  // Records already committed — a resumed campaign never re-runs them.
+  const ChaosConfig& chaos = cfg.chaos;
+  exec::JobSet jobs;
+  jobs.kind = "campaign";
+  jobs.meta = campaign_meta(chaos);
+  for (std::uint64_t i = 0; i < chaos.trials; ++i) jobs.ids.push_back(i);
+  jobs.name = [](std::uint64_t id) { return "trial-" + std::to_string(id); };
+  jobs.run = [&chaos](std::uint64_t id, unsigned attempt) {
+    const TrialSpec trial = generate_trial(chaos, id);
+    TrialRecord rec = TrialRecord::of(
+        trial, run_trial(trial, chaos.telemetry, chaos.monitors_throw));
+    rec.attempts = attempt + 1;
+    return rec.serialize();
+  };
   std::map<std::uint64_t, TrialRecord> records;
-  if (cfg.resume) {
-    for (auto& [id, payload] : exec::Journal::load(journal_dir)) {
-      if (id >= cfg.chaos.trials) continue;  // shrunken re-run of a campaign
-      if (auto rec = TrialRecord::deserialize(payload)) {
-        records.emplace(id, std::move(*rec));
-      }
-      // Malformed/foreign records are simply re-run.
-    }
-    for (const auto& [id, rec] : records) {
-      (void)id;
-      if (observe) observe(rec);
-    }
-  }
-
-  // Quarantined jobs kept around for artifact writing after the pool.
-  std::map<std::uint64_t, exec::JobResult> quarantined_jobs;
-
-  std::vector<exec::JobSpec> specs;
-  for (std::uint64_t i = 0; i < cfg.chaos.trials; ++i) {
-    if (records.count(i)) continue;
-    if (cfg.stop_after != 0 && specs.size() >= cfg.stop_after) break;
-    exec::JobSpec spec;
-    spec.id = i;
-    spec.name = "trial-" + std::to_string(i);
-    // Captured by value: the closure must stay self-contained across fork.
-    const ChaosConfig chaos = cfg.chaos;
-    spec.fn = [chaos, i](unsigned /*attempt*/) {
-      const TrialSpec trial = generate_trial(chaos, i);
-      return TrialRecord::of(trial, run_trial(trial, chaos.telemetry,
-                                              chaos.monitors_throw))
-          .serialize();
-    };
-    specs.push_back(std::move(spec));
-  }
-
-  const auto on_job = [&](const exec::JobResult& job) {
-    // A quarantined trial produced no outcome: its record is the spec's
-    // with an empty one.
-    TrialRecord rec =
-        job.quarantined
-            ? TrialRecord::of(generate_trial(cfg.chaos, job.id), {})
-            : worker_record(job.id, job.outcome.payload);
+  jobs.accept = [&](std::uint64_t id, const std::string& record,
+                    bool resumed) {
+    auto rec = TrialRecord::deserialize(record);
+    if (!rec || rec->index != id) return false;
+    rec->resumed = resumed;
+    if (observe) observe(*rec);
+    records.emplace(id, std::move(*rec));
+    return true;
+  };
+  // A quarantined trial's verdict is its record, so a resume does not run
+  // it again: trial i is pure in (master_seed, i) and would crash again.
+  // Its record is the spec's with an empty outcome.
+  jobs.quarantine = [&chaos](const exec::JobResult& job) {
+    TrialRecord rec = TrialRecord::of(generate_trial(chaos, job.id), {});
+    rec.status = TrialRecord::Status::Quarantined;
     rec.attempts = job.attempts;
     rec.classification = job.outcome.classify();
-    if (job.quarantined) {
-      rec.status = TrialRecord::Status::Quarantined;
-      quarantined_jobs[job.id] = job;
-      // Basic artifact immediately (crash-safe); enriched with a shrunk
-      // repro after the pool drains, when shrinking is enabled.
-      exec::atomic_write_file(
-          res.artifacts_dir + "/trial-" + std::to_string(job.id) + ".txt",
-          artifact_text(rec, job, ""), /*sync=*/true);
-    }
-    journal.append(rec.index, rec.serialize());
-    if (observe) observe(rec);
-    records.emplace(rec.index, std::move(rec));
+    return exec::JobSet::Quarantine{artifact_text(rec, job, ""),
+                                    rec.serialize()};
   };
-
-  exec::run_jobs(pool, specs, on_job);
-
-  // Shrink quarantined trials in isolated workers: the parent must never
-  // run a candidate that might segfault or spin in-process. Resumed
-  // records were shrunk (or not) by the run that produced them.
-  if (cfg.chaos.shrink && cfg.quarantine_shrink_budget > 0) {
-    for (auto& [id, job] : quarantined_jobs) {
-      if (job.outcome.kind == exec::OutcomeKind::Timeout) continue;
-      const std::string prefix = pool.scratch_dir + "/shrink-" +
-                                 std::to_string(id);
+  // Shrink quarantined trials in isolated workers: the supervisor must
+  // never run a candidate that might segfault or spin. Resumed records
+  // were shrunk (or not) by the run that produced them.
+  if (chaos.shrink && cfg.quarantine_shrink_budget > 0) {
+    jobs.final_artifact = [&](const exec::JobResult& job,
+                              const exec::Isolate& isolate) {
+      if (job.outcome.kind == exec::OutcomeKind::Timeout) return std::string();
       const TrialRunner worker_runner = [&](const TrialSpec& cand) {
-        const exec::Outcome out = exec::run_job(
-            id, 0,
-            [cand](unsigned) {
-              return TrialRecord::of(cand, run_trial(cand)).serialize();
-            },
-            pool.limits, prefix);
+        const exec::Outcome out = isolate([cand](unsigned) {
+          return TrialRecord::of(cand, run_trial(cand)).serialize();
+        });
         TrialOutcome t;
         if (!out.ok()) {
           t.failed = true;
           t.error = "worker " + out.classify();
           return t;
         }
-        const TrialRecord rec = worker_record(id, out.payload);
-        t.failed = rec.status == TrialRecord::Status::Violation;
-        t.total_violations = rec.violations;
-        t.error = rec.error;
+        const auto rec = TrialRecord::deserialize(out.payload);
+        if (!rec) {
+          throw exec::InfraError(jobs.name(job.id) +
+                                 ": worker returned a malformed record");
+        }
+        t.failed = rec->status == TrialRecord::Status::Violation;
+        t.total_violations = rec->violations;
+        t.error = rec->error;
         return t;
       };
       const ShrinkResult shrunk = shrink_trial(
-          generate_trial(cfg.chaos, id), cfg.quarantine_shrink_budget,
+          generate_trial(chaos, job.id), cfg.quarantine_shrink_budget,
           worker_runner);
       std::ostringstream extra;
       extra << "shrunk repro (" << shrunk.runs << " candidate runs, "
             << shrunk.minimal.plan.rules.size() << " fault clause"
             << (shrunk.minimal.plan.rules.size() == 1 ? "" : "s") << "):\n  "
             << shrunk.minimal.repro_command() << '\n';
-      auto rec_it = records.find(id);
-      exec::atomic_write_file(
-          res.artifacts_dir + "/trial-" + std::to_string(id) + ".txt",
-          artifact_text(rec_it->second, job, extra.str()), /*sync=*/true);
-    }
+      return artifact_text(records.at(job.id), job, extra.str());
+    };
   }
 
+  ExecCampaignResult res;
+  static_cast<exec::RunResult&>(res) = exec::run_job_set(cfg.run, jobs);
   for (auto& [id, rec] : records) {
-    (void)id;
     switch (rec.status) {
       case TrialRecord::Status::Ok: ++res.ok; break;
       case TrialRecord::Status::Violation: ++res.violation; break;
       case TrialRecord::Status::Quarantined: ++res.quarantined; break;
     }
-    if (rec.resumed) ++res.resumed;
     res.add(rec);
     res.records.push_back(std::move(rec));
   }
@@ -397,11 +302,11 @@ ExecCampaignResult run_campaign_isolated(const ExecCampaignConfig& cfg,
   // One minimal reproducer for the first invariant violation, as the
   // in-process campaign produces: safe to run in-process because the
   // trial completed inside a healthy worker.
-  if (cfg.chaos.shrink && cfg.stop_after == 0) {
+  if (chaos.shrink && cfg.run.stop_after == 0) {
     for (const auto& rec : res.records) {
       if (rec.status == TrialRecord::Status::Violation) {
-        res.minimized = shrink_trial(generate_trial(cfg.chaos, rec.index),
-                                     cfg.chaos.shrink_budget);
+        res.minimized =
+            shrink_trial(generate_trial(chaos, rec.index), chaos.shrink_budget);
         break;
       }
     }

@@ -1,22 +1,13 @@
-// Crash-safe chaos-campaign execution: every trial of a PR 3 chaos
-// campaign runs in a process-isolated worker (src/exec) with a wall-clock
-// deadline and an RSS budget, so one crashed, hung or OOM'd trial no
-// longer kills the campaign — it is retried with capped exponential
-// backoff and, if it keeps failing, quarantined with a structured failure
-// artifact while the rest of the campaign completes.
-//
-// Completed trials append canonical records to an exec::Journal; a
-// campaign resumed from that journal (`pciebench chaos --resume DIR`)
-// skips finished trials and produces a summary and CSV byte-identical to
-// an uninterrupted run, because trial i is a pure function of
-// (master_seed, i) and every summary field is derived from the sorted
-// records, never from wall-clock or completion order.
-//
-// Unlike in-process check::run_campaign (which stops at the first failure
-// to hand one minimal reproducer to the shrinker), the isolated campaign
-// runs every trial to a verdict: Ok, Violation (invariant monitors or the
-// run itself failed inside a healthy worker) or Quarantined (the worker
-// kept dying). See docs/EXEC.md.
+// Crash-safe chaos campaigns: the trials are the jobs of
+// exec::run_job_set, so a crashed, hung or OOM'd trial is retried, then
+// quarantined with an artifact while the rest of the campaign completes,
+// and a campaign resumed from its journal prints a summary and CSV
+// byte-identical to an uninterrupted run (trial i is pure in
+// (master_seed, i), and every summary field derives from the records in
+// index order). Unlike check::run_campaign, which stops at the first
+// failure to shrink it, every trial runs to a verdict: Ok, Violation (the
+// monitors or the run failed inside a healthy worker) or Quarantined (the
+// worker kept dying). See docs/EXEC.md.
 #pragma once
 
 #include <cstdint>
@@ -26,38 +17,29 @@
 #include <vector>
 
 #include "check/chaos.hpp"
-#include "exec/pool.hpp"
+#include "exec/job_set.hpp"
 
 namespace pcieb::check {
 
 struct ExecCampaignConfig {
-  ChaosConfig chaos;        ///< what to run (seed, trials, iters, shrink)
-  exec::PoolConfig pool;    ///< jobs, limits, retries; scratch_dir may be
-                            ///< empty (defaults under the journal)
-  /// Journal directory; empty = a fresh temp directory (no resume).
-  std::string journal_dir;
-  bool resume = false;      ///< skip trials already recorded in the journal
-  /// Quarantine artifacts directory; empty = "<journal>/artifacts".
-  std::string artifacts_dir;
+  /// What to run: seed, trials, iters, shrink (chaos.threads belongs to
+  /// the in-process run_campaign; run.threads picks pool threads here).
+  ChaosConfig chaos;
+  /// How: forked workers or pool threads, journal, resume, artifacts.
+  exec::RunConfig run;
   /// Worker-isolated shrink budget for quarantined trials (0 = off;
   /// honored only when chaos.shrink). Timeout-class quarantines are not
   /// shrunk: every candidate re-run would cost a full deadline.
   std::size_t quarantine_shrink_budget = 32;
-  /// TEST-ONLY: commit at most this many new records then return early,
-  /// simulating a campaign killed mid-run (0 = run everything).
-  std::size_t stop_after = 0;
 };
 
 /// The tally covers every record, journaled or run: Ok, Violation and
 /// Quarantined alike.
-struct ExecCampaignResult : CampaignTally {
+struct ExecCampaignResult : CampaignTally, exec::RunResult {
   std::vector<TrialRecord> records;  ///< sorted by trial index
   std::size_t ok = 0;
   std::size_t violation = 0;
   std::size_t quarantined = 0;
-  std::size_t resumed = 0;           ///< subset of records from the journal
-  std::string journal_dir;
-  std::string artifacts_dir;
   /// In-process shrink of the lowest-index Violation trial (when
   /// chaos.shrink and one exists).
   std::optional<ShrinkResult> minimized;
@@ -72,13 +54,17 @@ struct ExecCampaignResult : CampaignTally {
   void write_csv(const std::string& path) const;
 };
 
-/// Progress hook: fires in completion order (nondeterministic when
-/// pool.jobs > 1); `resumed` records fire first, in index order.
+/// Progress hook: fires in completion order (nondeterministic with more
+/// than one worker or thread); `resumed` records fire first, in index
+/// order.
 using ExecTrialObserver = std::function<void(const TrialRecord&)>;
 
-/// Run (or resume) the campaign to completion. Throws exec::InfraError
-/// for supervisor-side failures (journal I/O, fork, mismatched resume, a
-/// worker record that does not parse).
+/// Run (or resume) the campaign to completion. Job i is trial i, its
+/// record TrialRecord::serialize()'s text, and campaign.meta pins what
+/// shapes a record; a quarantined trial is journaled with its verdict, so
+/// a resume does not run it again. Throws exec::InfraError for
+/// supervisor-side failures (journal I/O, fork, mismatched resume, a
+/// worker record that does not parse or names another trial).
 ExecCampaignResult run_campaign_isolated(const ExecCampaignConfig& cfg,
                                          const ExecTrialObserver& observe = {});
 

@@ -1,20 +1,13 @@
 #include "core/multi_runner.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <deque>
-#include <filesystem>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/addressing.hpp"
 #include "core/runner.hpp"
-#include "exec/journal.hpp"
-#include "exec/thread_pool.hpp"
 #include "sim/host_buffer.hpp"
 
 namespace pcieb::core {
@@ -144,211 +137,5 @@ template MultiDeviceResult run_multi_device_bandwidth(sim::MultiDeviceSystem&,
                                                       const MultiDeviceSpec&);
 template MultiDeviceResult run_multi_device_bandwidth(sim::SwitchedSystem&,
                                                       const MultiDeviceSpec&);
-
-namespace {
-
-std::string artifact_filename(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '-' && c != '.') {
-      c = '_';
-    }
-  }
-  return out;
-}
-
-std::string experiment_artifact_text(const Experiment& e,
-                                     const exec::JobResult& job) {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(3);
-  os << "# pciebench quarantined-experiment artifact\n"
-     << "experiment: " << e.name << '\n'
-     << "system: " << e.system_name << '\n'
-     << "status: quarantined\n"
-     << "classification: " << job.outcome.classify() << '\n'
-     << "attempts: " << job.attempts << '\n'
-     << "wall_seconds_last_attempt: " << job.outcome.wall_seconds << '\n'
-     << "peak_rss_bytes: " << job.outcome.peak_rss_bytes << '\n'
-     << "stderr tail:\n";
-  if (job.outcome.stderr_tail.empty()) {
-    os << "  (empty)\n";
-  } else {
-    std::istringstream tail(job.outcome.stderr_tail);
-    std::string line;
-    while (std::getline(tail, line)) os << "  " << line << '\n';
-  }
-  os << "repro:\n  "
-     << cli_run_command(e.system_name, e.params, /*iommu=*/false,
-                        /*faults_spec=*/"", /*fault_seed=*/0,
-                        /*monitors=*/false)
-     << '\n';
-  return os.str();
-}
-
-}  // namespace
-
-MultiRunner::MultiRunner(const Suite& suite, IsolatedRunConfig cfg)
-    : suite_(suite), cfg_(std::move(cfg)) {}
-
-IsolatedRunResult MultiRunner::run(const std::string& filter,
-                                   const Progress& progress,
-                                   const QuarantineHook& on_quarantine) {
-  IsolatedRunResult res;
-  res.journal_dir = cfg_.journal_dir.empty()
-                        ? exec::make_temp_dir("pcieb-suite-")
-                        : cfg_.journal_dir;
-  exec::Journal journal(res.journal_dir);
-
-  // suite.meta pins what a record's experiment name does not carry: the
-  // systems the experiments run on. A resume must find it byte-identical.
-  std::string meta = "pcieb-suite v1\n";
-  std::vector<std::string> systems;
-  for (const auto& e : suite_.experiments()) {
-    if (std::find(systems.begin(), systems.end(), e.system_name) ==
-        systems.end()) {
-      systems.push_back(e.system_name);
-      meta += "system=" + exec::escape_line(e.system_name) + '\n';
-    }
-  }
-  const std::string meta_path = res.journal_dir + "/suite.meta";
-  if (cfg_.resume && std::filesystem::exists(meta_path)) {
-    if (exec::read_file(meta_path) != meta) {
-      throw exec::InfraError("resume: journal " + res.journal_dir +
-                             " was written by a different suite "
-                             "(suite.meta differs)");
-    }
-  } else {
-    exec::atomic_write_file(meta_path, meta, /*sync=*/true);
-  }
-
-  res.artifacts_dir = res.journal_dir + "/artifacts";
-  std::error_code ec;
-  std::filesystem::create_directories(res.artifacts_dir, ec);
-  if (ec) {
-    throw exec::InfraError("cannot create artifacts dir " + res.artifacts_dir +
-                           ": " + ec.message());
-  }
-  exec::PoolConfig pool = cfg_.pool;
-  if (pool.scratch_dir.empty()) pool.scratch_dir = res.journal_dir + "/scratch";
-
-  const auto& experiments = suite_.experiments();
-  std::vector<std::size_t> selected;
-  for (std::size_t i = 0; i < experiments.size(); ++i) {
-    if (filter.empty() ||
-        experiments[i].name.find(filter) != std::string::npos) {
-      selected.push_back(i);
-    }
-  }
-
-  // Resumed records: the journal's payloads are exactly the worker
-  // payloads, so deserialize_record both validates and reconstitutes
-  // them. A record naming a different experiment (journal reuse across
-  // suite definitions) is ignored and the experiment re-runs.
-  std::map<std::size_t, ExperimentRecord> done;
-  if (cfg_.resume) {
-    const auto loaded = exec::Journal::load(res.journal_dir);
-    for (const std::size_t idx : selected) {
-      const auto it = loaded.find(idx);
-      if (it == loaded.end()) continue;
-      if (auto rec = deserialize_record(it->second, experiments[idx])) {
-        if (progress) progress(*rec);
-        done.emplace(idx, std::move(*rec));
-        ++res.resumed;
-      }
-    }
-  }
-
-  std::vector<std::size_t> pending;
-  for (const std::size_t idx : selected) {
-    if (done.count(idx)) continue;
-    if (cfg_.stop_after != 0 && pending.size() >= cfg_.stop_after) break;
-    pending.push_back(idx);
-  }
-
-  // Quarantined experiments get a failure artifact but — unlike chaos
-  // trials — no journal record: they produced no result, so a resumed
-  // suite gives them another chance instead of skipping them.
-  std::map<std::size_t, exec::JobResult> quarantined;
-
-  if (cfg_.threads > 0) {
-    // In-process thread-parallel mode: same journal, artifacts and hooks
-    // as fork isolation, minus the process boundary. The journal, the
-    // done map and the user hooks are serialized on one mutex; everything
-    // byte-stable is later derived from `done` in selected order, never
-    // from completion order.
-    std::mutex m;
-    exec::ThreadPool threads(cfg_.threads);
-    threads.parallel_indexed(pending.size(), [&](std::size_t i) {
-      const std::size_t idx = pending[i];
-      const Experiment& e = experiments[idx];
-      try {
-        ExperimentRecord rec = run_experiment(e);
-        const std::string payload = serialize_record(rec);
-        std::lock_guard<std::mutex> lock(m);
-        journal.append(idx, payload);
-        if (progress) progress(rec);
-        done.emplace(idx, std::move(rec));
-      } catch (const std::exception& ex) {
-        // No retries in-process: the first throw quarantines, with the
-        // same artifact shape the fork path produces.
-        exec::JobResult job;
-        job.id = idx;
-        job.name = e.name;
-        job.outcome.kind = exec::OutcomeKind::NonzeroExit;
-        job.outcome.exit_code = 1;
-        job.outcome.stderr_tail = std::string(ex.what()) + "\n";
-        job.attempts = 1;
-        job.quarantined = true;
-        std::lock_guard<std::mutex> lock(m);
-        exec::atomic_write_file(
-            res.artifacts_dir + "/" + artifact_filename(job.name) + ".txt",
-            experiment_artifact_text(e, job), /*sync=*/true);
-        if (on_quarantine) on_quarantine(job.name, job);
-        quarantined.emplace(idx, std::move(job));
-      }
-    });
-  } else {
-    std::vector<exec::JobSpec> specs;
-    specs.reserve(pending.size());
-    for (const std::size_t idx : pending) {
-      exec::JobSpec spec;
-      spec.id = idx;
-      spec.name = experiments[idx].name;
-      const Experiment e = experiments[idx];  // by value across fork
-      spec.fn = [e](unsigned) {
-        return serialize_record(run_experiment(e));
-      };
-      specs.push_back(std::move(spec));
-    }
-    exec::run_jobs(pool, specs, [&](const exec::JobResult& job) {
-      const auto idx = static_cast<std::size_t>(job.id);
-      auto rec = job.quarantined
-                     ? std::nullopt
-                     : deserialize_record(job.outcome.payload, experiments[idx]);
-      if (!rec) {
-        exec::atomic_write_file(
-            res.artifacts_dir + "/" + artifact_filename(job.name) + ".txt",
-            experiment_artifact_text(experiments[idx], job), /*sync=*/true);
-        if (on_quarantine) on_quarantine(job.name, job);
-        quarantined.emplace(idx, job);
-        return;
-      }
-      journal.append(job.id, job.outcome.payload);
-      if (progress) progress(*rec);
-      done.emplace(idx, std::move(*rec));
-    });
-  }
-
-  for (const std::size_t idx : selected) {
-    const auto it = done.find(idx);
-    if (it != done.end()) {
-      res.records.push_back(std::move(it->second));
-    } else if (quarantined.count(idx)) {
-      res.quarantined.push_back(experiments[idx].name);
-    }
-  }
-  return res;
-}
 
 }  // namespace pcieb::core

@@ -1,28 +1,13 @@
-// Two kinds of "many runs at once":
-//
-//  * run_multi_device_bandwidth — bandwidth across concurrently active
-//    simulated devices, the driver for the §9 multi-device study. Each
-//    device hammers its own buffer window with DMA reads (or writes);
-//    the shared LLC, DRAM channels, IOMMU walkers and IO-TLB are where
-//    they interact.
-//
-//  * MultiRunner — a whole Suite of experiments across process-isolated
-//    worker processes (src/exec): each experiment runs in a forked
-//    worker with a wall-clock deadline and an RSS budget, failures are
-//    retried with capped backoff then quarantined, and completed records
-//    append to a crash-safe journal so `pciebench suite --resume` skips
-//    finished experiments and reproduces the uninterrupted summary
-//    byte-for-byte. See docs/EXEC.md.
+// Bandwidth across concurrently active simulated devices, the driver for
+// the §9 multi-device study. Each device hammers its own buffer window
+// with DMA reads (or writes); the shared LLC, DRAM channels, IOMMU walkers
+// and IO-TLB are where they interact.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "core/params.hpp"
-#include "core/suite.hpp"
-#include "exec/pool.hpp"
 #include "sim/multi_system.hpp"
 #include "sim/switched_system.hpp"
 
@@ -60,59 +45,5 @@ extern template MultiDeviceResult run_multi_device_bandwidth(
     sim::MultiDeviceSystem&, const MultiDeviceSpec&);
 extern template MultiDeviceResult run_multi_device_bandwidth(
     sim::SwitchedSystem&, const MultiDeviceSpec&);
-
-struct IsolatedRunConfig {
-  exec::PoolConfig pool;     ///< jobs, deadline/RSS limits, retries
-  /// Journal directory; empty = a fresh temp directory (no resume).
-  std::string journal_dir;
-  bool resume = false;       ///< skip experiments already journaled
-  /// Intra-process parallelism: > 0 runs experiments on a work-stealing
-  /// thread pool in THIS process instead of forked workers — no deadline,
-  /// no RSS budget, no retries (a throwing experiment is quarantined
-  /// immediately), but no fork/exec cost either. Each experiment builds
-  /// its own Simulator, so trials never share state; records are returned
-  /// index-sorted and the journal stays resumable, so canonical output is
-  /// byte-identical to fork-isolated and serial execution. 0 = use the
-  /// fork-isolated pool above.
-  std::size_t threads = 0;
-  /// TEST-ONLY: commit at most this many new records then return early,
-  /// simulating a suite run killed mid-flight (0 = run everything).
-  std::size_t stop_after = 0;
-};
-
-struct IsolatedRunResult {
-  /// Completed records, in suite order (quarantined experiments absent).
-  std::vector<ExperimentRecord> records;
-  /// Experiment names that never produced a result, in suite order; each
-  /// has a failure artifact under artifacts_dir.
-  std::vector<std::string> quarantined;
-  std::size_t resumed = 0;
-  std::string journal_dir;
-  std::string artifacts_dir;
-};
-
-/// Process-isolated Suite execution. Journal record i corresponds to
-/// experiment i of the *full* suite (records name-checked on resume, so
-/// a journal from a different suite is ignored record-by-record and the
-/// experiments simply re-run).
-class MultiRunner {
- public:
-  MultiRunner(const Suite& suite, IsolatedRunConfig cfg);
-
-  using Progress = std::function<void(const ExperimentRecord&)>;
-  using QuarantineHook =
-      std::function<void(const std::string& name, const exec::JobResult&)>;
-
-  /// Run every experiment whose name contains `filter`. `progress` fires
-  /// per completed record in completion order (resumed records first);
-  /// `on_quarantine` fires when an experiment exhausts its retries.
-  IsolatedRunResult run(const std::string& filter = "",
-                        const Progress& progress = {},
-                        const QuarantineHook& on_quarantine = {});
-
- private:
-  const Suite& suite_;
-  IsolatedRunConfig cfg_;
-};
 
 }  // namespace pcieb::core

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -105,6 +107,54 @@ std::vector<ExperimentRecord> Suite::run(
     records.push_back(std::move(record));
   }
   return records;
+}
+
+JournaledSuiteRun Suite::run_journaled(
+    const std::string& filter, const exec::RunConfig& cfg,
+    const std::function<void(const ExperimentRecord&)>& progress,
+    const std::function<void(const exec::JobResult&)>& on_quarantine) const {
+  exec::JobSet jobs;
+  jobs.kind = "suite";
+  // What a record's experiment name does not carry: the systems.
+  std::set<std::string> systems;
+  for (const auto& e : experiments_) systems.insert(e.system_name);
+  jobs.meta = "pcieb-suite v1\n";
+  for (const auto& system : systems) jobs.meta += "system=" + system + '\n';
+  for (std::size_t i = 0; i < experiments_.size(); ++i) {
+    if (experiments_[i].name.find(filter) != std::string::npos) {
+      jobs.ids.push_back(i);
+    }
+  }
+  jobs.name = [this](std::uint64_t id) { return experiments_[id].name; };
+  jobs.run = [this](std::uint64_t id, unsigned /*attempt*/) {
+    return serialize_record(run_experiment(experiments_[id]));
+  };
+  std::map<std::uint64_t, ExperimentRecord> done;
+  jobs.accept = [&](std::uint64_t id, const std::string& record, bool) {
+    auto rec = deserialize_record(record, experiments_[id]);
+    if (!rec) return false;
+    if (progress) progress(*rec);
+    done.emplace(id, std::move(*rec));
+    return true;
+  };
+  // An artifact but no record: an experiment that produced no result gets
+  // another chance on resume.
+  jobs.quarantine = [&](const exec::JobResult& job) {
+    if (on_quarantine) on_quarantine(job);
+    const Experiment& e = experiments_[job.id];
+    return exec::JobSet::Quarantine{
+        "# pciebench quarantined-experiment artifact\nexperiment: " + e.name +
+            "\nsystem: " + e.system_name + "\nstatus: quarantined\n" +
+            exec::failure_report(job) + "repro:\n  " +
+            cli_run_command(e.system_name, e.params, /*iommu=*/false,
+                            /*faults_spec=*/"", /*fault_seed=*/0,
+                            /*monitors=*/false) +
+            '\n',
+        std::nullopt};
+  };
+  JournaledSuiteRun run{exec::run_job_set(cfg, jobs), {}};
+  for (auto& [id, rec] : done) run.records.push_back(std::move(rec));
+  return run;
 }
 
 Suite Suite::standard(const std::string& system_name) {

@@ -5,7 +5,9 @@
 // hours and post-processes percentiles, CDFs, histograms and time series.
 // Here a Suite is a declarative list of (system, parameters) experiments;
 // run() executes them on fresh simulated systems and returns structured
-// records that the reporting helpers turn into text or CSV.
+// records that the reporting helpers turn into text or CSV, and
+// run_journaled() runs the same experiments as exec jobs: in forked
+// workers or on pool threads, journaled and resumable (docs/EXEC.md).
 #pragma once
 
 #include <functional>
@@ -15,6 +17,7 @@
 
 #include "core/params.hpp"
 #include "core/runner.hpp"
+#include "exec/job_set.hpp"
 #include "obs/digest.hpp"
 #include "sim/system.hpp"
 
@@ -40,6 +43,12 @@ struct ExperimentRecord {
   std::string latency_digest;
 };
 
+/// What Suite::run_journaled returns: the exec run (journal, artifacts,
+/// resumed count) and the completed records, in suite order.
+struct JournaledSuiteRun : exec::RunResult {
+  std::vector<ExperimentRecord> records;
+};
+
 class Suite {
  public:
   /// Add one experiment; names must be unique (throws otherwise).
@@ -62,6 +71,17 @@ class Suite {
       const std::string& filter = "",
       std::function<void(const ExperimentRecord&)> progress = {}) const;
 
+  /// The same experiments as exec jobs (exec::run_job_set): job i is
+  /// experiment i of the whole suite and its record serialize_record()'s
+  /// text; suite.meta pins the systems. A quarantined experiment leaves an
+  /// artifact but no record, so a resume runs it again; `on_quarantine`
+  /// fires for each. `progress` fires per record, resumed ones first.
+  JournaledSuiteRun run_journaled(
+      const std::string& filter, const exec::RunConfig& cfg,
+      const std::function<void(const ExperimentRecord&)>& progress = {},
+      const std::function<void(const exec::JobResult&)>& on_quarantine = {})
+      const;
+
   /// The standard sweep the paper's control program covers: LAT_RD,
   /// LAT_WRRD, BW_RD, BW_WR, BW_RDWR over transfer sizes and cache states
   /// for one system.
@@ -71,8 +91,8 @@ class Suite {
   std::vector<Experiment> experiments_;
 };
 
-/// Run one experiment on a fresh system: the body of Suite::run, and what
-/// a MultiRunner worker or thread executes.
+/// Run one experiment on a fresh system: the body of Suite::run and of
+/// every run_journaled job.
 ExperimentRecord run_experiment(const Experiment& experiment);
 
 /// Canonical serialization of a completed record ("pcieb-exp v1" +
@@ -84,7 +104,7 @@ std::string serialize_record(const ExperimentRecord& record);
 
 /// Inverse of serialize_record. `expected` supplies the experiment
 /// definition; nullopt when the payload is malformed or names a
-/// different experiment (the caller then re-runs it).
+/// different experiment.
 std::optional<ExperimentRecord> deserialize_record(
     const std::string& payload, const Experiment& expected);
 

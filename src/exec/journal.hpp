@@ -6,13 +6,9 @@
 // A journal is a directory. Record `id` lives in `r<id, 8 digits>.rec`;
 // in-flight temps carry a `.tmp` suffix and are ignored (and may be left
 // behind by a SIGKILL — load() skips them, append() overwrites them).
-// Payloads are opaque to the journal; the campaign layers store
-// line-oriented `key=value` records with escape_line()-encoded values.
-//
-// Resume guarantee: because trial i is a pure function of the campaign
-// seed and i, and records are canonical serializations keyed by i, a
-// campaign resumed from a journal reproduces, byte for byte, the summary
-// an uninterrupted run would have produced. See docs/EXEC.md.
+// Payloads are opaque to the journal; job sets store line-oriented
+// `key=value` records with escape_line()-encoded values. run_job_set
+// (job_set.hpp) is the one writer and reader. See docs/EXEC.md.
 #pragma once
 
 #include <cstdint>
@@ -63,14 +59,12 @@ class Journal {
   explicit Journal(std::string dir);
 
   /// Durably record `payload` for record `id` (overwrites a prior record
-  /// with the same id — used when a quarantined trial is re-run).
+  /// with the same id: one a resume rejected, when its job re-ran).
   void append(std::uint64_t id, const std::string& payload) const;
 
   /// All committed records in `dir`, keyed by id. Missing directory reads
   /// as empty; temps, subdirectories and foreign files are skipped.
   static std::map<std::uint64_t, std::string> load(const std::string& dir);
-
-  const std::string& dir() const { return dir_; }
 
  private:
   std::string dir_;

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <filesystem>
 #include <map>
 
 namespace pcieb::exec {
@@ -34,12 +33,6 @@ std::vector<JobResult> run_jobs(const PoolConfig& cfg,
                                 const JobObserver& observe) {
   if (cfg.jobs == 0) throw InfraError("pool: jobs must be >= 1");
   if (cfg.scratch_dir.empty()) throw InfraError("pool: scratch_dir required");
-  std::error_code ec;
-  std::filesystem::create_directories(cfg.scratch_dir, ec);
-  if (ec) {
-    throw InfraError("pool: cannot create scratch dir " + cfg.scratch_dir +
-                     ": " + ec.message());
-  }
 
   std::deque<Pending> pending;
   for (const auto& s : specs) pending.push_back({&s, 0, 0.0});

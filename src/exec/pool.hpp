@@ -5,9 +5,8 @@
 //
 // "Quarantined" is the graceful-degradation verdict: the job burned its
 // first attempt plus max_retries retries and never produced a result.
-// The pool reports it (final outcome, attempt count) and moves on; the
-// campaign layers turn that into a structured failure artifact and a
-// journal record so a resumed campaign does not re-run it.
+// The pool reports it (final outcome, attempt count) and moves on;
+// run_job_set (job_set.hpp) is what writes its artifact.
 //
 // Results are returned in input order; the observer fires in completion
 // order (which is nondeterministic under jobs > 1 — anything that must be
@@ -30,7 +29,7 @@ struct PoolConfig {
   Limits limits;              ///< per-attempt deadline and RSS budget
   unsigned max_retries = 2;   ///< retries after the first attempt
   Backoff backoff;
-  std::string scratch_dir;    ///< required; created if missing
+  std::string scratch_dir;    ///< required; must exist
 };
 
 struct JobSpec {
@@ -51,7 +50,7 @@ struct JobResult {
 using JobObserver = std::function<void(const JobResult&)>;
 
 /// Run every job to a final verdict. Throws InfraError only for
-/// supervisor-side failures (fork, scratch dir); job failures never throw.
+/// supervisor-side failures (fork, scratch files); job failures never throw.
 std::vector<JobResult> run_jobs(const PoolConfig& cfg,
                                 const std::vector<JobSpec>& specs,
                                 const JobObserver& observe = {});

@@ -1,17 +1,21 @@
 // Unit tests for the src/exec job-execution layer: outcome
 // classification, backoff, the crash-safe journal and its key=value
 // record parser, forked workers under deadlines and RSS budgets (driven
-// by the test-only CrashHook), and the retry/quarantine pool.
+// by the test-only CrashHook), the retry/quarantine pool, and the
+// journaled job engine over a toy job set.
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "exec/backoff.hpp"
 #include "exec/crash_hook.hpp"
+#include "exec/job_set.hpp"
 #include "exec/journal.hpp"
 #include "exec/outcome.hpp"
 #include "exec/pool.hpp"
@@ -26,6 +30,32 @@ namespace {
 struct TempDir {
   std::string path = exec::make_temp_dir("pcieb-exec-test-");
   ~TempDir() { fs::remove_all(path); }
+};
+
+/// Three jobs whose record is "job <id>"; accept() keeps what it takes,
+/// and marks resumed records.
+struct ToyJobs {
+  std::map<std::uint64_t, std::string> kept;
+  exec::JobSet set;
+  ToyJobs() {
+    set.kind = "toy";
+    set.meta = "toy v1\n";
+    set.ids = {0, 1, 2};
+    set.name = [](std::uint64_t id) { return "toy/" + std::to_string(id); };
+    set.run = [](std::uint64_t id, unsigned) {
+      return "job " + std::to_string(id);
+    };
+    set.accept = [this](std::uint64_t id, const std::string& record,
+                        bool resumed) {
+      if (record != "job " + std::to_string(id)) return false;
+      kept[id] = resumed ? "resumed" : "ran";
+      return true;
+    };
+    set.quarantine = [](const exec::JobResult& job) {
+      return exec::JobSet::Quarantine{exec::failure_report(job),
+                                      std::nullopt};
+    };
+  }
 };
 
 }  // namespace
@@ -306,4 +336,95 @@ TEST(Pool, EmptyBatchIsANoOp) {
   exec::PoolConfig cfg;
   cfg.scratch_dir = tmp.path;
   EXPECT_TRUE(exec::run_jobs(cfg, {}).empty());
+}
+
+TEST(JobSet, ForkedAndThreadedRunsJournalEveryRecord) {
+  for (const std::size_t threads : {0u, 2u}) {
+    TempDir tmp;
+    ToyJobs toy;
+    exec::RunConfig cfg;
+    cfg.pool.jobs = 2;
+    cfg.threads = threads;
+    cfg.journal_dir = tmp.path;
+    const auto res = exec::run_job_set(cfg, toy.set);
+    EXPECT_EQ(res.resumed, 0u);
+    EXPECT_EQ(exec::read_file(tmp.path + "/toy.meta"), "toy v1\n");
+    const auto journal = exec::Journal::load(tmp.path);
+    ASSERT_EQ(journal.size(), 3u) << threads;
+    EXPECT_EQ(journal.at(2), "job 2");
+    EXPECT_EQ(toy.kept.at(1), "ran");
+
+    ToyJobs again;
+    cfg.resume = true;
+    EXPECT_EQ(exec::run_job_set(cfg, again.set).resumed, 3u);
+    EXPECT_EQ(again.kept.at(1), "resumed");
+    again.set.meta = "toy v2\n";
+    EXPECT_THROW(exec::run_job_set(cfg, again.set), exec::InfraError);
+  }
+}
+
+// A worker's record that names another job (or does not parse) is a
+// supervisor-side fault, never a result or a quarantine.
+TEST(JobSet, WorkerRecordThatAcceptRejectsIsAnInfraError) {
+  for (const std::size_t threads : {0u, 2u}) {
+    TempDir tmp;
+    ToyJobs toy;
+    toy.set.run = [](std::uint64_t, unsigned) { return std::string("job 7"); };
+    exec::RunConfig cfg;
+    cfg.threads = threads;
+    cfg.journal_dir = tmp.path;
+    EXPECT_THROW(exec::run_job_set(cfg, toy.set), exec::InfraError) << threads;
+  }
+}
+
+// The job set renders a quarantine: with a record the verdict is
+// journaled and a resume keeps it; without one the job runs again.
+TEST(JobSet, QuarantineRecordDecidesWhetherAResumeRerunsTheJob) {
+  for (const bool journal_verdict : {false, true}) {
+    TempDir tmp;
+    ToyJobs toy;
+    toy.set.run = [](std::uint64_t id, unsigned) {
+      if (id == 1) throw std::runtime_error("boom");
+      return "job " + std::to_string(id);
+    };
+    if (journal_verdict) {
+      toy.set.quarantine = [](const exec::JobResult& job) {
+        return exec::JobSet::Quarantine{"verdict",
+                                        "job " + std::to_string(job.id)};
+      };
+    }
+    exec::RunConfig cfg;
+    cfg.threads = 2;  // a throw quarantines at once, classified exit(1)
+    cfg.journal_dir = tmp.path;
+    const auto res = exec::run_job_set(cfg, toy.set);
+    const std::string artifact =
+        exec::read_file(res.artifacts_dir + "/toy_1.txt");
+    if (!journal_verdict) {
+      EXPECT_NE(artifact.find("classification: exit(1)"), std::string::npos);
+      EXPECT_NE(artifact.find("  boom\n"), std::string::npos);
+    }
+    EXPECT_EQ(exec::Journal::load(tmp.path).count(1),
+              journal_verdict ? 1u : 0u);
+
+    ToyJobs again;
+    cfg.resume = true;
+    EXPECT_EQ(exec::run_job_set(cfg, again.set).resumed,
+              journal_verdict ? 3u : 2u);
+    EXPECT_EQ(again.kept.at(1), journal_verdict ? "resumed" : "ran");
+  }
+}
+
+TEST(JobSet, StopAfterCutsTheRunAndAResumeFinishesIt) {
+  TempDir tmp;
+  ToyJobs toy;
+  exec::RunConfig cfg;
+  cfg.journal_dir = tmp.path;
+  cfg.stop_after = 2;
+  exec::run_job_set(cfg, toy.set);
+  EXPECT_EQ(toy.kept.size(), 2u);
+  cfg.stop_after = 0;
+  cfg.resume = true;
+  ToyJobs again;
+  EXPECT_EQ(exec::run_job_set(cfg, again.set).resumed, 2u);
+  EXPECT_EQ(again.kept.size(), 3u);
 }

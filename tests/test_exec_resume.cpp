@@ -1,16 +1,16 @@
 // Crash-safe campaign execution end to end: quarantine of crashing,
-// hanging and OOM'ing trials (the ISSUE's acceptance scenario), journal
-// resume producing byte-identical canonical output, and process-isolated
-// Suite execution through core::MultiRunner.
+// hanging and OOM'ing trials, journal resume producing byte-identical
+// canonical output, records that must name their job, and journaled
+// Suite execution through Suite::run_journaled.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "campaign_tally_expect.hpp"
 #include "check/campaign_exec.hpp"
-#include "core/multi_runner.hpp"
 #include "core/suite.hpp"
 #include "exec/crash_hook.hpp"
 #include "exec/journal.hpp"
@@ -40,9 +40,9 @@ check::ExecCampaignConfig small_campaign(std::size_t trials) {
   cfg.chaos.trials = trials;
   cfg.chaos.iterations = 60;
   cfg.chaos.shrink = false;
-  cfg.pool.jobs = 2;
-  cfg.pool.backoff.initial_seconds = 0.01;
-  cfg.pool.backoff.cap_seconds = 0.02;
+  cfg.run.pool.jobs = 2;
+  cfg.run.pool.backoff.initial_seconds = 0.01;
+  cfg.run.pool.backoff.cap_seconds = 0.02;
   return cfg;
 }
 
@@ -73,13 +73,13 @@ TEST(TrialRecord, SerializeRoundTrips) {
   EXPECT_FALSE(check::TrialRecord::deserialize("not a record").has_value());
 }
 
-// A forked worker sends TrialRecord::of(spec, outcome) and the supervisor
-// only adds the attempt count and classification, so each journal record
-// is exactly the in-process record of the same trial.
+// A forked worker sends TrialRecord::of(spec, outcome) with its attempt
+// count and the supervisor journals it as sent, so each journal record is
+// exactly the in-process record of the same trial.
 TEST(TrialRecord, OfMatchesForkedJournal) {
   TempDir tmp;
   auto cfg = small_campaign(6);
-  cfg.journal_dir = tmp.path;
+  cfg.run.journal_dir = tmp.path;
   cfg.chaos.iterations = 400;
   cfg.chaos.recovery = fault::parse_recovery_policy("default");
   cfg.chaos.seed_credit_leak_bug = true;
@@ -99,17 +99,17 @@ TEST(TrialRecord, OfMatchesForkedJournal) {
   }
 }
 
-// The ISSUE's acceptance scenario: a campaign whose trials segfault, hang
-// and exceed the RSS budget runs to completion, quarantines all three
-// with structured artifacts, and completes the healthy trials.
+// A campaign whose trials segfault, hang and exceed the RSS budget runs
+// to completion, quarantines all three with structured artifacts, and
+// completes the healthy trials.
 TEST(ExecCampaign, QuarantinesCrashHangAndOomTrials) {
   TempDir tmp;
   HookGuard hook("segv@1;hang@2;oom@3");
   auto cfg = small_campaign(5);
-  cfg.journal_dir = tmp.path;
-  cfg.pool.max_retries = 0;
-  cfg.pool.limits.wall_seconds = 5.0;
-  cfg.pool.limits.rss_bytes = exec::own_rss_bytes() + (128ull << 20);
+  cfg.run.journal_dir = tmp.path;
+  cfg.run.pool.max_retries = 0;
+  cfg.run.pool.limits.wall_seconds = 5.0;
+  cfg.run.pool.limits.rss_bytes = exec::own_rss_bytes() + (128ull << 20);
 
   const auto res = check::run_campaign_isolated(cfg);
   ASSERT_EQ(res.records.size(), 5u);
@@ -133,7 +133,7 @@ TEST(ExecCampaign, QuarantinesCrashHangAndOomTrials) {
   // quarantined ones — is already journaled, so nothing re-runs.
   ::unsetenv(exec::CrashHook::kEnvVar);
   auto again = cfg;
-  again.resume = true;
+  again.run.resume = true;
   const auto res2 = check::run_campaign_isolated(again);
   EXPECT_EQ(res2.resumed, 5u);
   EXPECT_EQ(res2.quarantined, 3u);
@@ -145,18 +145,18 @@ TEST(ExecCampaign, QuarantinesCrashHangAndOomTrials) {
 TEST(ExecCampaign, ResumeIsByteIdenticalToUninterrupted) {
   TempDir full_dir, cut_dir;
   auto full = small_campaign(6);
-  full.journal_dir = full_dir.path;
+  full.run.journal_dir = full_dir.path;
   const auto ref = check::run_campaign_isolated(full);
   ASSERT_EQ(ref.records.size(), 6u);
 
   auto cut = small_campaign(6);
-  cut.journal_dir = cut_dir.path;
-  cut.stop_after = 3;  // simulate a SIGKILL mid-campaign
+  cut.run.journal_dir = cut_dir.path;
+  cut.run.stop_after = 3;  // simulate a SIGKILL mid-campaign
   const auto partial = check::run_campaign_isolated(cut);
   EXPECT_EQ(partial.records.size(), 3u);
 
-  cut.stop_after = 0;
-  cut.resume = true;
+  cut.run.stop_after = 0;
+  cut.run.resume = true;
   const auto resumed = check::run_campaign_isolated(cut);
   EXPECT_EQ(resumed.resumed, 3u);
   EXPECT_EQ(resumed.summary_text(cut.chaos), ref.summary_text(full.chaos));
@@ -172,10 +172,10 @@ TEST(ExecCampaign, ResumeIsByteIdenticalToUninterrupted) {
 TEST(ExecCampaign, ResumeRejectsForeignJournal) {
   TempDir tmp;
   auto cfg = small_campaign(2);
-  cfg.journal_dir = tmp.path;
+  cfg.run.journal_dir = tmp.path;
   check::run_campaign_isolated(cfg);
   auto other = cfg;
-  other.resume = true;
+  other.run.resume = true;
   other.chaos.master_seed ^= 1;  // a different campaign entirely
   EXPECT_THROW(check::run_campaign_isolated(other), exec::InfraError);
 }
@@ -187,9 +187,9 @@ TEST(ExecCampaign, ResumeRejectsFlippedThrowModeOrSeededBug) {
   const auto flip_refused = [](check::ExecCampaignConfig cfg,
                                void (*flip)(check::ChaosConfig&)) {
     TempDir tmp;
-    cfg.journal_dir = tmp.path;
+    cfg.run.journal_dir = tmp.path;
     check::run_campaign_isolated(cfg);
-    cfg.resume = true;
+    cfg.run.resume = true;
     EXPECT_EQ(check::run_campaign_isolated(cfg).resumed, cfg.chaos.trials);
     flip(cfg.chaos);
     EXPECT_THROW(check::run_campaign_isolated(cfg), exec::InfraError);
@@ -216,9 +216,9 @@ TEST(ExecCampaign, ShrinksQuarantinedTrialInWorkers) {
   TempDir tmp;
   HookGuard hook("segv@1");
   auto cfg = small_campaign(2);
-  cfg.journal_dir = tmp.path;
-  cfg.pool.jobs = 1;
-  cfg.pool.max_retries = 0;
+  cfg.run.journal_dir = tmp.path;
+  cfg.run.pool.jobs = 1;
+  cfg.run.pool.max_retries = 0;
   cfg.chaos.shrink = true;
   cfg.quarantine_shrink_budget = 6;
 
@@ -230,28 +230,56 @@ TEST(ExecCampaign, ShrinksQuarantinedTrialInWorkers) {
   EXPECT_NE(text.find("--faults"), std::string::npos);
 }
 
-TEST(MultiRunner, ResumeReproducesUninterruptedSuiteOutput) {
+// A journal record must name its job: a record of trial 5 filed as
+// trial 2 is refused on resume, and trial 2 runs again instead of trial
+// 5 being reported twice and trial 2 never.
+TEST(ExecCampaign, ResumeRerunsARecordFiledUnderAnotherTrial) {
+  TempDir full_dir, cut_dir;
+  auto full = small_campaign(6);
+  full.run.journal_dir = full_dir.path;
+  const auto ref = check::run_campaign_isolated(full);
+  ASSERT_EQ(ref.records.size(), 6u);
+
+  auto cut = small_campaign(6);
+  cut.run.journal_dir = cut_dir.path;
+  check::run_campaign_isolated(cut);
+  fs::copy_file(cut_dir.path + "/r00000005.rec",
+                cut_dir.path + "/r00000002.rec",
+                fs::copy_options::overwrite_existing);
+
+  cut.run.resume = true;
+  const auto resumed = check::run_campaign_isolated(cut);
+  EXPECT_EQ(resumed.resumed, 5u);
+  EXPECT_EQ(resumed.summary_text(cut.chaos), ref.summary_text(full.chaos));
+  ref.write_csv(full_dir.path + "/ref.csv");
+  resumed.write_csv(full_dir.path + "/resumed.csv");
+  EXPECT_EQ(exec::read_file(full_dir.path + "/ref.csv"),
+            exec::read_file(full_dir.path + "/resumed.csv"));
+  // The re-run put trial 2's own record back.
+  EXPECT_EQ(exec::read_file(cut_dir.path + "/r00000002.rec"),
+            exec::read_file(full_dir.path + "/r00000002.rec"));
+}
+
+TEST(JournaledSuite, ResumeReproducesUninterruptedSuiteOutput) {
   TempDir full_dir, cut_dir;
   const auto suite = core::Suite::standard("NFP6000-HSW");
   const std::string filter = "LAT_RD/8/";  // cold + warm: two experiments
 
-  core::IsolatedRunConfig full;
+  exec::RunConfig full;
   full.pool.jobs = 2;
   full.journal_dir = full_dir.path;
-  const auto ref = core::MultiRunner(suite, full).run(filter);
+  const auto ref = suite.run_journaled(filter, full);
   ASSERT_EQ(ref.records.size(), 2u);
-  EXPECT_TRUE(ref.quarantined.empty());
 
-  core::IsolatedRunConfig cut;
-  cut.pool.jobs = 1;
+  exec::RunConfig cut;
   cut.journal_dir = cut_dir.path;
   cut.stop_after = 1;  // killed after the first experiment committed
-  const auto partial = core::MultiRunner(suite, cut).run(filter);
+  const auto partial = suite.run_journaled(filter, cut);
   EXPECT_EQ(partial.records.size(), 1u);
 
   cut.stop_after = 0;
   cut.resume = true;
-  const auto resumed = core::MultiRunner(suite, cut).run(filter);
+  const auto resumed = suite.run_journaled(filter, cut);
   EXPECT_EQ(resumed.resumed, 1u);
   ASSERT_EQ(resumed.records.size(), 2u);
   EXPECT_EQ(core::summarize(resumed.records), core::summarize(ref.records));
@@ -263,22 +291,24 @@ TEST(MultiRunner, ResumeReproducesUninterruptedSuiteOutput) {
 
 // A quarantined experiment produces an artifact but no journal record, so
 // a resumed suite gives it another chance instead of skipping it.
-TEST(MultiRunner, QuarantinedExperimentRerunsOnResume) {
+TEST(JournaledSuite, QuarantinedExperimentRerunsOnResume) {
   TempDir tmp;
   const auto suite = core::Suite::standard("NFP6000-HSW");
   const std::string filter = "LAT_RD/8/cold";  // exactly one experiment
 
-  core::IsolatedRunConfig cfg;
+  exec::RunConfig cfg;
   cfg.journal_dir = tmp.path;
   cfg.pool.max_retries = 0;
   cfg.pool.backoff.initial_seconds = 0.01;
 
   {
     HookGuard hook("segv@*");
-    const auto res = core::MultiRunner(suite, cfg).run(filter);
+    std::vector<std::string> reported;
+    const auto res = suite.run_journaled(
+        filter, cfg, {},
+        [&](const exec::JobResult& job) { reported.push_back(job.name); });
     EXPECT_TRUE(res.records.empty());
-    ASSERT_EQ(res.quarantined.size(), 1u);
-    EXPECT_EQ(res.quarantined[0], "LAT_RD/8/cold");
+    EXPECT_EQ(reported, std::vector<std::string>{"LAT_RD/8/cold"});
     const std::string artifact =
         res.artifacts_dir + "/LAT_RD_8_cold.txt";
     ASSERT_TRUE(fs::exists(artifact));
@@ -289,27 +319,26 @@ TEST(MultiRunner, QuarantinedExperimentRerunsOnResume) {
   }
 
   cfg.resume = true;  // hook disarmed: the re-run now succeeds
-  const auto res2 = core::MultiRunner(suite, cfg).run(filter);
+  const auto res2 = suite.run_journaled(filter, cfg);
   EXPECT_EQ(res2.resumed, 0u);
   ASSERT_EQ(res2.records.size(), 1u);
-  EXPECT_TRUE(res2.quarantined.empty());
 }
 
 // Experiment names do not carry the system, so suite.meta pins it: a
 // journal written for one system must not resume under another and print
 // its numbers under the other's label.
-TEST(MultiRunner, ResumeRejectsJournalOfAnotherSystem) {
+TEST(JournaledSuite, ResumeRejectsJournalOfAnotherSystem) {
   TempDir tmp;
   const std::string filter = "LAT_RD/8/cold";
-  core::IsolatedRunConfig cfg;
+  exec::RunConfig cfg;
   cfg.journal_dir = tmp.path;
   const auto hsw = core::Suite::standard("NFP6000-HSW");
-  ASSERT_EQ(core::MultiRunner(hsw, cfg).run(filter).records.size(), 1u);
+  ASSERT_EQ(hsw.run_journaled(filter, cfg).records.size(), 1u);
   EXPECT_EQ(exec::read_file(tmp.path + "/suite.meta"),
             "pcieb-suite v1\nsystem=NFP6000-HSW\n");
 
   cfg.resume = true;
-  EXPECT_EQ(core::MultiRunner(hsw, cfg).run(filter).resumed, 1u);
+  EXPECT_EQ(hsw.run_journaled(filter, cfg).resumed, 1u);
   const auto bdw = core::Suite::standard("NFP6000-BDW");
-  EXPECT_THROW(core::MultiRunner(bdw, cfg).run(filter), exec::InfraError);
+  EXPECT_THROW(bdw.run_journaled(filter, cfg), exec::InfraError);
 }

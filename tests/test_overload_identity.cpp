@@ -71,10 +71,10 @@ TEST(OverloadIdentity, ForkIsolatedAndResumedCampaignsMatchByteForByte) {
   TempDir ref_dir, cut_dir;
   check::ExecCampaignConfig ref_cfg;
   ref_cfg.chaos = overload_campaign();
-  ref_cfg.journal_dir = ref_dir.path;
-  ref_cfg.pool.jobs = 3;
-  ref_cfg.pool.backoff.initial_seconds = 0.01;
-  ref_cfg.pool.backoff.cap_seconds = 0.02;
+  ref_cfg.run.journal_dir = ref_dir.path;
+  ref_cfg.run.pool.jobs = 3;
+  ref_cfg.run.pool.backoff.initial_seconds = 0.01;
+  ref_cfg.run.pool.backoff.cap_seconds = 0.02;
   const auto ref = check::run_campaign_isolated(ref_cfg);
   ASSERT_EQ(ref.records.size(), 10u);
   EXPECT_EQ(ref.violation, 0u);
@@ -95,14 +95,14 @@ TEST(OverloadIdentity, ForkIsolatedAndResumedCampaignsMatchByteForByte) {
   // summary and CSV byte for byte — ledger columns included, read back
   // from the journal rather than re-simulated.
   auto cut = ref_cfg;
-  cut.journal_dir = cut_dir.path;
-  cut.pool.jobs = 1;
-  cut.stop_after = 4;
+  cut.run.journal_dir = cut_dir.path;
+  cut.run.pool.jobs = 1;
+  cut.run.stop_after = 4;
   const auto partial = check::run_campaign_isolated(cut);
   EXPECT_EQ(partial.records.size(), 4u);
 
-  cut.stop_after = 0;
-  cut.resume = true;
+  cut.run.stop_after = 0;
+  cut.run.resume = true;
   const auto resumed = check::run_campaign_isolated(cut);
   EXPECT_EQ(resumed.resumed, 4u);
   EXPECT_EQ(resumed.summary_text(cut.chaos), ref.summary_text(ref_cfg.chaos));
@@ -123,11 +123,11 @@ TEST(OverloadIdentity, ResumeRejectsOverloadMismatch) {
   check::ExecCampaignConfig cfg;
   cfg.chaos = overload_campaign();
   cfg.chaos.trials = 3;
-  cfg.journal_dir = tmp.path;
+  cfg.run.journal_dir = tmp.path;
   check::run_campaign_isolated(cfg);
 
   auto other = cfg;
-  other.resume = true;
+  other.run.resume = true;
   other.chaos.offered_load = 4.0;
   EXPECT_THROW(check::run_campaign_isolated(other), exec::InfraError);
   other.chaos.offered_load = 0.0;

@@ -86,10 +86,10 @@ TEST(RecoveryIdentity, ForkIsolatedAndResumedCampaignsMatchByteForByte) {
   TempDir ref_dir, cut_dir;
   check::ExecCampaignConfig ref_cfg;
   ref_cfg.chaos = recovery_campaign();
-  ref_cfg.journal_dir = ref_dir.path;
-  ref_cfg.pool.jobs = 3;
-  ref_cfg.pool.backoff.initial_seconds = 0.01;
-  ref_cfg.pool.backoff.cap_seconds = 0.02;
+  ref_cfg.run.journal_dir = ref_dir.path;
+  ref_cfg.run.pool.jobs = 3;
+  ref_cfg.run.pool.backoff.initial_seconds = 0.01;
+  ref_cfg.run.pool.backoff.cap_seconds = 0.02;
   const auto ref = check::run_campaign_isolated(ref_cfg);
   ASSERT_EQ(ref.records.size(), 12u);
   EXPECT_EQ(ref.violation, 0u);
@@ -109,14 +109,14 @@ TEST(RecoveryIdentity, ForkIsolatedAndResumedCampaignsMatchByteForByte) {
   // summary and CSV byte for byte — recovery columns included, read
   // back from the journal rather than re-simulated.
   auto cut = ref_cfg;
-  cut.journal_dir = cut_dir.path;
-  cut.pool.jobs = 1;
-  cut.stop_after = 5;
+  cut.run.journal_dir = cut_dir.path;
+  cut.run.pool.jobs = 1;
+  cut.run.stop_after = 5;
   const auto partial = check::run_campaign_isolated(cut);
   EXPECT_EQ(partial.records.size(), 5u);
 
-  cut.stop_after = 0;
-  cut.resume = true;
+  cut.run.stop_after = 0;
+  cut.run.resume = true;
   const auto resumed = check::run_campaign_isolated(cut);
   EXPECT_EQ(resumed.resumed, 5u);
   EXPECT_EQ(resumed.summary_text(cut.chaos), ref.summary_text(ref_cfg.chaos));
@@ -137,11 +137,11 @@ TEST(RecoveryIdentity, ResumeRejectsPolicyMismatch) {
   check::ExecCampaignConfig cfg;
   cfg.chaos = recovery_campaign();
   cfg.chaos.trials = 3;
-  cfg.journal_dir = tmp.path;
+  cfg.run.journal_dir = tmp.path;
   check::run_campaign_isolated(cfg);
 
   auto other = cfg;
-  other.resume = true;
+  other.run.resume = true;
   other.chaos.recovery = fault::parse_recovery_policy("aggressive");
   EXPECT_THROW(check::run_campaign_isolated(other), exec::InfraError);
   other.chaos.recovery = fault::RecoveryPolicy{};

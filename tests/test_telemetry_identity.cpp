@@ -58,15 +58,15 @@ TEST(TelemetryIdentity, ForkIsolatedAndResumedCampaignsMatchInProcess) {
   TempDir tmp;
   check::ExecCampaignConfig iso;
   iso.chaos = small_campaign();
-  iso.journal_dir = tmp.path;
-  iso.pool.jobs = 3;
+  iso.run.journal_dir = tmp.path;
+  iso.run.pool.jobs = 3;
   const auto forked = check::run_campaign_isolated(iso);
   expect_same_tally(forked, in_process);
 
   // Resume from the completed journal: every trial's digest payload is
   // read back, never re-run, and the merge must still be byte-identical.
   auto again = iso;
-  again.resume = true;
+  again.run.resume = true;
   const auto resumed = check::run_campaign_isolated(again);
   EXPECT_EQ(resumed.resumed, iso.chaos.trials);
   expect_same_tally(resumed, in_process);

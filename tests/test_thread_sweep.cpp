@@ -17,7 +17,6 @@
 
 #include "campaign_tally_expect.hpp"
 #include "check/chaos.hpp"
-#include "core/multi_runner.hpp"
 #include "core/suite.hpp"
 #include "exec/journal.hpp"
 #include "exec/thread_pool.hpp"
@@ -156,18 +155,17 @@ TEST(ThreadSweep, SuiteThreadedMatchesForkIsolatedByteForByte) {
   const auto suite = core::Suite::standard("NFP6000-HSW");
   const std::string filter = "LAT_RD/8/";  // cold + warm: two experiments
 
-  core::IsolatedRunConfig fork_cfg;
+  exec::RunConfig fork_cfg;
   fork_cfg.pool.jobs = 2;
   fork_cfg.journal_dir = fork_dir.path;
-  const auto forked = core::MultiRunner(suite, fork_cfg).run(filter);
+  const auto forked = suite.run_journaled(filter, fork_cfg);
   ASSERT_EQ(forked.records.size(), 2u);
 
-  core::IsolatedRunConfig thr_cfg;
+  exec::RunConfig thr_cfg;
   thr_cfg.threads = 8;
   thr_cfg.journal_dir = thread_dir.path;
-  const auto threaded = core::MultiRunner(suite, thr_cfg).run(filter);
+  const auto threaded = suite.run_journaled(filter, thr_cfg);
   ASSERT_EQ(threaded.records.size(), 2u);
-  EXPECT_TRUE(threaded.quarantined.empty());
 
   EXPECT_EQ(core::summarize(threaded.records), core::summarize(forked.records));
   core::write_csv(forked.records, fork_dir.path + "/fork.csv");
@@ -183,24 +181,24 @@ TEST(ThreadSweep, ThreadedSuiteJournalResumes) {
   const auto suite = core::Suite::standard("NFP6000-HSW");
   const std::string filter = "LAT_RD/8/";
 
-  core::IsolatedRunConfig cut;
+  exec::RunConfig cut;
   cut.threads = 2;
   cut.journal_dir = tmp.path;
   cut.stop_after = 1;
-  const auto partial = core::MultiRunner(suite, cut).run(filter);
+  const auto partial = suite.run_journaled(filter, cut);
   EXPECT_EQ(partial.records.size(), 1u);
 
   cut.stop_after = 0;
   cut.resume = true;
   cut.threads = 0;  // finish under the fork-isolated pool
-  const auto resumed = core::MultiRunner(suite, cut).run(filter);
+  const auto resumed = suite.run_journaled(filter, cut);
   EXPECT_EQ(resumed.resumed, 1u);
   ASSERT_EQ(resumed.records.size(), 2u);
 
   TempDir ref_dir;
-  core::IsolatedRunConfig full;
+  exec::RunConfig full;
   full.threads = 2;
   full.journal_dir = ref_dir.path;
-  const auto ref = core::MultiRunner(suite, full).run(filter);
+  const auto ref = suite.run_journaled(filter, full);
   EXPECT_EQ(core::summarize(resumed.records), core::summarize(ref.records));
 }

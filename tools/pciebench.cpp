@@ -35,13 +35,12 @@
 #include "check/perf.hpp"
 #include "common/parse.hpp"
 #include "core/tenant_runner.hpp"
-#include "core/multi_runner.hpp"
 #include "core/observe.hpp"
 #include "core/report.hpp"
 #include "core/runner.hpp"
 #include "core/suite.hpp"
 #include "exec/outcome.hpp"
-#include "exec/pool.hpp"
+#include "exec/job_set.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/plan.hpp"
 #include "fault/recovery.hpp"
@@ -507,11 +506,10 @@ bool exec_mode_requested(const Args& args) {
   return false;
 }
 
-/// Shared exec-flag parsing for suite/chaos isolated modes. Returns the
-/// (journal_dir, resume) pair via out-params on the caller's config.
-exec::PoolConfig parse_pool_config(const Args& args, std::string& journal_dir,
-                                   bool& resume) {
-  exec::PoolConfig pool;
+/// Shared exec-flag parsing for suite/chaos isolated modes.
+exec::RunConfig parse_run_config(const Args& args) {
+  exec::RunConfig run;
+  exec::PoolConfig& pool = run.pool;
   pool.jobs = parse_u64("jobs", args.get("jobs", "1"));
   if (pool.jobs == 0) usage("--jobs must be >= 1");
   pool.limits.wall_seconds =
@@ -527,9 +525,9 @@ exec::PoolConfig parse_pool_config(const Args& args, std::string& journal_dir,
   if (!journal.empty() && !resume_dir.empty()) {
     usage("--journal and --resume are mutually exclusive");
   }
-  journal_dir = resume_dir.empty() ? journal : resume_dir;
-  resume = !resume_dir.empty();
-  return pool;
+  run.journal_dir = resume_dir.empty() ? journal : resume_dir;
+  run.resume = !resume_dir.empty();
+  return run;
 }
 
 int cmd_list_systems() {
@@ -948,16 +946,17 @@ const char* planted_bug_note(const check::ChaosConfig& cfg) {
 int cmd_chaos_isolated(const Args& args, const check::ChaosConfig& chaos) {
   check::ExecCampaignConfig cfg;
   cfg.chaos = chaos;
-  cfg.pool = parse_pool_config(args, cfg.journal_dir, cfg.resume);
-  cfg.artifacts_dir = args.get("artifacts", "");
+  cfg.run = parse_run_config(args);
+  cfg.run.artifacts_dir = args.get("artifacts", "");
 
+  const std::size_t jobs = cfg.run.pool.jobs;
   std::fprintf(stderr,
                "chaos: %zu trials, master seed 0x%llx, %zu iters/trial, "
                "%zu worker%s%s%s\n",
                chaos.trials,
                static_cast<unsigned long long>(chaos.master_seed),
-               chaos.iterations, cfg.pool.jobs, cfg.pool.jobs == 1 ? "" : "s",
-               cfg.resume ? ", resuming" : "", planted_bug_note(chaos));
+               chaos.iterations, jobs, jobs == 1 ? "" : "s",
+               cfg.run.resume ? ", resuming" : "", planted_bug_note(chaos));
   const auto result = check::run_campaign_isolated(
       cfg, [](const check::TrialRecord& r) {
         std::fprintf(stderr, "%s%s\n", r.summary_line().c_str(),
@@ -1157,26 +1156,24 @@ int cmd_suite(const Args& args) {
           "exclusive");
   }
   if (exec_mode_requested(args) || threaded) {
-    core::IsolatedRunConfig cfg;
-    cfg.pool = parse_pool_config(args, cfg.journal_dir, cfg.resume);
+    exec::RunConfig cfg = parse_run_config(args);
     if (threaded) {
       cfg.threads = parse_u64("threads", args.get("threads", "0"));
       if (cfg.threads == 0) cfg.threads = exec::ThreadPool(0).threads();
     }
-    core::MultiRunner runner(suite, cfg);
-    auto res = runner.run(
-        args.get("filter", ""), progress,
-        [](const std::string& name, const exec::JobResult& job) {
+    std::size_t quarantined = 0;
+    auto res = suite.run_journaled(
+        args.get("filter", ""), cfg, progress, [&](const exec::JobResult& job) {
+          ++quarantined;
           std::fprintf(stderr, "quarantined: %s (%s after %u attempt%s)\n",
-                       name.c_str(), job.outcome.classify().c_str(),
+                       job.name.c_str(), job.outcome.classify().c_str(),
                        job.attempts, job.attempts == 1 ? "" : "s");
         });
     records = std::move(res.records);
     std::fprintf(stderr, "journal: %s\n", res.journal_dir.c_str());
-    if (!res.quarantined.empty()) {
+    if (quarantined != 0) {
       std::fprintf(stderr, "%zu experiment%s quarantined; artifacts: %s\n",
-                   res.quarantined.size(),
-                   res.quarantined.size() == 1 ? "" : "s",
+                   quarantined, quarantined == 1 ? "" : "s",
                    res.artifacts_dir.c_str());
       exit_code = kExitInfra;
     }

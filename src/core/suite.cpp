@@ -30,6 +30,112 @@ double record_num(const exec::Record& rec, const std::string& key) {
   return std::strtod(exec::record_str(rec, key).c_str(), nullptr);
 }
 
+/// Run one experiment on a fresh system: the body of Suite::run and of
+/// every run_journaled job.
+ExperimentRecord run_experiment(const Experiment& e) {
+  const auto& profile = sys::profile_by_name(e.system_name);
+  const auto t0 = std::chrono::steady_clock::now();
+  sim::System system(profile.config);
+  ExperimentRecord record;
+  record.experiment = e;
+  if (is_latency(e.params.kind)) {
+    record.latency = run_latency_bench(system, e.params);
+    obs::Digest digest;
+    for (const double ns : record.latency->samples_ns.raw()) {
+      digest.add_ns(ns);
+    }
+    record.latency_digest = digest.serialize();
+  } else {
+    record.bandwidth = run_bandwidth_bench(system, e.params);
+  }
+  record.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  return record;
+}
+
+/// A suite job's record: "pcieb-exp v1" + key=value lines, doubles at
+/// full precision. It round-trips everything summarize() and write_csv()
+/// read; the raw latency SampleSet stays behind.
+std::string serialize_record(const ExperimentRecord& record) {
+  std::ostringstream os;
+  os << kRecordHeader << '\n'
+     << "name=" << exec::escape_line(record.experiment.name) << '\n'
+     << "wall=" << num(record.wall_seconds) << '\n';
+  if (record.latency) {
+    const auto& s = record.latency->summary;
+    os << "kind=lat\n"
+       << "count=" << s.count << '\n'
+       << "mean=" << num(s.mean_ns) << '\n'
+       << "median=" << num(s.median_ns) << '\n'
+       << "min=" << num(s.min_ns) << '\n'
+       << "max=" << num(s.max_ns) << '\n'
+       << "p95=" << num(s.p95_ns) << '\n'
+       << "p99=" << num(s.p99_ns) << '\n'
+       << "p999=" << num(s.p999_ns) << '\n';
+    if (!record.latency_digest.empty()) {
+      os << "digest=" << exec::escape_line(record.latency_digest) << '\n';
+    }
+  }
+  if (record.bandwidth) {
+    const auto& b = *record.bandwidth;
+    os << "kind=bw\n"
+       << "payload_bytes=" << b.payload_bytes << '\n'
+       << "elapsed=" << b.elapsed << '\n'
+       << "gbps=" << num(b.gbps) << '\n'
+       << "mtps=" << num(b.mtps) << '\n'
+       << "lost=" << b.lost_payload_bytes << '\n'
+       << "wire_bytes=" << b.wire_bytes << '\n'
+       << "goodput=" << num(b.goodput_gbps) << '\n'
+       << "wire_gbps=" << num(b.wire_gbps) << '\n';
+  }
+  return os.str();
+}
+
+/// Inverse of serialize_record; nullopt when the payload is malformed or
+/// names another experiment than `expected`.
+std::optional<ExperimentRecord> deserialize_record(const std::string& payload,
+                                                   const Experiment& expected) {
+  const exec::Record kv = exec::parse_record(payload);
+  if (kv.header != kRecordHeader) return std::nullopt;
+  if (exec::record_str(kv, "name") != expected.name) return std::nullopt;
+
+  ExperimentRecord rec;
+  rec.experiment = expected;
+  rec.wall_seconds = record_num(kv, "wall");
+  const std::string kind = exec::record_str(kv, "kind");
+  if (kind == "lat") {
+    LatencyResult lat;
+    lat.params = expected.params;
+    lat.summary.count = exec::record_u64(kv, "count");
+    lat.summary.mean_ns = record_num(kv, "mean");
+    lat.summary.median_ns = record_num(kv, "median");
+    lat.summary.min_ns = record_num(kv, "min");
+    lat.summary.max_ns = record_num(kv, "max");
+    lat.summary.p95_ns = record_num(kv, "p95");
+    lat.summary.p99_ns = record_num(kv, "p99");
+    lat.summary.p999_ns = record_num(kv, "p999");
+    rec.latency = std::move(lat);
+    // Absent in pre-digest journals; those records simply have no digest.
+    rec.latency_digest = exec::record_str(kv, "digest");
+  } else if (kind == "bw") {
+    BandwidthResult bw;
+    bw.params = expected.params;
+    bw.payload_bytes = exec::record_u64(kv, "payload_bytes");
+    bw.elapsed = static_cast<Picos>(exec::record_u64(kv, "elapsed"));
+    bw.gbps = record_num(kv, "gbps");
+    bw.mtps = record_num(kv, "mtps");
+    bw.lost_payload_bytes = exec::record_u64(kv, "lost");
+    bw.wire_bytes = exec::record_u64(kv, "wire_bytes");
+    bw.goodput_gbps = record_num(kv, "goodput");
+    bw.wire_gbps = record_num(kv, "wire_gbps");
+    rec.bandwidth = std::move(bw);
+  } else {
+    return std::nullopt;
+  }
+  return rec;
+}
+
 }  // namespace
 
 void Suite::add(Experiment experiment) {
@@ -72,28 +178,6 @@ void Suite::add_bandwidth(const std::string& name, const std::string& system,
   e.params.transfer_size = size;
   if (tweak) tweak(e.params);
   add(std::move(e));
-}
-
-ExperimentRecord run_experiment(const Experiment& e) {
-  const auto& profile = sys::profile_by_name(e.system_name);
-  const auto t0 = std::chrono::steady_clock::now();
-  sim::System system(profile.config);
-  ExperimentRecord record;
-  record.experiment = e;
-  if (is_latency(e.params.kind)) {
-    record.latency = run_latency_bench(system, e.params);
-    obs::Digest digest;
-    for (const double ns : record.latency->samples_ns.raw()) {
-      digest.add_ns(ns);
-    }
-    record.latency_digest = digest.serialize();
-  } else {
-    record.bandwidth = run_bandwidth_bench(system, e.params);
-  }
-  record.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return record;
 }
 
 std::vector<ExperimentRecord> Suite::run(
@@ -186,83 +270,6 @@ Suite Suite::standard(const std::string& system_name) {
     }
   }
   return suite;
-}
-
-std::string serialize_record(const ExperimentRecord& record) {
-  std::ostringstream os;
-  os << kRecordHeader << '\n'
-     << "name=" << exec::escape_line(record.experiment.name) << '\n'
-     << "wall=" << num(record.wall_seconds) << '\n';
-  if (record.latency) {
-    const auto& s = record.latency->summary;
-    os << "kind=lat\n"
-       << "count=" << s.count << '\n'
-       << "mean=" << num(s.mean_ns) << '\n'
-       << "median=" << num(s.median_ns) << '\n'
-       << "min=" << num(s.min_ns) << '\n'
-       << "max=" << num(s.max_ns) << '\n'
-       << "p95=" << num(s.p95_ns) << '\n'
-       << "p99=" << num(s.p99_ns) << '\n'
-       << "p999=" << num(s.p999_ns) << '\n';
-    if (!record.latency_digest.empty()) {
-      os << "digest=" << exec::escape_line(record.latency_digest) << '\n';
-    }
-  }
-  if (record.bandwidth) {
-    const auto& b = *record.bandwidth;
-    os << "kind=bw\n"
-       << "payload_bytes=" << b.payload_bytes << '\n'
-       << "elapsed=" << b.elapsed << '\n'
-       << "gbps=" << num(b.gbps) << '\n'
-       << "mtps=" << num(b.mtps) << '\n'
-       << "lost=" << b.lost_payload_bytes << '\n'
-       << "wire_bytes=" << b.wire_bytes << '\n'
-       << "goodput=" << num(b.goodput_gbps) << '\n'
-       << "wire_gbps=" << num(b.wire_gbps) << '\n';
-  }
-  return os.str();
-}
-
-std::optional<ExperimentRecord> deserialize_record(const std::string& payload,
-                                                   const Experiment& expected) {
-  const exec::Record kv = exec::parse_record(payload);
-  if (kv.header != kRecordHeader) return std::nullopt;
-  if (exec::record_str(kv, "name") != expected.name) return std::nullopt;
-
-  ExperimentRecord rec;
-  rec.experiment = expected;
-  rec.wall_seconds = record_num(kv, "wall");
-  const std::string kind = exec::record_str(kv, "kind");
-  if (kind == "lat") {
-    LatencyResult lat;
-    lat.params = expected.params;
-    lat.summary.count = exec::record_u64(kv, "count");
-    lat.summary.mean_ns = record_num(kv, "mean");
-    lat.summary.median_ns = record_num(kv, "median");
-    lat.summary.min_ns = record_num(kv, "min");
-    lat.summary.max_ns = record_num(kv, "max");
-    lat.summary.p95_ns = record_num(kv, "p95");
-    lat.summary.p99_ns = record_num(kv, "p99");
-    lat.summary.p999_ns = record_num(kv, "p999");
-    rec.latency = std::move(lat);
-    // Absent in pre-digest journals; those records simply have no digest.
-    rec.latency_digest = exec::record_str(kv, "digest");
-  } else if (kind == "bw") {
-    BandwidthResult bw;
-    bw.params = expected.params;
-    bw.payload_bytes = exec::record_u64(kv, "payload_bytes");
-    bw.elapsed = static_cast<Picos>(exec::record_u64(kv, "elapsed"));
-    bw.gbps = record_num(kv, "gbps");
-    bw.mtps = record_num(kv, "mtps");
-    bw.lost_payload_bytes = exec::record_u64(kv, "lost");
-    bw.wire_bytes = exec::record_u64(kv, "wire_bytes");
-    bw.goodput_gbps = record_num(kv, "goodput");
-    bw.wire_gbps = record_num(kv, "wire_gbps");
-    rec.bandwidth = std::move(bw);
-  } else {
-    return std::nullopt;
-  }
-  return rec;
 }
 
 std::string summarize(const std::vector<ExperimentRecord>& records) {

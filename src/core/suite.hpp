@@ -72,10 +72,11 @@ class Suite {
       std::function<void(const ExperimentRecord&)> progress = {}) const;
 
   /// The same experiments as exec jobs (exec::run_job_set): job i is
-  /// experiment i of the whole suite and its record serialize_record()'s
-  /// text; suite.meta pins the systems. A quarantined experiment leaves an
-  /// artifact but no record, so a resume runs it again; `on_quarantine`
-  /// fires for each. `progress` fires per record, resumed ones first.
+  /// experiment i of the whole suite, its record a "pcieb-exp v1" text
+  /// that names it, and suite.meta pins the systems. A quarantined
+  /// experiment leaves an artifact but no record, so a resume runs it
+  /// again; `on_quarantine` fires for each. `progress` fires per record,
+  /// resumed ones first.
   JournaledSuiteRun run_journaled(
       const std::string& filter, const exec::RunConfig& cfg,
       const std::function<void(const ExperimentRecord&)>& progress = {},
@@ -90,23 +91,6 @@ class Suite {
  private:
   std::vector<Experiment> experiments_;
 };
-
-/// Run one experiment on a fresh system: the body of Suite::run and of
-/// every run_journaled job.
-ExperimentRecord run_experiment(const Experiment& experiment);
-
-/// Canonical serialization of a completed record ("pcieb-exp v1" +
-/// key=value lines, doubles at full precision) — the payload a
-/// process-isolated suite worker returns and the resume journal stores
-/// (docs/EXEC.md). Round-trips everything summarize()/write_csv() read;
-/// the raw latency SampleSet is not carried across the process boundary.
-std::string serialize_record(const ExperimentRecord& record);
-
-/// Inverse of serialize_record. `expected` supplies the experiment
-/// definition; nullopt when the payload is malformed or names a
-/// different experiment.
-std::optional<ExperimentRecord> deserialize_record(
-    const std::string& payload, const Experiment& expected);
 
 /// One-line summary per record, aligned.
 std::string summarize(const std::vector<ExperimentRecord>& records);

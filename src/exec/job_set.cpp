@@ -105,8 +105,9 @@ RunResult run_job_set(const RunConfig& cfg, const JobSet& jobs) {
   };
 
   if (cfg.threads > 0) {
-    // Bodies run in parallel; everything else happens under one lock, and
-    // nothing byte-stable may depend on completion order.
+    // Bodies run in parallel. accept, quarantine, the journal and the
+    // artifacts run under one lock, so a job set's state needs none of
+    // its own; nothing byte-stable may depend on completion order.
     std::mutex m;
     const ThreadPool threads(cfg.threads);
     threads.parallel_indexed(pending.size(), [&](std::size_t i) {

@@ -37,6 +37,8 @@ struct TempDir {
 struct ToyJobs {
   std::map<std::uint64_t, std::string> kept;
   exec::JobSet set;
+  ToyJobs(const ToyJobs&) = delete;  // `set` captures this
+  ToyJobs& operator=(const ToyJobs&) = delete;
   ToyJobs() {
     set.kind = "toy";
     set.meta = "toy v1\n";

@@ -1,8 +1,10 @@
 #include "exec/pool.hpp"
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <csignal>
 #include <deque>
 #include <map>
 
@@ -38,6 +40,19 @@ std::vector<JobResult> run_jobs(const PoolConfig& cfg,
   for (const auto& s : specs) pending.push_back({&s, 0, 0.0});
   std::vector<Running> running;
   std::map<std::uint64_t, JobResult> done;  // by id
+
+  // No worker outlives its batch: when an observer or a fork throws, the
+  // workers still running are killed and reaped before the exception
+  // leaves, instead of running on with no deadline or budget enforced.
+  struct KillRunning {
+    std::vector<Running>& running;
+    ~KillRunning() {
+      for (const Running& r : running) {
+        ::kill(r.worker.pid, SIGKILL);
+        ::waitpid(r.worker.pid, nullptr, 0);
+      }
+    }
+  } kill_running{running};
 
   const auto finish = [&](const JobSpec& spec, Outcome out, unsigned attempts,
                           bool quarantined) {

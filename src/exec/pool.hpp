@@ -46,7 +46,8 @@ struct JobResult {
   bool quarantined = false;   ///< never produced a result
 };
 
-/// Fires once per job, after its final attempt.
+/// Fires once per job, after its final attempt. If it throws, run_jobs
+/// kills and reaps the workers still running and rethrows.
 using JobObserver = std::function<void(const JobResult&)>;
 
 /// Run every job to a final verdict. Throws InfraError only for

@@ -4,7 +4,9 @@
 // by the test-only CrashHook), the retry/quarantine pool, and the
 // journaled job engine over a toy job set.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -331,6 +333,38 @@ TEST(Pool, QuarantinesAfterExhaustingRetries) {
   EXPECT_EQ(results[0].attempts, 2u);  // first attempt + one retry
   EXPECT_EQ(results[0].outcome.kind, exec::OutcomeKind::Signal);
   EXPECT_EQ(observed, 1u);
+}
+
+// An observer that throws must not leave a worker running unsupervised:
+// run_jobs kills and reaps the workers still running before it rethrows.
+TEST(Pool, ObserverThatThrowsLeavesNoWorkerRunning) {
+  TempDir tmp;
+  exec::PoolConfig cfg;
+  cfg.jobs = 2;
+  cfg.scratch_dir = tmp.path;
+  const std::string pid_file = tmp.path + "/sleeper.pid";
+  std::vector<exec::JobSpec> specs(2);
+  specs[0].id = 0;
+  specs[0].name = "sleeper";
+  specs[0].fn = [pid_file](unsigned) -> std::string {
+    exec::atomic_write_file(pid_file, std::to_string(::getpid()), false);
+    ::sleep(30);
+    return "late";
+  };
+  specs[1].id = 1;
+  specs[1].name = "quick";
+  specs[1].fn = [pid_file](unsigned) {
+    while (!fs::exists(pid_file)) ::usleep(1'000);  // the sleeper is up
+    return std::string("early");
+  };
+  EXPECT_THROW(exec::run_jobs(cfg, specs,
+                              [](const exec::JobResult&) {
+                                throw exec::InfraError("observer");
+                              }),
+               exec::InfraError);
+  const pid_t sleeper = std::stoi(exec::read_file(pid_file));
+  EXPECT_EQ(::kill(sleeper, 0), -1) << "worker " << sleeper << " outlived";
+  EXPECT_EQ(errno, ESRCH);
 }
 
 TEST(Pool, EmptyBatchIsANoOp) {

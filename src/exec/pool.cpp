@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <csignal>
 #include <deque>
-#include <map>
 
 namespace pcieb::exec {
 namespace {
@@ -30,16 +29,14 @@ std::string scratch_prefix(const PoolConfig& cfg, const JobSpec& s,
 
 }  // namespace
 
-std::vector<JobResult> run_jobs(const PoolConfig& cfg,
-                                const std::vector<JobSpec>& specs,
-                                const JobObserver& observe) {
+void run_jobs(const PoolConfig& cfg, const std::vector<JobSpec>& specs,
+              const JobObserver& observe) {
   if (cfg.jobs == 0) throw InfraError("pool: jobs must be >= 1");
   if (cfg.scratch_dir.empty()) throw InfraError("pool: scratch_dir required");
 
   std::deque<Pending> pending;
   for (const auto& s : specs) pending.push_back({&s, 0, 0.0});
   std::vector<Running> running;
-  std::map<std::uint64_t, JobResult> done;  // by id
 
   // No worker outlives its batch: when an observer or a fork throws, the
   // workers still running are killed and reaped before the exception
@@ -62,8 +59,7 @@ std::vector<JobResult> run_jobs(const PoolConfig& cfg,
     r.outcome = std::move(out);
     r.attempts = attempts;
     r.quarantined = quarantined;
-    if (observe) observe(r);
-    done[spec.id] = std::move(r);
+    observe(r);
   };
 
   while (!pending.empty() || !running.empty()) {
@@ -111,11 +107,6 @@ std::vector<JobResult> run_jobs(const PoolConfig& cfg,
 
     if (!progressed) ::usleep(1'000);
   }
-
-  std::vector<JobResult> out;
-  out.reserve(specs.size());
-  for (const auto& s : specs) out.push_back(std::move(done.at(s.id)));
-  return out;
 }
 
 }  // namespace pcieb::exec

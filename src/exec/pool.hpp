@@ -8,10 +8,9 @@
 // The pool reports it (final outcome, attempt count) and moves on;
 // run_job_set (job_set.hpp) is what writes its artifact.
 //
-// Results are returned in input order; the observer fires in completion
-// order (which is nondeterministic under jobs > 1 — anything that must be
-// byte-stable is derived from the sorted results, never from observer
-// order). See docs/EXEC.md.
+// The observer fires in completion order, which is nondeterministic under
+// jobs > 1: anything that must be byte-stable is derived by job id, never
+// from that order. See docs/EXEC.md.
 #pragma once
 
 #include <cstdint>
@@ -50,10 +49,10 @@ struct JobResult {
 /// kills and reaps the workers still running and rethrows.
 using JobObserver = std::function<void(const JobResult&)>;
 
-/// Run every job to a final verdict. Throws InfraError only for
-/// supervisor-side failures (fork, scratch files); job failures never throw.
-std::vector<JobResult> run_jobs(const PoolConfig& cfg,
-                                const std::vector<JobSpec>& specs,
-                                const JobObserver& observe = {});
+/// Run every job to a final verdict, reported to `observe`. Throws
+/// InfraError only for supervisor-side failures (fork, scratch files); job
+/// failures never throw.
+void run_jobs(const PoolConfig& cfg, const std::vector<JobSpec>& specs,
+              const JobObserver& observe);
 
 }  // namespace pcieb::exec

@@ -30,6 +30,52 @@ double record_num(const exec::Record& rec, const std::string& key) {
   return std::strtod(exec::record_str(rec, key).c_str(), nullptr);
 }
 
+}  // namespace
+
+void Suite::add(Experiment experiment) {
+  for (const auto& e : experiments_) {
+    if (e.name == experiment.name) {
+      throw std::invalid_argument("Suite: duplicate experiment name " +
+                                  experiment.name);
+    }
+  }
+  experiment.params.validate();
+  sys::profile_by_name(experiment.system_name);  // throws if unknown
+  experiments_.push_back(std::move(experiment));
+}
+
+void Suite::add_latency(const std::string& name, const std::string& system,
+                        BenchKind kind, std::uint32_t size,
+                        std::function<void(BenchParams&)> tweak) {
+  if (!is_latency(kind)) {
+    throw std::invalid_argument("add_latency: bandwidth kind");
+  }
+  Experiment e;
+  e.name = name;
+  e.system_name = system;
+  e.params.kind = kind;
+  e.params.transfer_size = size;
+  if (tweak) tweak(e.params);
+  add(std::move(e));
+}
+
+void Suite::add_bandwidth(const std::string& name, const std::string& system,
+                          BenchKind kind, std::uint32_t size,
+                          std::function<void(BenchParams&)> tweak) {
+  if (is_latency(kind)) {
+    throw std::invalid_argument("add_bandwidth: latency kind");
+  }
+  Experiment e;
+  e.name = name;
+  e.system_name = system;
+  e.params.kind = kind;
+  e.params.transfer_size = size;
+  if (tweak) tweak(e.params);
+  add(std::move(e));
+}
+
+namespace {
+
 /// Run one experiment on a fresh system: the body of Suite::run and of
 /// every run_journaled job.
 ExperimentRecord run_experiment(const Experiment& e) {
@@ -53,6 +99,54 @@ ExperimentRecord run_experiment(const Experiment& e) {
           .count();
   return record;
 }
+
+}  // namespace
+
+std::vector<ExperimentRecord> Suite::run(
+    const std::string& filter,
+    std::function<void(const ExperimentRecord&)> progress) const {
+  std::vector<ExperimentRecord> records;
+  for (const auto& e : experiments_) {
+    if (!filter.empty() && e.name.find(filter) == std::string::npos) continue;
+    ExperimentRecord record = run_experiment(e);
+    if (progress) progress(record);
+    records.push_back(std::move(record));
+  }
+  return records;
+}
+
+Suite Suite::standard(const std::string& system_name) {
+  Suite suite;
+  const std::vector<std::uint32_t> sizes = {8,   16,  32,  64,   128,
+                                            256, 512, 1024, 2048};
+  const std::vector<std::pair<CacheState, const char*>> states = {
+      {CacheState::Thrash, "cold"}, {CacheState::HostWarm, "warm"}};
+  for (const auto& [state, label] : states) {
+    for (std::uint32_t sz : sizes) {
+      for (auto kind : {BenchKind::LatRd, BenchKind::LatWrRd}) {
+        std::ostringstream name;
+        name << to_string(kind) << '/' << sz << '/' << label;
+        suite.add_latency(name.str(), system_name, kind, sz,
+                          [&](BenchParams& p) {
+                            p.cache_state = state;
+                            p.iterations = 5000;
+                          });
+      }
+      for (auto kind : {BenchKind::BwRd, BenchKind::BwWr, BenchKind::BwRdWr}) {
+        std::ostringstream name;
+        name << to_string(kind) << '/' << sz << '/' << label;
+        suite.add_bandwidth(name.str(), system_name, kind, sz,
+                            [&](BenchParams& p) {
+                              p.cache_state = state;
+                              p.iterations = 15000;
+                            });
+      }
+    }
+  }
+  return suite;
+}
+
+namespace {
 
 /// A suite job's record: "pcieb-exp v1" + key=value lines, doubles at
 /// full precision. It round-trips everything summarize() and write_csv()
@@ -138,61 +232,6 @@ std::optional<ExperimentRecord> deserialize_record(const std::string& payload,
 
 }  // namespace
 
-void Suite::add(Experiment experiment) {
-  for (const auto& e : experiments_) {
-    if (e.name == experiment.name) {
-      throw std::invalid_argument("Suite: duplicate experiment name " +
-                                  experiment.name);
-    }
-  }
-  experiment.params.validate();
-  sys::profile_by_name(experiment.system_name);  // throws if unknown
-  experiments_.push_back(std::move(experiment));
-}
-
-void Suite::add_latency(const std::string& name, const std::string& system,
-                        BenchKind kind, std::uint32_t size,
-                        std::function<void(BenchParams&)> tweak) {
-  if (!is_latency(kind)) {
-    throw std::invalid_argument("add_latency: bandwidth kind");
-  }
-  Experiment e;
-  e.name = name;
-  e.system_name = system;
-  e.params.kind = kind;
-  e.params.transfer_size = size;
-  if (tweak) tweak(e.params);
-  add(std::move(e));
-}
-
-void Suite::add_bandwidth(const std::string& name, const std::string& system,
-                          BenchKind kind, std::uint32_t size,
-                          std::function<void(BenchParams&)> tweak) {
-  if (is_latency(kind)) {
-    throw std::invalid_argument("add_bandwidth: latency kind");
-  }
-  Experiment e;
-  e.name = name;
-  e.system_name = system;
-  e.params.kind = kind;
-  e.params.transfer_size = size;
-  if (tweak) tweak(e.params);
-  add(std::move(e));
-}
-
-std::vector<ExperimentRecord> Suite::run(
-    const std::string& filter,
-    std::function<void(const ExperimentRecord&)> progress) const {
-  std::vector<ExperimentRecord> records;
-  for (const auto& e : experiments_) {
-    if (!filter.empty() && e.name.find(filter) == std::string::npos) continue;
-    ExperimentRecord record = run_experiment(e);
-    if (progress) progress(record);
-    records.push_back(std::move(record));
-  }
-  return records;
-}
-
 JournaledSuiteRun Suite::run_journaled(
     const std::string& filter, const exec::RunConfig& cfg,
     const std::function<void(const ExperimentRecord&)>& progress,
@@ -239,37 +278,6 @@ JournaledSuiteRun Suite::run_journaled(
   JournaledSuiteRun run{exec::run_job_set(cfg, jobs), {}};
   for (auto& [id, rec] : done) run.records.push_back(std::move(rec));
   return run;
-}
-
-Suite Suite::standard(const std::string& system_name) {
-  Suite suite;
-  const std::vector<std::uint32_t> sizes = {8,   16,  32,  64,   128,
-                                            256, 512, 1024, 2048};
-  const std::vector<std::pair<CacheState, const char*>> states = {
-      {CacheState::Thrash, "cold"}, {CacheState::HostWarm, "warm"}};
-  for (const auto& [state, label] : states) {
-    for (std::uint32_t sz : sizes) {
-      for (auto kind : {BenchKind::LatRd, BenchKind::LatWrRd}) {
-        std::ostringstream name;
-        name << to_string(kind) << '/' << sz << '/' << label;
-        suite.add_latency(name.str(), system_name, kind, sz,
-                          [&](BenchParams& p) {
-                            p.cache_state = state;
-                            p.iterations = 5000;
-                          });
-      }
-      for (auto kind : {BenchKind::BwRd, BenchKind::BwWr, BenchKind::BwRdWr}) {
-        std::ostringstream name;
-        name << to_string(kind) << '/' << sz << '/' << label;
-        suite.add_bandwidth(name.str(), system_name, kind, sz,
-                            [&](BenchParams& p) {
-                              p.cache_state = state;
-                              p.iterations = 15000;
-                            });
-      }
-    }
-  }
-  return suite;
 }
 
 std::string summarize(const std::vector<ExperimentRecord>& records) {

@@ -18,21 +18,10 @@
 namespace pcieb::check {
 namespace {
 
-/// Sim-time ceiling per faulted trial: generous against the few ms a
-/// trial needs, tight enough that a livelocked one aborts in bounded
-/// wall time (the abort then IS the finding).
+/// Sim-time ceiling per trial: generous against the few ms a trial
+/// needs, tight enough that a livelocked one aborts in bounded wall time
+/// (the abort then IS the finding).
 constexpr Picos kTrialMaxSimTime = from_micros(2'000'000);  // 2 s sim time
-
-const char* kind_cli(core::BenchKind k) {
-  switch (k) {
-    case core::BenchKind::LatRd: return "LAT_RD";
-    case core::BenchKind::LatWrRd: return "LAT_WRRD";
-    case core::BenchKind::BwRd: return "BW_RD";
-    case core::BenchKind::BwWr: return "BW_WR";
-    case core::BenchKind::BwRdWr: return "BW_RDWR";
-  }
-  return "?";
-}
 
 const char* cache_cli(core::CacheState s) {
   switch (s) {
@@ -43,14 +32,21 @@ const char* cache_cli(core::CacheState s) {
   return "?";
 }
 
-fault::FaultRule random_rule(Xoshiro256& rng) {
+/// One random fault clause. A tenant trial passes its `attacker`: the
+/// clause then draws only the first seven kinds, the TLP-scoped ones
+/// (Downtrain and LinkDown change physical port state that is not
+/// attributable to one requester ID), and carries the attacker's vf:
+/// predicate, so the plan names exactly whose traffic it may touch.
+fault::FaultRule random_rule(Xoshiro256& rng,
+                             std::optional<unsigned> attacker) {
   using fault::FaultKind;
   static constexpr FaultKind kinds[] = {
       FaultKind::LinkDrop,   FaultKind::LinkCorrupt, FaultKind::AckLoss,
       FaultKind::Poison,     FaultKind::CplUr,       FaultKind::CplCa,
       FaultKind::IommuFault, FaultKind::Downtrain,   FaultKind::LinkDown};
   fault::FaultRule r;
-  r.kind = kinds[rng.below(std::size(kinds))];
+  r.kind = kinds[rng.below(attacker ? 7 : std::size(kinds))];
+  if (attacker) r.vf = static_cast<int>(*attacker);
 
   if (r.kind == FaultKind::Downtrain) {
     // A degradation window, not a per-TLP event: lanes and/or gen plus a
@@ -93,44 +89,6 @@ fault::FaultRule random_rule(Xoshiro256& rng) {
   }
   if (r.kind == FaultKind::LinkCorrupt && rng.below(3) == 0) {
     r.count = 2 + rng.below(3);  // bursts drive REPLAY_NUM escalation
-  }
-  if (rng.below(5) == 0) {
-    const Picos lo = from_micros(rng.below(300));
-    r.from = lo;
-    r.until = lo + from_micros(50 + rng.below(400));
-  }
-  return r;
-}
-
-/// Attacker rules for tenant trials: TLP-scoped kinds only — Downtrain
-/// and LinkDown change physical port state that is not attributable to
-/// one requester ID — and every clause carries the attacker's vf:
-/// predicate, so the plan names exactly whose traffic it may touch.
-fault::FaultRule random_tenant_rule(Xoshiro256& rng, unsigned attacker) {
-  using fault::FaultKind;
-  static constexpr FaultKind kinds[] = {
-      FaultKind::LinkDrop, FaultKind::LinkCorrupt, FaultKind::AckLoss,
-      FaultKind::Poison,   FaultKind::CplUr,       FaultKind::CplCa,
-      FaultKind::IommuFault};
-  fault::FaultRule r;
-  r.kind = kinds[rng.below(std::size(kinds))];
-  r.vf = static_cast<int>(attacker);
-
-  // Exactly one trigger: a one-shot index, a period, or a probability.
-  switch (rng.below(3)) {
-    case 0: r.nth = 1 + rng.below(1500); break;
-    case 1: r.every = 50 + rng.below(450); break;
-    default: r.prob = 0.001 + 0.02 * rng.uniform(); break;
-  }
-
-  const bool link_site =
-      r.kind == FaultKind::LinkDrop || r.kind == FaultKind::LinkCorrupt ||
-      r.kind == FaultKind::AckLoss || r.kind == FaultKind::Poison;
-  if (link_site && rng.below(2) == 0) {
-    r.dir = rng.below(2) == 0 ? fault::LinkDir::Up : fault::LinkDir::Down;
-  }
-  if (r.kind == FaultKind::LinkCorrupt && rng.below(3) == 0) {
-    r.count = 2 + rng.below(3);
   }
   if (rng.below(5) == 0) {
     const Picos lo = from_micros(rng.below(300));
@@ -191,8 +149,9 @@ std::string first_line(const std::string& s) {
 
 std::string TrialSpec::describe() const {
   std::ostringstream os;
-  os << "trial " << index << ": " << system << " " << kind_cli(params.kind)
-     << " size=" << params.transfer_size << " window=" << params.window_bytes
+  os << "trial " << index << ": " << system << " "
+     << core::to_string(params.kind) << " size=" << params.transfer_size
+     << " window=" << params.window_bytes
      << (params.pattern == core::AccessPattern::Random ? " rand" : " seq")
      << " cache=" << cache_cli(params.cache_state)
      << (params.numa_local ? "" : " numa=remote") << (iommu ? " iommu" : "")
@@ -363,10 +322,10 @@ TrialSpec generate_trial(const ChaosConfig& cfg, std::uint64_t index) {
   p.seed = rng.next();
 
   const std::size_t nrules = rng.below(7);  // 0..6; 0 = fault-free trial
+  std::optional<unsigned> attacker;
+  if (cfg.tenants > 0) attacker = cfg.attacker;
   for (std::size_t i = 0; i < nrules; ++i) {
-    t.plan.rules.push_back(cfg.tenants > 0
-                               ? random_tenant_rule(rng, cfg.attacker)
-                               : random_rule(rng));
+    t.plan.rules.push_back(random_rule(rng, attacker));
   }
   t.plan.seed = rng.next();
   t.seed_credit_leak_bug = cfg.seed_credit_leak_bug && cfg.tenants == 0;
@@ -397,118 +356,160 @@ TrialSpec generate_trial(const ChaosConfig& cfg, std::uint64_t index) {
     o.offered_load = cfg.offered_load;
     o.service = cfg.service;
     o.backpressure = cfg.backpressure;
-    // The overload datapath owns its buffer layout; IOMMU chaos stays the
-    // classic campaigns' concern.
+    // The overload datapath owns its buffer layout; IOMMU chaos and the
+    // credit-leak seed stay the classic campaigns' concern.
     t.iommu = false;
+    t.seed_credit_leak_bug = false;
   }
   return t;
 }
 
 namespace {
 
-/// One run of a tenant trial: the per-victim identity artifacts plus
-/// everything the outcome reports.
-struct TenantRunArtifacts {
-  /// Per-VF victim artifact — serialized latency digest + counter line
-  /// ("" for the attacker's slot, which is not compared).
-  std::vector<std::string> victim;
-  std::uint64_t total_violations = 0;
-  std::vector<Violation> violations;
-  std::string error;
-  std::uint64_t events = 0;
-  std::uint64_t tlps = 0;
-  std::uint64_t device_wide_actions = 0;
-  std::string recovery_digest;
-  std::string recovery_state;
-  obs::DigestSet digests;
+/// One run of a trial's system. A tenant trial also keeps each VF's
+/// victim artifact for the differential: its serialized latency digest
+/// and counter line, "" in the attacker's slot, which is not compared.
+struct SystemRun {
+  TrialOutcome out;
+  std::vector<std::string> victims;
 };
 
-TenantRunArtifacts run_tenant_once(const TrialSpec& spec, bool armed,
-                                   bool telemetry, bool throw_monitors) {
-  TenantRunArtifacts a;
+/// Build the trial's system, arm the monitors (record mode unless
+/// `throw_monitors`), run its one workload and collect the outcome.
+/// `armed` = false strips the fault plan and the seeded bugs and keeps
+/// everything else: a tenant trial's control run. An overload trial first
+/// calibrates its datapath's capacity (calibrate_capacity strips the plan
+/// itself) on at most 2,000 frames, then drives the open-loop datapath at
+/// the configured multiple of it with the OverloadMonitorSuite attached
+/// too: PCIe-level conservation and frame accounting must hold at once.
+SystemRun run_system(const TrialSpec& spec, bool armed, bool telemetry,
+                     bool throw_monitors) {
+  SystemRun run;
+  TrialOutcome& out = run.out;
   sim::SystemConfig cfg = sys::profile_by_name(spec.system).config;
   if (spec.iommu) cfg = sys::with_iommu(cfg, true, spec.params.page_bytes);
   if (armed) cfg.fault_plan = spec.plan;
   cfg.recovery = spec.recovery;
-  // Unconditional (not plan-gated as in the classic path): the victim's
-  // event schedule must be identical whether or not the attacker's plan
-  // rides along, or the differential identity would compare two
-  // different simulations.
+  // The watchdog arms only with a plan or on a shared port, so the
+  // ceiling has no effect on a lone function without a plan. A shared
+  // port arms it in both runs of the differential: the victims' event
+  // schedule must not depend on whether the attacker's plan rides along.
   cfg.watchdog.max_sim_time = kTrialMaxSimTime;
-  cfg.tenants = spec.tenants;
-  cfg.isolation = spec.isolation_weakened
-                      ? sim::TenantIsolation::all_weakened()
-                      : sim::TenantIsolation::all_armed();
+  if (spec.tenants > 0) {
+    cfg.tenants = spec.tenants;
+    cfg.isolation = spec.isolation_weakened
+                        ? sim::TenantIsolation::all_weakened()
+                        : sim::TenantIsolation::all_armed();
+  }
 
-  sim::System system(cfg);
-  if (armed && spec.seed_misroute_bug) system.test_misroute_completions(true);
-  MonitorConfig mon_cfg;
-  mon_cfg.throw_on_violation = throw_monitors;
-  MonitorSuite monitors(system, mon_cfg);
-  std::vector<core::TenantResult> results;
   try {
-    results = core::run_tenant_bench(system, spec.params);
-    monitors.check_quiescent();
-  } catch (const std::exception& e) {
-    a.error = e.what();
-  }
-  a.total_violations = monitors.total_violations();
-  a.violations = monitors.violations();
-  a.events = system.sim().executed();
-  a.tlps = system.upstream().tlps_sent() + system.downstream().tlps_sent();
-  a.device_wide_actions = system.device_wide_actions();
-  if (const auto* rec = system.recovery(spec.attacker)) {
-    a.recovery_digest = rec->digest();
-    a.recovery_state = fault::to_string(rec->state());
-  }
-  a.victim.resize(spec.tenants);
-  for (const auto& r : results) {
-    if (r.vf == spec.attacker) continue;
-    a.victim[r.vf] = r.latency.serialize() + "\n" + r.counters;
-  }
-  if (telemetry) {
-    for (const auto& r : results) {
-      a.digests.at("vf" + std::to_string(r.vf)).merge(r.latency);
+    nic::OverloadConfig ocfg = spec.overload;
+    if (spec.overload_armed) {
+      nic::OverloadConfig cal = ocfg;
+      cal.frames = std::min<std::uint64_t>(cal.frames, 2000);
+      ocfg.capacity_pps = nic::calibrate_capacity(cfg, cal);
     }
+    sim::System system(cfg);
+    if (armed) {
+      system.test_leak_credits_on_drop(spec.seed_credit_leak_bug);
+      system.test_misroute_completions(spec.seed_misroute_bug);
+    }
+    MonitorConfig mon_cfg;
+    mon_cfg.throw_on_violation = throw_monitors;
+    MonitorSuite monitors(system, mon_cfg);
+    OverloadMonitorSuite overload_monitors(mon_cfg);
+    // Telemetry rides the trace stream: a minimal ring (the recorder is a
+    // listener, so ring capacity is irrelevant to it) feeding per-DMA
+    // latency digests. A tenant trial digests each VF's op latencies.
+    std::unique_ptr<obs::TraceSink> sink;
+    obs::DmaLatencyRecorder recorder;
+    if (telemetry && spec.tenants == 0) {
+      sink = std::make_unique<obs::TraceSink>(/*capacity=*/1);
+      sink->set_listener(
+          [&recorder](const obs::TraceEvent& e) { recorder.on_event(e); });
+      system.set_trace_sink(sink.get());
+    }
+    nic::OverloadResult overload;
+    std::vector<core::TenantResult> tenants;
+    try {
+      if (spec.overload_armed) {
+        overload = nic::run_overload(system, ocfg, overload_monitors.probe());
+      } else if (spec.tenants > 0) {
+        tenants = core::run_tenant_bench(system, spec.params);
+      } else if (core::is_latency(spec.params.kind)) {
+        core::run_latency_bench(system, spec.params);
+      } else {
+        core::run_bandwidth_bench(system, spec.params);
+      }
+      monitors.check_quiescent();
+    } catch (const std::exception& e) {
+      out.error = e.what();
+    }
+    out.total_violations =
+        monitors.total_violations() + overload_monitors.total_violations();
+    out.violations = monitors.violations();
+    out.violations.insert(out.violations.end(),
+                          overload_monitors.violations().begin(),
+                          overload_monitors.violations().end());
+    out.events = system.sim().executed();
+    out.tlps = system.upstream().tlps_sent() + system.downstream().tlps_sent();
+    out.device_wide_actions = system.device_wide_actions();
+    if (const auto* rec =
+            system.recovery(spec.tenants > 0 ? spec.attacker : 0)) {
+      out.recovery_digest = rec->digest();
+      out.recovery_state = fault::to_string(rec->state());
+    }
+    if (spec.overload_armed) out.overload = overload.ledger();
+    if (telemetry) {
+      system.set_trace_sink(nullptr);
+      out.digests = std::move(recorder.digests());
+      if (spec.overload_armed) out.digests.at("frame").merge(overload.latency);
+    }
+    run.victims.resize(spec.tenants);
+    for (const auto& r : tenants) {
+      if (telemetry) {
+        out.digests.at("vf" + std::to_string(r.vf)).merge(r.latency);
+      }
+      if (r.vf != spec.attacker) {
+        run.victims[r.vf] = r.latency.serialize() + "\n" + r.counters;
+      }
+    }
+  } catch (const std::exception& e) {
+    // Calibration or system construction failed: the trial itself is
+    // broken, which is a finding in its own right.
+    if (out.error.empty()) out.error = e.what();
   }
-  return a;
+  out.failed = out.total_violations > 0 || !out.error.empty();
+  return run;
 }
 
-/// Tenant trial: run with the attacker's plan armed, run again with it
-/// stripped (everything else identical), and byte-compare each victim's
-/// artifact between the runs. Armed isolation: any mismatch is an
-/// isolation violation. Weakened isolation: mismatches are the measured
-/// blast radius, reported but not failed.
-TrialOutcome run_tenant_trial(const TrialSpec& spec, bool telemetry,
-                              bool throw_monitors) {
-  TrialOutcome out;
-  TenantRunArtifacts armed =
-      run_tenant_once(spec, /*armed=*/true, telemetry, throw_monitors);
-  const TenantRunArtifacts control =
-      run_tenant_once(spec, /*armed=*/false, /*telemetry=*/false,
-                      /*throw_monitors=*/false);
+}  // namespace
 
-  out.total_violations = armed.total_violations;
-  out.violations = std::move(armed.violations);
-  out.error = armed.error;
-  if (!control.error.empty()) {
+TrialOutcome run_trial(const TrialSpec& spec, bool telemetry,
+                       bool throw_monitors) {
+  SystemRun armed =
+      run_system(spec, /*armed=*/true, telemetry, throw_monitors);
+  if (spec.tenants == 0) return std::move(armed.out);
+
+  // Tenant trial: run again with the attacker's plan stripped and
+  // byte-compare each victim's artifact between the runs. Armed
+  // isolation: any mismatch is an isolation violation. Weakened
+  // isolation: mismatches are the measured blast radius, reported but
+  // not failed.
+  TrialOutcome& out = armed.out;
+  const SystemRun control = run_system(spec, /*armed=*/false,
+                                       /*telemetry=*/false,
+                                       /*throw_monitors=*/false);
+  if (!control.out.error.empty()) {
     // The fault-free control run must never abort; if it does, the
     // trial is broken, not the isolation.
     out.error += (out.error.empty() ? "" : "; ");
-    out.error += "control run: " + control.error;
+    out.error += "control run: " + control.out.error;
   }
-  out.events = armed.events;
-  out.tlps = armed.tlps;
-  out.device_wide_actions = armed.device_wide_actions;
-  out.recovery_digest = armed.recovery_digest;
-  out.recovery_state = armed.recovery_state;
-  out.digests = std::move(armed.digests);
-
   std::string first_perturbed;
-  if (armed.error.empty() && control.error.empty()) {
+  if (out.error.empty()) {
     for (unsigned vf = 0; vf < spec.tenants; ++vf) {
-      if (vf == spec.attacker) continue;
-      if (armed.victim[vf] != control.victim[vf]) {
+      if (armed.victims[vf] != control.victims[vf]) {
         ++out.perturbed_victims;
         if (first_perturbed.empty()) first_perturbed = std::to_string(vf);
       }
@@ -528,136 +529,7 @@ TrialOutcome run_tenant_trial(const TrialSpec& spec, bool telemetry,
     out.violations.insert(out.violations.begin(), std::move(v));
   }
   out.failed = !out.error.empty() || out.total_violations > 0;
-  return out;
-}
-
-/// Overload trial: calibrate the trial's datapath capacity on the
-/// fault-free profile (calibrate_capacity strips the plan itself), then
-/// run the open-loop datapath at the configured multiple with the fault
-/// plan armed and BOTH monitor suites attached — PCIe-level conservation
-/// and overload frame accounting must hold simultaneously.
-TrialOutcome run_overload_trial(const TrialSpec& spec, bool telemetry,
-                                bool throw_monitors) {
-  TrialOutcome out;
-  auto cfg = sys::profile_by_name(spec.system).config;
-  cfg.fault_plan = spec.plan;
-  cfg.recovery = spec.recovery;
-  if (!spec.plan.empty()) cfg.watchdog.max_sim_time = kTrialMaxSimTime;
-
-  MonitorConfig mon_cfg;
-  mon_cfg.throw_on_violation = throw_monitors;
-  OverloadMonitorSuite overload_monitors(mon_cfg);
-  std::unique_ptr<obs::TraceSink> sink;
-  obs::DmaLatencyRecorder recorder;
-  try {
-    // Calibration is itself a bounded run: a few thousand closed-loop
-    // frames pin the rate well enough, and keeping it short keeps a
-    // 300-trial campaign in seconds.
-    nic::OverloadConfig ocfg = spec.overload;
-    nic::OverloadConfig cal = ocfg;
-    cal.frames = std::min<std::uint64_t>(cal.frames, 2000);
-    ocfg.capacity_pps = nic::calibrate_capacity(cfg, cal);
-
-    sim::System system(cfg);
-    MonitorSuite monitors(system, mon_cfg);
-    if (telemetry) {
-      sink = std::make_unique<obs::TraceSink>(/*capacity=*/1);
-      sink->set_listener(
-          [&recorder](const obs::TraceEvent& e) { recorder.on_event(e); });
-      system.set_trace_sink(sink.get());
-    }
-    nic::OverloadResult r;
-    try {
-      r = nic::run_overload(system, ocfg, overload_monitors.probe());
-      monitors.check_quiescent();
-    } catch (const std::exception& e) {
-      out.error = e.what();
-    }
-    out.overload = r.ledger();
-    out.total_violations =
-        monitors.total_violations() + overload_monitors.total_violations();
-    out.violations = monitors.violations();
-    out.violations.insert(out.violations.end(),
-                          overload_monitors.violations().begin(),
-                          overload_monitors.violations().end());
-    out.events = system.sim().executed();
-    out.tlps =
-        system.upstream().tlps_sent() + system.downstream().tlps_sent();
-    if (const auto* rec = system.recovery()) {
-      out.recovery_digest = rec->digest();
-      out.recovery_state = fault::to_string(rec->state());
-    }
-    if (telemetry) {
-      system.set_trace_sink(nullptr);
-      out.digests = std::move(recorder.digests());
-      out.digests.at("frame").merge(r.latency);
-    }
-  } catch (const std::exception& e) {
-    // Calibration or system construction failed — the trial itself is
-    // broken, which is a finding in its own right.
-    out.error = out.error.empty() ? e.what() : out.error;
-  }
-  out.failed = out.total_violations > 0 || !out.error.empty();
-  return out;
-}
-
-}  // namespace
-
-TrialOutcome run_trial(const TrialSpec& spec, bool telemetry,
-                       bool throw_monitors) {
-  if (spec.overload_armed) {
-    return run_overload_trial(spec, telemetry, throw_monitors);
-  }
-  if (spec.tenants > 0) {
-    return run_tenant_trial(spec, telemetry, throw_monitors);
-  }
-  TrialOutcome out;
-  auto cfg = sys::profile_by_name(spec.system).config;
-  if (spec.iommu) cfg = sys::with_iommu(cfg, true, spec.params.page_bytes);
-  cfg.fault_plan = spec.plan;
-  cfg.recovery = spec.recovery;
-  if (!spec.plan.empty()) cfg.watchdog.max_sim_time = kTrialMaxSimTime;
-
-  sim::System system(cfg);
-  if (spec.seed_credit_leak_bug) system.test_leak_credits_on_drop(true);
-  MonitorConfig mon_cfg;
-  mon_cfg.throw_on_violation = throw_monitors;
-  MonitorSuite monitors(system, mon_cfg);
-  // Telemetry rides the trace stream: a minimal ring (the recorder is a
-  // listener, so ring capacity is irrelevant to it) feeding per-DMA
-  // latency digests. Attached per trial, pure function of the spec.
-  std::unique_ptr<obs::TraceSink> sink;
-  obs::DmaLatencyRecorder recorder;
-  if (telemetry) {
-    sink = std::make_unique<obs::TraceSink>(/*capacity=*/1);
-    sink->set_listener(
-        [&recorder](const obs::TraceEvent& e) { recorder.on_event(e); });
-    system.set_trace_sink(sink.get());
-  }
-  try {
-    if (core::is_latency(spec.params.kind)) {
-      core::run_latency_bench(system, spec.params);
-    } else {
-      core::run_bandwidth_bench(system, spec.params);
-    }
-    monitors.check_quiescent();
-  } catch (const std::exception& e) {
-    out.error = e.what();
-  }
-  out.total_violations = monitors.total_violations();
-  out.violations = monitors.violations();
-  out.failed = !monitors.ok() || !out.error.empty();
-  out.events = system.sim().executed();
-  out.tlps = system.upstream().tlps_sent() + system.downstream().tlps_sent();
-  if (const auto* rec = system.recovery()) {
-    out.recovery_digest = rec->digest();
-    out.recovery_state = fault::to_string(rec->state());
-  }
-  if (telemetry) {
-    system.set_trace_sink(nullptr);
-    out.digests = std::move(recorder.digests());
-  }
-  return out;
+  return std::move(out);
 }
 
 ShrinkResult shrink_trial(const TrialSpec& failing, std::size_t budget) {

@@ -47,6 +47,7 @@ struct TrialSpec {
 
   /// TEST-ONLY: arm sim::System::test_leak_credits_on_drop so the credit
   /// monitor has a known bug to catch (monitor self-tests, --seed-bug).
+  /// generate_trial sets it in classic trials only.
   bool seed_credit_leak_bug = false;
 
   /// Tenant-chaos mode (tenants > 0): N SR-IOV VFs share the port, VF
@@ -209,7 +210,7 @@ struct ChaosConfig {
   std::size_t iterations = 400;
   bool shrink = true;
   std::size_t shrink_budget = 128;  ///< max re-runs spent minimizing
-  bool seed_credit_leak_bug = false;  ///< TEST-ONLY, propagated to trials
+  bool seed_credit_leak_bug = false;  ///< TEST-ONLY, classic trials only
   /// Intra-process parallelism: > 1 runs trials on a work-stealing thread
   /// pool (each trial is pure in (master_seed, index) and builds its own
   /// Simulator, so trials never share state). Outcomes are buffered and

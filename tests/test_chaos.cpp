@@ -74,6 +74,20 @@ TEST(Chaos, FaultFreeTrialPasses) {
   EXPECT_EQ(out.total_violations, 0u);
 }
 
+// A trial whose System cannot be built fails with the reason as its
+// error, in every trial shape, instead of throwing out of run_trial.
+TEST(Chaos, UnbuildableSystemIsAFailedTrial) {
+  check::ChaosConfig cfg;
+  cfg.tenants = 4;
+  auto spec = check::generate_trial(cfg, 0);
+  spec.tenants = 65;  // a port holds 1..64 functions
+  check::TrialOutcome out;
+  ASSERT_NO_THROW(out = check::run_trial(spec));
+  EXPECT_TRUE(out.failed);
+  EXPECT_NE(out.error.find("tenants must be in 1..64"), std::string::npos)
+      << out.error;
+}
+
 TEST(Chaos, ReproCommandNamesTheTrial) {
   const auto spec = seeded_bug_trial();
   const auto cmd = spec.repro_command();

@@ -150,7 +150,7 @@ TEST(TlpTimelineDigest, Fig05LatRdRun) {
 }
 
 /// check::run_trial's classic path with a trace sink attached; the sim
-/// time cap mirrors the one run_trial arms for faulted trials.
+/// time cap mirrors the one run_trial arms for every trial.
 TEST(TlpTimelineDigest, ClassicChaosTrialWithDropsAndReplays) {
   check::ChaosConfig cc;
   cc.iterations = 200;

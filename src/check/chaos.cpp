@@ -379,9 +379,10 @@ struct SystemRun {
 /// `armed` = false strips the fault plan and the seeded bugs and keeps
 /// everything else: a tenant trial's control run. An overload trial first
 /// calibrates its datapath's capacity (calibrate_capacity strips the plan
-/// itself) on at most 2,000 frames, then drives the open-loop datapath at
-/// the configured multiple of it with the OverloadMonitorSuite attached
-/// too: PCIe-level conservation and frame accounting must hold at once.
+/// itself) on its own frames, as its repro does, then drives the
+/// open-loop datapath at the configured multiple of it with the
+/// OverloadMonitorSuite attached too: PCIe-level conservation and frame
+/// accounting must hold at once.
 SystemRun run_system(const TrialSpec& spec, bool armed, bool telemetry,
                      bool throw_monitors) {
   SystemRun run;
@@ -405,9 +406,7 @@ SystemRun run_system(const TrialSpec& spec, bool armed, bool telemetry,
   try {
     nic::OverloadConfig ocfg = spec.overload;
     if (spec.overload_armed) {
-      nic::OverloadConfig cal = ocfg;
-      cal.frames = std::min<std::uint64_t>(cal.frames, 2000);
-      ocfg.capacity_pps = nic::calibrate_capacity(cfg, cal);
+      ocfg.capacity_pps = nic::calibrate_capacity(cfg, ocfg);
     }
     sim::System system(cfg);
     if (armed) {

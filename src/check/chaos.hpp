@@ -66,8 +66,8 @@ struct TrialSpec {
   bool seed_misroute_bug = false;
 
   /// Overload-chaos mode (overload_armed): instead of a micro-benchmark,
-  /// the trial calibrates the datapath's capacity on a copy of `overload`
-  /// capped at 2,000 frames, then drives the open-loop overload datapath
+  /// the trial calibrates the datapath's capacity on `overload`'s own
+  /// frames, as its repro does, then drives the open-loop overload datapath
   /// (nic::run_overload) at the campaign's multiple of it, composing the
   /// randomized fault plan with sustained past-capacity load, with BOTH
   /// the PCIe-level MonitorSuite and the OverloadMonitorSuite attached.

@@ -13,9 +13,13 @@
 #include "campaign_tally_expect.hpp"
 #include "check/campaign_exec.hpp"
 #include "check/chaos.hpp"
+#include "check/monitors.hpp"
+#include "check/overload_monitors.hpp"
 #include "exec/journal.hpp"
 #include "exec/outcome.hpp"
 #include "nic/overload.hpp"
+#include "sim/system.hpp"
+#include "sysconfig/profiles.hpp"
 
 namespace fs = std::filesystem;
 using namespace pcieb;
@@ -174,4 +178,32 @@ TEST(OverloadIdentity, ShrinkHalvesOverloadFrames) {
   EXPECT_TRUE(shrunk.outcome.failed);
   EXPECT_LT(shrunk.minimal.overload.frames, spec.overload.frames);
   EXPECT_TRUE(shrunk.minimal.plan.rules.empty());
+}
+
+TEST(OverloadIdentity, TrialLedgerMatchesItsRepro) {
+  // A trial's printed repro (`pciebench overload ... --frames N`)
+  // calibrates on all N frames, so the trial must too: past 2,000 frames
+  // a shorter calibration scales the load to another capacity.
+  check::ChaosConfig cfg;
+  cfg.offered_load = 2.0;
+  cfg.iterations = 5000;
+  const auto spec = check::generate_trial(cfg, 2);
+  ASSERT_TRUE(spec.overload_armed);
+  ASSERT_GT(spec.overload.frames, 2000u);
+
+  // The repro: calibrate, then run the datapath on a fresh System with
+  // both monitor suites attached (--monitors).
+  auto sys_cfg = sys::profile_by_name(spec.system).config;
+  sys_cfg.fault_plan = spec.plan;
+  sys_cfg.recovery = spec.recovery;
+  nic::OverloadConfig ocfg = spec.overload;
+  ocfg.capacity_pps = nic::calibrate_capacity(sys_cfg, ocfg);
+  sim::System system(sys_cfg);
+  check::MonitorSuite monitors(system);
+  check::OverloadMonitorSuite overload_monitors;
+  const auto repro = nic::run_overload(system, ocfg, overload_monitors.probe());
+
+  const auto out = check::run_trial(spec);
+  EXPECT_FALSE(out.failed) << out.summary();
+  EXPECT_EQ(out.overload, repro.ledger());
 }

@@ -101,6 +101,14 @@ expect_usage "chaos bp w/o load"          -- chaos --trials 1 --backpressure on
 expect_usage "chaos bad backpressure"     -- chaos --trials 1 --offered-load 2 --backpressure sometimes
 expect_usage "chaos overload + tenants"   -- chaos --trials 1 --offered-load 2 --tenants 2
 
+# Pool threads enforce no worker limit, so suite --threads refuses each
+# one instead of ignoring it (docs/EXEC.md).
+SUITE=(suite --system NFP6000-HSW --filter LAT_RD/8/cold --threads 2)
+expect_usage "suite threads + jobs"          -- "${SUITE[@]}" --jobs 1
+expect_usage "suite threads + trial-timeout" -- "${SUITE[@]}" --trial-timeout 0.000001
+expect_usage "suite threads + max-retries"   -- "${SUITE[@]}" --max-retries 0
+expect_usage "suite threads + rss-budget"    -- "${SUITE[@]}" --rss-budget 1G
+
 # Numbers: sizes are whole byte counts with at most one K/M/G suffix,
 # integers are unsigned, and nothing wraps, saturates or truncates.
 expect_usage "negative window"         -- "${RUN[@]}" --window -8K
@@ -137,6 +145,7 @@ expect_ok "overload chaos" -- chaos --trials 2 --iters 200 --offered-load 2 --se
 expect_ok "fractional and hex sizes" -- "${RUN[@]}" --window 1.5K --size 0x40
 expect_ok "hex seeds and addresses" -- chaos --trials 1 --iters 50 --master-seed 0xc4a05
 expect_ok "hex fault address range" -- "${RUN[@]}" --faults "drop@addr=0x0-0xfffff,every=7"
+expect_ok "suite threads + journal" -- "${SUITE[@]}" --journal "$tmpdir/suite"
 
 # The forked-worker chaos banner (stderr) names a planted bug exactly as
 # the in-process banner (stdout) does.

@@ -236,7 +236,9 @@ thread options (suite and chaos):
                       trials/experiments on a work-stealing pool (0 = all
                       hardware threads). Canonical output is byte-identical
                       to serial and to fork-isolated runs; crashes are NOT
-                      contained. Mutually exclusive with --jobs.
+                      contained. Mutually exclusive with --jobs and the
+                      worker limits (--trial-timeout, --max-retries,
+                      --rss-budget); a suite keeps --journal/--resume.
 
 exit codes (all commands):
   0  success          1  benchmark failure / invariant violation
@@ -1151,9 +1153,16 @@ int cmd_suite(const Args& args) {
   std::vector<core::ExperimentRecord> records;
   int exit_code = kExitOk;
   const bool threaded = args.values.contains("threads");
-  if (threaded && args.values.contains("jobs")) {
-    usage("--threads (in-process) and --jobs (forked workers) are mutually "
-          "exclusive");
+  if (threaded) {
+    // Pool threads enforce none of the forked workers' limits, so a limit
+    // given with --threads would be silently ignored.
+    for (const char* worker_only :
+         {"jobs", "trial-timeout", "max-retries", "rss-budget"}) {
+      if (args.values.contains(worker_only)) {
+        usage(("--threads (in-process) and --" + std::string(worker_only) +
+               " (forked workers) are mutually exclusive").c_str());
+      }
+    }
   }
   if (exec_mode_requested(args) || threaded) {
     exec::RunConfig cfg = parse_run_config(args);

@@ -5,26 +5,6 @@
 
 namespace pcieb::exec {
 
-const char* to_string(OutcomeKind k) {
-  switch (k) {
-    case OutcomeKind::Ok: return "ok";
-    case OutcomeKind::NonzeroExit: return "exit";
-    case OutcomeKind::Signal: return "signal";
-    case OutcomeKind::Timeout: return "timeout";
-    case OutcomeKind::Oom: return "oom";
-  }
-  return "?";
-}
-
-OutcomeKind outcome_kind_from_string(const std::string& s) {
-  if (s == "ok") return OutcomeKind::Ok;
-  if (s == "exit") return OutcomeKind::NonzeroExit;
-  if (s == "signal") return OutcomeKind::Signal;
-  if (s == "timeout") return OutcomeKind::Timeout;
-  if (s == "oom") return OutcomeKind::Oom;
-  throw std::invalid_argument("unknown outcome kind: " + s);
-}
-
 std::string signal_name(int sig) {
   switch (sig) {
     case SIGSEGV: return "SIGSEGV";

@@ -34,14 +34,6 @@ class InfraError : public std::runtime_error {
 
 enum class OutcomeKind : std::uint8_t { Ok, NonzeroExit, Signal, Timeout, Oom };
 
-/// Stable lowercase names: ok | exit | signal | timeout | oom. These are
-/// journal/CSV vocabulary — do not change them without bumping the record
-/// format version.
-const char* to_string(OutcomeKind k);
-
-/// Inverse of to_string; throws std::invalid_argument on unknown names.
-OutcomeKind outcome_kind_from_string(const std::string& s);
-
 /// Reserved worker exit code meaning "allocation failure" (set_new_handler
 /// and caught std::bad_alloc both funnel here). Chosen away from the
 /// 0/1/2 codes jobs use and from shells' 126/127/128+n conventions.
@@ -59,7 +51,9 @@ struct Outcome {
   bool ok() const { return kind == OutcomeKind::Ok; }
 
   /// Deterministic one-token classification for journals and artifacts:
-  /// "ok", "exit(3)", "signal(SIGSEGV)", "timeout", "oom".
+  /// "ok", "exit(3)", "signal(SIGSEGV)", "timeout", "oom". These are
+  /// journal/CSV vocabulary — do not change them without bumping the
+  /// record format version.
   std::string classify() const;
 };
 

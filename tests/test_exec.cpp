@@ -64,15 +64,6 @@ struct ToyJobs {
 
 }  // namespace
 
-TEST(Outcome, KindNamesRoundTrip) {
-  using exec::OutcomeKind;
-  for (auto k : {OutcomeKind::Ok, OutcomeKind::NonzeroExit, OutcomeKind::Signal,
-                 OutcomeKind::Timeout, OutcomeKind::Oom}) {
-    EXPECT_EQ(exec::outcome_kind_from_string(exec::to_string(k)), k);
-  }
-  EXPECT_THROW(exec::outcome_kind_from_string("bogus"), std::invalid_argument);
-}
-
 TEST(Outcome, Classify) {
   exec::Outcome o;
   EXPECT_EQ(o.classify(), "ok");

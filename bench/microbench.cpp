@@ -1,15 +1,21 @@
 // google-benchmark microbenchmarks for the library's hot paths: the
 // packetizer (into a caller-owned TlpVec), the event engine and its
 // SmallFn callable wrapper, a link direction, the DMA in-flight map, the
-// cache tag array and the RNG. These guard the simulator's own
+// cache tag array, the RNG, the latency digest and the overload load
+// generator's flow pick. These guard the simulator's own
 // performance (a full figure sweep executes hundreds of millions of
 // events); `pciebench perf` measures the same paths end to end.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/rng.hpp"
+#include "core/loadgen.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "obs/counters.hpp"
+#include "obs/digest.hpp"
 #include "obs/trace.hpp"
 #include "pcie/packetizer.hpp"
 #include "pcie/tlp_vec.hpp"
@@ -185,6 +191,37 @@ void BM_Xoshiro(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Xoshiro);
+
+// Latency-digest insertion with frame-latency-shaped values: 150-300 ns
+// scaled by 2^0..2^6, in picoseconds (what an overload run records per
+// delivered frame). Counts land in a flat array over the occupied
+// bucket range, so an add is an index computation and an increment.
+void BM_DigestAdd(benchmark::State& state) {
+  Xoshiro256 rng(11);
+  std::vector<std::uint64_t> values(4096);
+  for (auto& v : values) v = (150000 + rng.below(150000)) << rng.below(7);
+  obs::Digest d;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    d.add(values[i++ & 4095]);
+  }
+  benchmark::DoNotOptimize(d.count());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DigestAdd);
+
+// Zipf flow picks for the overload load generator (zipf_s 1.1 over 64
+// and 1000 flows): one uniform draw plus a guide-table scan of the CDF.
+void BM_LoadGenNextFlow(benchmark::State& state) {
+  core::LoadGenConfig cfg;
+  cfg.flows = static_cast<std::uint32_t>(state.range(0));
+  core::LoadGen gen(cfg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gen.next_flow());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LoadGenNextFlow)->Arg(64)->Arg(1000);
 
 // The fault-predicate fast path: a sparse plan (one nth= rule far in the
 // future, one bounded window already past) against a dense TLP stream.

@@ -1,6 +1,7 @@
 #include "core/loadgen.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -32,6 +33,19 @@ LoadGen::LoadGen(const LoadGenConfig& cfg) : cfg_(cfg), rng_(cfg.seed) {
   }
   for (double& c : flow_cdf_) c /= total;
   flow_cdf_.back() = 1.0;  // guard against accumulated rounding
+  // A power-of-two guide table, four slots per flow and at most 2^16,
+  // leaves next_flow an expected flows / (2 * slots) forward steps: an
+  // eighth of a step below the cap, whatever zipf_s is.
+  const std::size_t slots =
+      std::min<std::size_t>(std::bit_ceil(std::size_t{4} * cfg_.flows),
+                            std::size_t{1} << 16);
+  guide_.resize(slots);
+  std::uint32_t i = 0;
+  for (std::size_t j = 0; j < slots; ++j) {
+    const double lo = static_cast<double>(j) / static_cast<double>(slots);
+    while (i + 1 < cfg_.flows && flow_cdf_[i] <= lo) ++i;
+    guide_[j] = i;
+  }
 }
 
 Picos LoadGen::next_gap() {
@@ -59,13 +73,17 @@ Picos LoadGen::next_gap() {
   return 1;
 }
 
-std::uint32_t LoadGen::next_flow() {
-  const double u = rng_.uniform();
-  const auto it = std::upper_bound(flow_cdf_.begin(), flow_cdf_.end(), u);
-  const auto idx = static_cast<std::uint32_t>(
-      std::min<std::ptrdiff_t>(it - flow_cdf_.begin(),
-                               static_cast<std::ptrdiff_t>(cfg_.flows) - 1));
-  return idx;
+std::uint32_t LoadGen::next_flow() { return flow_for(rng_.uniform()); }
+
+std::uint32_t LoadGen::flow_for(double u) const {
+  // u * size is exact (a power-of-two scale), so j / size <= u and the
+  // scan from guide_[j] ends at std::upper_bound(cdf, u), clamped to the
+  // last flow.
+  const auto j =
+      static_cast<std::size_t>(u * static_cast<double>(guide_.size()));
+  std::uint32_t i = guide_[j];
+  while (i + 1 < cfg_.flows && flow_cdf_[i] <= u) ++i;
+  return i;
 }
 
 std::uint64_t FlowTable::total_offered() const {

@@ -52,8 +52,13 @@ class LoadGen {
   /// long gap, preserving the configured mean rate exactly.
   Picos next_gap();
 
-  /// Zipf-weighted flow identity for the next frame.
+  /// Zipf-weighted flow identity for the next frame: flow_for(uniform).
   std::uint32_t next_flow();
+
+  /// The flow a uniform draw u maps to: the first flow whose cumulative
+  /// weight exceeds u (std::upper_bound over the CDF). Requires u in
+  /// [0, 1), the range of Xoshiro256::uniform().
+  std::uint32_t flow_for(double u) const;
 
   const LoadGenConfig& config() const { return cfg_; }
 
@@ -61,6 +66,9 @@ class LoadGen {
   LoadGenConfig cfg_;
   Xoshiro256 rng_;
   std::vector<double> flow_cdf_;  ///< cumulative normalized Zipf weights
+  /// guide_[j] = first index i with flow_cdf_[i] > j / guide_.size():
+  /// next_flow's scan for u starts at guide_[floor(u * size)].
+  std::vector<std::uint32_t> guide_;
   std::uint32_t burst_pos_ = 0;
 };
 

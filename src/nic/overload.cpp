@@ -4,9 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "nic/frame.hpp"
 #include "nic/ring.hpp"
@@ -33,35 +33,8 @@ constexpr std::uint8_t kDropMac = 0;
 constexpr std::uint8_t kDropRing = 1;
 constexpr std::uint8_t kDropAdmission = 2;
 
-OverloadResult run_datapath(sim::System& system, const OverloadConfig& cfg,
-                            const OverloadProbe* probe, bool calibrate) {
-  auto& sim = system.sim();
-  auto& dev = system.device();
-  auto& rc = system.root_complex();
-  obs::TraceSink* trace = system.trace_sink();
-
-  sim::BufferConfig buf_cfg;
-  buf_cfg.size_bytes = 8ull << 20;
-  sim::HostBuffer buffer(buf_cfg);
-  system.attach_buffer(&buffer);
-  system.thrash_cache();
-  system.warm_host(buffer, 0, 1ull << 20);  // ring and mailbox warm
-
-  const std::uint32_t frame = cfg.frame_bytes;
-  const Picos frame_wire = wire_time(frame, cfg.wire_gbps);
-  const std::uint32_t desc = cfg.descriptor_bytes;
-  const Picos pause_quantum =
-      cfg.pause_quantum > 0 ? cfg.pause_quantum : 8 * frame_wire;
-  // Calibration runs the identical pipeline closed-loop: backpressure is
-  // forced on with an unbounded budget, so the PAUSE mechanism throttles
-  // line-rate arrivals to exactly the service rate and nothing drops —
-  // the delivered rate IS the sustainable capacity.
-  const bool backpressure = calibrate ? true : cfg.backpressure;
-  const Picos pause_budget = calibrate
-                                 ? std::numeric_limits<Picos>::max() / 2
-                                 : (cfg.backpressure ? cfg.pause_budget : 0);
-  const std::uint32_t admission_slots = calibrate ? 0 : cfg.admission_slots;
-
+core::LoadGenConfig loadgen_config(const OverloadConfig& cfg, bool calibrate,
+                                   Picos frame_wire) {
   core::LoadGenConfig lg;
   lg.arrivals = cfg.arrivals;
   lg.mean_gap_ps =
@@ -72,300 +45,411 @@ OverloadResult run_datapath(sim::System& system, const OverloadConfig& cfg,
   lg.flows = cfg.flows;
   lg.zipf_s = cfg.zipf_s;
   lg.seed = cfg.seed;
-  core::LoadGen gen(lg);
-  core::FlowTable flows(cfg.flows);
+  return lg;
+}
 
-  OverloadStats st;
-  st.ring_slots = cfg.ring_slots;
-  st.admission_slots = admission_slots;
-  st.pause_budget = pause_budget;
+/// One run of the RX datapath: the driver's freelist, descriptor fetches,
+/// the wire's arrival clock, packet and write-back DMAs, MSIs and host
+/// service. Every simulator event captures `this` (plus a Waiting for
+/// host service) and every DMA callback `this` plus at most 4 B, so each
+/// fits its wrapper's inline buffer; a frame whose packet DMA is in
+/// flight waits in `dma_frames_`, named by its slot. A frame therefore
+/// costs no heap allocation beyond deque block churn.
+class RxDatapath {
+ public:
+  RxDatapath(sim::System& system, const OverloadConfig& cfg,
+             const OverloadProbe* probe, bool calibrate);
+  RxDatapath(const RxDatapath&) = delete;
+  RxDatapath& operator=(const RxDatapath&) = delete;
+  ~RxDatapath() { dev_.set_mmio_handler({}); }
 
-  DescriptorRing ring(cfg.ring_slots, desc);
-  std::uint64_t posted_total = 0;  ///< freelist descriptors the driver queued
-  std::uint64_t returned = 0;      ///< buffers recycled (delivered + adm-drop)
-  std::uint32_t creds = 0;         ///< freelist descriptors resident on NIC
-  unsigned fetch_inflight = 0;
-  std::uint32_t wb_due = 0;
-  std::uint32_t irq_due = 0;
-  std::uint64_t pkt_cursor = 0;
-  std::uint64_t arrivals = 0;
-  bool arrivals_done = false;
-  std::uint32_t epoch_pos = 0;
-  Picos pause_until = 0;
-  bool host_awake = cfg.service == ServiceMode::BusyPoll;
-  bool irq_pending = false;  ///< MSI + wakeup scheduled, host still asleep
-  bool service_busy = false;
-  Picos service_ready_at = 0;  ///< livelock-bug postponement horizon
-  Picos first_arrival = -1;
-  Picos last_delivery = 0;
-  obs::Digest latency;
+  OverloadResult run();
 
+ private:
   struct Waiting {
     std::uint32_t flow;
     Picos t_arr;
   };
-  std::deque<Waiting> backlog;
 
-  const std::uint64_t msi_addr = buffer.iova(kMsiArea);
+  void driver_fill();
+  void fetch_descs();
+  void on_descs_fetched(std::uint32_t n);
+  void schedule_arrival();
+  void on_arrival();
+  void on_frame_written(std::uint32_t slot);
+  void finish_service(Waiting w);
+  void pump_service();
+  void raise_irq();
+  void on_irq_wakeup();
+  void maybe_flush();
 
-  auto driver_fill = [&] {
-    // The driver recycles returned buffers onto the freelist; undelivered
-    // posted buffers are bounded by the ring size (as in nic_sim).
-    while (ring.free_slots() >= cfg.doorbell_batch &&
-           posted_total - returned + cfg.doorbell_batch <= cfg.ring_slots) {
-      ring.post(cfg.doorbell_batch);
-      posted_total += cfg.doorbell_batch;
-      rc.host_mmio_write(kRxDoorbell, kPointerBytes);
-    }
-  };
+  /// Hold `w` while its packet DMA is in flight; returns its slot.
+  std::uint32_t park(Waiting w);
+  Waiting unpark(std::uint32_t slot);
 
-  bool mac_enabled = false;  ///< arrivals start once credits are resident
-  std::function<void()> start_arrivals;  // defined below
+  sim::Simulator& sim_;
+  sim::DmaDevice& dev_;
+  sim::RootComplex& rc_;
+  obs::TraceSink* trace_;
+  const OverloadConfig& cfg_;
+  const OverloadProbe* probe_;
+  const bool calibrate_;
+  sim::HostBuffer buffer_;
 
-  std::function<void()> fetch_descs = [&] {
-    while (fetch_inflight < kMaxDescFetches && ring.pending() > 0) {
-      const std::uint32_t n =
-          std::min<std::uint32_t>(cfg.desc_batch, ring.pending());
-      ring.consume(n);
-      ++fetch_inflight;
-      dev.dma_read(buffer.iova(kRxDescArea), n * desc, [&, n] {
-        creds += n;
-        st.creds_max = std::max(st.creds_max, creds);
-        --fetch_inflight;
-        driver_fill();
-        if (!mac_enabled) {
-          // The driver enables the MAC only after the freelist is
-          // provisioned (as real drivers do) — otherwise the first wire
-          // frames race the first descriptor-fetch DMA and drop during
-          // cold start even far below capacity.
-          mac_enabled = true;
-          start_arrivals();
-        }
-      });
-    }
-  };
+  const std::uint32_t frame_;
+  const Picos frame_wire_;
+  const std::uint32_t desc_;
+  const Picos pause_quantum_;
+  // Calibration runs the identical pipeline closed-loop: backpressure is
+  // forced on with an unbounded budget, so the PAUSE mechanism throttles
+  // line-rate arrivals to exactly the service rate and nothing drops —
+  // the delivered rate IS the sustainable capacity.
+  const bool backpressure_;
+  const Picos pause_budget_;
+  const std::uint32_t admission_slots_;
 
-  std::function<void()> pump_service;
-  std::function<void()> raise_irq;
-  std::function<void()> maybe_flush;
-  std::function<void(Waiting)> finish_service;
+  core::LoadGen gen_;
+  core::FlowTable flows_;
+  OverloadStats st_;
+  DescriptorRing ring_;
+  std::uint64_t posted_total_ = 0;  ///< freelist descriptors the driver queued
+  std::uint64_t returned_ = 0;      ///< buffers recycled (delivered + adm-drop)
+  std::uint32_t creds_ = 0;         ///< freelist descriptors resident on NIC
+  unsigned fetch_inflight_ = 0;
+  std::uint32_t wb_due_ = 0;
+  std::uint32_t irq_due_ = 0;
+  std::uint64_t pkt_cursor_ = 0;
+  std::uint64_t arrivals_ = 0;
+  bool arrivals_done_ = false;
+  std::uint32_t epoch_pos_ = 0;
+  Picos pause_until_ = 0;
+  bool mac_enabled_ = false;  ///< arrivals start once credits are resident
+  bool host_awake_;
+  bool irq_pending_ = false;  ///< MSI + wakeup scheduled, host still asleep
+  bool service_busy_ = false;
+  Picos service_ready_at_ = 0;  ///< livelock-bug postponement horizon
+  Picos first_arrival_ = -1;
+  Picos last_delivery_ = 0;
+  obs::Digest latency_;
+  std::deque<Waiting> backlog_;
+  /// Frames whose packet DMA is in flight, by slot; free_slots_ lists
+  /// the unused ones. At most ring_slots buffers are ever out, so the
+  /// reserved storage never grows.
+  std::vector<Waiting> dma_frames_;
+  std::vector<std::uint32_t> free_slots_;
+  const std::uint64_t msi_addr_;
+};
 
-  finish_service = [&](Waiting w) {
-    if (sim.now() < service_ready_at) {
-      // TEST-ONLY livelock: interrupt storms keep postponing the bottom
-      // half; re-arm at the current horizon.
-      sim.after(service_ready_at - sim.now(), [&, w] { finish_service(w); });
-      return;
-    }
-    ++st.delivered;
-    flows.delivered(w.flow);
-    const Picos now = sim.now();
-    latency.add(static_cast<std::uint64_t>(now - w.t_arr));
-    if (trace) {
-      trace->record({w.t_arr, now - w.t_arr, 0, w.flow, frame,
-                     obs::EventKind::FrameDelivered, obs::Component::Device,
-                     0});
-    }
-    ++returned;
-    st.in_service = 0;
-    service_busy = false;
-    last_delivery = now;
-    driver_fill();
-    fetch_descs();
-    pump_service();
-    maybe_flush();
-  };
-
-  pump_service = [&] {
-    if (service_busy || !host_awake) return;
-    if (backlog.empty()) {
-      // Coalesced host goes back to sleep until the next MSI wakes it.
-      if (cfg.service == ServiceMode::Coalesce) host_awake = false;
-      return;
-    }
-    service_busy = true;
-    st.in_service = 1;
-    const Waiting w = backlog.front();
-    backlog.pop_front();
-    st.backlog = backlog.size();
-    sim.after(cfg.host_service_ps, [&, w] { finish_service(w); });
-  };
-
-  raise_irq = [&] {
-    if (irq_pending || host_awake) {
-      if (cfg.test_livelock_bug) {
-        // Broken moderation: the storm keeps hammering MSIs and each one
-        // postpones in-progress service by the interrupt cost.
-        ++st.irqs;
-        dev.dma_write(msi_addr, kPointerBytes, {});
-        service_ready_at =
-            std::max(service_ready_at, sim.now() + cfg.irq_cost);
-      }
-      return;
-    }
-    irq_pending = true;
-    irq_due = 0;
-    ++st.irqs;
-    dev.dma_write(msi_addr, kPointerBytes, [&] {
-      sim.after(cfg.irq_cost, [&] {
-        irq_pending = false;
-        host_awake = true;
-        if (cfg.test_livelock_bug) {
-          service_ready_at =
-              std::max(service_ready_at, sim.now() + cfg.irq_cost);
-        }
-        pump_service();
-      });
-    });
-  };
-
-  maybe_flush = [&] {
-    if (cfg.service != ServiceMode::Coalesce) return;
-    if (host_awake || irq_pending || backlog.empty()) return;
-    // Moderation while load is sustained; an unconditional flush once
-    // arrivals end, so the tail of the backlog can never strand.
-    if (arrivals_done || irq_due >= cfg.irq_moderation) raise_irq();
-  };
-
-  std::function<void()> on_arrival;
-  std::function<void()> schedule_arrival = [&] {
-    const Picos gap = calibrate ? frame_wire : gen.next_gap();
-    Picos due = sim.now() + gap;
-    // A paused sender holds its frames: the arrival clock stretches by
-    // however much of the PAUSE window is still ahead.
-    if (backpressure && due < pause_until) due = pause_until;
-    sim.after(due - sim.now(), on_arrival);
-  };
-
-  on_arrival = [&] {
-    const Picos now = sim.now();
-    if (first_arrival < 0) first_arrival = now;
-    ++st.offered;
-    const std::uint32_t flow = gen.next_flow();
-    flows.offered(flow);
-    if (trace) {
-      trace->record({now, 0, 0, flow, frame, obs::EventKind::FrameArrival,
-                     obs::Component::Device, 0});
-    }
-    if (cfg.test_livelock_bug && cfg.service == ServiceMode::Coalesce) {
-      // TEST-ONLY receive livelock: broken moderation raises an MSI for
-      // every wire arrival — dropped or not — so at sufficient offered
-      // load the interrupt storm postpones the bottom half faster than
-      // time passes and delivery freezes.
-      raise_irq();
-    }
-    // MAC PAUSE: assert when resident freelist credits run low, bounded
-    // by the cumulative pause budget.
-    if (backpressure && creds < cfg.pause_threshold && now >= pause_until) {
-      const Picos remaining = pause_budget - st.pause_ps;
-      if (remaining > 0) {
-        const Picos q = std::min(pause_quantum, remaining);
-        pause_until = now + q;
-        st.pause_ps += q;
-        ++st.pause_events;
-      }
-    }
-    if (creds == 0) {
-      // The wire does not wait. With backpressure the budget failed to
-      // protect the freelist (MAC drop); without it this is the classic
-      // rx_no_buffer ring drop.
-      if (backpressure) {
-        ++st.dropped_mac;
-      } else {
-        ++st.dropped_ring;
-      }
-      flows.dropped(flow);
-      if (trace) {
-        trace->record({now, 0, 0, flow, frame, obs::EventKind::FrameDrop,
-                       obs::Component::Device,
-                       backpressure ? kDropMac : kDropRing});
-      }
-    } else {
-      --creds;
-      ++st.dma_inflight;
-      fetch_descs();
-      const std::uint64_t addr =
-          buffer.iova(kPktArea + (pkt_cursor * 2048) % kPktAreaBytes);
-      ++pkt_cursor;
-      dev.dma_write(addr, frame, [&, flow, t_arr = now] {
-        --st.dma_inflight;
-        if (++wb_due >= cfg.rx_wb_batch) {
-          dev.dma_write(buffer.iova(kRxDescArea), wb_due * desc, {});
-          wb_due = 0;
-        }
-        if (admission_slots != 0 && backlog.size() >= admission_slots) {
-          // Tail-drop at the driver: the frame burned PCIe bandwidth but
-          // the host refuses to queue it — goodput degrades instead of
-          // the backlog (and its latency) growing without bound.
-          ++st.dropped_admission;
-          flows.dropped(flow);
-          ++returned;
-          if (trace) {
-            trace->record({sim.now(), 0, 0, flow, frame,
-                           obs::EventKind::FrameDrop, obs::Component::Device,
-                           kDropAdmission});
-          }
-          driver_fill();
-          maybe_flush();
-        } else {
-          backlog.push_back({flow, t_arr});
-          st.backlog = backlog.size();
-          st.backlog_max =
-              std::max<std::uint64_t>(st.backlog_max, backlog.size());
-          if (cfg.service == ServiceMode::Coalesce) {
-            ++irq_due;
-            maybe_flush();
-          } else {
-            pump_service();
-          }
-        }
-      });
-    }
-    // Monitor epoch: fires only while the offered load is sustained, so
-    // the forward-progress check never judges the drain tail.
-    if (probe && probe->on_epoch && ++epoch_pos >= cfg.epoch_arrivals) {
-      epoch_pos = 0;
-      st.ring_max_pending = ring.max_pending();
-      probe->on_epoch(st, now);
-    }
-    ++arrivals;
-    if (arrivals < cfg.frames) {
-      schedule_arrival();
-    } else {
-      arrivals_done = true;
-      maybe_flush();
-    }
-  };
-
-  start_arrivals = [&] { schedule_arrival(); };
-
-  dev.set_mmio_handler([&](const proto::Tlp& tlp, bool is_write) {
+RxDatapath::RxDatapath(sim::System& system, const OverloadConfig& cfg,
+                       const OverloadProbe* probe, bool calibrate)
+    : sim_(system.sim()),
+      dev_(system.device()),
+      rc_(system.root_complex()),
+      trace_(system.trace_sink()),
+      cfg_(cfg),
+      probe_(probe),
+      calibrate_(calibrate),
+      buffer_(sim::BufferConfig{.size_bytes = 8ull << 20}),
+      frame_(cfg.frame_bytes),
+      frame_wire_(wire_time(frame_, cfg.wire_gbps)),
+      desc_(cfg.descriptor_bytes),
+      pause_quantum_(cfg.pause_quantum > 0 ? cfg.pause_quantum
+                                           : 8 * frame_wire_),
+      backpressure_(calibrate ? true : cfg.backpressure),
+      pause_budget_(calibrate ? std::numeric_limits<Picos>::max() / 2
+                              : (cfg.backpressure ? cfg.pause_budget : 0)),
+      admission_slots_(calibrate ? 0 : cfg.admission_slots),
+      gen_(loadgen_config(cfg, calibrate, frame_wire_)),
+      flows_(cfg.flows),
+      ring_(cfg.ring_slots, desc_),
+      host_awake_(cfg.service == ServiceMode::BusyPoll),
+      msi_addr_(buffer_.iova(kMsiArea)) {
+  system.attach_buffer(&buffer_);
+  system.thrash_cache();
+  system.warm_host(buffer_, 0, 1ull << 20);  // ring and mailbox warm
+  st_.ring_slots = cfg.ring_slots;
+  st_.admission_slots = admission_slots_;
+  st_.pause_budget = pause_budget_;
+  dma_frames_.reserve(cfg.ring_slots);
+  free_slots_.reserve(cfg.ring_slots);
+  dev_.set_mmio_handler([this](const proto::Tlp& tlp, bool is_write) {
     if (is_write && tlp.addr == kRxDoorbell) fetch_descs();
   });
+}
 
-  const Picos start = sim.now();
+std::uint32_t RxDatapath::park(Waiting w) {
+  if (free_slots_.empty()) {
+    dma_frames_.push_back(w);
+    return static_cast<std::uint32_t>(dma_frames_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  dma_frames_[slot] = w;
+  return slot;
+}
+
+RxDatapath::Waiting RxDatapath::unpark(std::uint32_t slot) {
+  free_slots_.push_back(slot);
+  return dma_frames_[slot];
+}
+
+void RxDatapath::driver_fill() {
+  // The driver recycles returned buffers onto the freelist; undelivered
+  // posted buffers are bounded by the ring size (as in nic_sim).
+  while (ring_.free_slots() >= cfg_.doorbell_batch &&
+         posted_total_ - returned_ + cfg_.doorbell_batch <= cfg_.ring_slots) {
+    ring_.post(cfg_.doorbell_batch);
+    posted_total_ += cfg_.doorbell_batch;
+    rc_.host_mmio_write(kRxDoorbell, kPointerBytes);
+  }
+}
+
+void RxDatapath::fetch_descs() {
+  while (fetch_inflight_ < kMaxDescFetches && ring_.pending() > 0) {
+    const std::uint32_t n =
+        std::min<std::uint32_t>(cfg_.desc_batch, ring_.pending());
+    ring_.consume(n);
+    ++fetch_inflight_;
+    dev_.dma_read(buffer_.iova(kRxDescArea), n * desc_,
+                  [this, n] { on_descs_fetched(n); });
+  }
+}
+
+void RxDatapath::on_descs_fetched(std::uint32_t n) {
+  creds_ += n;
+  st_.creds_max = std::max(st_.creds_max, creds_);
+  --fetch_inflight_;
   driver_fill();
-  sim.run();
+  if (!mac_enabled_) {
+    // The driver enables the MAC only after the freelist is provisioned
+    // (as real drivers do) — otherwise the first wire frames race the
+    // first descriptor-fetch DMA and drop during cold start even far
+    // below capacity.
+    mac_enabled_ = true;
+    schedule_arrival();
+  }
+}
 
-  st.ring_max_pending = ring.max_pending();
-  st.backlog = backlog.size();
-  if (probe && probe->on_quiesce) {
-    probe->on_quiesce(st, flows.stats(), sim.now());
+void RxDatapath::schedule_arrival() {
+  const Picos gap = calibrate_ ? frame_wire_ : gen_.next_gap();
+  Picos due = sim_.now() + gap;
+  // A paused sender holds its frames: the arrival clock stretches by
+  // however much of the PAUSE window is still ahead.
+  if (backpressure_ && due < pause_until_) due = pause_until_;
+  sim_.at(due, [this] { on_arrival(); });
+}
+
+void RxDatapath::on_arrival() {
+  const Picos now = sim_.now();
+  if (first_arrival_ < 0) first_arrival_ = now;
+  ++st_.offered;
+  const std::uint32_t flow = gen_.next_flow();
+  flows_.offered(flow);
+  if (trace_) {
+    trace_->record({now, 0, 0, flow, frame_, obs::EventKind::FrameArrival,
+                    obs::Component::Device, 0});
+  }
+  if (cfg_.test_livelock_bug && cfg_.service == ServiceMode::Coalesce) {
+    // TEST-ONLY receive livelock: broken moderation raises an MSI for
+    // every wire arrival — dropped or not — so at sufficient offered
+    // load the interrupt storm postpones the bottom half faster than
+    // time passes and delivery freezes.
+    raise_irq();
+  }
+  // MAC PAUSE: assert when resident freelist credits run low, bounded
+  // by the cumulative pause budget.
+  if (backpressure_ && creds_ < cfg_.pause_threshold && now >= pause_until_) {
+    const Picos remaining = pause_budget_ - st_.pause_ps;
+    if (remaining > 0) {
+      const Picos q = std::min(pause_quantum_, remaining);
+      pause_until_ = now + q;
+      st_.pause_ps += q;
+      ++st_.pause_events;
+    }
+  }
+  if (creds_ == 0) {
+    // The wire does not wait. With backpressure the budget failed to
+    // protect the freelist (MAC drop); without it this is the classic
+    // rx_no_buffer ring drop.
+    if (backpressure_) {
+      ++st_.dropped_mac;
+    } else {
+      ++st_.dropped_ring;
+    }
+    flows_.dropped(flow);
+    if (trace_) {
+      trace_->record({now, 0, 0, flow, frame_, obs::EventKind::FrameDrop,
+                      obs::Component::Device,
+                      backpressure_ ? kDropMac : kDropRing});
+    }
+  } else {
+    --creds_;
+    ++st_.dma_inflight;
+    fetch_descs();
+    const std::uint64_t addr =
+        buffer_.iova(kPktArea + (pkt_cursor_ * 2048) % kPktAreaBytes);
+    ++pkt_cursor_;
+    dev_.dma_write(addr, frame_, [this, slot = park({flow, now})] {
+      on_frame_written(slot);
+    });
+  }
+  // Monitor epoch: fires only while the offered load is sustained, so
+  // the forward-progress check never judges the drain tail.
+  if (probe_ && probe_->on_epoch && ++epoch_pos_ >= cfg_.epoch_arrivals) {
+    epoch_pos_ = 0;
+    st_.ring_max_pending = ring_.max_pending();
+    probe_->on_epoch(st_, now);
+  }
+  ++arrivals_;
+  if (arrivals_ < cfg_.frames) {
+    schedule_arrival();
+  } else {
+    arrivals_done_ = true;
+    maybe_flush();
+  }
+}
+
+void RxDatapath::on_frame_written(std::uint32_t slot) {
+  const Waiting w = unpark(slot);
+  --st_.dma_inflight;
+  if (++wb_due_ >= cfg_.rx_wb_batch) {
+    dev_.dma_write(buffer_.iova(kRxDescArea), wb_due_ * desc_, {});
+    wb_due_ = 0;
+  }
+  if (admission_slots_ != 0 && backlog_.size() >= admission_slots_) {
+    // Tail-drop at the driver: the frame burned PCIe bandwidth but the
+    // host refuses to queue it — goodput degrades instead of the backlog
+    // (and its latency) growing without bound.
+    ++st_.dropped_admission;
+    flows_.dropped(w.flow);
+    ++returned_;
+    if (trace_) {
+      trace_->record({sim_.now(), 0, 0, w.flow, frame_,
+                      obs::EventKind::FrameDrop, obs::Component::Device,
+                      kDropAdmission});
+    }
+    driver_fill();
+    maybe_flush();
+  } else {
+    backlog_.push_back(w);
+    st_.backlog = backlog_.size();
+    st_.backlog_max = std::max<std::uint64_t>(st_.backlog_max, backlog_.size());
+    if (cfg_.service == ServiceMode::Coalesce) {
+      ++irq_due_;
+      maybe_flush();
+    } else {
+      pump_service();
+    }
+  }
+}
+
+void RxDatapath::finish_service(Waiting w) {
+  if (sim_.now() < service_ready_at_) {
+    // TEST-ONLY livelock: interrupt storms keep postponing the bottom
+    // half; re-arm at the current horizon.
+    sim_.at(service_ready_at_, [this, w] { finish_service(w); });
+    return;
+  }
+  ++st_.delivered;
+  flows_.delivered(w.flow);
+  const Picos now = sim_.now();
+  latency_.add(static_cast<std::uint64_t>(now - w.t_arr));
+  if (trace_) {
+    trace_->record({w.t_arr, now - w.t_arr, 0, w.flow, frame_,
+                    obs::EventKind::FrameDelivered, obs::Component::Device,
+                    0});
+  }
+  ++returned_;
+  st_.in_service = 0;
+  service_busy_ = false;
+  last_delivery_ = now;
+  driver_fill();
+  fetch_descs();
+  pump_service();
+  maybe_flush();
+}
+
+void RxDatapath::pump_service() {
+  if (service_busy_ || !host_awake_) return;
+  if (backlog_.empty()) {
+    // Coalesced host goes back to sleep until the next MSI wakes it.
+    if (cfg_.service == ServiceMode::Coalesce) host_awake_ = false;
+    return;
+  }
+  service_busy_ = true;
+  st_.in_service = 1;
+  const Waiting w = backlog_.front();
+  backlog_.pop_front();
+  st_.backlog = backlog_.size();
+  sim_.after(cfg_.host_service_ps, [this, w] { finish_service(w); });
+}
+
+void RxDatapath::raise_irq() {
+  if (irq_pending_ || host_awake_) {
+    if (cfg_.test_livelock_bug) {
+      // Broken moderation: the storm keeps hammering MSIs and each one
+      // postpones in-progress service by the interrupt cost.
+      ++st_.irqs;
+      dev_.dma_write(msi_addr_, kPointerBytes, {});
+      service_ready_at_ =
+          std::max(service_ready_at_, sim_.now() + cfg_.irq_cost);
+    }
+    return;
+  }
+  irq_pending_ = true;
+  irq_due_ = 0;
+  ++st_.irqs;
+  dev_.dma_write(msi_addr_, kPointerBytes, [this] {
+    sim_.after(cfg_.irq_cost, [this] { on_irq_wakeup(); });
+  });
+}
+
+void RxDatapath::on_irq_wakeup() {
+  irq_pending_ = false;
+  host_awake_ = true;
+  if (cfg_.test_livelock_bug) {
+    service_ready_at_ = std::max(service_ready_at_, sim_.now() + cfg_.irq_cost);
+  }
+  pump_service();
+}
+
+void RxDatapath::maybe_flush() {
+  if (cfg_.service != ServiceMode::Coalesce) return;
+  if (host_awake_ || irq_pending_ || backlog_.empty()) return;
+  // Moderation while load is sustained; an unconditional flush once
+  // arrivals end, so the tail of the backlog can never strand.
+  if (arrivals_done_ || irq_due_ >= cfg_.irq_moderation) raise_irq();
+}
+
+OverloadResult RxDatapath::run() {
+  const Picos start = sim_.now();
+  driver_fill();
+  sim_.run();
+
+  st_.ring_max_pending = ring_.max_pending();
+  st_.backlog = backlog_.size();
+  if (probe_ && probe_->on_quiesce) {
+    probe_->on_quiesce(st_, flows_.stats(), sim_.now());
   }
 
   OverloadResult r;
-  r.stats = st;
-  r.capacity_pps = cfg.capacity_pps;
-  r.flows = flows.stats();
-  r.latency = std::move(latency);
-  r.offered_pps = 1e12 / lg.mean_gap_ps;
-  const Picos t0 = first_arrival >= 0 ? first_arrival : start;
-  r.elapsed = std::max<Picos>(last_delivery - t0, 0);
-  if (r.elapsed > 0 && st.delivered > 0) {
-    r.goodput_pps = static_cast<double>(st.delivered) / to_seconds(r.elapsed);
-    r.goodput_gbps = r.goodput_pps * frame * 8.0 / 1e9;
+  r.stats = st_;
+  r.capacity_pps = cfg_.capacity_pps;
+  r.flows = flows_.stats();
+  r.latency = std::move(latency_);
+  r.offered_pps = 1e12 / gen_.config().mean_gap_ps;
+  const Picos t0 = first_arrival_ >= 0 ? first_arrival_ : start;
+  r.elapsed = std::max<Picos>(last_delivery_ - t0, 0);
+  if (r.elapsed > 0 && st_.delivered > 0) {
+    r.goodput_pps = static_cast<double>(st_.delivered) / to_seconds(r.elapsed);
+    r.goodput_gbps = r.goodput_pps * frame_ * 8.0 / 1e9;
   }
   return r;
+}
+
+OverloadResult run_datapath(sim::System& system, const OverloadConfig& cfg,
+                            const OverloadProbe* probe, bool calibrate) {
+  return RxDatapath(system, cfg, probe, calibrate).run();
 }
 
 }  // namespace

@@ -1,21 +1,16 @@
 #include "obs/digest.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 namespace pcieb::obs {
 namespace {
 
 constexpr std::uint64_t kSubMask = (1ull << Digest::kSubBits) - 1;
-
-int msb_index(std::uint64_t v) {
-  // v >= 1; index of the highest set bit.
-  int i = 63;
-  while ((v & (1ull << i)) == 0) --i;
-  return i;
-}
 
 /// Parses a decimal u64 from s[pos..), advancing pos. False if no digits.
 bool parse_u64_at(const std::string& s, std::size_t& pos, std::uint64_t* out) {
@@ -41,7 +36,7 @@ bool expect(const std::string& s, std::size_t& pos, const char* lit) {
 
 std::uint64_t Digest::bucket_index(std::uint64_t v) {
   if (v < (1ull << kSubBits)) return v;
-  const int msb = msb_index(v);
+  const int msb = 63 - std::countl_zero(v);
   const int shift = msb - static_cast<int>(kSubBits);
   return (static_cast<std::uint64_t>(msb - kSubBits + 1) << kSubBits) |
          ((v >> shift) & kSubMask);
@@ -68,9 +63,24 @@ std::uint64_t Digest::bucket_rep(std::uint64_t idx) {
   return lo + (bucket_hi(idx) - lo) / 2;
 }
 
+void Digest::cover(std::uint32_t idx) {
+  if (counts_.empty()) {
+    lo_ = idx;
+    counts_.assign(1, 0);
+  } else if (idx < lo_) {
+    counts_.insert(counts_.begin(), lo_ - idx, 0);
+    lo_ = idx;
+  } else if (idx - lo_ >= counts_.size()) {
+    counts_.resize(idx - lo_ + 1, 0);
+  }
+}
+
 void Digest::add(std::uint64_t v, std::uint64_t count) {
   if (count == 0) return;
-  buckets_[bucket_index(v)] += count;
+  const auto idx = static_cast<std::uint32_t>(bucket_index(v));
+  // One unsigned compare catches both idx < lo_ and idx past the end.
+  if (idx - lo_ >= counts_.size()) cover(idx);
+  counts_[idx - lo_] += count;
   total_ += count;
 }
 
@@ -83,7 +93,15 @@ void Digest::add_ns(double ns) {
 }
 
 void Digest::merge(const Digest& other) {
-  for (const auto& [idx, cnt] : other.buckets_) buckets_[idx] += cnt;
+  if (!other.counts_.empty()) {
+    const std::size_t n = other.counts_.size();
+    cover(other.lo_);
+    cover(other.lo_ + static_cast<std::uint32_t>(n - 1));
+    const std::size_t offset = other.lo_ - lo_;
+    for (std::size_t i = 0; i < n; ++i) {
+      counts_[offset + i] += other.counts_[i];
+    }
+  }
   total_ += other.total_;
 }
 
@@ -95,27 +113,31 @@ std::uint64_t Digest::quantile(double q) const {
       static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total_)));
   if (rank == 0) rank = 1;
   if (rank > total_) rank = total_;
+  // Empty buckets leave `seen` unchanged, so the first bucket to reach
+  // the rank is always an occupied one.
   std::uint64_t seen = 0;
-  for (const auto& [idx, cnt] : buckets_) {
-    seen += cnt;
-    if (seen >= rank) return bucket_rep(idx);
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    seen += counts_[i];
+    if (seen >= rank) return bucket_rep(lo_ + i);
   }
-  return bucket_rep(buckets_.rbegin()->first);
+  return max();
 }
 
 std::uint64_t Digest::min() const {
-  return buckets_.empty() ? 0 : bucket_rep(buckets_.begin()->first);
+  return counts_.empty() ? 0 : bucket_rep(lo_);
 }
 
 std::uint64_t Digest::max() const {
-  return buckets_.empty() ? 0 : bucket_rep(buckets_.rbegin()->first);
+  return counts_.empty() ? 0 : bucket_rep(lo_ + counts_.size() - 1);
 }
 
 double Digest::mean() const {
   if (total_ == 0) return 0;
   double sum = 0;
-  for (const auto& [idx, cnt] : buckets_) {
-    sum += static_cast<double>(bucket_rep(idx)) * static_cast<double>(cnt);
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    if (counts_[i] == 0) continue;
+    sum += static_cast<double>(bucket_rep(lo_ + i)) *
+           static_cast<double>(counts_[i]);
   }
   return sum / static_cast<double>(total_);
 }
@@ -124,12 +146,13 @@ std::string Digest::serialize() const {
   std::string out = "v=1;sub=" + std::to_string(kSubBits) +
                     ";n=" + std::to_string(total_) + ";b=";
   bool first = true;
-  for (const auto& [idx, cnt] : buckets_) {
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    if (counts_[i] == 0) continue;
     if (!first) out += ',';
     first = false;
-    out += std::to_string(idx);
+    out += std::to_string(lo_ + i);
     out += ':';
-    out += std::to_string(cnt);
+    out += std::to_string(counts_[i]);
   }
   return out;
 }
@@ -152,10 +175,13 @@ bool Digest::deserialize(const std::string& s, Digest* out) {
     if (!expect(s, pos, ":")) return false;
     if (!parse_u64_at(s, pos, &cnt)) return false;
     if (cnt == 0) return false;
+    if (idx > kMaxIndex) return false;  // checked before cover() allocates
     if (!first && idx <= prev_idx) return false;  // must be sorted, unique
+    if (cnt > std::numeric_limits<std::uint64_t>::max() - seen) return false;
     first = false;
     prev_idx = idx;
-    d.buckets_.emplace_hint(d.buckets_.end(), idx, cnt);
+    d.cover(static_cast<std::uint32_t>(idx));
+    d.counts_[idx - d.lo_] = cnt;
     seen += cnt;
     if (pos < s.size()) {
       if (!expect(s, pos, ",")) return false;

@@ -2,12 +2,15 @@
 //
 // A Digest buckets unsigned picosecond values into log2 octaves subdivided
 // into 2^kSubBits sub-buckets, bounding relative quantile error at
-// 2^-kSubBits (~3% for kSubBits = 5) while keeping storage sparse: only
-// touched buckets exist, sorted by index. Merging two digests is plain
-// per-bucket count addition — commutative and associative — so percentiles
-// computed from a merged digest are exactly the percentiles of the merged
-// sample stream regardless of how the stream was sharded across exec
-// workers, chaos trials, or threads.
+// 2^-kSubBits (~3% for kSubBits = 5). Counts live in one flat array over
+// the occupied index range (lowest to highest touched bucket): adding a
+// sample is an index computation and an increment, and a digest stores
+// 32 counts per octave its samples span, not all 1,920 buckets of the
+// u64 range. Merging two digests is plain per-bucket count addition —
+// commutative and associative — so percentiles computed from a merged
+// digest are exactly the percentiles of the merged sample stream
+// regardless of how the stream was sharded across exec workers, chaos
+// trials, or threads.
 //
 // Serialization is canonical (sorted buckets, fixed field order, no
 // whitespace), so equal digests always serialize to equal bytes; journal
@@ -29,6 +32,10 @@ class Digest {
   /// Sub-bucket resolution: 2^kSubBits buckets per octave. Part of the
   /// serialized format (`sub=`); changing it is a format break.
   static constexpr unsigned kSubBits = 5;
+  /// Highest bucket index: the bucket of 2^64 - 1 (1,919 for kSubBits 5).
+  /// deserialize() rejects anything above it.
+  static constexpr std::uint64_t kMaxIndex =
+      ((64 - kSubBits) << kSubBits) | ((1u << kSubBits) - 1);
 
   /// Record `count` occurrences of value `v` (picoseconds by convention).
   void add(std::uint64_t v, std::uint64_t count = 1);
@@ -56,11 +63,15 @@ class Digest {
   /// (buckets ascending by index; `b=` empty when the digest is empty).
   std::string serialize() const;
   /// Strict parse of serialize() output. Returns false (leaving *out
-  /// unspecified) on malformed input or a sub= mismatch.
+  /// unspecified) on malformed input, a sub= mismatch, a bucket index
+  /// above kMaxIndex or counts whose sum overflows.
   static bool deserialize(const std::string& s, Digest* out);
 
+  /// Equal per-bucket counts. The occupied range starts and ends at
+  /// non-zero buckets, so equal digests have equal storage.
   bool operator==(const Digest& other) const {
-    return total_ == other.total_ && buckets_ == other.buckets_;
+    return total_ == other.total_ && lo_ == other.lo_ &&
+           counts_ == other.counts_;
   }
 
   /// Bucket mapping, exposed for tests: values below 2^kSubBits map to
@@ -73,12 +84,14 @@ class Digest {
   /// Midpoint of [lo, hi] — the value quantile() reports for the bucket.
   static std::uint64_t bucket_rep(std::uint64_t idx);
 
-  const std::map<std::uint64_t, std::uint64_t>& buckets() const {
-    return buckets_;
-  }
-
  private:
-  std::map<std::uint64_t, std::uint64_t> buckets_;  ///< index -> count
+  /// Extend the occupied range to include bucket `idx`.
+  void cover(std::uint32_t idx);
+
+  /// counts_[i] is the count of bucket lo_ + i; empty when no sample
+  /// was added, otherwise its first and last entries are non-zero.
+  std::vector<std::uint64_t> counts_;
+  std::uint32_t lo_ = 0;
   std::uint64_t total_ = 0;
 };
 

@@ -344,14 +344,14 @@ void DmaDevice::dma_write(std::uint64_t addr, std::uint32_t len, Callback done,
     // emit TLPs (NFP internal architecture; zero-cost on NetFPGA).
     front_delay = profile_.dma_enqueue + profile_.staging_delay(len);
   }
-  sim_.after(front_delay,
-             [this, addr, len, dma_id, done = std::move(done)]() mutable {
-               send_write_tlps(addr, len, dma_id, std::move(done));
-             });
+  if (done) write_ops_.insert(dma_id, std::move(done));
+  sim_.after(front_delay, [this, addr, len, dma_id] {
+    send_write_tlps(addr, len, dma_id);
+  });
 }
 
 void DmaDevice::send_write_tlps(std::uint64_t addr, std::uint32_t len,
-                                std::uint32_t dma_id, Callback done) {
+                                std::uint32_t dma_id) {
   {
     obs::ProfScope prof(obs::CostCenter::Packetizer);
     proto::segment_write(link_cfg_, addr, len, tlp_scratch_);
@@ -360,10 +360,17 @@ void DmaDevice::send_write_tlps(std::uint64_t addr, std::uint32_t len,
     const bool last = (i + 1 == tlp_scratch_.size());
     proto::Tlp tlp = tlp_scratch_[i];
     tlp.func = func_;
-    pending_writes_.push_back(
-        PendingWrite{tlp, last ? std::move(done) : Callback{}, last, dma_id});
+    pending_writes_.push_back(PendingWrite{tlp, last, dma_id});
   }
   try_send_pending_writes();
+}
+
+Callback DmaDevice::take_write_done(std::uint32_t dma_id) {
+  Callback* found = write_ops_.find(dma_id);
+  if (found == nullptr) return {};
+  Callback done = std::move(*found);
+  write_ops_.erase(dma_id);
+  return done;
 }
 
 void DmaDevice::try_send_pending_writes() {
@@ -389,29 +396,26 @@ void DmaDevice::try_send_pending_writes() {
     }
     posted_credits_ -= cost;
     write_bytes_issued_ += static_cast<std::uint64_t>(cost);
-    proto::Tlp tlp = pw.tlp;
-    Callback done = std::move(pw.done);
+    const proto::Tlp tlp = pw.tlp;
     const bool last = pw.last;
     const std::uint32_t dma_id = pw.dma_id;
     pending_writes_.pop_front();
     ++writes_sent_;
     if (!last) {
-      // Non-final TLPs carry no completion state; the slim closure stays
-      // within the event engine's inline capture budget.
       write_issue_.occupy(profile_.issue_interval,
                           [this, tlp] { upstream_.send(tlp); });
     } else {
-      write_issue_.occupy(profile_.issue_interval,
-                          [this, tlp, dma_id, done = std::move(done)] {
-                            upstream_.send(tlp);
-                            if (trace_) {
-                              trace_->record({sim_.now(), 0, tlp.addr, dma_id,
-                                              tlp.payload,
-                                              obs::EventKind::DmaWriteDone,
-                                              obs::Component::Device, 0});
-                            }
-                            if (done) done();
-                          });
+      // The callback stays in write_ops_ until the TLP leaves, so the
+      // closure (this + Tlp + id) fits the event engine's inline buffer.
+      write_issue_.occupy(profile_.issue_interval, [this, tlp, dma_id] {
+        upstream_.send(tlp);
+        if (trace_) {
+          trace_->record({sim_.now(), 0, tlp.addr, dma_id, tlp.payload,
+                          obs::EventKind::DmaWriteDone,
+                          obs::Component::Device, 0});
+        }
+        if (Callback done = take_write_done(dma_id)) done();
+      });
     }
   }
 }
@@ -470,7 +474,11 @@ void DmaDevice::function_level_reset() {
     // dropped) balance without a special FLR term.
     write_bytes_issued_ += pw.tlp.payload;
     if (write_abort_) write_abort_(pw.tlp.payload);
-    if (pw.done) sim_.after(0, std::move(pw.done));
+    if (pw.last) {
+      if (Callback done = take_write_done(pw.dma_id)) {
+        sim_.after(0, std::move(done));
+      }
+    }
   }
   if (progress_) progress_();
 }

@@ -274,8 +274,10 @@ class DmaDevice {
   bool retire_request(std::uint32_t dma_id);
   Picos retry_backoff_for(unsigned retries) const;
   void send_write_tlps(std::uint64_t addr, std::uint32_t len,
-                       std::uint32_t dma_id, Callback done);
+                       std::uint32_t dma_id);
   void try_send_pending_writes();
+  /// Take `dma_id`'s write callback out of write_ops_ (empty if none).
+  Callback take_write_done(std::uint32_t dma_id);
 
   Simulator& sim_;
   DeviceProfile profile_;
@@ -289,11 +291,14 @@ class DmaDevice {
   std::uint32_t next_dma_id_ = 1;
   FlatU32Map<ReadState> inflight_reads_;
   FlatU32Map<DmaReadOp> read_ops_;
+  /// Each DMA write's `done`, keyed by dma_id until its last TLP is
+  /// handed to the link (writes without a callback have no entry), so
+  /// the write path's closures carry ids, not callbacks.
+  FlatU32Map<Callback> write_ops_;
 
   std::int64_t posted_credits_;  ///< bytes of posted payload window left
   struct PendingWrite {
     proto::Tlp tlp;
-    Callback done;      ///< set on the final TLP of a DMA write
     bool last = false;  ///< final TLP of its DMA op
     std::uint32_t dma_id = 0;
   };

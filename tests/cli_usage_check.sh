@@ -100,6 +100,7 @@ expect_usage "chaos service w/o load"     -- chaos --trials 1 --service-mode pol
 expect_usage "chaos bp w/o load"          -- chaos --trials 1 --backpressure on
 expect_usage "chaos bad backpressure"     -- chaos --trials 1 --offered-load 2 --backpressure sometimes
 expect_usage "chaos overload + tenants"   -- chaos --trials 1 --offered-load 2 --tenants 2
+expect_usage "chaos overload + seed-bug"  -- chaos --trials 1 --offered-load 2 --seed-bug
 
 # Pool threads enforce no worker limit, so suite --threads refuses each
 # one instead of ignoring it (docs/EXEC.md).

@@ -150,6 +150,7 @@ chaos options:
   --no-shrink       report the first failure without minimizing it
   --seed-bug        TEST-ONLY: plant the known credit-leak bug so the
                     campaign demonstrably catches and shrinks a failure
+                    (not with --offered-load: overload trials plant none)
   --recovery POLICY arm the recovery ladder in every trial (same grammar
                     as run); trial outcomes gain the ladder's final state
                     and transition digest, carried through journals
@@ -1024,6 +1025,10 @@ int cmd_chaos(const Args& args) {
     if (cfg.tenants > 0) {
       usage("--offered-load (overload chaos) and --tenants (tenant chaos) "
             "are mutually exclusive");
+    }
+    if (args.has_flag("seed-bug")) {
+      usage("--seed-bug plants no bug in overload chaos trials; it is not "
+            "supported with --offered-load");
     }
   }
   for (const char* dep : {"service-mode", "backpressure"}) {

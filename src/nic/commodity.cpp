@@ -34,8 +34,7 @@ CommodityProbeResult run_commodity_probe(sim::System& system,
   system.warm_host(buffer, 0, 64 << 10);
   if (cfg.warm) system.warm_host(buffer, window_base, cfg.window_bytes);
 
-  const Picos wire_delay =
-      from_nanos(40) + 2 * wire_time(cfg.frame_bytes, cfg.wire_gbps);
+  const Picos wire_delay = loop_time(cfg.frame_bytes);
   const std::uint64_t units = cfg.window_bytes / 64 ? cfg.window_bytes / 64 : 1;
 
   Xoshiro256 rng(cfg.seed);
@@ -75,22 +74,11 @@ CommodityProbeResult run_commodity_probe(sim::System& system,
   // from inside its own invocation would destroy the std::function that
   // is still executing. Writes only occur in the RX phase, after
   // `expected` is set, so the permanent observer fires at the same points.
-  const Picos frame_wire = wire_time(cfg.frame_bytes, cfg.wire_gbps);
-  std::uint64_t rx_dropped = 0;
   system.set_write_observer([&](std::uint32_t bytes) {
     committed += bytes;
     if (expected == 0 || committed < expected) return;
     expected = 0;
-    const Picos service = sim.now() - t0;
-    samples.add(to_nanos(service));
-    if (cfg.freelist_slots > 0) {
-      // Bounded-freelist accounting: line-rate arrivals kept coming while
-      // this probe held the pipe; whatever exceeded the freelist is lost.
-      const std::uint64_t arrivals =
-          static_cast<std::uint64_t>(service / frame_wire);
-      if (arrivals > cfg.freelist_slots)
-        rx_dropped += arrivals - cfg.freelist_slots;
-    }
+    samples.add(to_nanos(sim.now() - t0));
     next();
   });
   next();
@@ -100,7 +88,6 @@ CommodityProbeResult run_commodity_probe(sim::System& system,
   CommodityProbeResult result;
   result.config = cfg;
   result.per_packet = summarize_latency(samples);
-  result.rx_dropped = rx_dropped;
   // The two descriptor reads and one descriptor write-back are the fixed
   // commodity overhead per packet; estimate from the wire model.
   const auto& link = system.config().link;

@@ -28,16 +28,8 @@ struct CommodityProbeConfig {
   enum class Mode { VaryTx, VaryRx };
   Mode mode = Mode::VaryTx;
   bool warm = true;  ///< host-warm the window first
-  double wire_gbps = 40.0;
   std::size_t iterations = 4000;
   std::uint64_t seed = 42;
-  /// Optional bounded-freelist accounting (0 = off, the default). When
-  /// armed, each loopback iteration also asks: had line-rate arrivals
-  /// continued while this probe held the pipe, how many frames would a
-  /// freelist of this many slots have lost? The probe itself is
-  /// unchanged — this is bookkeeping over the measured service time, the
-  /// commodity-NIC end of the overload story (see docs/OVERLOAD.md).
-  std::uint32_t freelist_slots = 0;
 };
 
 struct CommodityProbeResult {
@@ -47,9 +39,6 @@ struct CommodityProbeResult {
   /// Descriptor-only overhead estimate (same run, zero-size window effect
   /// removed): the fixed cost a commodity probe cannot avoid.
   double descriptor_overhead_ns = 0.0;
-  /// Frames a `freelist_slots`-bounded freelist would have dropped under
-  /// sustained line-rate arrivals (0 when the knob is unarmed).
-  std::uint64_t rx_dropped = 0;
 };
 
 /// Run the loopback probe: per packet, fetch a TX descriptor and the

@@ -18,8 +18,7 @@ LoopbackResult run_loopback(sim::System& system, const LoopbackConfig& cfg) {
   system.thrash_cache();
   system.warm_host(buffer, 0, 64 << 10);
 
-  const Picos wire_delay =
-      cfg.mac_fixed + 2 * wire_time(cfg.frame_bytes, cfg.wire_gbps);
+  const Picos wire_delay = loop_time(cfg.frame_bytes);
   const std::uint64_t tx_addr = buffer.iova(0);
   const std::uint64_t rx_addr = buffer.iova(32 << 10);
 

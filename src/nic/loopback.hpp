@@ -15,10 +15,10 @@
 
 namespace pcieb::nic {
 
+/// The wire runs at kWireGbps and the MAC/PHY loop takes kMacLoop
+/// (nic/frame.hpp).
 struct LoopbackConfig {
   std::uint32_t frame_bytes = 128;
-  double wire_gbps = 40.0;
-  Picos mac_fixed = from_nanos(40);  ///< MAC/PHY pipeline through the loop
   std::size_t iterations = 2000;
 };
 

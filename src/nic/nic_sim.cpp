@@ -1,270 +1,199 @@
 #include "nic/nic_sim.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <stdexcept>
 
 #include "nic/frame.hpp"
 #include "nic/ring.hpp"
-#include "pcie/tlp.hpp"
-#include "sim/host_buffer.hpp"
 
 namespace pcieb::nic {
 namespace {
 
-constexpr std::uint32_t kPointerBytes = 4;
-
-/// Fixed buffer layout: rings and pointer mailboxes live in the first MB,
+/// Fixed buffer layout: rings and the MSI mailbox live in the first MB,
 /// then a TX packet region and an RX packet region, each cycled through.
 constexpr std::uint64_t kTxDescArea = 0;
 constexpr std::uint64_t kRxDescArea = 256ull << 10;
 constexpr std::uint64_t kMsiArea = 512ull << 10;
 constexpr std::uint64_t kTxPktArea = 1ull << 20;
 constexpr std::uint64_t kRxPktArea = 4ull << 20;
-constexpr std::uint64_t kPktAreaBytes = 3ull << 20;
 
-}  // namespace
+constexpr std::uint64_t kTxDoorbell = 0x10;
+constexpr std::uint64_t kRxDoorbell = 0x20;
+/// Status reads are full MRd/CplD round trips that occupy both link
+/// directions.
+constexpr std::uint64_t kStatusRegister = 0x30;
 
-NicSimConfig NicSimConfig::simple() {
-  NicSimConfig c;
-  c.desc_batch = 1;
-  c.tx_wb_batch = 1;
-  c.rx_wb_batch = 1;
-  c.doorbell_batch = 1;
-  c.irq_moderation = 1;
-  c.mmio_status_reads = true;
-  return c;
+/// One closed-loop run: a saturating TX driver and line-rate RX arrivals
+/// over the engine's TX ring and RX freelist, plus what the engine leaves
+/// to the driver — TX completion on the wire, interrupts and status
+/// reads. Every event and DMA callback captures only `this`.
+class NicSimRun final : public RingDriver {
+ public:
+  NicSimRun(sim::System& system, const NicSimConfig& cfg);
+
+  NicSimResult run();
+
+ private:
+  void on_descriptors(Ring& ring) override;
+  void pump_tx();
+  void on_tx_sent();
+  void on_rx_tick();
+  void on_rx_written();
+  void interrupt(std::uint32_t& due);
+
+  sim::Simulator& sim_;
+  sim::DmaDevice& dev_;
+  sim::RootComplex& rc_;
+  const NicSimConfig& cfg_;
+  const Picos frame_wire_;
+  NicPort port_;
+  Ring tx_;
+  Ring rx_;  ///< the freelist
+  const std::uint64_t msi_addr_;
+
+  std::uint64_t tx_sent_ = 0;
+  std::uint32_t tx_irq_due_ = 0;
+  Picos tx_last_ = 0;
+  std::uint64_t rx_arrivals_ = 0;
+  std::uint64_t rx_delivered_ = 0;
+  std::uint64_t rx_dropped_ = 0;
+  std::uint32_t rx_irq_due_ = 0;
+  Picos rx_last_ = 0;
+};
+
+NicSimRun::NicSimRun(sim::System& system, const NicSimConfig& cfg)
+    : sim_(system.sim()),
+      dev_(system.device()),
+      rc_(system.root_complex()),
+      cfg_(cfg),
+      frame_wire_(wire_time(cfg.frame_bytes)),
+      port_(system),
+      tx_(port_, *this,
+          {kTxDescArea, kTxPktArea, kTxDoorbell, NicSimConfig::kRingSlots,
+           cfg.desc_batch, cfg.tx_wb_batch, cfg.doorbell_batch}),
+      rx_(port_, *this,
+          {kRxDescArea, kRxPktArea, kRxDoorbell, NicSimConfig::kRingSlots,
+           cfg.desc_batch, cfg.rx_wb_batch, cfg.doorbell_batch}),
+      msi_addr_(port_.iova(kMsiArea)) {}
+
+void NicSimRun::on_descriptors(Ring& ring) {
+  if (&ring == &tx_) {
+    tx_.refill(cfg_.packets);
+    pump_tx();
+  } else {
+    rx_.recycle(rx_delivered_);
+  }
 }
 
-NicSimConfig NicSimConfig::modern_kernel() {
-  NicSimConfig c;
-  c.desc_batch = 32;
-  c.tx_wb_batch = 8;
-  c.rx_wb_batch = 4;
-  c.doorbell_batch = 2;
-  c.irq_moderation = 4;
-  c.mmio_status_reads = true;
-  return c;
-}
-
-NicSimConfig NicSimConfig::modern_dpdk() {
-  NicSimConfig c;
-  c.desc_batch = 32;
-  c.tx_wb_batch = 8;
-  c.rx_wb_batch = 4;
-  c.doorbell_batch = 32;
-  c.irq_moderation = 0;  // polling: no interrupts, no register reads
-  c.mmio_status_reads = false;
-  return c;
-}
-
-NicSimResult run_nic_sim(sim::System& system, const NicSimConfig& cfg) {
-  auto& sim = system.sim();
-  auto& dev = system.device();
-
-  sim::BufferConfig buf_cfg;
-  buf_cfg.size_bytes = 8ull << 20;
-  sim::HostBuffer buffer(buf_cfg);
-  system.attach_buffer(&buffer);
-  system.thrash_cache();
-  system.warm_host(buffer, 0, 1ull << 20);  // rings and mailboxes warm
-
-  const std::uint32_t frame = cfg.frame_bytes;
-  const Picos frame_wire = wire_time(frame, cfg.wire_gbps);
-  const std::uint32_t desc = cfg.descriptor_bytes;
-
-  // ---- shared MMIO plumbing ----------------------------------------------
-  // Doorbells are posted writes host->device, routed through the real MMIO
-  // path (root complex -> downstream link -> device CSR handler); status
-  // reads are full MRd/CplD round trips that occupy both link directions.
-  constexpr std::uint64_t kTxDoorbell = 0x10;
-  constexpr std::uint64_t kRxDoorbell = 0x20;
-  std::function<void()> tx_doorbell_action;
-  std::function<void()> rx_doorbell_action;
-  dev.set_mmio_handler([&](const proto::Tlp& tlp, bool is_write) {
-    if (!is_write) return;  // register reads have no side effects here
-    if (tlp.addr == kTxDoorbell && tx_doorbell_action) tx_doorbell_action();
-    if (tlp.addr == kRxDoorbell && rx_doorbell_action) rx_doorbell_action();
-  });
-  auto& rc = system.root_complex();
-  auto mmio_status_read = [&] { rc.host_mmio_read(0x30, kPointerBytes, {}); };
-  const std::uint64_t msi_addr = buffer.iova(kMsiArea);
-
-  // ---- TX state ----------------------------------------------------------
-  // Descriptor fetches pipeline: the device fetches descriptors for
-  // packet N+1 while packet N is in flight (even the simple NIC's engine
-  // overlaps independent DMAs).
-  constexpr unsigned kMaxDescFetches = 8;
-
-  DescriptorRing tx_ring(cfg.ring_slots, desc);
-  std::uint64_t tx_posted_total = 0;  ///< descriptors the driver has queued
-  std::uint32_t tx_fetched = 0;       ///< descriptors resident on the NIC
-  unsigned tx_fetch_inflight = 0;
-  std::uint64_t tx_sent = 0;
-  std::uint32_t tx_wb_due = 0;
-  std::uint32_t tx_irq_due = 0;
-  std::uint64_t tx_pkt_cursor = 0;
-  Picos tx_last = 0;
-
-  std::function<void()> tx_nic_pump;
-
-  auto tx_driver_fill = [&] {
-    // Saturating driver: keep the ring full, one doorbell per batch.
-    while (tx_posted_total < cfg.packets &&
-           tx_ring.free_slots() >= cfg.doorbell_batch) {
-      const std::uint32_t n = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(cfg.doorbell_batch,
-                                  cfg.packets - tx_posted_total));
-      tx_ring.post(n);
-      tx_posted_total += n;
-      rc.host_mmio_write(kTxDoorbell, kPointerBytes);
-      if (n < cfg.doorbell_batch) break;
-    }
-  };
-
-  std::function<void()> tx_fetch_descs = [&] {
-    while (tx_fetch_inflight < kMaxDescFetches && tx_ring.pending() > 0) {
-      const std::uint32_t n =
-          std::min<std::uint32_t>(cfg.desc_batch, tx_ring.pending());
-      tx_ring.consume(n);
-      ++tx_fetch_inflight;
-      dev.dma_read(buffer.iova(kTxDescArea), n * desc, [&, n] {
-        tx_fetched += n;
-        --tx_fetch_inflight;
-        tx_driver_fill();
-        tx_nic_pump();
-      });
-    }
-  };
-
-  tx_nic_pump = [&] {
-    tx_fetch_descs();
-    while (tx_fetched > 0) {
-      --tx_fetched;
-      const std::uint64_t addr =
-          buffer.iova(kTxPktArea + (tx_pkt_cursor * 2048) % kPktAreaBytes);
-      ++tx_pkt_cursor;
-      dev.dma_read(addr, frame, [&] {
-        // Packet data on the NIC: serialize onto the wire.
-        sim.after(frame_wire, [&] {
-          ++tx_sent;
-          tx_last = sim.now();
-          if (++tx_wb_due >= cfg.tx_wb_batch) {
-            dev.dma_write(buffer.iova(kTxDescArea), tx_wb_due * desc, {});
-            tx_wb_due = 0;
-          }
-          if (cfg.irq_moderation && ++tx_irq_due >= cfg.irq_moderation) {
-            tx_irq_due = 0;
-            dev.dma_write(msi_addr, kPointerBytes, {});
-            if (cfg.mmio_status_reads) mmio_status_read();
-          }
-          tx_driver_fill();
-          tx_nic_pump();
-        });
-      });
-    }
-  };
-
-  // ---- RX state ----------------------------------------------------------
-  DescriptorRing rx_ring(cfg.ring_slots, desc);  // freelist
-  std::uint64_t rx_posted_total = 0;
-  std::uint32_t rx_creds = 0;  ///< freelist descriptors resident on the NIC
-  unsigned rx_fetch_inflight = 0;
-  std::uint64_t rx_delivered = 0;
-  std::uint64_t rx_dropped = 0;
-  std::uint64_t rx_arrivals = 0;
-  std::uint32_t rx_wb_due = 0;
-  std::uint32_t rx_irq_due = 0;
-  std::uint64_t rx_pkt_cursor = 0;
-  Picos rx_last = 0;
-
-  std::function<void()> rx_fetch_descs;
-
-  auto rx_driver_fill = [&] {
-    // The driver recycles delivered buffers back onto the freelist; the
-    // total of undelivered posted buffers is bounded by the ring size.
-    while (rx_ring.free_slots() >= cfg.doorbell_batch &&
-           rx_posted_total - rx_delivered + cfg.doorbell_batch <=
-               cfg.ring_slots) {
-      rx_ring.post(cfg.doorbell_batch);
-      rx_posted_total += cfg.doorbell_batch;
-      rc.host_mmio_write(kRxDoorbell, kPointerBytes);
-    }
-  };
-
-  rx_fetch_descs = [&] {
-    while (rx_fetch_inflight < kMaxDescFetches && rx_ring.pending() > 0) {
-      const std::uint32_t n =
-          std::min<std::uint32_t>(cfg.desc_batch, rx_ring.pending());
-      rx_ring.consume(n);
-      ++rx_fetch_inflight;
-      dev.dma_read(buffer.iova(kRxDescArea), n * desc, [&, n] {
-        rx_creds += n;
-        --rx_fetch_inflight;
-        rx_driver_fill();
-      });
-    }
-  };
-
-  auto rx_handle_arrival = [&] {
-    if (rx_creds == 0) {
-      // Freelist starved: the wire does not wait.
-      ++rx_dropped;
-      return;
-    }
-    --rx_creds;
-    rx_fetch_descs();
-    const std::uint64_t addr =
-        buffer.iova(kRxPktArea + (rx_pkt_cursor * 2048) % kPktAreaBytes);
-    ++rx_pkt_cursor;
-    dev.dma_write(addr, frame, [&] {
-      ++rx_delivered;
-      rx_last = sim.now();
-      if (++rx_wb_due >= cfg.rx_wb_batch) {
-        dev.dma_write(buffer.iova(kRxDescArea), rx_wb_due * desc, {});
-        rx_wb_due = 0;
-      }
-      if (cfg.irq_moderation && ++rx_irq_due >= cfg.irq_moderation) {
-        rx_irq_due = 0;
-        dev.dma_write(msi_addr, kPointerBytes, {});
-        if (cfg.mmio_status_reads) mmio_status_read();
-      }
-      rx_driver_fill();
+void NicSimRun::pump_tx() {
+  tx_.fetch();
+  while (tx_.take()) {
+    // Packet data on the NIC: serialize onto the wire.
+    dev_.dma_read(tx_.next_buffer(), cfg_.frame_bytes, [this] {
+      sim_.after(frame_wire_, [this] { on_tx_sent(); });
     });
-  };
+  }
+}
 
-  // Line-rate arrival generator.
-  std::function<void()> rx_arrival_tick = [&] {
-    if (rx_arrivals >= cfg.packets) return;
-    ++rx_arrivals;
-    rx_handle_arrival();
-    sim.after(frame_wire, rx_arrival_tick);
-  };
+void NicSimRun::on_tx_sent() {
+  ++tx_sent_;
+  tx_last_ = sim_.now();
+  tx_.write_back();
+  interrupt(tx_irq_due_);
+  tx_.refill(cfg_.packets);
+  pump_tx();
+}
 
-  // ---- run ----------------------------------------------------------------
-  tx_doorbell_action = [&] { tx_nic_pump(); };
-  rx_doorbell_action = [&] { rx_fetch_descs(); };
-  const Picos start = sim.now();
-  rx_driver_fill();
-  tx_driver_fill();
-  sim.after(frame_wire, rx_arrival_tick);
-  sim.run();
+void NicSimRun::on_rx_tick() {
+  if (rx_arrivals_ >= cfg_.packets) return;
+  ++rx_arrivals_;
+  if (rx_.take()) {
+    rx_.fetch();
+    const std::uint64_t addr = rx_.next_buffer();
+    dev_.dma_write(addr, cfg_.frame_bytes, [this] { on_rx_written(); });
+  } else {
+    ++rx_dropped_;  // freelist starved: the wire does not wait
+  }
+  sim_.after(frame_wire_, [this] { on_rx_tick(); });
+}
+
+void NicSimRun::on_rx_written() {
+  ++rx_delivered_;
+  rx_last_ = sim_.now();
+  rx_.write_back();
+  interrupt(rx_irq_due_);
+  // The driver recycles delivered buffers back onto the freelist.
+  rx_.recycle(rx_delivered_);
+}
+
+void NicSimRun::interrupt(std::uint32_t& due) {
+  if (cfg_.irq_moderation == 0 || ++due < cfg_.irq_moderation) return;
+  due = 0;
+  dev_.dma_write(msi_addr_, kPointerBytes, {});
+  if (cfg_.mmio_status_reads) {
+    rc_.host_mmio_read(kStatusRegister, kPointerBytes, {});
+  }
+}
+
+NicSimResult NicSimRun::run() {
+  const Picos start = sim_.now();
+  rx_.recycle(0);
+  tx_.refill(cfg_.packets);
+  sim_.after(frame_wire_, [this] { on_rx_tick(); });
+  sim_.run();
 
   NicSimResult r;
-  r.rx_dropped = rx_dropped;
-  r.tx_ring_max_pending = tx_ring.max_pending();
-  r.rx_ring_max_pending = rx_ring.max_pending();
-  const double tx_elapsed_s = to_seconds(tx_last - start);
-  const double rx_elapsed_s = to_seconds(rx_last - start);
+  r.rx_dropped = rx_dropped_;
+  r.tx_ring_max_pending = tx_.max_pending();
+  r.rx_ring_max_pending = rx_.max_pending();
+  const std::uint32_t frame = cfg_.frame_bytes;
+  const double tx_elapsed_s = to_seconds(tx_last_ - start);
+  const double rx_elapsed_s = to_seconds(rx_last_ - start);
   if (tx_elapsed_s > 0) {
-    r.tx_pps = static_cast<double>(tx_sent) / tx_elapsed_s;
+    r.tx_pps = static_cast<double>(tx_sent_) / tx_elapsed_s;
     r.tx_goodput_gbps = r.tx_pps * frame * 8.0 / 1e9;
   }
   if (rx_elapsed_s > 0) {
-    r.rx_pps = static_cast<double>(rx_delivered) / rx_elapsed_s;
+    r.rx_pps = static_cast<double>(rx_delivered_) / rx_elapsed_s;
     r.rx_goodput_gbps = r.rx_pps * frame * 8.0 / 1e9;
   }
   r.per_direction_goodput_gbps = std::min(r.tx_goodput_gbps, r.rx_goodput_gbps);
   return r;
+}
+
+}  // namespace
+
+// The presets, as deltas from the modern defaults.
+NicSimConfig NicSimConfig::simple() {
+  return {.desc_batch = 1, .tx_wb_batch = 1, .rx_wb_batch = 1,
+          .doorbell_batch = 1, .irq_moderation = 1, .mmio_status_reads = true};
+}
+
+NicSimConfig NicSimConfig::modern_kernel() {
+  return {.doorbell_batch = 2, .irq_moderation = 4, .mmio_status_reads = true};
+}
+
+NicSimConfig NicSimConfig::modern_dpdk() {
+  // Polling: no interrupts, no register reads.
+  return {.doorbell_batch = 32};
+}
+
+void NicSimConfig::validate() const {
+  if (frame_bytes < kMinFrame || frame_bytes > kMaxFrame) {
+    throw std::invalid_argument("nic_sim: frame_bytes out of [60, 1514]");
+  }
+  if (desc_batch == 0 || tx_wb_batch == 0 || rx_wb_batch == 0 ||
+      doorbell_batch == 0) {
+    throw std::invalid_argument("nic_sim: zero batch size");
+  }
+  if (doorbell_batch > kRingSlots) {
+    throw std::invalid_argument("nic_sim: doorbell_batch > ring slots");
+  }
+}
+
+NicSimResult run_nic_sim(sim::System& system, const NicSimConfig& cfg) {
+  cfg.validate();
+  return NicSimRun(system, cfg).run();
 }
 
 }  // namespace pcieb::nic

@@ -17,17 +17,17 @@
 namespace pcieb::nic {
 
 struct NicSimConfig {
-  std::uint32_t frame_bytes = 256;
-  double wire_gbps = 40.0;
+  /// Slots in each of the TX ring and the RX freelist.
+  static constexpr std::uint32_t kRingSlots = 512;
 
-  unsigned descriptor_bytes = 16;
+  std::uint32_t frame_bytes = 256;
+
   unsigned desc_batch = 32;      ///< descriptors per fetch DMA
   unsigned tx_wb_batch = 8;      ///< TX descriptors per write-back DMA
   unsigned rx_wb_batch = 4;      ///< RX descriptors per write-back DMA
   unsigned doorbell_batch = 8;   ///< packets per tail-pointer doorbell
   unsigned irq_moderation = 0;   ///< packets per interrupt; 0 = poll mode
   bool mmio_status_reads = false;///< kernel driver reads a register per IRQ
-  std::uint32_t ring_slots = 512;
 
   std::uint64_t packets = 20000; ///< per direction
 
@@ -35,6 +35,8 @@ struct NicSimConfig {
   static NicSimConfig simple();
   static NicSimConfig modern_kernel();
   static NicSimConfig modern_dpdk();
+
+  void validate() const;  ///< throws std::invalid_argument on bad knobs
 };
 
 struct NicSimResult {
@@ -53,6 +55,7 @@ struct NicSimResult {
   double per_direction_goodput_gbps = 0.0;
 };
 
+/// Throws std::invalid_argument (cfg.validate()) before touching `system`.
 NicSimResult run_nic_sim(sim::System& system, const NicSimConfig& cfg);
 
 }  // namespace pcieb::nic

@@ -11,22 +11,16 @@
 #include "nic/frame.hpp"
 #include "nic/ring.hpp"
 #include "obs/trace.hpp"
-#include "pcie/tlp.hpp"
-#include "sim/host_buffer.hpp"
 
 namespace pcieb::nic {
 namespace {
 
-constexpr std::uint32_t kPointerBytes = 4;
-
-/// Buffer layout, mirroring nic_sim: freelist ring + MSI mailbox in the
-/// first MB (kept host-warm), packet landing area behind it (cycled).
+/// Buffer layout: freelist ring + MSI mailbox in the port's host-warm
+/// first MB, packet landing area behind it (cycled).
 constexpr std::uint64_t kRxDescArea = 0;
 constexpr std::uint64_t kMsiArea = 256ull << 10;
 constexpr std::uint64_t kPktArea = 1ull << 20;
-constexpr std::uint64_t kPktAreaBytes = 3ull << 20;
 constexpr std::uint64_t kRxDoorbell = 0x20;
-constexpr unsigned kMaxDescFetches = 8;
 
 /// Drop-site codes carried in FrameDrop trace flags (docs/OVERLOAD.md).
 constexpr std::uint8_t kDropMac = 0;
@@ -48,20 +42,18 @@ core::LoadGenConfig loadgen_config(const OverloadConfig& cfg, bool calibrate,
   return lg;
 }
 
-/// One run of the RX datapath: the driver's freelist, descriptor fetches,
-/// the wire's arrival clock, packet and write-back DMAs, MSIs and host
-/// service. Every simulator event captures `this` (plus a Waiting for
-/// host service) and every DMA callback `this` plus at most 4 B, so each
-/// fits its wrapper's inline buffer; a frame whose packet DMA is in
-/// flight waits in `dma_frames_`, named by its slot. A frame therefore
-/// costs no heap allocation beyond deque block churn.
-class RxDatapath {
+/// One run of the open-loop RX driver over the engine's freelist ring:
+/// the wire's arrival clock (core::LoadGen), PAUSE, packet DMAs,
+/// admission, MSIs and host service. Every simulator event captures
+/// `this` (plus a Waiting for host service) and every DMA callback `this`
+/// plus at most 4 B, so each fits its wrapper's inline buffer; a frame
+/// whose packet DMA is in flight waits in `dma_frames_`, named by its
+/// slot. A frame therefore costs no heap allocation beyond deque block
+/// churn.
+class RxDatapath final : public RingDriver {
  public:
   RxDatapath(sim::System& system, const OverloadConfig& cfg,
              const OverloadProbe* probe, bool calibrate);
-  RxDatapath(const RxDatapath&) = delete;
-  RxDatapath& operator=(const RxDatapath&) = delete;
-  ~RxDatapath() { dev_.set_mmio_handler({}); }
 
   OverloadResult run();
 
@@ -71,9 +63,8 @@ class RxDatapath {
     Picos t_arr;
   };
 
-  void driver_fill();
-  void fetch_descs();
-  void on_descs_fetched(std::uint32_t n);
+  void on_descriptors(Ring& ring) override;
+  void driver_fill() { rx_.recycle(returned_); }
   void schedule_arrival();
   void on_arrival();
   void on_frame_written(std::uint32_t slot);
@@ -89,17 +80,15 @@ class RxDatapath {
 
   sim::Simulator& sim_;
   sim::DmaDevice& dev_;
-  sim::RootComplex& rc_;
   obs::TraceSink* trace_;
   const OverloadConfig& cfg_;
   const OverloadProbe* probe_;
   const bool calibrate_;
-  sim::HostBuffer buffer_;
+  NicPort port_;
+  Ring rx_;  ///< the freelist
 
   const std::uint32_t frame_;
   const Picos frame_wire_;
-  const std::uint32_t desc_;
-  const Picos pause_quantum_;
   // Calibration runs the identical pipeline closed-loop: backpressure is
   // forced on with an unbounded budget, so the PAUSE mechanism throttles
   // line-rate arrivals to exactly the service rate and nothing drops —
@@ -111,14 +100,8 @@ class RxDatapath {
   core::LoadGen gen_;
   core::FlowTable flows_;
   OverloadStats st_;
-  DescriptorRing ring_;
-  std::uint64_t posted_total_ = 0;  ///< freelist descriptors the driver queued
-  std::uint64_t returned_ = 0;      ///< buffers recycled (delivered + adm-drop)
-  std::uint32_t creds_ = 0;         ///< freelist descriptors resident on NIC
-  unsigned fetch_inflight_ = 0;
-  std::uint32_t wb_due_ = 0;
+  std::uint64_t returned_ = 0;  ///< buffers recycled (delivered + adm-drop)
   std::uint32_t irq_due_ = 0;
-  std::uint64_t pkt_cursor_ = 0;
   std::uint64_t arrivals_ = 0;
   bool arrivals_done_ = false;
   std::uint32_t epoch_pos_ = 0;
@@ -144,37 +127,30 @@ RxDatapath::RxDatapath(sim::System& system, const OverloadConfig& cfg,
                        const OverloadProbe* probe, bool calibrate)
     : sim_(system.sim()),
       dev_(system.device()),
-      rc_(system.root_complex()),
       trace_(system.trace_sink()),
       cfg_(cfg),
       probe_(probe),
       calibrate_(calibrate),
-      buffer_(sim::BufferConfig{.size_bytes = 8ull << 20}),
+      port_(system),
+      rx_(port_, *this,
+          {kRxDescArea, kPktArea, kRxDoorbell, cfg.ring_slots,
+           OverloadConfig::kDescBatch, OverloadConfig::kWbBatch,
+           OverloadConfig::kDoorbellBatch}),
       frame_(cfg.frame_bytes),
-      frame_wire_(wire_time(frame_, cfg.wire_gbps)),
-      desc_(cfg.descriptor_bytes),
-      pause_quantum_(cfg.pause_quantum > 0 ? cfg.pause_quantum
-                                           : 8 * frame_wire_),
+      frame_wire_(wire_time(frame_)),
       backpressure_(calibrate ? true : cfg.backpressure),
       pause_budget_(calibrate ? std::numeric_limits<Picos>::max() / 2
                               : (cfg.backpressure ? cfg.pause_budget : 0)),
       admission_slots_(calibrate ? 0 : cfg.admission_slots),
       gen_(loadgen_config(cfg, calibrate, frame_wire_)),
       flows_(cfg.flows),
-      ring_(cfg.ring_slots, desc_),
       host_awake_(cfg.service == ServiceMode::BusyPoll),
-      msi_addr_(buffer_.iova(kMsiArea)) {
-  system.attach_buffer(&buffer_);
-  system.thrash_cache();
-  system.warm_host(buffer_, 0, 1ull << 20);  // ring and mailbox warm
+      msi_addr_(port_.iova(kMsiArea)) {
   st_.ring_slots = cfg.ring_slots;
   st_.admission_slots = admission_slots_;
   st_.pause_budget = pause_budget_;
   dma_frames_.reserve(cfg.ring_slots);
   free_slots_.reserve(cfg.ring_slots);
-  dev_.set_mmio_handler([this](const proto::Tlp& tlp, bool is_write) {
-    if (is_write && tlp.addr == kRxDoorbell) fetch_descs();
-  });
 }
 
 std::uint32_t RxDatapath::park(Waiting w) {
@@ -193,32 +169,8 @@ RxDatapath::Waiting RxDatapath::unpark(std::uint32_t slot) {
   return dma_frames_[slot];
 }
 
-void RxDatapath::driver_fill() {
-  // The driver recycles returned buffers onto the freelist; undelivered
-  // posted buffers are bounded by the ring size (as in nic_sim).
-  while (ring_.free_slots() >= cfg_.doorbell_batch &&
-         posted_total_ - returned_ + cfg_.doorbell_batch <= cfg_.ring_slots) {
-    ring_.post(cfg_.doorbell_batch);
-    posted_total_ += cfg_.doorbell_batch;
-    rc_.host_mmio_write(kRxDoorbell, kPointerBytes);
-  }
-}
-
-void RxDatapath::fetch_descs() {
-  while (fetch_inflight_ < kMaxDescFetches && ring_.pending() > 0) {
-    const std::uint32_t n =
-        std::min<std::uint32_t>(cfg_.desc_batch, ring_.pending());
-    ring_.consume(n);
-    ++fetch_inflight_;
-    dev_.dma_read(buffer_.iova(kRxDescArea), n * desc_,
-                  [this, n] { on_descs_fetched(n); });
-  }
-}
-
-void RxDatapath::on_descs_fetched(std::uint32_t n) {
-  creds_ += n;
-  st_.creds_max = std::max(st_.creds_max, creds_);
-  --fetch_inflight_;
+void RxDatapath::on_descriptors(Ring&) {
+  st_.creds_max = std::max(st_.creds_max, rx_.resident());
   driver_fill();
   if (!mac_enabled_) {
     // The driver enables the MAC only after the freelist is provisioned
@@ -258,16 +210,18 @@ void RxDatapath::on_arrival() {
   }
   // MAC PAUSE: assert when resident freelist credits run low, bounded
   // by the cumulative pause budget.
-  if (backpressure_ && creds_ < cfg_.pause_threshold && now >= pause_until_) {
+  if (backpressure_ && rx_.resident() < OverloadConfig::kPauseThreshold &&
+      now >= pause_until_) {
     const Picos remaining = pause_budget_ - st_.pause_ps;
     if (remaining > 0) {
-      const Picos q = std::min(pause_quantum_, remaining);
+      const Picos q = std::min(
+          OverloadConfig::kPauseQuantumFrames * frame_wire_, remaining);
       pause_until_ = now + q;
       st_.pause_ps += q;
       ++st_.pause_events;
     }
   }
-  if (creds_ == 0) {
+  if (!rx_.take()) {
     // The wire does not wait. With backpressure the budget failed to
     // protect the freelist (MAC drop); without it this is the classic
     // rx_no_buffer ring drop.
@@ -283,21 +237,19 @@ void RxDatapath::on_arrival() {
                       backpressure_ ? kDropMac : kDropRing});
     }
   } else {
-    --creds_;
     ++st_.dma_inflight;
-    fetch_descs();
-    const std::uint64_t addr =
-        buffer_.iova(kPktArea + (pkt_cursor_ * 2048) % kPktAreaBytes);
-    ++pkt_cursor_;
+    rx_.fetch();
+    const std::uint64_t addr = rx_.next_buffer();
     dev_.dma_write(addr, frame_, [this, slot = park({flow, now})] {
       on_frame_written(slot);
     });
   }
   // Monitor epoch: fires only while the offered load is sustained, so
   // the forward-progress check never judges the drain tail.
-  if (probe_ && probe_->on_epoch && ++epoch_pos_ >= cfg_.epoch_arrivals) {
+  if (probe_ && probe_->on_epoch &&
+      ++epoch_pos_ >= OverloadConfig::kEpochArrivals) {
     epoch_pos_ = 0;
-    st_.ring_max_pending = ring_.max_pending();
+    st_.ring_max_pending = rx_.max_pending();
     probe_->on_epoch(st_, now);
   }
   ++arrivals_;
@@ -312,10 +264,7 @@ void RxDatapath::on_arrival() {
 void RxDatapath::on_frame_written(std::uint32_t slot) {
   const Waiting w = unpark(slot);
   --st_.dma_inflight;
-  if (++wb_due_ >= cfg_.rx_wb_batch) {
-    dev_.dma_write(buffer_.iova(kRxDescArea), wb_due_ * desc_, {});
-    wb_due_ = 0;
-  }
+  rx_.write_back();
   if (admission_slots_ != 0 && backlog_.size() >= admission_slots_) {
     // Tail-drop at the driver: the frame burned PCIe bandwidth but the
     // host refuses to queue it — goodput degrades instead of the backlog
@@ -364,7 +313,7 @@ void RxDatapath::finish_service(Waiting w) {
   service_busy_ = false;
   last_delivery_ = now;
   driver_fill();
-  fetch_descs();
+  rx_.fetch();
   pump_service();
   maybe_flush();
 }
@@ -381,7 +330,7 @@ void RxDatapath::pump_service() {
   const Waiting w = backlog_.front();
   backlog_.pop_front();
   st_.backlog = backlog_.size();
-  sim_.after(cfg_.host_service_ps, [this, w] { finish_service(w); });
+  sim_.after(OverloadConfig::kHostService, [this, w] { finish_service(w); });
 }
 
 void RxDatapath::raise_irq() {
@@ -391,8 +340,8 @@ void RxDatapath::raise_irq() {
       // postpones in-progress service by the interrupt cost.
       ++st_.irqs;
       dev_.dma_write(msi_addr_, kPointerBytes, {});
-      service_ready_at_ =
-          std::max(service_ready_at_, sim_.now() + cfg_.irq_cost);
+      service_ready_at_ = std::max(service_ready_at_,
+                                   sim_.now() + OverloadConfig::kIrqCost);
     }
     return;
   }
@@ -400,7 +349,7 @@ void RxDatapath::raise_irq() {
   irq_due_ = 0;
   ++st_.irqs;
   dev_.dma_write(msi_addr_, kPointerBytes, [this] {
-    sim_.after(cfg_.irq_cost, [this] { on_irq_wakeup(); });
+    sim_.after(OverloadConfig::kIrqCost, [this] { on_irq_wakeup(); });
   });
 }
 
@@ -408,7 +357,8 @@ void RxDatapath::on_irq_wakeup() {
   irq_pending_ = false;
   host_awake_ = true;
   if (cfg_.test_livelock_bug) {
-    service_ready_at_ = std::max(service_ready_at_, sim_.now() + cfg_.irq_cost);
+    service_ready_at_ = std::max(service_ready_at_,
+                                 sim_.now() + OverloadConfig::kIrqCost);
   }
   pump_service();
 }
@@ -418,7 +368,9 @@ void RxDatapath::maybe_flush() {
   if (host_awake_ || irq_pending_ || backlog_.empty()) return;
   // Moderation while load is sustained; an unconditional flush once
   // arrivals end, so the tail of the backlog can never strand.
-  if (arrivals_done_ || irq_due_ >= cfg_.irq_moderation) raise_irq();
+  if (arrivals_done_ || irq_due_ >= OverloadConfig::kIrqModeration) {
+    raise_irq();
+  }
 }
 
 OverloadResult RxDatapath::run() {
@@ -426,7 +378,7 @@ OverloadResult RxDatapath::run() {
   driver_fill();
   sim_.run();
 
-  st_.ring_max_pending = ring_.max_pending();
+  st_.ring_max_pending = rx_.max_pending();
   st_.backlog = backlog_.size();
   if (probe_ && probe_->on_quiesce) {
     probe_->on_quiesce(st_, flows_.stats(), sim_.now());
@@ -445,11 +397,6 @@ OverloadResult RxDatapath::run() {
     r.goodput_gbps = r.goodput_pps * frame_ * 8.0 / 1e9;
   }
   return r;
-}
-
-OverloadResult run_datapath(sim::System& system, const OverloadConfig& cfg,
-                            const OverloadProbe* probe, bool calibrate) {
-  return RxDatapath(system, cfg, probe, calibrate).run();
 }
 
 }  // namespace
@@ -473,24 +420,8 @@ void OverloadConfig::validate() const {
   if (frame_bytes < kMinFrame || frame_bytes > kMaxFrame) {
     throw std::invalid_argument("overload: frame_bytes out of [60, 1514]");
   }
-  if (wire_gbps <= 0) throw std::invalid_argument("overload: wire_gbps <= 0");
-  if (descriptor_bytes == 0 || ring_slots == 0) {
-    throw std::invalid_argument("overload: zero descriptor_bytes/ring_slots");
-  }
-  if (desc_batch == 0 || rx_wb_batch == 0 || doorbell_batch == 0) {
-    throw std::invalid_argument("overload: zero batch size");
-  }
-  if (doorbell_batch > ring_slots) {
-    throw std::invalid_argument("overload: doorbell_batch > ring_slots");
-  }
-  if (service == ServiceMode::Coalesce && irq_moderation == 0) {
-    throw std::invalid_argument("overload: coalesce needs irq_moderation >= 1");
-  }
-  if (host_service_ps < 1) {
-    throw std::invalid_argument("overload: host_service_ps < 1");
-  }
-  if (backpressure && pause_threshold == 0) {
-    throw std::invalid_argument("overload: backpressure needs pause_threshold");
+  if (ring_slots < kDoorbellBatch) {
+    throw std::invalid_argument("overload: ring_slots below the doorbell batch");
   }
   if (offered_load <= 0) {
     throw std::invalid_argument("overload: offered_load must be > 0");
@@ -498,9 +429,6 @@ void OverloadConfig::validate() const {
   if (frames == 0) throw std::invalid_argument("overload: zero frames");
   if (flows == 0) throw std::invalid_argument("overload: zero flows");
   if (burst_frames == 0) throw std::invalid_argument("overload: zero burst");
-  if (epoch_arrivals == 0) {
-    throw std::invalid_argument("overload: zero epoch_arrivals");
-  }
 }
 
 std::string OverloadResult::ledger() const {
@@ -556,7 +484,7 @@ std::uint64_t calibrate_capacity(const sim::SystemConfig& sys_cfg,
   cal.test_livelock_bug = false;
   sim::System system(clean);
   const OverloadResult r =
-      run_datapath(system, cal, /*probe=*/nullptr, /*calibrate=*/true);
+      RxDatapath(system, cal, /*probe=*/nullptr, /*calibrate=*/true).run();
   if (r.stats.delivered == 0 || r.elapsed <= 0) {
     throw std::runtime_error("overload calibration delivered no frames");
   }
@@ -571,7 +499,7 @@ OverloadResult run_overload(sim::System& system, const OverloadConfig& cfg,
     throw std::invalid_argument(
         "run_overload: capacity_pps unset (run calibrate_capacity first)");
   }
-  return run_datapath(system, cfg, probe, /*calibrate=*/false);
+  return RxDatapath(system, cfg, probe, /*calibrate=*/false).run();
 }
 
 OverloadResult run_overload_point(const sim::SystemConfig& sys_cfg,

@@ -45,34 +45,32 @@ namespace pcieb::nic {
 /// Host service model for received frames.
 enum class ServiceMode : std::uint8_t {
   BusyPoll,  ///< host polls continuously; no interrupts, no wakeup cost
-  Coalesce,  ///< MSI per irq_moderation frames; irq_cost per wakeup
+  Coalesce,  ///< MSI per kIrqModeration frames; kIrqCost per wakeup
 };
 const char* to_string(ServiceMode m);
 /// "poll" | "coalesce"; throws std::invalid_argument otherwise.
 ServiceMode parse_service_mode(const std::string& s);
 
 struct OverloadConfig {
-  // ---- datapath (mirrors NicSimConfig's RX side) ----
+  // ---- datapath: the ring engine's RX freelist (nic/ring.hpp) ----
   std::uint32_t frame_bytes = 256;
-  double wire_gbps = 40.0;
-  std::uint32_t descriptor_bytes = 16;
-  std::uint32_t desc_batch = 32;      ///< freelist descriptors per fetch DMA
-  std::uint32_t rx_wb_batch = 4;      ///< completions per write-back DMA
-  std::uint32_t doorbell_batch = 8;   ///< freelist posts per MMIO doorbell
   std::uint32_t ring_slots = 512;
+  static constexpr std::uint32_t kDescBatch = 32;     ///< per fetch DMA
+  static constexpr std::uint32_t kWbBatch = 4;        ///< per write-back DMA
+  static constexpr std::uint32_t kDoorbellBatch = 8;  ///< per MMIO doorbell
 
   // ---- host service ----
   ServiceMode service = ServiceMode::BusyPoll;
-  std::uint32_t irq_moderation = 16;       ///< frames per MSI (Coalesce)
-  Picos irq_cost = from_nanos(1500);       ///< per-interrupt wakeup cost
-  Picos host_service_ps = from_nanos(150); ///< per-frame host processing
+  static constexpr std::uint32_t kIrqModeration = 16;     ///< frames per MSI
+  static constexpr Picos kIrqCost = from_nanos(1500);     ///< per wakeup
+  static constexpr Picos kHostService = from_nanos(150);  ///< per frame
 
   // ---- MAC-level backpressure (PAUSE) ----
   bool backpressure = false;
   /// Assert PAUSE when resident freelist credits fall below this.
-  std::uint32_t pause_threshold = 16;
-  /// Duration of one PAUSE assertion; 0 = 8 frame wire times.
-  Picos pause_quantum = 0;
+  static constexpr std::uint32_t kPauseThreshold = 16;
+  /// One PAUSE assertion lasts this many frame wire times.
+  static constexpr std::uint32_t kPauseQuantumFrames = 8;
   /// Cumulative PAUSE cap: beyond it the sender can no longer be held
   /// off and overrun frames die at the MAC (bounded-occupancy monitor
   /// checks pause time never exceeds this).
@@ -98,10 +96,10 @@ struct OverloadConfig {
 
   /// Monitor-epoch granularity: the OverloadProbe on_epoch hook fires
   /// every this many arrivals while load is sustained.
-  std::uint32_t epoch_arrivals = 256;
+  static constexpr std::uint32_t kEpochArrivals = 256;
 
   /// TEST-ONLY: break IRQ moderation (every frame raises an MSI and each
-  /// interrupt postpones in-progress service by irq_cost) — a receive
+  /// interrupt postpones in-progress service by kIrqCost) — a receive
   /// livelock the forward-progress monitor demonstrably catches.
   bool test_livelock_bug = false;
 
@@ -145,7 +143,7 @@ struct OverloadStats {
 };
 
 /// Observer hooks for the overload monitors. `on_epoch` fires every
-/// epoch_arrivals arrivals while the offered load is sustained;
+/// kEpochArrivals arrivals while the offered load is sustained;
 /// `on_quiesce` fires once after the event queue drains.
 struct OverloadProbe {
   std::function<void(const OverloadStats&, Picos)> on_epoch;

@@ -1,14 +1,24 @@
-// Descriptor ring bookkeeping, as shared between a NIC and its driver.
+// The NIC descriptor-ring engine that nic/nic_sim (closed-loop TX and RX)
+// and nic/overload (open-loop RX) drive.
 //
-// This models only the occupancy protocol (producer/consumer indices over
-// a fixed number of slots); descriptor *contents* travel over the
-// simulated PCIe link as DMA reads/writes sized by the ring's descriptor
-// size.
+// DescriptorRing models only the occupancy protocol (producer/consumer
+// indices over a fixed number of slots). NicPort owns a port's 8 MB host
+// buffer and the device's MMIO doorbell dispatch, detached when the port
+// is destroyed. Ring adds, per ring, the driver's refill with one MMIO
+// doorbell per batch, the NIC's descriptor fetch (desc_batch descriptors
+// per DMA read, at most kMaxDescFetches in flight), write-back batching
+// and the packet-buffer cursor. Each driver keeps its own buffer layout
+// and everything above the ring, and hears of fetched descriptors
+// through RingDriver.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <vector>
+
+#include "sim/host_buffer.hpp"
+#include "sim/system.hpp"
 
 namespace pcieb::nic {
 
@@ -59,6 +69,95 @@ class DescriptorRing {
   std::uint32_t max_pending_ = 0;
   std::uint64_t tail_ = 0;  ///< producer index (monotonic)
   std::uint64_t head_ = 0;  ///< consumer index (monotonic)
+};
+
+constexpr std::uint32_t kDescriptorBytes = 16;
+/// Doorbells, status registers and MSI mailboxes are pointer-sized.
+constexpr std::uint32_t kPointerBytes = 4;
+/// The NIC fetches descriptors for packet N+1 while packet N is in flight
+/// (even the simple NIC's engine overlaps independent DMAs).
+constexpr unsigned kMaxDescFetches = 8;
+
+class Ring;
+
+class NicPort {
+ public:
+  explicit NicPort(sim::System& system);
+  ~NicPort();
+  NicPort(const NicPort&) = delete;
+  NicPort& operator=(const NicPort&) = delete;
+
+  std::uint64_t iova(std::uint64_t offset) const {
+    return buffer_.iova(offset);
+  }
+
+ private:
+  friend class Ring;
+
+  sim::DmaDevice& dev_;
+  sim::RootComplex& rc_;
+  sim::HostBuffer buffer_;
+  std::vector<Ring*> rings_;  ///< doorbell dispatch targets
+};
+
+/// What a driver does when a descriptor fetch lands on the NIC.
+class RingDriver {
+ public:
+  virtual void on_descriptors(Ring& ring) = 0;
+
+ protected:
+  ~RingDriver() = default;
+};
+
+/// Offsets are into the port's buffer; the packet region is 3 MB.
+struct RingConfig {
+  std::uint64_t desc_area, pkt_area, doorbell;
+  std::uint32_t slots, desc_batch, wb_batch, doorbell_batch;
+};
+
+class Ring {
+ public:
+  Ring(NicPort& port, RingDriver& driver, const RingConfig& cfg);
+  Ring(const Ring&) = delete;
+  Ring& operator=(const Ring&) = delete;
+
+  // ---- driver side ----
+  /// Post descriptors in doorbell-batch groups, one MMIO doorbell each,
+  /// while a group fits the ring and the total posted stays below
+  /// `limit`; the group that reaches `limit` may be partial.
+  void refill(std::uint64_t limit);
+  /// Freelist refill: whole doorbell batches only, with at most a ring's
+  /// worth of buffers out beyond the `returned` ones the host recycled.
+  void recycle(std::uint64_t returned) {
+    refill((returned + cfg_.slots) / cfg_.doorbell_batch *
+           cfg_.doorbell_batch);
+  }
+
+  // ---- NIC side ----
+  void fetch();  ///< fetch posted descriptors; each landed read calls back
+  /// Use one fetched descriptor; false when none is resident.
+  bool take() {
+    if (resident_ == 0) return false;
+    --resident_;
+    return true;
+  }
+  std::uint64_t next_buffer();  ///< IOVA of the next 2 KB packet buffer
+  void write_back();  ///< one completion; written back per wb_batch
+
+  std::uint64_t doorbell() const { return cfg_.doorbell; }
+  std::uint32_t resident() const { return resident_; }
+  std::uint32_t max_pending() const { return ring_.max_pending(); }
+
+ private:
+  NicPort& port_;
+  RingDriver& driver_;
+  const RingConfig cfg_;
+  const std::uint64_t desc_iova_;
+  DescriptorRing ring_;
+  std::uint32_t resident_ = 0;  ///< fetched descriptors not yet used
+  unsigned fetches_in_flight_ = 0;
+  std::uint32_t wb_due_ = 0;
+  std::uint64_t cursor_ = 0;
 };
 
 }  // namespace pcieb::nic

@@ -95,6 +95,7 @@ expect_usage "overload bad backpressure"  -- overload --system NFP6000-HSW --bac
 expect_usage "overload bad arrivals"      -- overload --system NFP6000-HSW --arrivals uniform
 expect_usage "overload zero frames"       -- overload --system NFP6000-HSW --frames 0
 expect_usage "overload tiny frame"        -- overload --system NFP6000-HSW --frame 32
+expect_usage "overload ring below doorbell batch" -- overload --system NFP6000-HSW --ring-slots 4
 expect_usage "chaos zero offered load"    -- chaos --trials 1 --offered-load 0
 expect_usage "chaos service w/o load"     -- chaos --trials 1 --service-mode poll
 expect_usage "chaos bp w/o load"          -- chaos --trials 1 --backpressure on

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <random>
+#include <stdexcept>
 
 #include "model/interaction.hpp"
 #include "model/nic_models.hpp"
@@ -256,14 +257,77 @@ TEST(NicSimTest, PerDirectionIsMinOfTxRx) {
 }
 
 TEST(NicSimTest, RingWatermarksAreBoundedAndExercised) {
-  const auto cfg = NicSimConfig::modern_dpdk();
-  const auto r = simulate(cfg, 256);
+  const auto r = simulate(NicSimConfig::modern_dpdk(), 256);
   EXPECT_GT(r.tx_ring_max_pending, 0u);
-  EXPECT_LE(r.tx_ring_max_pending, cfg.ring_slots);
+  EXPECT_LE(r.tx_ring_max_pending, NicSimConfig::kRingSlots);
   EXPECT_GT(r.rx_ring_max_pending, 0u);
-  EXPECT_LE(r.rx_ring_max_pending, cfg.ring_slots);
+  EXPECT_LE(r.rx_ring_max_pending, NicSimConfig::kRingSlots);
   // The saturating TX driver keeps its ring essentially full.
-  EXPECT_GE(r.tx_ring_max_pending, cfg.ring_slots / 2);
+  EXPECT_GE(r.tx_ring_max_pending, NicSimConfig::kRingSlots / 2);
+}
+
+// ---- NicSimConfig::validate: every rejected knob, none starts a run ---------
+
+TEST(NicSimConfigTest, PresetsValidate) {
+  EXPECT_NO_THROW(NicSimConfig{}.validate());
+  EXPECT_NO_THROW(NicSimConfig::simple().validate());
+  EXPECT_NO_THROW(NicSimConfig::modern_kernel().validate());
+  EXPECT_NO_THROW(NicSimConfig::modern_dpdk().validate());
+}
+
+TEST(NicSimConfigTest, RejectsZeroDescBatch) {
+  NicSimConfig cfg;
+  cfg.desc_batch = 0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+TEST(NicSimConfigTest, RejectsZeroTxWriteBackBatch) {
+  NicSimConfig cfg;
+  cfg.tx_wb_batch = 0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+TEST(NicSimConfigTest, RejectsZeroRxWriteBackBatch) {
+  NicSimConfig cfg;
+  cfg.rx_wb_batch = 0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+TEST(NicSimConfigTest, RejectsZeroDoorbellBatch) {
+  // Regression: the TX driver posted zero descriptors and rang a
+  // doorbell on every pass of its refill loop, which never returned.
+  NicSimConfig cfg;
+  cfg.doorbell_batch = 0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+TEST(NicSimConfigTest, RejectsFrameOutsideEthernetRange) {
+  NicSimConfig cfg;
+  cfg.frame_bytes = kMinFrame - 1;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.frame_bytes = kMaxFrame + 1;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.frame_bytes = kMinFrame;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.frame_bytes = kMaxFrame;
+  EXPECT_NO_THROW(cfg.validate());
+}
+
+TEST(NicSimConfigTest, RejectsDoorbellBatchAboveRing) {
+  NicSimConfig cfg;
+  cfg.doorbell_batch = NicSimConfig::kRingSlots + 1;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.doorbell_batch = NicSimConfig::kRingSlots;
+  EXPECT_NO_THROW(cfg.validate());
+}
+
+TEST(NicSimConfigTest, RunValidatesBeforeTouchingTheSystem) {
+  sim::System system(sys::netfpga_hsw().config);
+  NicSimConfig cfg;
+  cfg.frame_bytes = 32;
+  EXPECT_THROW(run_nic_sim(system, cfg), std::invalid_argument);
+  EXPECT_EQ(system.sim().executed(), 0u);
+  EXPECT_EQ(system.upstream().tlps_sent(), 0u);
 }
 
 }  // namespace

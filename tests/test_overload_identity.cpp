@@ -164,7 +164,7 @@ TEST(OverloadIdentity, ShrinkHalvesOverloadFrames) {
   // micro-bench iteration count.
   check::ChaosConfig cfg;
   cfg.offered_load = 2.0;
-  // Enough arrivals for several monitor epochs (epoch_arrivals = 256):
+  // Enough arrivals for several monitor epochs (kEpochArrivals = 256):
   // the planted IRQ storm needs at least two consecutive epoch edges
   // with delivery frozen before the progress monitor can flag it.
   cfg.iterations = 4000;

@@ -900,8 +900,8 @@ int cmd_overload(const Args& args) {
   if (ocfg.service == nic::ServiceMode::Coalesce) {
     std::printf("irqs:     %llu (moderation %u frames, wakeup %.1f ns)\n",
                 static_cast<unsigned long long>(st.irqs),
-                ocfg.irq_moderation,
-                static_cast<double>(ocfg.irq_cost) / 1e3);
+                nic::OverloadConfig::kIrqModeration,
+                static_cast<double>(nic::OverloadConfig::kIrqCost) / 1e3);
   }
   std::printf("occupancy: ring peak %u/%u, backlog peak %llu%s\n",
               st.ring_max_pending, st.ring_slots,

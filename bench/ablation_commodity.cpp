@@ -1,7 +1,10 @@
-// §5.5: pcie-bench on a commodity NIC in loopback mode. Varies the RX
-// freelist window and compares the *relative* latency change against the
-// programmable-device ground truth — showing the method works but carries
-// descriptor-transfer noise, exactly as the paper predicts.
+// §5.5: pcie-bench on a commodity NIC in loopback mode. Runs the probe's
+// default VaryTx mode — the transmit buffers walk a window, so the NIC
+// fetches them with DMA reads, as LAT_RD does — and compares the
+// *relative* latency change against the programmable-device ground truth,
+// showing the method works but carries descriptor-transfer noise, exactly
+// as the paper predicts. (The VaryRx mode walks the freelist instead; its
+// DMA writes land in DDIO and show no warm/cold contrast.)
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -11,10 +14,10 @@ int main() {
   using namespace pcieb;
   bench::print_header(
       "Ablation: commodity-NIC loopback probing (§5.5, NFP6000-SNB host)",
-      "A non-programmable NIC can expose host cache behaviour by varying "
-      "the freelist window, but every sample includes descriptor "
-      "transfers; the LLC knee is visible yet less crisp than with "
-      "programmable devices.");
+      "A non-programmable NIC can expose host cache behaviour by walking "
+      "its transmit buffers through a window (DMA reads, as LAT_RD), but "
+      "every sample includes descriptor transfers; the LLC knee is visible "
+      "yet less crisp than with programmable devices.");
 
   const auto cfg = sys::nfp6000_snb().config;
 

@@ -27,7 +27,7 @@ constexpr std::uint64_t kStatusRegister = 0x30;
 /// over the engine's TX ring and RX freelist, plus what the engine leaves
 /// to the driver — TX completion on the wire, interrupts and status
 /// reads. Every event and DMA callback captures only `this`.
-class NicSimRun final : public RingDriver {
+class NicSimRun final : public NicPort {
  public:
   NicSimRun(sim::System& system, const NicSimConfig& cfg);
 
@@ -42,11 +42,8 @@ class NicSimRun final : public RingDriver {
   void interrupt(std::uint32_t& due);
 
   sim::Simulator& sim_;
-  sim::DmaDevice& dev_;
-  sim::RootComplex& rc_;
   const NicSimConfig& cfg_;
   const Picos frame_wire_;
-  NicPort port_;
   Ring tx_;
   Ring rx_;  ///< the freelist
   const std::uint64_t msi_addr_;
@@ -62,19 +59,17 @@ class NicSimRun final : public RingDriver {
 };
 
 NicSimRun::NicSimRun(sim::System& system, const NicSimConfig& cfg)
-    : sim_(system.sim()),
-      dev_(system.device()),
-      rc_(system.root_complex()),
+    : NicPort(system),
+      sim_(system.sim()),
       cfg_(cfg),
       frame_wire_(wire_time(cfg.frame_bytes)),
-      port_(system),
-      tx_(port_, *this,
+      tx_(*this,
           {kTxDescArea, kTxPktArea, kTxDoorbell, NicSimConfig::kRingSlots,
            cfg.desc_batch, cfg.tx_wb_batch, cfg.doorbell_batch}),
-      rx_(port_, *this,
+      rx_(*this,
           {kRxDescArea, kRxPktArea, kRxDoorbell, NicSimConfig::kRingSlots,
            cfg.desc_batch, cfg.rx_wb_batch, cfg.doorbell_batch}),
-      msi_addr_(port_.iova(kMsiArea)) {}
+      msi_addr_(iova(kMsiArea)) {}
 
 void NicSimRun::on_descriptors(Ring& ring) {
   if (&ring == &tx_) {

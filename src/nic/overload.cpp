@@ -42,15 +42,14 @@ core::LoadGenConfig loadgen_config(const OverloadConfig& cfg, bool calibrate,
   return lg;
 }
 
-/// One run of the open-loop RX driver over the engine's freelist ring:
-/// the wire's arrival clock (core::LoadGen), PAUSE, packet DMAs,
-/// admission, MSIs and host service. Every simulator event captures
-/// `this` (plus a Waiting for host service) and every DMA callback `this`
-/// plus at most 4 B, so each fits its wrapper's inline buffer; a frame
-/// whose packet DMA is in flight waits in `dma_frames_`, named by its
-/// slot. A frame therefore costs no heap allocation beyond deque block
-/// churn.
-class RxDatapath final : public RingDriver {
+/// One run of the RX driver over the engine's freelist: the wire's
+/// arrival clock, PAUSE, packet DMAs, admission, MSIs and host service.
+/// Every simulator event captures `this` (plus a Waiting for host
+/// service) and every DMA callback `this` plus at most 4 B, so each fits
+/// its wrapper's inline buffer; a frame whose packet DMA is in flight
+/// waits in `dma_frames_`, named by its slot. A frame therefore costs no
+/// heap allocation beyond deque block churn.
+class RxDatapath final : public NicPort {
  public:
   RxDatapath(sim::System& system, const OverloadConfig& cfg,
              const OverloadProbe* probe, bool calibrate);
@@ -79,12 +78,10 @@ class RxDatapath final : public RingDriver {
   Waiting unpark(std::uint32_t slot);
 
   sim::Simulator& sim_;
-  sim::DmaDevice& dev_;
   obs::TraceSink* trace_;
   const OverloadConfig& cfg_;
   const OverloadProbe* probe_;
   const bool calibrate_;
-  NicPort port_;
   Ring rx_;  ///< the freelist
 
   const std::uint32_t frame_;
@@ -125,14 +122,13 @@ class RxDatapath final : public RingDriver {
 
 RxDatapath::RxDatapath(sim::System& system, const OverloadConfig& cfg,
                        const OverloadProbe* probe, bool calibrate)
-    : sim_(system.sim()),
-      dev_(system.device()),
+    : NicPort(system),
+      sim_(system.sim()),
       trace_(system.trace_sink()),
       cfg_(cfg),
       probe_(probe),
       calibrate_(calibrate),
-      port_(system),
-      rx_(port_, *this,
+      rx_(*this,
           {kRxDescArea, kPktArea, kRxDoorbell, cfg.ring_slots,
            OverloadConfig::kDescBatch, OverloadConfig::kWbBatch,
            OverloadConfig::kDoorbellBatch}),
@@ -145,7 +141,7 @@ RxDatapath::RxDatapath(sim::System& system, const OverloadConfig& cfg,
       gen_(loadgen_config(cfg, calibrate, frame_wire_)),
       flows_(cfg.flows),
       host_awake_(cfg.service == ServiceMode::BusyPoll),
-      msi_addr_(port_.iova(kMsiArea)) {
+      msi_addr_(iova(kMsiArea)) {
   st_.ring_slots = cfg.ring_slots;
   st_.admission_slots = admission_slots_;
   st_.pause_budget = pause_budget_;

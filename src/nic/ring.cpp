@@ -23,9 +23,8 @@ NicPort::NicPort(sim::System& system)
 
 NicPort::~NicPort() { dev_.set_mmio_handler({}); }
 
-Ring::Ring(NicPort& port, RingDriver& driver, const RingConfig& cfg)
+Ring::Ring(NicPort& port, const RingConfig& cfg)
     : port_(port),
-      driver_(driver),
       cfg_(cfg),
       desc_iova_(port.iova(cfg.desc_area)),
       ring_(cfg.slots, kDescriptorBytes) {
@@ -49,7 +48,7 @@ void Ring::fetch() {
     port_.dev_.dma_read(desc_iova_, n * kDescriptorBytes, [this, n] {
       resident_ += n;
       --fetches_in_flight_;
-      driver_.on_descriptors(*this);
+      port_.on_descriptors(*this);
     });
   }
 }

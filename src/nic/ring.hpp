@@ -7,9 +7,9 @@
 // is destroyed. Ring adds, per ring, the driver's refill with one MMIO
 // doorbell per batch, the NIC's descriptor fetch (desc_batch descriptors
 // per DMA read, at most kMaxDescFetches in flight), write-back batching
-// and the packet-buffer cursor. Each driver keeps its own buffer layout
-// and everything above the ring, and hears of fetched descriptors
-// through RingDriver.
+// and the packet-buffer cursor. A driver derives from NicPort, keeps its
+// own buffer layout and everything above the ring, and hears of fetched
+// descriptors through on_descriptors().
 #pragma once
 
 #include <algorithm>
@@ -82,31 +82,27 @@ class Ring;
 
 class NicPort {
  public:
-  explicit NicPort(sim::System& system);
-  ~NicPort();
   NicPort(const NicPort&) = delete;
   NicPort& operator=(const NicPort&) = delete;
 
   std::uint64_t iova(std::uint64_t offset) const {
     return buffer_.iova(offset);
   }
+  /// A descriptor fetch landed: `ring` holds more resident descriptors.
+  virtual void on_descriptors(Ring& ring) = 0;
+
+ protected:
+  explicit NicPort(sim::System& system);
+  ~NicPort();
+
+  sim::DmaDevice& dev_;
+  sim::RootComplex& rc_;
 
  private:
   friend class Ring;
 
-  sim::DmaDevice& dev_;
-  sim::RootComplex& rc_;
   sim::HostBuffer buffer_;
   std::vector<Ring*> rings_;  ///< doorbell dispatch targets
-};
-
-/// What a driver does when a descriptor fetch lands on the NIC.
-class RingDriver {
- public:
-  virtual void on_descriptors(Ring& ring) = 0;
-
- protected:
-  ~RingDriver() = default;
 };
 
 /// Offsets are into the port's buffer; the packet region is 3 MB.
@@ -117,7 +113,7 @@ struct RingConfig {
 
 class Ring {
  public:
-  Ring(NicPort& port, RingDriver& driver, const RingConfig& cfg);
+  Ring(NicPort& port, const RingConfig& cfg);
   Ring(const Ring&) = delete;
   Ring& operator=(const Ring&) = delete;
 
@@ -150,7 +146,6 @@ class Ring {
 
  private:
   NicPort& port_;
-  RingDriver& driver_;
   const RingConfig cfg_;
   const std::uint64_t desc_iova_;
   DescriptorRing ring_;

@@ -7,6 +7,7 @@ namespace pcieb::nic {
 NicPort::NicPort(sim::System& system)
     : dev_(system.device()),
       rc_(system.root_complex()),
+      system_(system),
       buffer_(sim::BufferConfig{.size_bytes = 8ull << 20}) {
   system.attach_buffer(&buffer_);
   system.thrash_cache();
@@ -21,7 +22,10 @@ NicPort::NicPort(sim::System& system)
   });
 }
 
-NicPort::~NicPort() { dev_.set_mmio_handler({}); }
+NicPort::~NicPort() {
+  dev_.set_mmio_handler({});
+  system_.attach_buffer(nullptr);
+}
 
 Ring::Ring(NicPort& port, const RingConfig& cfg)
     : port_(port),

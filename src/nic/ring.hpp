@@ -3,8 +3,8 @@
 //
 // DescriptorRing models only the occupancy protocol (producer/consumer
 // indices over a fixed number of slots). NicPort owns a port's 8 MB host
-// buffer and the device's MMIO doorbell dispatch, detached when the port
-// is destroyed. Ring adds, per ring, the driver's refill with one MMIO
+// buffer and the device's MMIO doorbell dispatch, both detached from the
+// System when the port is destroyed. Ring adds, per ring, the driver's refill with one MMIO
 // doorbell per batch, the NIC's descriptor fetch (desc_batch descriptors
 // per DMA read, at most kMaxDescFetches in flight), write-back batching
 // and the packet-buffer cursor. A driver derives from NicPort, keeps its
@@ -85,15 +85,13 @@ class NicPort {
   NicPort(const NicPort&) = delete;
   NicPort& operator=(const NicPort&) = delete;
 
+ protected:
+  explicit NicPort(sim::System& system);
+  ~NicPort();  ///< detaches the buffer and the doorbell dispatch
+
   std::uint64_t iova(std::uint64_t offset) const {
     return buffer_.iova(offset);
   }
-  /// A descriptor fetch landed: `ring` holds more resident descriptors.
-  virtual void on_descriptors(Ring& ring) = 0;
-
- protected:
-  explicit NicPort(sim::System& system);
-  ~NicPort();
 
   sim::DmaDevice& dev_;
   sim::RootComplex& rc_;
@@ -101,6 +99,10 @@ class NicPort {
  private:
   friend class Ring;
 
+  /// A descriptor fetch landed: `ring` holds more resident descriptors.
+  virtual void on_descriptors(Ring& ring) = 0;
+
+  sim::System& system_;
   sim::HostBuffer buffer_;
   std::vector<Ring*> rings_;  ///< doorbell dispatch targets
 };

@@ -141,17 +141,15 @@ NicSimResult NicSimRun::run() {
   r.rx_dropped = rx_dropped_;
   r.tx_ring_max_pending = tx_.max_pending();
   r.rx_ring_max_pending = rx_.max_pending();
-  const std::uint32_t frame = cfg_.frame_bytes;
-  const double tx_elapsed_s = to_seconds(tx_last_ - start);
-  const double rx_elapsed_s = to_seconds(rx_last_ - start);
-  if (tx_elapsed_s > 0) {
-    r.tx_pps = static_cast<double>(tx_sent_) / tx_elapsed_s;
-    r.tx_goodput_gbps = r.tx_pps * frame * 8.0 / 1e9;
-  }
-  if (rx_elapsed_s > 0) {
-    r.rx_pps = static_cast<double>(rx_delivered_) / rx_elapsed_s;
-    r.rx_goodput_gbps = r.rx_pps * frame * 8.0 / 1e9;
-  }
+  const auto rate = [&](std::uint64_t n, Picos last, double& pps,
+                        double& gbps) {
+    const double elapsed_s = to_seconds(last - start);
+    if (elapsed_s <= 0) return;
+    pps = static_cast<double>(n) / elapsed_s;
+    gbps = pps * cfg_.frame_bytes * 8.0 / 1e9;
+  };
+  rate(tx_sent_, tx_last_, r.tx_pps, r.tx_goodput_gbps);
+  rate(rx_delivered_, rx_last_, r.rx_pps, r.rx_goodput_gbps);
   r.per_direction_goodput_gbps = std::min(r.tx_goodput_gbps, r.rx_goodput_gbps);
   return r;
 }

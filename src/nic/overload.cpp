@@ -1,7 +1,6 @@
 #include "nic/overload.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <deque>
 #include <limits>
@@ -63,7 +62,6 @@ class RxDatapath final : public NicPort {
   };
 
   void on_descriptors(Ring& ring) override;
-  void driver_fill() { rx_.recycle(returned_); }
   void schedule_arrival();
   void on_arrival();
   void on_frame_written(std::uint32_t slot);
@@ -167,7 +165,7 @@ RxDatapath::Waiting RxDatapath::unpark(std::uint32_t slot) {
 
 void RxDatapath::on_descriptors(Ring&) {
   st_.creds_max = std::max(st_.creds_max, rx_.resident());
-  driver_fill();
+  rx_.recycle(returned_);
   if (!mac_enabled_) {
     // The driver enables the MAC only after the freelist is provisioned
     // (as real drivers do) — otherwise the first wire frames race the
@@ -273,7 +271,7 @@ void RxDatapath::on_frame_written(std::uint32_t slot) {
                       obs::EventKind::FrameDrop, obs::Component::Device,
                       kDropAdmission});
     }
-    driver_fill();
+    rx_.recycle(returned_);
     maybe_flush();
   } else {
     backlog_.push_back(w);
@@ -308,7 +306,7 @@ void RxDatapath::finish_service(Waiting w) {
   st_.in_service = 0;
   service_busy_ = false;
   last_delivery_ = now;
-  driver_fill();
+  rx_.recycle(returned_);
   rx_.fetch();
   pump_service();
   maybe_flush();
@@ -371,7 +369,7 @@ void RxDatapath::maybe_flush() {
 
 OverloadResult RxDatapath::run() {
   const Picos start = sim_.now();
-  driver_fill();
+  rx_.recycle(returned_);
   sim_.run();
 
   st_.ring_max_pending = rx_.max_pending();

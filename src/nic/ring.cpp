@@ -57,15 +57,4 @@ void Ring::fetch() {
   }
 }
 
-std::uint64_t Ring::next_buffer() {
-  return port_.iova(cfg_.pkt_area + (cursor_++ * 2048) % (3ull << 20));
-}
-
-void Ring::write_back() {
-  if (++wb_due_ >= cfg_.wb_batch) {
-    port_.dev_.dma_write(desc_iova_, wb_due_ * kDescriptorBytes, {});
-    wb_due_ = 0;
-  }
-}
-
 }  // namespace pcieb::nic

@@ -139,8 +139,16 @@ class Ring {
     --resident_;
     return true;
   }
-  std::uint64_t next_buffer();  ///< IOVA of the next 2 KB packet buffer
-  void write_back();  ///< one completion; written back per wb_batch
+  /// IOVA of the next 2 KB packet buffer, cycling through the region.
+  std::uint64_t next_buffer() {
+    return port_.iova(cfg_.pkt_area + (cursor_++ * 2048) % (3ull << 20));
+  }
+  /// One completion; every wb_batch-th writes the batch back.
+  void write_back() {
+    if (++wb_due_ < cfg_.wb_batch) return;
+    port_.dev_.dma_write(desc_iova_, wb_due_ * kDescriptorBytes, {});
+    wb_due_ = 0;
+  }
 
   std::uint64_t doorbell() const { return cfg_.doorbell; }
   std::uint32_t resident() const { return resident_; }

@@ -28,6 +28,8 @@ class MultiDeviceSystem {
   unsigned device_count() const { return static_cast<unsigned>(ports_.size()); }
   DmaDevice& device(unsigned i) { return *ports_.at(i).device; }
   RootComplex& root_complex(unsigned i) { return *ports_.at(i).rc; }
+  Link& upstream(unsigned i) { return *ports_.at(i).up; }
+  Link& downstream(unsigned i) { return *ports_.at(i).down; }
   MemorySystem& memory() { return *mem_; }
   Iommu& iommu() { return *iommu_; }
   const SystemConfig& config() const { return cfg_; }

@@ -13,8 +13,8 @@
 
 #include "bench_common.hpp"
 #include "core/multi_runner.hpp"
-#include "sim/multi_system.hpp"
 #include "sim/switched_system.hpp"
+#include "sim/system.hpp"
 
 int main() {
   using namespace pcieb;
@@ -38,7 +38,8 @@ int main() {
                           Cfg{"on", true, 4096ull},
                           Cfg{"on", true, 2ull << 20}}) {
       auto host = c.iommu ? sys::with_iommu(base, true, c.pages) : base;
-      sim::MultiDeviceSystem system(host, devices);
+      host.devices = devices;
+      sim::System system(host);
       core::MultiDeviceSpec spec;
       spec.kind = core::BenchKind::BwRd;
       spec.transfer_size = 64;
@@ -78,7 +79,9 @@ int main() {
     spec.iterations = 12000;
     sim::SwitchedSystem shared(base, devices);
     const auto rs = core::run_multi_device_bandwidth(shared, spec);
-    sim::MultiDeviceSystem indep(base, devices);
+    auto indep_cfg = base;
+    indep_cfg.devices = devices;
+    sim::System indep(indep_cfg);
     const auto ri = core::run_multi_device_bandwidth(indep, spec);
     sw.add_row({std::to_string(devices),
                 TextTable::num(rs.per_device_gbps.front(), 1),

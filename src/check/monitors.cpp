@@ -34,13 +34,23 @@ std::string ViolationLog::report() const {
 MonitorSuite::MonitorSuite(sim::System& system, MonitorConfig cfg)
     : ViolationLog(cfg, "monitors"),
       sim_(system.sim()),
-      up_(system.upstream()),
-      down_(system.downstream()),
       port_ladder_(!system.shared()) {
-  for (unsigned i = 0; i < system.tenants(); ++i) {
+  const unsigned n = system.function_count();
+  for (unsigned i = 0; i < n; ++i) {
     const sim::PcieFunction& f = system.function(i);
-    ledgers_.push_back({&f, port_ladder_ ? "" : "vf" + std::to_string(i) + ": ",
-                        f.device().write_payload_issued(),
+    // A lone function needs no name; a VF or a device does.
+    const std::string label =
+        n == 1 ? ""
+               : (system.shared() ? "vf" : "dev") + std::to_string(i) + ": ";
+    const sim::Link* up = &system.upstream(i);
+    const sim::Link* down = &system.downstream(i);
+    // A device's port is its own; a shared port is every VF's.
+    if (!system.shared()) {
+      ports_.push_back({up, down, label});
+    } else if (i == 0) {
+      ports_.push_back({up, down, ""});
+    }
+    ledgers_.push_back({&f, up, down, label, f.device().write_payload_issued(),
                         f.root_complex().write_bytes_committed(),
                         f.lost_write_bytes(),
                         f.device().read_payload_requested(),
@@ -106,12 +116,14 @@ void MonitorSuite::step_checks(Picos now) {
   // replay: the retry buffer tracks sent-but-unacked TLPs; it can never
   // hold more than were ever sent (an excess means retire accounting
   // drifted or wrapped).
-  for (const sim::Link* link : {&up_, &down_}) {
-    if (link->unacked() > link->tlps_sent()) {
-      record("replay", now,
-             "retry buffer holds " + std::to_string(link->unacked()) +
-                 " TLPs but only " + std::to_string(link->tlps_sent()) +
-                 " were sent");
+  for (const Port& p : ports_) {
+    for (const sim::Link* link : {p.up, p.down}) {
+      if (link->unacked() > link->tlps_sent()) {
+        record("replay", now,
+               p.label + "retry buffer holds " +
+                   std::to_string(link->unacked()) + " TLPs but only " +
+                   std::to_string(link->tlps_sent()) + " were sent");
+      }
     }
   }
 }
@@ -181,11 +193,13 @@ void MonitorSuite::check_quiescent() {
   }
 
   // replay: the retry buffers must be empty once the queue drained.
-  if (up_.unacked() != 0 || down_.unacked() != 0) {
-    record("replay", now,
-           "retry buffers not empty at quiesce: up " +
-               std::to_string(up_.unacked()) + ", down " +
-               std::to_string(down_.unacked()));
+  for (const Port& p : ports_) {
+    if (p.up->unacked() != 0 || p.down->unacked() != 0) {
+      record("replay", now,
+             p.label + "retry buffers not empty at quiesce: up " +
+                 std::to_string(p.up->unacked()) + ", down " +
+                 std::to_string(p.down->unacked()));
+    }
   }
 
   check_recovery(now);
@@ -199,46 +213,43 @@ void MonitorSuite::check_recovery(Picos now) {
   for (const Ledger& l : ledgers_) {
     const fault::RecoveryManager* rec = l.fn->recovery();
     if (rec == nullptr) continue;
+    const auto fail = [&](const std::string& detail) {
+      record("recovery", now, l.label + detail);
+    };
     if (!rec->converged()) {
-      record("recovery", now,
-             l.label + "ladder did not converge: state '" +
-                 fault::to_string(rec->state()) +
-                 "' at quiesce (want operational or quarantined); digest " +
-                 rec->digest());
+      fail(std::string("ladder did not converge: state '") +
+           fault::to_string(rec->state()) +
+           "' at quiesce (want operational or quarantined); digest " +
+           rec->digest());
       continue;
     }
-    // Port-state agreement applies only to a ladder that owns the whole
+    // Port-state agreement applies only to a ladder that owns its whole
     // port; per-VF lanes have no such single verdict to agree with.
     if (!port_ladder_) continue;
+    const sim::Link& up = *l.up;
+    const sim::Link& down = *l.down;
+    const std::string blocked = "up blocked=" + std::to_string(up.blocked()) +
+                                ", down blocked=" +
+                                std::to_string(down.blocked());
     if (rec->state() == fault::RecoveryState::Operational) {
-      if (up_.blocked() || down_.blocked()) {
-        record("recovery", now,
-               "operational verdict but port still frozen: up blocked=" +
-                   std::to_string(up_.blocked()) +
-                   ", down blocked=" + std::to_string(down_.blocked()));
+      if (up.blocked() || down.blocked()) {
+        fail("operational verdict but port still frozen: " + blocked);
       }
-      if (up_.recovery_derated() != rec->link_degraded() ||
-          down_.recovery_derated() != rec->link_degraded()) {
-        record("recovery", now,
-               "link derate disagrees with ladder: manager degraded=" +
-                   std::to_string(rec->link_degraded()) +
-                   ", up derated=" + std::to_string(up_.recovery_derated()) +
-                   ", down derated=" +
-                   std::to_string(down_.recovery_derated()));
+      if (up.recovery_derated() != rec->link_degraded() ||
+          down.recovery_derated() != rec->link_degraded()) {
+        fail("link derate disagrees with ladder: manager degraded=" +
+             std::to_string(rec->link_degraded()) +
+             ", up derated=" + std::to_string(up.recovery_derated()) +
+             ", down derated=" + std::to_string(down.recovery_derated()));
       }
       if (rec->link_degraded()) {
-        record("recovery", now,
-               "operational verdict with downtrain still active (restore "
-               "never ran); digest " +
-                   rec->digest());
+        fail(
+            "operational verdict with downtrain still active (restore never "
+            "ran); digest " +
+            rec->digest());
       }
-    } else {  // Quarantined
-      if (!up_.blocked() || !down_.blocked()) {
-        record("recovery", now,
-               "quarantined verdict but port not frozen: up blocked=" +
-                   std::to_string(up_.blocked()) +
-                   ", down blocked=" + std::to_string(down_.blocked()));
-      }
+    } else if (!up.blocked() || !down.blocked()) {  // Quarantined
+      fail("quarantined verdict but port not frozen: " + blocked);
     }
   }
 }

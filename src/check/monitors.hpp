@@ -1,10 +1,10 @@
 // Invariant monitors: a self-checking harness over the PCIe functions of
-// one sim::System port — its single function (n = 1), or every SR-IOV VF
-// of a shared port.
+// one sim::System — its single function (n = 1), every SR-IOV VF of a
+// shared port, or every device of a multi-device System.
 //
 // A MonitorSuite takes one slot of the simulator's per-event monitor array
 // and asserts, after every executed event, the conservation laws of each
-// function's ledgers (sim::PcieFunction) and of the shared link pair:
+// function's ledgers (sim::PcieFunction) and of every port's link pair:
 //
 //  * clock — the event clock never moves backwards.
 //  * bleed — no function ever accepts a TLP carrying another function's
@@ -25,12 +25,13 @@
 //  * recovery — every armed ladder converged once the queue drained:
 //    Operational or permanently Quarantined, never stuck mid-ladder
 //    (Contained/Resetting) or Degraded with no probation pending. A lone
-//    function's ladder owns the whole port and must also agree with it:
+//    function's ladder owns its whole port and must also agree with it:
 //    Operational = links unblocked at full rate; Quarantined = frozen.
 //
-// Per step: clock, then bleed/credits/tags per function, then replay. At
-// quiesce: credits/tags/payload per function, then replay, then recovery.
-// On a shared port each detail carries a "vfN: " prefix.
+// Per step: clock, then bleed/credits/tags per function, then replay per
+// port. At quiesce: credits/tags/payload per function, then replay per
+// port, then recovery. On a shared port each detail carries a "vfN: "
+// prefix, on a multi-device System a "devN: " prefix.
 //
 // Monitors are strictly opt-in (pciebench --monitors, the chaos driver,
 // tests); an unarmed simulator pays one integer test per event, so runs
@@ -108,7 +109,8 @@ class MonitorSuite : public ViolationLog {
   /// Registers the suite's one devirtualized monitor slot on the
   /// system's simulator and captures baseline payload tallies, so a
   /// suite attached mid-life checks only the delta. One ledger per
-  /// function; on a shared port each detail names its VF. The destructor
+  /// function; each detail names its VF or device when there are several.
+  /// The destructor
   /// removes exactly its own slot, leaving any other registered monitors
   /// untouched.
   explicit MonitorSuite(sim::System& system, MonitorConfig cfg = {});
@@ -126,10 +128,18 @@ class MonitorSuite : public ViolationLog {
   void check_quiescent();
 
  private:
-  /// One function's ledgers: its detail prefix and the payload tallies
-  /// at attach time (all zero on a fresh system).
+  /// One port's links and the detail prefix of their checks.
+  struct Port {
+    const sim::Link* up;
+    const sim::Link* down;
+    std::string label;
+  };
+  /// One function's ledgers: its port's links, its detail prefix and the
+  /// payload tallies at attach time (all zero on a fresh system).
   struct Ledger {
     const sim::PcieFunction* fn;
+    const sim::Link* up;
+    const sim::Link* down;
     std::string label;
     std::uint64_t write_issued;
     std::uint64_t write_committed;
@@ -146,9 +156,8 @@ class MonitorSuite : public ViolationLog {
   void check_recovery(Picos now);
 
   sim::Simulator& sim_;
-  const sim::Link& up_;
-  const sim::Link& down_;
   bool port_ladder_;
+  std::vector<Port> ports_;
   std::vector<Ledger> ledgers_;
 
   Picos last_now_ = 0;

@@ -33,8 +33,8 @@ MultiDeviceResult run_multi_device_bandwidth(SystemT& system,
   }
   const unsigned devices =
       spec.active_devices == 0
-          ? system.device_count()
-          : std::min(spec.active_devices, system.device_count());
+          ? system.function_count()
+          : std::min(spec.active_devices, system.function_count());
 
   // Per-device state: a disjoint buffer and an address sequence.
   struct DeviceRun {
@@ -133,7 +133,7 @@ MultiDeviceResult run_multi_device_bandwidth(SystemT& system,
   return result;
 }
 
-template MultiDeviceResult run_multi_device_bandwidth(sim::MultiDeviceSystem&,
+template MultiDeviceResult run_multi_device_bandwidth(sim::System&,
                                                       const MultiDeviceSpec&);
 template MultiDeviceResult run_multi_device_bandwidth(sim::SwitchedSystem&,
                                                       const MultiDeviceSpec&);

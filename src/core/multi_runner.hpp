@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "core/params.hpp"
-#include "sim/multi_system.hpp"
 #include "sim/switched_system.hpp"
+#include "sim/system.hpp"
 
 namespace pcieb::core {
 
@@ -34,15 +34,15 @@ struct MultiDeviceResult {
 };
 
 /// Runs the spec on every active device concurrently and reports
-/// per-device goodput. Throws on latency kinds. Works on both
-/// independent-link (MultiDeviceSystem) and shared-uplink
-/// (SwitchedSystem) topologies.
+/// per-device goodput. Throws on latency kinds. Works on both the
+/// independent-link topology (a System with SystemConfig::devices ports)
+/// and the shared-uplink one (SwitchedSystem).
 template <typename SystemT>
 MultiDeviceResult run_multi_device_bandwidth(SystemT& system,
                                              const MultiDeviceSpec& spec);
 
 extern template MultiDeviceResult run_multi_device_bandwidth(
-    sim::MultiDeviceSystem&, const MultiDeviceSpec&);
+    sim::System&, const MultiDeviceSpec&);
 extern template MultiDeviceResult run_multi_device_bandwidth(
     sim::SwitchedSystem&, const MultiDeviceSpec&);
 

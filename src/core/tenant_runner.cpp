@@ -43,15 +43,15 @@ TenantRunner::TenantRunner(sim::System& system, const BenchParams& params)
     throw std::logic_error(
         "TenantRunner: system IOMMU page size differs from buffer pages");
   }
-  buffers_.reserve(system_.tenants());
-  for (unsigned vf = 0; vf < system_.tenants(); ++vf) {
+  buffers_.reserve(system_.function_count());
+  for (unsigned vf = 0; vf < system_.function_count(); ++vf) {
     buffers_.push_back(
         std::make_unique<sim::HostBuffer>(tenant_buffer_config(params_, vf)));
     system_.attach_buffer(buffers_.back().get(), vf);
   }
   // Cache-state preparation, one tenant at a time (deterministic even
   // when the weakened uncore makes them all the same physical cache).
-  for (unsigned vf = 0; vf < system_.tenants(); ++vf) {
+  for (unsigned vf = 0; vf < system_.function_count(); ++vf) {
     system_.thrash_cache(vf);
     switch (params_.cache_state) {
       case CacheState::Thrash:
@@ -66,7 +66,7 @@ TenantRunner::TenantRunner(sim::System& system, const BenchParams& params)
   }
   system_.iommu().flush_tlb();
   system_.iommu().reset_stats();
-  for (unsigned vf = 0; vf < system_.tenants(); ++vf) {
+  for (unsigned vf = 0; vf < system_.function_count(); ++vf) {
     system_.memory(vf).cache().reset_stats();
   }
 }
@@ -100,7 +100,7 @@ std::vector<TenantResult> TenantRunner::run() {
     obs::Digest digest;
     std::function<void()> issue_next;
   };
-  std::vector<VfState> st(system_.tenants());
+  std::vector<VfState> st(system_.function_count());
 
   const auto begin_measurement = [&](unsigned vf) {
     VfState& s = st[vf];
@@ -110,7 +110,7 @@ std::vector<TenantResult> TenantRunner::run() {
     s.base_failed = system_.device(vf).failed_read_bytes();
   };
 
-  for (unsigned vf = 0; vf < system_.tenants(); ++vf) {
+  for (unsigned vf = 0; vf < system_.function_count(); ++vf) {
     VfState& s = st[vf];
     const BenchParams p = tenant_params(params_, vf);
     s.seq = std::make_unique<AddressSequence>(p, *buffers_[vf]);
@@ -180,25 +180,25 @@ std::vector<TenantResult> TenantRunner::run() {
     system_.function(vf).set_write_drop_observer(on_write_retire);
   }
 
-  for (unsigned vf = 0; vf < system_.tenants(); ++vf) {
+  for (unsigned vf = 0; vf < system_.function_count(); ++vf) {
     if (st[vf].discard == 0) begin_measurement(vf);
     st[vf].issue_next();
   }
   sim.run();
-  for (unsigned vf = 0; vf < system_.tenants(); ++vf) {
+  for (unsigned vf = 0; vf < system_.function_count(); ++vf) {
     system_.function(vf).set_write_observer({});
     system_.function(vf).set_write_drop_observer({});
   }
   system_.check_deadlock();
-  for (unsigned vf = 0; vf < system_.tenants(); ++vf) {
+  for (unsigned vf = 0; vf < system_.function_count(); ++vf) {
     if (st[vf].remaining != 0 || st[vf].waiting_write) {
       throw std::logic_error("TenantRunner: vf " + std::to_string(vf) +
                              " lost transactions");
     }
   }
 
-  std::vector<TenantResult> results(system_.tenants());
-  for (unsigned vf = 0; vf < system_.tenants(); ++vf) {
+  std::vector<TenantResult> results(system_.function_count());
+  for (unsigned vf = 0; vf < system_.function_count(); ++vf) {
     VfState& s = st[vf];
     const sim::PcieFunction& fn = system_.function(vf);
     TenantResult& r = results[vf];

@@ -2,8 +2,9 @@
 //
 // Datacenter servers often hang several devices off one switch (or share
 // root-port lanes), so the devices contend for a single link to the root
-// complex — a different bottleneck than the shared-IOMMU case that
-// MultiDeviceSystem models with independent links. The switch:
+// complex — a different bottleneck than the shared-IOMMU case that a
+// multi-device System (SystemConfig::devices) models with independent
+// links. The switch:
 //  * forwards upstream TLPs onto the shared upstream link (store and
 //    forward, per-port ingress then shared egress serialization);
 //  * translates request tags so concurrent devices' MRd tags cannot

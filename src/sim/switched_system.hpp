@@ -1,6 +1,6 @@
-// N devices behind one PCIe switch sharing a single uplink to the root
-// complex — the bandwidth-sharing topology complementing
-// MultiDeviceSystem's independent-links + shared-IOMMU study.
+// N devices behind one PCIe switch sharing a single uplink and root
+// complex — the bandwidth-sharing topology complementing a multi-device
+// System's (SystemConfig::devices) independent links + shared-IOMMU study.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,10 @@ class SwitchedSystem {
   SwitchedSystem(const SystemConfig& base, unsigned device_count);
 
   Simulator& sim() { return sim_; }
-  unsigned device_count() const { return static_cast<unsigned>(devices_.size()); }
+  /// One function per device, as on a multi-device System.
+  unsigned function_count() const {
+    return static_cast<unsigned>(devices_.size());
+  }
   DmaDevice& device(unsigned i) { return *devices_.at(i); }
   PcieSwitch& fabric() { return *switch_; }
   Link& shared_uplink() { return *uplink_; }

@@ -14,6 +14,15 @@ const SystemConfig& validated(const SystemConfig& cfg) {
     throw std::invalid_argument("tenants must be in 1..64, got " +
                                 std::to_string(n));
   }
+  if (cfg.devices < 1 || cfg.devices > 64) {
+    throw std::invalid_argument("devices must be in 1..64, got " +
+                                std::to_string(cfg.devices));
+  }
+  if (cfg.devices > 1 && n > 1) {
+    throw std::invalid_argument(
+        "several devices need one tenant each: a device's port holds one "
+        "function");
+  }
   if (!cfg.weights.empty()) {
     if (cfg.weights.size() != n) {
       throw std::invalid_argument("weights must name every tenant (" +
@@ -86,8 +95,11 @@ System::System(const SystemConfig& cfg)
 
 System::System(const SystemConfig& cfg, const obs::ProfScope& /*build*/)
     : cfg_(validated(cfg)),
-      up_(sim_, cfg_.link, cfg_.up_propagation, cfg_.dll),
-      down_(sim_, cfg_.link, cfg_.down_propagation, cfg_.dll),
+      ports_([this](Slots<Port>& ports) {
+        for (unsigned d = 0; d < cfg_.devices; ++d) {
+          ports.emplace_back(sim_, cfg_);
+        }
+      }),
       mems_([this](Slots<MemorySystem>& mems) {
         for (unsigned i = 0; i < (sliced(cfg_) ? cfg_.tenants : 1); ++i) {
           mems.emplace_back(sim_, cache_of(cfg_, i), cfg_.mem, cfg_.jitter,
@@ -95,44 +107,48 @@ System::System(const SystemConfig& cfg, const obs::ProfScope& /*build*/)
         }
       }),
       iommu_(sim_, cfg_.iommu) {
-  for (unsigned f = 0; f < cfg_.tenants; ++f) {
-    fns_.emplace_back(sim_, cfg_, memory(f), iommu_, up_, down_);
+  for (unsigned f = 0; f < std::max(cfg_.tenants, cfg_.devices); ++f) {
+    fns_.emplace_back(sim_, cfg_, memory(f), iommu_, upstream(f),
+                      downstream(f));
   }
-  if (shared()) port_aer_ = std::make_unique<fault::AerLog>();
+  if (fns_.size() > 1) port_aer_ = std::make_unique<fault::AerLog>();
   wire();
 }
 
 void System::wire() {
   // Error reporting is always on; the injector arms only with a plan,
   // keeping plan-free runs bit-identical to the seed. A lone function's
-  // log is the port's.
-  up_.set_aer(&port_aer());
-  down_.set_aer(&port_aer());
+  // log is its port's.
   iommu_.set_aer(&port_aer());
   if (!shared()) {
-    // A lone function has no RID: every TLP on the port is its own.
-    PcieFunction* fn = &fns_[0];
-    up_.set_deliver(
-        [fn](const proto::Tlp& t) { fn->root_complex().on_upstream(t); });
-    down_.set_deliver(
-        [fn](const proto::Tlp& t) { fn->device().on_downstream(t); });
+    // A lone function has no RID: every TLP on its port is its own.
+    for (unsigned f = 0; f < function_count(); ++f) {
+      PcieFunction* fn = &fns_[f];
+      Port& p = ports_[f];
+      p.both([fn](Link& l) { l.set_aer(&fn->aer()); });
+      p.up.set_deliver(
+          [fn](const proto::Tlp& t) { fn->root_complex().on_upstream(t); });
+      p.down.set_deliver(
+          [fn](const proto::Tlp& t) { fn->device().on_downstream(t); });
+    }
   } else {
+    Port& p = ports_[0];
+    p.both([this](Link& l) { l.set_aer(port_aer_.get()); });
     // Requester IDs, one TDM lane per VF (tdm_link) and one IOMMU domain
     // per VF. Upstream TLPs route to the requester function's own root
     // complex, downstream ones to its device.
     if (cfg_.isolation.tdm_link) {
       std::vector<unsigned> w = cfg_.weights;
-      if (w.empty()) w.assign(tenants(), 1);
-      up_.configure_tenants(w);
-      down_.configure_tenants(w);
+      if (w.empty()) w.assign(function_count(), 1);
+      p.both([&w](Link& l) { l.configure_tenants(w); });
     }
-    iommu_.configure_domains(tenants(), cfg_.isolation.per_vf_iotlb);
-    up_.set_deliver([this](const proto::Tlp& t) {
+    iommu_.configure_domains(function_count(), cfg_.isolation.per_vf_iotlb);
+    p.up.set_deliver([this](const proto::Tlp& t) {
       if (PcieFunction* fn = addressee(t, /*downstream=*/false)) {
         fn->root_complex().on_upstream(t);
       }
     });
-    down_.set_deliver([this](const proto::Tlp& t) {
+    p.down.set_deliver([this](const proto::Tlp& t) {
       if (PcieFunction* fn = addressee(t, /*downstream=*/true)) {
         fn->device().on_downstream(t);
       }
@@ -143,11 +159,10 @@ void System::wire() {
     // those records land in the port log — completer-side errors
     // (timeouts, UR/CA, IOMMU faults) stay per-VF either way. Physical
     // link-wide events (SurpriseLinkDown) always go to the port log.
-    for (unsigned f = 0; f < tenants(); ++f) {
+    for (unsigned f = 0; f < function_count(); ++f) {
       fns_[f].set_function(f);
       if (cfg_.isolation.tdm_link) {
-        up_.set_func_aer(f, &fns_[f].aer());
-        down_.set_func_aer(f, &fns_[f].aer());
+        p.both([&](Link& l) { l.set_func_aer(f, &fns_[f].aer()); });
       }
       iommu_.set_domain_aer(f, &fns_[f].aer());
     }
@@ -170,7 +185,7 @@ void System::wire() {
         cfg_.watchdog.check_every_events);
   }
   if (cfg_.recovery.enabled) {
-    for (unsigned f = 0; f < tenants(); ++f) arm_recovery(f);
+    for (unsigned f = 0; f < function_count(); ++f) arm_recovery(f);
   }
 }
 
@@ -191,44 +206,50 @@ PcieFunction* System::addressee(const proto::Tlp& tlp, bool downstream) {
     // without rewriting its RID — the neighbour's requester-ID check is
     // what must catch it.
     misroute_pending_ = -1;
-    target = (target + 1) % tenants();
+    target = (target + 1) % function_count();
   }
   return &fns_[target];
 }
 
-void System::freeze_port() {
-  up_.set_blocked(true);
-  down_.set_blocked(true);
+void System::freeze_port(unsigned f) {
+  port(f).both([](Link& l) { l.set_blocked(true); });
 }
 
 void System::arm_faults() {
+  // One injector serves every port, so nth=/every= ordinals count across
+  // ports as they count across VFs.
   injector_ = std::make_unique<fault::FaultInjector>(cfg_.fault_plan);
-  up_.set_fault_injector(injector_.get(), /*upstream=*/true);
-  down_.set_fault_injector(injector_.get(), /*upstream=*/false);
   iommu_.set_fault_injector(injector_.get());
   for (PcieFunction& f : fns_) {
     f.root_complex().set_fault_injector(injector_.get());
   }
+  for (unsigned p = 0; p < ports_.size(); ++p) {
+    Link& up = ports_[p].up;
+    Link& down = ports_[p].down;
+    up.set_fault_injector(injector_.get(), /*upstream=*/true);
+    down.set_fault_injector(injector_.get(), /*upstream=*/false);
 
-  // A surprise link-down is a physical event: the port pair goes dark —
-  // every tenant — whether or not a recovery policy is armed. Without one
-  // the links stay blocked forever (workloads terminate via drop
-  // accounting and completion timeouts); the recovery ladder is what
-  // brings them back.
-  up_.set_linkdown_hook([this] { freeze_port(); });
-  down_.set_linkdown_hook([this] { freeze_port(); });
+    // A surprise link-down is a physical event: the port pair goes dark —
+    // every tenant on it — whether or not a recovery policy is armed.
+    // Without one the links stay blocked forever (workloads terminate via
+    // drop accounting and completion timeouts); the recovery ladder is
+    // what brings them back.
+    up.set_linkdown_hook([this, p] { freeze_port(p); });
+    down.set_linkdown_hook([this, p] { freeze_port(p); });
 
-  // Dropped reads/completions recover via the device's completion
-  // timeout; a posted write lost on the up link is accounted at the loss
-  // site, to the function that sent it: its credits, its error log, its
-  // lost goodput.
-  up_.set_drop_hook([this](const proto::Tlp& t) {
-    if (test_misroute_) misroute_pending_ = static_cast<int>(t.func);
-    if (t.type != proto::TlpType::MemWr || t.func >= fns_.size()) return;
-    // test_leak_credits_on_drop_ omits the credit return (and only the
-    // credit return) so monitor self-tests can watch the ledger drift.
-    fns_[t.func].drop_posted_write(t, !test_leak_credits_on_drop_);
-  });
+    // Dropped reads/completions recover via the device's completion
+    // timeout; a posted write lost on the up link is accounted at the loss
+    // site, to the function that sent it: its credits, its error log, its
+    // lost goodput. A VF's TLP names it; a lone function's port is its own.
+    up.set_drop_hook([this, p](const proto::Tlp& t) {
+      if (test_misroute_) misroute_pending_ = static_cast<int>(t.func);
+      const unsigned owner = shared() ? t.func : p;
+      if (t.type != proto::TlpType::MemWr || owner >= fns_.size()) return;
+      // test_leak_credits_on_drop_ omits the credit return (and only the
+      // credit return) so monitor self-tests can watch the ledger drift.
+      fns_[owner].drop_posted_write(t, !test_leak_credits_on_drop_);
+    });
+  }
 }
 
 void System::arm_recovery(unsigned f) {
@@ -238,35 +259,32 @@ void System::arm_recovery(unsigned f) {
   // fail with accounting) rather than strand their tags.
   fn->device().arm_timeouts(true);
 
-  // A lone function's ladder owns the whole port: every action acts on
-  // both links and nothing it does is a blast-radius expansion. On a
-  // shared port a scoped ladder touches only its own lanes and IOMMU
+  // A lone function's ladder owns its whole port: every action acts on
+  // both of its links and nothing it does is a blast-radius expansion. On
+  // a shared port a scoped ladder touches only its own lanes and IOMMU
   // domain; every action that reaches past them is counted.
   const bool shared_port = shared();
   const bool scoped = cfg_.isolation.vf_scoped_recovery;
   const bool lane_scoped = shared_port && scoped && cfg_.isolation.tdm_link;
+  Port* port = &this->port(f);
 
   fault::RecoveryManager::Actions a;
-  a.downtrain = [this, f, lane_scoped, shared_port](unsigned lanes,
-                                                    unsigned gen) {
+  a.downtrain = [this, f, port, lane_scoped, shared_port](unsigned lanes,
+                                                          unsigned gen) {
     if (lane_scoped) {
-      up_.set_func_recovery_derate(f, lanes, gen);
-      down_.set_func_recovery_derate(f, lanes, gen);
+      port->both([&](Link& l) { l.set_func_recovery_derate(f, lanes, gen); });
       return;
     }
     // A lone function's burst derates its own port; a weakened VF's
     // derates every tenant's — a counted expansion.
-    up_.set_recovery_derate(lanes, gen);
-    down_.set_recovery_derate(lanes, gen);
+    port->both([&](Link& l) { l.set_recovery_derate(lanes, gen); });
     if (shared_port) ++device_wide_actions_;
   };
-  a.restore_link = [this, f, lane_scoped] {
+  a.restore_link = [f, port, lane_scoped] {
     if (lane_scoped) {
-      up_.clear_func_recovery_derate(f);
-      down_.clear_func_recovery_derate(f);
+      port->both([f](Link& l) { l.clear_func_recovery_derate(f); });
     } else {
-      up_.clear_recovery_derate();
-      down_.clear_recovery_derate();
+      port->both([](Link& l) { l.clear_recovery_derate(); });
     }
   };
   a.flr = [this, f, fn, scoped, shared_port] {
@@ -283,63 +301,63 @@ void System::arm_recovery(unsigned f) {
       ++device_wide_actions_;
     }
   };
-  a.contain = [this, f, fn, lane_scoped, shared_port] {
+  a.contain = [this, f, fn, port, lane_scoped, shared_port] {
     if (lane_scoped) {
       // Per-VF DPC: freeze only this function's virtual lanes; its host
       // requests answer UR, everyone else keeps running.
-      up_.set_func_blocked(f, true);
-      down_.set_func_blocked(f, true);
+      port->both([f](Link& l) { l.set_func_blocked(f, true); });
       fn->root_complex().set_port_contained(true);
       fn->root_complex().abort_host_reads();
       return;
     }
     // DPC on the whole port: every function's host requests answer UR.
-    freeze_port();
-    for (PcieFunction& o : fns_) {
+    freeze_port(f);
+    for_port(f, [](PcieFunction& o) {
       o.root_complex().set_port_contained(true);
       o.root_complex().abort_host_reads();
-    }
+    });
     if (shared_port) ++device_wide_actions_;
   };
-  a.hot_reset = [this, shared_port] {
-    // Hot reset + re-enumeration is inherently device-wide no matter how
-    // the ladder is scoped: every function resets (tags aborted, write
-    // queue drained, credits re-initialized by conservation), the port
-    // unfreezes and retrains at full width, and every IOMMU mapping is
-    // rebuilt — on a shared port, the explicit, counted blast-radius
-    // expansion of the escalation ladder.
+  a.hot_reset = [this, f, port, shared_port] {
+    // Hot reset + re-enumeration is inherently port-wide no matter how
+    // the ladder is scoped: every function on the port resets (tags
+    // aborted, write queue drained, credits re-initialized by
+    // conservation), the port unfreezes and retrains at full width, and
+    // every IOMMU mapping is rebuilt — on a shared port, the explicit,
+    // counted blast-radius expansion of the escalation ladder.
     if (shared_port) ++device_wide_actions_;
-    for (PcieFunction& o : fns_) o.device().function_level_reset();
-    up_.set_blocked(false);
-    down_.set_blocked(false);
-    up_.clear_recovery_derate();
-    down_.clear_recovery_derate();
+    for_port(f, [](PcieFunction& o) { o.device().function_level_reset(); });
+    port->both([](Link& l) { l.set_blocked(false); });
+    port->both([](Link& l) { l.clear_recovery_derate(); });
     if (shared_port && cfg_.isolation.tdm_link) {
-      for (unsigned o = 0; o < tenants(); ++o) {
-        up_.set_func_blocked(o, false);
-        down_.set_func_blocked(o, false);
-        up_.clear_func_recovery_derate(o);
-        down_.clear_func_recovery_derate(o);
+      for (unsigned o = 0; o < function_count(); ++o) {
+        port->both([o](Link& l) { l.set_func_blocked(o, false); });
+        port->both([o](Link& l) { l.clear_func_recovery_derate(o); });
       }
     }
-    for (PcieFunction& o : fns_) o.root_complex().set_port_contained(false);
+    for_port(f, [](PcieFunction& o) {
+      o.root_complex().set_port_contained(false);
+    });
     iommu_.remap_after_reset();
   };
-  a.on_transition = [this] {
+  a.on_transition = [this, f] {
     // Containment and reset windows are intentionally quiet — and a
-    // device-wide action quiets *every* tenant — so every stall detector
-    // re-primes and none mistakes the window for a hang.
-    for (PcieFunction& o : fns_) {
+    // device-wide action quiets *every* tenant on the port — so every
+    // stall detector there re-primes and none mistakes the window for a
+    // hang.
+    for_port(f, [](PcieFunction& o) {
       if (o.watchdog()) o.watchdog()->reprime();
-    }
+    });
   };
   fn->arm_recovery(cfg_.recovery, std::move(a));
 }
 
 void System::set_trace_sink(obs::TraceSink* sink) {
   trace_ = sink;
-  up_.set_trace(sink, obs::Component::LinkUp);
-  down_.set_trace(sink, obs::Component::LinkDown);
+  for (Port& p : ports_) {
+    p.up.set_trace(sink, obs::Component::LinkUp);
+    p.down.set_trace(sink, obs::Component::LinkDown);
+  }
   iommu_.set_trace(sink);
   for (MemorySystem& m : mems_) m.set_trace(sink);
   for (PcieFunction& f : fns_) f.set_trace(sink);
@@ -368,8 +386,8 @@ void System::register_counters(obs::CounterRegistry& reg) {
       return now > 0 ? double(link->busy_total()) / double(now) : 0.0;
     });
   };
-  link_counters("link.up", &up_);
-  link_counters("link.down", &down_);
+  link_counters("link.up", &upstream());
+  link_counters("link.down", &downstream());
 
   DmaDevice* dev = &device();
   const DmaDevice::CounterSources ds = dev->counter_sources();
@@ -461,8 +479,8 @@ void System::register_counters(obs::CounterRegistry& reg) {
                     [rc] { return double(rc->contained_host_reads()); });
     Iommu* mmu = &iommu_;
     reg.add_counter("iommu.remaps", [mmu] { return double(mmu->remaps()); });
-    Link* up = &up_;
-    Link* down = &down_;
+    Link* up = &upstream();
+    Link* down = &downstream();
     reg.add_counter("link.up.blocked_drops",
                     [up] { return double(up->blocked_drops()); });
     reg.add_counter("link.down.blocked_drops",
@@ -514,15 +532,16 @@ std::string System::counters_line(unsigned f) const {
   add("rc.error_cpls", rc.error_completions());
   add("rc.contained_host_reads", rc.contained_host_reads());
 
-  // A function's lane is its TDM lane, or a lone function's one lane.
-  // The shared-FIFO weakened link has no per-tenant DLL state to report;
-  // its keys stay in the schema (zeroed) so lines from either mode align
-  // column-for-column.
+  // A function's lane is its TDM lane, or a lone function's port's one
+  // lane. The shared-FIFO weakened link has no per-tenant DLL state to
+  // report; its keys stay in the schema (zeroed) so lines from either
+  // mode align column-for-column.
   Link::FuncCounters up{};
   Link::FuncCounters down{};
   if (!shared() || cfg_.isolation.tdm_link) {
-    up = up_.func_counters(f);
-    down = down_.func_counters(f);
+    const unsigned lane = shared() ? f : 0;
+    up = port(f).up.func_counters(lane);
+    down = port(f).down.func_counters(lane);
   }
   add("lane.up.tlps", up.tlps);
   add("lane.up.wire_bytes", up.wire_bytes);
@@ -543,7 +562,8 @@ std::string System::counters_line(unsigned f) const {
   add("lane.down.poisoned", down.poisoned);
   add("lane.down.blocked_drops", down.blocked_drops);
 
-  // A VF reports its own IOMMU domain; a lone function owns the IOMMU.
+  // A VF reports its own IOMMU domain; a lone function reports the IOMMU,
+  // which every device of a multi-device System shares.
   if (shared()) {
     const Iommu::DomainStats& d = iommu_.domain_stats(f);
     add("iommu.hits", d.hits);

@@ -6,16 +6,22 @@
 // direct-maps DMA, and with it enabled our page mappings are identity at
 // the chunk level, so the memory system indexes caches by IOVA directly.
 //
-// One port holds 1..64 PCIe functions (SystemConfig::tenants). The paper's
-// device is the one-function case and owns the whole port. Several
-// functions are SR-IOV VFs sharing it, each a first-class tenant with its
-// own requester ID and tag space, IOMMU domain, AER log, watchdog and
-// recovery ladder (docs/ISOLATION.md). Everything a shared port adds is a
-// branch on shared(), and each follows from "a lone function owns the
-// port": it has no requester ID, one memory system on `seed`, no TDM lanes
-// or IOMMU domains, its own AER log as the port's, timeouts and a watchdog
-// only with a fault plan, and a ladder that derates, contains and
-// hot-resets the whole port.
+// A System holds 1..64 ports (SystemConfig::devices), and one port holds
+// 1..64 PCIe functions (SystemConfig::tenants), never both more than one.
+// The paper's device is the one-port, one-function case and owns the
+// whole port. Several functions on one port are SR-IOV VFs sharing it,
+// each a first-class tenant with its own requester ID and tag space,
+// IOMMU domain, AER log, watchdog and recovery ladder (docs/ISOLATION.md).
+// Several ports are the §9 multi-device study: each device owns its port
+// and link pair as the paper's device does, and all of them share one
+// memory system and one IOMMU, so devices evict each other's IO-TLB
+// entries and queue on the same page walkers.
+//
+// Everything a shared port adds is a branch on shared(), and each follows
+// from "a lone function owns its port": it has no requester ID, one
+// memory system on `seed`, no TDM lanes or IOMMU domains, its own AER log
+// as the port's, timeouts and a watchdog only with a fault plan, and a
+// ladder that derates, contains and hot-resets its whole port.
 #pragma once
 
 #include <cstdint>
@@ -99,6 +105,10 @@ struct SystemConfig {
   std::uint64_t seed = 1;
   /// PCIe functions on the port (1..64); more than one are SR-IOV VFs.
   unsigned tenants = 1;
+  /// Devices (1..64), each with its own port, link pair and one function,
+  /// all sharing the memory system and the IOMMU. More than one needs
+  /// tenants == 1.
+  unsigned devices = 1;
   /// Link arbitration weight per function; empty = equal shares. Needs
   /// isolation.tdm_link: a shared FIFO has no lanes to weight.
   std::vector<unsigned> weights;
@@ -110,7 +120,8 @@ struct SystemConfig {
 
 class System {
  public:
-  /// Throws std::invalid_argument on a malformed link or tenant shape.
+  /// Throws std::invalid_argument on a malformed link, tenant or device
+  /// shape.
   explicit System(const SystemConfig& cfg);
   /// Every component's hooks capture `this` or a function's address.
   System(const System&) = delete;
@@ -118,9 +129,11 @@ class System {
 
   Simulator& sim() { return sim_; }
   const SystemConfig& config() const { return cfg_; }
-  unsigned tenants() const { return static_cast<unsigned>(fns_.size()); }
-  /// Several functions share the port (SR-IOV); one owns it.
-  bool shared() const { return fns_.size() > 1; }
+  /// One function per VF of a shared port, otherwise one per device.
+  unsigned function_count() const { return static_cast<unsigned>(fns_.size()); }
+  /// Several functions share one port (SR-IOV); a lone function owns its
+  /// port.
+  bool shared() const { return cfg_.tenants > 1; }
 
   /// Function `f`'s RC, DMA engine and their ledgers.
   PcieFunction& function(unsigned f = 0) { return fns_.at(f); }
@@ -135,8 +148,9 @@ class System {
     return mems_.size() == 1 ? mems_[0] : mems_.at(f);
   }
   Iommu& iommu() { return iommu_; }
-  Link& upstream() { return up_; }
-  Link& downstream() { return down_; }
+  /// Function `f`'s port links: its device's own, or the shared port's.
+  Link& upstream(unsigned f = 0) { return port(f).up; }
+  Link& downstream(unsigned f = 0) { return port(f).down; }
 
   /// Register function `f`'s benchmark buffer so NUMA locality resolves
   /// per-address.
@@ -167,10 +181,12 @@ class System {
   /// Function `f`'s AER log (completer errors, timeouts, and per-lane DLL
   /// records in TDM mode); always attached, cheap when nothing records.
   fault::AerLog& aer(unsigned f = 0) { return function(f).aer(); }
-  /// Where link-wide and unattributed errors land: a lone function's own
-  /// log, or a shared port's separate log, which deliberately has no
-  /// recovery listener — a dead port is not one tenant's ladder to run.
-  fault::AerLog& port_aer() { return shared() ? *port_aer_ : aer(); }
+  /// Where errors no one function owns land: a lone function's own log;
+  /// otherwise a separate log that deliberately has no recovery listener
+  /// — a shared port's link-wide errors (a dead port is not one tenant's
+  /// ladder to run), or the shared IOMMU's faults on a multi-device
+  /// System, whose devices carry no requester ID to attribute them by.
+  fault::AerLog& port_aer() { return port_aer_ ? *port_aer_ : aer(); }
   /// The active injector, or nullptr when no fault plan is armed.
   fault::FaultInjector* fault_injector() { return injector_.get(); }
   /// Function `f`'s watchdog, or nullptr when unarmed.
@@ -197,7 +213,8 @@ class System {
 
   /// Canonical per-function counter line ("k=v k=v ..."), the tenant-chaos
   /// identity artifact: every counter that describes function `f`'s
-  /// observable behaviour, none that aggregates across tenants.
+  /// observable behaviour, none that aggregates across tenants. Its lane
+  /// counters come from `f`'s port.
   std::string counters_line(unsigned f) const;
 
   /// TEST-ONLY bug seeding for the invariant monitors (check::MonitorSuite
@@ -220,12 +237,13 @@ class System {
   void test_misroute_completions(bool on) { test_misroute_ = on; }
   bool test_misroutes_completions() const { return test_misroute_; }
 
-  /// Attach a trace sink to every component (nullptr detaches). Costs one
-  /// null-pointer check per would-be event when detached.
+  /// Attach a trace sink to every component of every port (nullptr
+  /// detaches). Costs one null-pointer check per would-be event when
+  /// detached.
   void set_trace_sink(obs::TraceSink* sink);
   obs::TraceSink* trace_sink() const { return trace_; }
 
-  /// Register function 0's and the port's counters and gauges with `reg`
+  /// Register function 0's and its port's counters and gauges with `reg`
   /// under the stable names documented in docs/OBSERVABILITY.md. Gauges
   /// sample live state, so the registry must not outlive this System.
   void register_counters(obs::CounterRegistry& reg);
@@ -250,24 +268,55 @@ class System {
   /// member initializers that build every component are charged to it.
   System(const SystemConfig& cfg, const obs::ProfScope& build);
 
+  /// One port's link pair.
+  struct Port {
+    Port(Simulator& sim, const SystemConfig& cfg)
+        : up(sim, cfg.link, cfg.up_propagation, cfg.dll),
+          down(sim, cfg.link, cfg.down_propagation, cfg.dll) {}
+    /// Apply `act` to the up link, then the down link.
+    template <typename Act>
+    void both(Act act) {
+      act(up);
+      act(down);
+    }
+    Link up;
+    Link down;
+  };
+  /// Function `f`'s port.
+  Port& port(unsigned f) {
+    return ports_.size() == 1 ? ports_[0] : ports_.at(f);
+  }
+  const Port& port(unsigned f) const {
+    return const_cast<System&>(*this).port(f);
+  }
+  /// Apply `act` to every function on function `f`'s port: each VF of a
+  /// shared port, or the lone function itself.
+  template <typename Act>
+  void for_port(unsigned f, Act act) {
+    if (!shared()) return act(fns_[f]);
+    for (PcieFunction& o : fns_) act(o);
+  }
+
   /// The constructor's second half, once every component exists: give a
-  /// shared port its RIDs, lanes and domains, install the link routing
+  /// shared port its RIDs, lanes and domains, install each port's routing
   /// and AER attachments, then arm fault/recovery machinery per cfg_.
   void wire();
   void arm_faults();
   void arm_recovery(unsigned f);
-  /// DPC/linkdown port freeze: block both directions. In-flight TLPs are
-  /// discarded at delivery time; new sends drop at the entry check.
-  void freeze_port();
+  /// DPC/linkdown freeze of function `f`'s port: block both directions.
+  /// In-flight TLPs are discarded at delivery time; new sends drop at the
+  /// entry check.
+  void freeze_port(unsigned f);
   /// The function a shared port delivers `tlp` to (the seeded misroute
   /// may bend a downstream completion), or nullptr after logging an
   /// out-of-range RID.
   PcieFunction* addressee(const proto::Tlp& tlp, bool downstream);
 
-  /// The port's functions or memory systems, each at a fixed address (hooks
-  /// capture them). The first lives inline and the rest on the heap, so a
-  /// one-function port allocates in the order and amount its components
-  /// do: heap-held lone elements measurably slowed sweep set-up.
+  /// The ports, functions or memory systems, each at a fixed address
+  /// (hooks capture them). The first lives inline and the rest on the
+  /// heap, so a one-port, one-function System allocates in the order and
+  /// amount its components do: heap-held lone elements measurably slowed
+  /// sweep set-up.
   template <typename T>
   class Slots {
    public:
@@ -319,16 +368,16 @@ class System {
 
   SystemConfig cfg_;
   Simulator sim_;
-  Link up_;
-  Link down_;
+  /// One port per device.
+  Slots<Port> ports_;
   /// One memory system, or one LLC slice per function (per_vf_uncore on
   /// a shared port).
   Slots<MemorySystem> mems_;
   Iommu iommu_;
-  /// One function per VF.
+  /// One function per VF or per device.
   Slots<PcieFunction> fns_;
-  /// A shared port's link-wide log (a lone function's own log is the
-  /// port's).
+  /// port_aer() when there are several functions; a lone one's own log is
+  /// its port's.
   std::unique_ptr<fault::AerLog> port_aer_;
   obs::TraceSink* trace_ = nullptr;
   std::unique_ptr<fault::FaultInjector> injector_;

@@ -19,7 +19,6 @@
 
 #include "common/rng.hpp"
 #include "sim/host_buffer.hpp"
-#include "sim/multi_system.hpp"
 #include "sim/switched_system.hpp"
 #include "sim/system.hpp"
 #include "sysconfig/profiles.hpp"
@@ -387,7 +386,7 @@ TEST(CacheWarmGeometryTest, RandomShapesEvictionWalk) {
 // the per-line loop the topology used to run (kept here as the
 // reference), then compares the cache state as above.
 
-/// The per-line loops a shared-port System, MultiDeviceSystem and
+/// The per-line loops a shared-port System, a multi-device System and
 /// SwitchedSystem used to run.
 void per_line_warm_host(LastLevelCache& c, const HostBuffer& buf,
                         std::uint64_t offset, std::uint64_t len) {
@@ -498,7 +497,7 @@ TEST(TopologyWarmTest, SharedUncoreSecondWarmFallsBackIdentically) {
                                {&b0, &b1}, kWindow + 4096, "shared two warms");
 }
 
-/// multi_runner's preparation for MultiDeviceSystem and SwitchedSystem:
+/// multi_runner's preparation for a multi-device System and SwitchedSystem:
 /// one thrash, then every device's window warmed into the shared LLC (the
 /// first lazily, the rest through the fallback on top of it).
 template <typename Topology>
@@ -519,9 +518,10 @@ void check_shared_llc_topology(Topology& bulk, Topology& ref, unsigned devices,
 }
 
 TEST(TopologyWarmTest, MultiDeviceBulkWarmMatchesPerLineLoop) {
-  const SystemConfig base = sys::profile_by_name("NFP6000-BDW").config;
+  SystemConfig cfg = sys::profile_by_name("NFP6000-BDW").config;
   for (const unsigned devices : {1u, 3u}) {
-    MultiDeviceSystem bulk(base, devices), ref(base, devices);
+    cfg.devices = devices;
+    System bulk(cfg), ref(cfg);
     check_shared_llc_topology(bulk, ref, devices,
                               "multi-device x" + std::to_string(devices));
   }
@@ -601,11 +601,13 @@ TEST(TopologyWarmTest, EveryTopologyRejectsWindowPastBufferEnd) {
       "System::warm_device (vf1)");
   EXPECT_NO_THROW(tenants.warm_host(buf, 0, size, 1));
 
-  MultiDeviceSystem multi(base, 2);
+  SystemConfig mcfg = base;
+  mcfg.devices = 2;
+  System multi(mcfg);
   expect_rejects_bad_windows(
       multi.memory().cache(), buf,
       [&](std::uint64_t o, std::uint64_t l) { multi.warm_host(buf, o, l); },
-      "MultiDeviceSystem::warm_host");
+      "System::warm_host (2 devices)");
   EXPECT_NO_THROW(multi.warm_host(buf, 0, size));
 
   SwitchedSystem switched(base, 2);

@@ -1,4 +1,4 @@
-#include "sim/multi_system.hpp"
+#include "sim/system.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,12 @@ using core::MultiDeviceSpec;
 
 sim::SystemConfig host() { return sys::nfp6000_bdw().config; }
 
+/// `base` with `n` devices, each on its own port.
+sim::SystemConfig devices(sim::SystemConfig base, unsigned n) {
+  base.devices = n;
+  return base;
+}
+
 MultiDeviceSpec read_spec(std::uint64_t window, std::uint64_t pages = 4096) {
   MultiDeviceSpec spec;
   spec.kind = BenchKind::BwRd;
@@ -25,18 +31,18 @@ MultiDeviceSpec read_spec(std::uint64_t window, std::uint64_t pages = 4096) {
 }
 
 TEST(MultiDeviceSystemTest, ConstructionRejectsZeroDevices) {
-  EXPECT_THROW(sim::MultiDeviceSystem(host(), 0), std::invalid_argument);
+  EXPECT_THROW(sim::System(devices(host(), 0)), std::invalid_argument);
 }
 
 TEST(MultiDeviceSystemTest, PortsAreIndependentObjects) {
-  sim::MultiDeviceSystem system(host(), 3);
-  EXPECT_EQ(system.device_count(), 3u);
+  sim::System system(devices(host(), 3));
+  EXPECT_EQ(system.function_count(), 3u);
   EXPECT_NE(&system.device(0), &system.device(1));
   EXPECT_NE(&system.root_complex(0), &system.root_complex(2));
 }
 
 TEST(MultiDeviceRunnerTest, RejectsLatencyKinds) {
-  sim::MultiDeviceSystem system(host(), 1);
+  sim::System system(devices(host(), 1));
   MultiDeviceSpec spec = read_spec(64 << 10);
   spec.kind = BenchKind::LatRd;
   EXPECT_THROW(core::run_multi_device_bandwidth(system, spec),
@@ -44,7 +50,7 @@ TEST(MultiDeviceRunnerTest, RejectsLatencyKinds) {
 }
 
 TEST(MultiDeviceRunnerTest, SingleDeviceMatchesSingleSystem) {
-  sim::MultiDeviceSystem system(host(), 1);
+  sim::System system(devices(host(), 1));
   const auto r = core::run_multi_device_bandwidth(system, read_spec(64 << 10));
   ASSERT_EQ(r.per_device_gbps.size(), 1u);
   // ~27 Gb/s: the warm 64 B read rate of the single-device system.
@@ -54,9 +60,9 @@ TEST(MultiDeviceRunnerTest, SingleDeviceMatchesSingleSystem) {
 TEST(MultiDeviceRunnerTest, SeparateLinksScaleWithoutIommu) {
   // Each device has its own x8 link; without the IOMMU the shared memory
   // system has ample headroom, so aggregate throughput scales.
-  sim::MultiDeviceSystem one(host(), 1);
+  sim::System one(devices(host(), 1));
   const auto r1 = core::run_multi_device_bandwidth(one, read_spec(128 << 10));
-  sim::MultiDeviceSystem four(host(), 4);
+  sim::System four(devices(host(), 4));
   const auto r4 = core::run_multi_device_bandwidth(four, read_spec(128 << 10));
   EXPECT_GT(r4.total_gbps, 3.5 * r1.total_gbps);
 }
@@ -65,12 +71,12 @@ TEST(MultiDeviceRunnerTest, SharedIoTlbThrashesWithManyDevices) {
   // The §9 question: with 4 KB pages, each 128 KB window needs 32 IO-TLB
   // entries. One device fits the 64-entry TLB; four devices thrash it.
   const auto iommu_host = sys::with_iommu(host(), true, 4096);
-  sim::MultiDeviceSystem one(iommu_host, 1);
+  sim::System one(devices(iommu_host, 1));
   const auto r1 = core::run_multi_device_bandwidth(one, read_spec(128 << 10));
   EXPECT_NEAR(r1.per_device_gbps[0], 27.0, 2.5);  // fits: no penalty
   EXPECT_EQ(r1.tlb_misses, 0u);
 
-  sim::MultiDeviceSystem four(iommu_host, 4);
+  sim::System four(devices(iommu_host, 4));
   const auto r4 = core::run_multi_device_bandwidth(four, read_spec(128 << 10));
   EXPECT_LT(r4.per_device_gbps[0], 0.5 * r1.per_device_gbps[0]);
   EXPECT_GT(r4.tlb_misses, 1000u);
@@ -78,7 +84,7 @@ TEST(MultiDeviceRunnerTest, SharedIoTlbThrashesWithManyDevices) {
 
 TEST(MultiDeviceRunnerTest, SuperpagesRemoveTheContention) {
   const auto sp_host = sys::with_iommu(host(), true, 2ull << 20);
-  sim::MultiDeviceSystem four(sp_host, 4);
+  sim::System four(devices(sp_host, 4));
   const auto r =
       core::run_multi_device_bandwidth(four, read_spec(128 << 10, 2ull << 20));
   for (double g : r.per_device_gbps) {
@@ -87,7 +93,7 @@ TEST(MultiDeviceRunnerTest, SuperpagesRemoveTheContention) {
 }
 
 TEST(MultiDeviceRunnerTest, ActiveSubsetLimitsLoad) {
-  sim::MultiDeviceSystem system(host(), 4);
+  sim::System system(devices(host(), 4));
   MultiDeviceSpec spec = read_spec(64 << 10);
   spec.active_devices = 2;
   const auto r = core::run_multi_device_bandwidth(system, spec);
@@ -95,7 +101,7 @@ TEST(MultiDeviceRunnerTest, ActiveSubsetLimitsLoad) {
 }
 
 TEST(MultiDeviceRunnerTest, WritesRunConcurrently) {
-  sim::MultiDeviceSystem system(host(), 2);
+  sim::System system(devices(host(), 2));
   MultiDeviceSpec spec = read_spec(64 << 10);
   spec.kind = BenchKind::BwWr;
   const auto r = core::run_multi_device_bandwidth(system, spec);
@@ -105,9 +111,9 @@ TEST(MultiDeviceRunnerTest, WritesRunConcurrently) {
 }
 
 TEST(MultiDeviceRunnerTest, DeterministicAcrossRuns) {
-  sim::MultiDeviceSystem a(host(), 2);
+  sim::System a(devices(host(), 2));
   const auto ra = core::run_multi_device_bandwidth(a, read_spec(128 << 10));
-  sim::MultiDeviceSystem b(host(), 2);
+  sim::System b(devices(host(), 2));
   const auto rb = core::run_multi_device_bandwidth(b, read_spec(128 << 10));
   EXPECT_EQ(ra.per_device_gbps, rb.per_device_gbps);
 }

@@ -32,8 +32,8 @@
 
 #include "core/multi_runner.hpp"
 #include "exec/journal.hpp"
-#include "sim/multi_system.hpp"
 #include "sim/switched_system.hpp"
+#include "sim/system.hpp"
 #include "sysconfig/profiles.hpp"
 
 using namespace pcieb;
@@ -69,10 +69,11 @@ core::MultiDeviceSpec spec_of(core::BenchKind kind, std::uint32_t size,
   return spec;
 }
 
-std::string independent_line(const char* label, const sim::SystemConfig& host,
+std::string independent_line(const char* label, sim::SystemConfig host,
                              unsigned devices,
                              const core::MultiDeviceSpec& spec) {
-  sim::MultiDeviceSystem system(host, devices);
+  host.devices = devices;
+  sim::System system(host);
   const core::MultiDeviceResult r =
       core::run_multi_device_bandwidth(system, spec);
   std::string out = fmt("independent %s x%u", label, devices) +
@@ -82,7 +83,8 @@ std::string independent_line(const char* label, const sim::SystemConfig& host,
                system.upstream(d).tlps_sent(),
                system.downstream(d).tlps_sent());
   }
-  return out + fmt(" end_ps=%lld\n", static_cast<long long>(system.sim().now()));
+  return out +
+         fmt(" end_ps=%lld\n", static_cast<long long>(system.sim().now()));
 }
 
 std::string switched_line(const sim::SystemConfig& host, unsigned devices,

@@ -151,7 +151,9 @@ TEST(SwitchedSystemTest, SharedUplinkDividesBandwidth) {
 TEST(SwitchedSystemTest, IndependentLinksScaleWhereSharedDoNot) {
   sim::SwitchedSystem shared(host(), 4);
   const auto rs = core::run_multi_device_bandwidth(shared, read_spec(512));
-  sim::MultiDeviceSystem indep(host(), 4);
+  sim::SystemConfig indep_cfg = host();
+  indep_cfg.devices = 4;
+  sim::System indep(indep_cfg);
   const auto ri = core::run_multi_device_bandwidth(indep, read_spec(512));
   EXPECT_GT(ri.total_gbps, 3.0 * rs.total_gbps);
 }

@@ -208,7 +208,7 @@ TEST(TlpTimelineDigest, FourVfTenantTrial) {
   TimelineDigest digest;
   system.upstream().set_trace(digest.sink(), obs::Component::LinkUp);
   system.downstream().set_trace(digest.sink(), obs::Component::LinkDown);
-  for (unsigned vf = 0; vf < system.tenants(); ++vf) {
+  for (unsigned vf = 0; vf < system.function_count(); ++vf) {
     system.function(vf).set_trace(digest.sink());
   }
   core::run_tenant_bench(system, spec.params);

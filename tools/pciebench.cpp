@@ -645,13 +645,13 @@ int cmd_run_tenants(const Args& args, const TenantOpt& topt) {
     if (system.shared()) {
       std::printf("port AER:\n%s", system.port_aer().to_table().c_str());
     }
-    for (unsigned vf = 0; vf < system.tenants(); ++vf) {
+    for (unsigned vf = 0; vf < system.function_count(); ++vf) {
       std::printf("vf%u AER:\n%s", vf, system.aer(vf).to_table().c_str());
     }
     if (auto* inj = system.fault_injector()) {
       std::printf("%s", inj->to_table().c_str());
     }
-    for (unsigned vf = 0; vf < system.tenants(); ++vf) {
+    for (unsigned vf = 0; vf < system.function_count(); ++vf) {
       if (const auto* rec = system.recovery(vf)) {
         std::printf("vf%u recovery:\n%s", vf, rec->to_table().c_str());
       }

@@ -1,12 +1,16 @@
 // Invariant monitors: clean and faulted runs hold every invariant, the
 // deliberately seeded credit-return omission is caught at quiesce, throw
-// mode raises InvariantError, and detaching a suite frees the hook slot.
+// mode raises InvariantError, detaching a suite frees the hook slot, and
+// on a multi-device System every port is checked and every detail names
+// its device.
 #include <gtest/gtest.h>
 
 #include "check/monitors.hpp"
+#include "core/multi_runner.hpp"
 #include "core/params.hpp"
 #include "core/runner.hpp"
 #include "fault/plan.hpp"
+#include "fault/recovery.hpp"
 #include "sysconfig/profiles.hpp"
 
 namespace pcieb {
@@ -117,6 +121,66 @@ TEST(Monitors, CheckNowOnFreshSystemPasses) {
   suite.check_now();
   suite.check_quiescent();
   EXPECT_TRUE(suite.ok()) << suite.report();
+}
+
+sim::SystemConfig three_devices() {
+  auto cfg = sys::nfp6000_bdw().config;
+  cfg.devices = 3;
+  cfg.recovery = fault::parse_recovery_policy("default");
+  return cfg;
+}
+
+TEST(Monitors, MultiDeviceLinkFaultStaysOnItsDevice) {
+  // run_multi_device_bandwidth gives device d a 64 MB buffer at
+  // 0x4000'0000 + d * 2^38; the drop clause matches only device 1's TLPs.
+  auto cfg = three_devices();
+  cfg.fault_plan =
+      fault::parse_plan("drop@every=300,addr=0x4040000000-0x4043ffffff");
+  sim::System system(cfg);
+  check::MonitorConfig mc;
+  mc.throw_on_violation = true;
+  check::MonitorSuite suite(system, mc);
+  core::MultiDeviceSpec spec;
+  spec.transfer_size = 256;
+  const auto r = core::run_multi_device_bandwidth(system, spec);
+  suite.check_quiescent();
+  EXPECT_TRUE(suite.ok()) << suite.report();
+  ASSERT_EQ(r.per_device_gbps.size(), 3u);
+
+  EXPECT_GT(system.aer(1).total(fault::ErrorSeverity::NonFatal), 0u);
+  EXPECT_GT(system.device(1).read_retries(), 0u);
+  EXPECT_GT(system.recovery(1)->transitions(), 0u);
+  for (const unsigned d : {0u, 2u}) {
+    EXPECT_EQ(system.aer(d).recorded(), 0u) << "dev" << d;
+    EXPECT_EQ(system.device(d).read_retries(), 0u) << "dev" << d;
+    EXPECT_EQ(system.recovery(d)->transitions(), 0u) << "dev" << d;
+  }
+  EXPECT_EQ(system.port_aer().recorded(), 0u);
+}
+
+TEST(Monitors, MultiDeviceDetailsNameTheirDevice) {
+  // A link-down on device 1 contains only its port. Checked before the
+  // holdoff ends, its ladder is still mid-flight, and the one violation
+  // says whose it is.
+  sim::System system(three_devices());
+  check::MonitorSuite suite(system);
+  system.aer(1).record(fault::ErrorType::SurpriseLinkDown, 0);
+  system.sim().run_until(from_nanos(1));
+  ASSERT_EQ(system.recovery(1)->state(), fault::RecoveryState::Contained);
+  EXPECT_TRUE(system.upstream(1).blocked());
+  EXPECT_TRUE(system.downstream(1).blocked());
+  for (const unsigned d : {0u, 2u}) {
+    EXPECT_FALSE(system.upstream(d).blocked()) << "dev" << d;
+    EXPECT_FALSE(system.downstream(d).blocked()) << "dev" << d;
+    EXPECT_EQ(system.recovery(d)->state(), fault::RecoveryState::Operational);
+  }
+  suite.check_quiescent();
+
+  ASSERT_EQ(suite.total_violations(), 1u) << suite.report();
+  const check::Violation& v = suite.violations().front();
+  EXPECT_EQ(v.monitor, "recovery");
+  EXPECT_EQ(v.detail.rfind("dev1: ladder did not converge", 0), 0u)
+      << v.format();
 }
 
 }  // namespace

@@ -31,7 +31,6 @@ BenchRunner::BenchRunner(sim::System& system, const BenchParams& params)
   if (!system_.sim().empty()) {
     throw std::logic_error("BenchRunner: simulator has pending events");
   }
-  system_.attach_buffer(&buffer_);
   // The IOMMU granule follows the buffer's backing page size.
   if (system_.iommu().config().enabled &&
       system_.iommu().config().page_bytes != params_.page_bytes) {
@@ -40,7 +39,10 @@ BenchRunner::BenchRunner(sim::System& system, const BenchParams& params)
         "configure IommuConfig::page_bytes to match BenchParams::page_bytes");
   }
   prepare_state();
+  system_.attach_buffer(&buffer_);
 }
+
+BenchRunner::~BenchRunner() { system_.attach_buffer(nullptr); }
 
 void BenchRunner::prepare_state() {
   obs::ProfScope prof(obs::CostCenter::SystemBuild);

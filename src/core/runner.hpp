@@ -68,6 +68,9 @@ class BenchRunner {
   /// The runner prepares cache/IOMMU state per `params` before measuring;
   /// the system's simulator must be idle.
   BenchRunner(sim::System& system, const BenchParams& params);
+  ~BenchRunner();  ///< detaches the buffer from the system
+  BenchRunner(const BenchRunner&) = delete;
+  BenchRunner& operator=(const BenchRunner&) = delete;
 
   LatencyResult run_latency();
   BandwidthResult run_bandwidth();

@@ -71,6 +71,12 @@ TenantRunner::TenantRunner(sim::System& system, const BenchParams& params)
   }
 }
 
+TenantRunner::~TenantRunner() {
+  for (unsigned vf = 0; vf < buffers_.size(); ++vf) {
+    system_.attach_buffer(nullptr, vf);
+  }
+}
+
 std::vector<TenantResult> TenantRunner::run() {
   auto& sim = system_.sim();
   const std::uint32_t sz = params_.transfer_size;

@@ -84,6 +84,7 @@ CommodityProbeResult run_commodity_probe(sim::System& system,
   next();
   sim.run();
   system.set_write_observer({});
+  system.attach_buffer(nullptr);
 
   CommodityProbeResult result;
   result.config = cfg;

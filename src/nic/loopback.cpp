@@ -62,6 +62,7 @@ LoopbackResult run_loopback(sim::System& system, const LoopbackConfig& cfg) {
   next_iteration();
   sim.run();
   system.set_write_observer({});
+  system.attach_buffer(nullptr);
 
   LoopbackResult result;
   result.config = cfg;

@@ -75,8 +75,10 @@ class PcieFunction {
   }
 
   /// Register the function's benchmark buffer so NUMA locality resolves
-  /// per address (addresses outside it count as local).
+  /// per address (addresses outside it count as local); nullptr detaches.
+  /// Whoever attaches a buffer detaches it before destroying it.
   void attach_buffer(const HostBuffer* buf);
+  const HostBuffer* buffer() const { return buffer_; }
 
   /// A posted write the up link lost has no completion to time out on:
   /// log it, reclaim its credits at the loss site and count it as lost.

@@ -6,6 +6,7 @@
 
 #include "model/interaction.hpp"
 #include "model/nic_models.hpp"
+#include "nic/commodity.hpp"
 #include "nic/frame.hpp"
 #include "nic/loopback.hpp"
 #include "nic/nic_sim.hpp"
@@ -166,6 +167,22 @@ TEST(LoopbackTest, TotalLatencyAroundAMicrosecondAt128B) {
   auto r = run_loopback(system, cfg);
   EXPECT_GT(r.total.median_ns, 600.0);
   EXPECT_LT(r.total.median_ns, 1300.0);
+}
+
+TEST(LoopbackTest, NicRunnersDetachTheirBuffers) {
+  // Each runner's buffer lives on its stack: it must be detached before
+  // the runner returns, or the function's locality resolver dangles.
+  sim::System loop(sys::netfpga_hsw().config);
+  LoopbackConfig lc;
+  lc.iterations = 20;
+  run_loopback(loop, lc);
+  EXPECT_EQ(loop.function().buffer(), nullptr);
+
+  sim::System probe(sys::nfp6000_snb().config);
+  CommodityProbeConfig cc;
+  cc.iterations = 20;
+  run_commodity_probe(probe, cc);
+  EXPECT_EQ(probe.function().buffer(), nullptr);
 }
 
 TEST(LoopbackTest, LatencyGrowsWithPacketSize) {

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "core/report.hpp"
+#include "core/tenant_runner.hpp"
 #include "sysconfig/profiles.hpp"
 
 namespace pcieb::core {
@@ -23,6 +24,35 @@ TEST(BenchRunnerTest, LatencyRunProducesRequestedSamples) {
   EXPECT_GT(r.summary.min_ns, 0.0);
   EXPECT_GE(r.summary.max_ns, r.summary.median_ns);
   EXPECT_GE(r.summary.median_ns, r.summary.min_ns);
+}
+
+TEST(BenchRunnerTest, RunnersDetachTheirBuffersWhenDestroyed) {
+  // A runner owns the buffer it attaches: once the runner is gone, no
+  // function's locality resolver may still point at it.
+  BenchParams p;
+  p.kind = BenchKind::BwRd;
+  p.iterations = 200;
+  sim::System system(hsw());
+  {
+    BenchRunner runner(system, p);
+    EXPECT_EQ(system.function().buffer(), &runner.buffer());
+    runner.run_bandwidth();
+  }
+  EXPECT_EQ(system.function().buffer(), nullptr);
+
+  sim::SystemConfig cfg = hsw();
+  cfg.tenants = 3;
+  sim::System tenants(cfg);
+  {
+    TenantRunner runner(tenants, p);
+    for (unsigned vf = 0; vf < 3; ++vf) {
+      EXPECT_EQ(tenants.function(vf).buffer(), &runner.buffer(vf));
+    }
+    runner.run();
+  }
+  for (unsigned vf = 0; vf < 3; ++vf) {
+    EXPECT_EQ(tenants.function(vf).buffer(), nullptr) << "vf" << vf;
+  }
 }
 
 TEST(BenchRunnerTest, WarmupSamplesAreDiscarded) {

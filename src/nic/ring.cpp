@@ -31,7 +31,7 @@ Ring::Ring(NicPort& port, const RingConfig& cfg)
     : port_(port),
       cfg_(cfg),
       desc_iova_(port.iova(cfg.desc_area)),
-      ring_(cfg.slots, kDescriptorBytes) {
+      ring_(cfg.slots) {
   port_.rings_.push_back(this);
 }
 

@@ -24,15 +24,8 @@ namespace pcieb::nic {
 
 class DescriptorRing {
  public:
-  DescriptorRing(std::uint32_t slots, std::uint32_t descriptor_bytes)
-      : slots_(slots), descriptor_bytes_(descriptor_bytes) {
+  explicit DescriptorRing(std::uint32_t slots) : slots_(slots) {
     if (slots == 0) throw std::invalid_argument("DescriptorRing: zero slots");
-    if (descriptor_bytes == 0) {
-      // A zero-byte descriptor would make every ring DMA zero-length —
-      // the occupancy protocol would "work" while nothing ever crossed
-      // the link. Reject it at construction like zero slots.
-      throw std::invalid_argument("DescriptorRing: zero descriptor_bytes");
-    }
   }
 
   /// Producer (driver on TX / freelist; device on RX completion) posts
@@ -55,17 +48,14 @@ class DescriptorRing {
     return static_cast<std::uint32_t>(tail_ - head_);
   }
   std::uint32_t free_slots() const { return slots_ - pending(); }
-  std::uint32_t slots() const { return slots_; }
-  std::uint32_t descriptor_bytes() const { return descriptor_bytes_; }
   std::uint64_t total_posted() const { return tail_; }
   std::uint64_t total_consumed() const { return head_; }
   /// High-watermark occupancy over the ring's lifetime — what the
-  /// bounded-occupancy overload monitor checks against slots().
+  /// bounded-occupancy overload monitor checks against the slot count.
   std::uint32_t max_pending() const { return max_pending_; }
 
  private:
   std::uint32_t slots_;
-  std::uint32_t descriptor_bytes_;
   std::uint32_t max_pending_ = 0;
   std::uint64_t tail_ = 0;  ///< producer index (monotonic)
   std::uint64_t head_ = 0;  ///< consumer index (monotonic)

@@ -28,7 +28,7 @@ TEST(FrameTest, WireTimeAnchor) {
 }
 
 TEST(DescriptorRingTest, PostConsumeCycle) {
-  DescriptorRing ring(8, 16);
+  DescriptorRing ring(8);
   EXPECT_EQ(ring.free_slots(), 8u);
   EXPECT_EQ(ring.post(5), 5u);
   EXPECT_EQ(ring.pending(), 5u);
@@ -38,20 +38,20 @@ TEST(DescriptorRingTest, PostConsumeCycle) {
 }
 
 TEST(DescriptorRingTest, PostSaturatesAtCapacity) {
-  DescriptorRing ring(4, 16);
+  DescriptorRing ring(4);
   EXPECT_EQ(ring.post(10), 4u);
   EXPECT_EQ(ring.post(1), 0u);
 }
 
 TEST(DescriptorRingTest, ConsumeLimitedToPending) {
-  DescriptorRing ring(4, 16);
+  DescriptorRing ring(4);
   ring.post(2);
   EXPECT_EQ(ring.consume(10), 2u);
   EXPECT_EQ(ring.consume(1), 0u);
 }
 
 TEST(DescriptorRingTest, MonotonicTotals) {
-  DescriptorRing ring(4, 16);
+  DescriptorRing ring(4);
   ring.post(4);
   ring.consume(4);
   ring.post(4);
@@ -60,17 +60,11 @@ TEST(DescriptorRingTest, MonotonicTotals) {
 }
 
 TEST(DescriptorRingTest, ZeroSlotsThrows) {
-  EXPECT_THROW(DescriptorRing(0, 16), std::invalid_argument);
-}
-
-TEST(DescriptorRingTest, ZeroDescriptorBytesThrows) {
-  // Regression: a zero-byte descriptor made every ring DMA zero-length —
-  // the occupancy protocol "worked" while nothing crossed the link.
-  EXPECT_THROW(DescriptorRing(8, 0), std::invalid_argument);
+  EXPECT_THROW(DescriptorRing(0), std::invalid_argument);
 }
 
 TEST(DescriptorRingTest, MaxPendingTracksHighWatermark) {
-  DescriptorRing ring(8, 16);
+  DescriptorRing ring(8);
   ring.post(3);
   ring.consume(3);
   ring.post(6);
@@ -87,7 +81,7 @@ TEST(DescriptorRingTest, RandomizedSequencePreservesInvariants) {
   std::mt19937_64 rng(0xdecafbad);
   for (int round = 0; round < 8; ++round) {
     const std::uint32_t slots = 1u + static_cast<std::uint32_t>(rng() % 512);
-    DescriptorRing ring(slots, 16);
+    DescriptorRing ring(slots);
     std::uint64_t posted = 0, consumed = 0;
     std::uint32_t peak = 0;
     for (int step = 0; step < 4000; ++step) {
@@ -117,7 +111,7 @@ TEST(DescriptorRingTest, RandomizedSequencePreservesInvariants) {
 // when the 32-bit truncation of either index has wrapped.
 TEST(DescriptorRingTest, IndicesSurvivePastFourBillionDescriptors) {
   const std::uint32_t slots = 1u << 20;
-  DescriptorRing ring(slots, 16);
+  DescriptorRing ring(slots);
   const std::uint64_t rounds = (1ull << 32) / slots + 2;  // > 2^32 total
   for (std::uint64_t i = 0; i < rounds; ++i) {
     ASSERT_EQ(ring.post(slots), slots);

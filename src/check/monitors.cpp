@@ -45,10 +45,8 @@ MonitorSuite::MonitorSuite(sim::System& system, MonitorConfig cfg)
     const sim::Link* up = &system.upstream(i);
     const sim::Link* down = &system.downstream(i);
     // A device's port is its own; a shared port is every VF's.
-    if (!system.shared()) {
-      ports_.push_back({up, down, label});
-    } else if (i == 0) {
-      ports_.push_back({up, down, ""});
+    if (i == 0 || !system.shared()) {
+      ports_.push_back({up, down, system.shared() ? "" : label});
     }
     ledgers_.push_back({&f, up, down, label, f.device().write_payload_issued(),
                         f.root_complex().write_bytes_committed(),

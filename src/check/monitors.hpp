@@ -110,9 +110,8 @@ class MonitorSuite : public ViolationLog {
   /// system's simulator and captures baseline payload tallies, so a
   /// suite attached mid-life checks only the delta. One ledger per
   /// function; each detail names its VF or device when there are several.
-  /// The destructor
-  /// removes exactly its own slot, leaving any other registered monitors
-  /// untouched.
+  /// The destructor removes exactly its own slot, leaving any other
+  /// registered monitors untouched.
   explicit MonitorSuite(sim::System& system, MonitorConfig cfg = {});
   ~MonitorSuite();
 

@@ -47,8 +47,6 @@ class TenantRunner {
   /// its index so tenants never share a reference pattern.
   TenantRunner(sim::System& system, const BenchParams& params);
   ~TenantRunner();  ///< detaches every VF's buffer from the system
-  TenantRunner(const TenantRunner&) = delete;
-  TenantRunner& operator=(const TenantRunner&) = delete;
 
   /// Run every tenant's workload to completion (one sim::run) and return
   /// one result per VF.

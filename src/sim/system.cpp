@@ -14,14 +14,11 @@ const SystemConfig& validated(const SystemConfig& cfg) {
     throw std::invalid_argument("tenants must be in 1..64, got " +
                                 std::to_string(n));
   }
-  if (cfg.devices < 1 || cfg.devices > 64) {
-    throw std::invalid_argument("devices must be in 1..64, got " +
+  // A device's port holds one function, so devices and VFs never mix.
+  if (cfg.devices < 1 || cfg.devices > 64 || (cfg.devices > 1 && n > 1)) {
+    throw std::invalid_argument("devices must be in 1..64, and 1 with "
+                                "several tenants; got " +
                                 std::to_string(cfg.devices));
-  }
-  if (cfg.devices > 1 && n > 1) {
-    throw std::invalid_argument(
-        "several devices need one tenant each: a device's port holds one "
-        "function");
   }
   if (!cfg.weights.empty()) {
     if (cfg.weights.size() != n) {

@@ -6,17 +6,14 @@
 // direct-maps DMA, and with it enabled our page mappings are identity at
 // the chunk level, so the memory system indexes caches by IOVA directly.
 //
-// A System holds 1..64 ports (SystemConfig::devices), and one port holds
-// 1..64 PCIe functions (SystemConfig::tenants), never both more than one.
-// The paper's device is the one-port, one-function case and owns the
-// whole port. Several functions on one port are SR-IOV VFs sharing it,
-// each a first-class tenant with its own requester ID and tag space,
-// IOMMU domain, AER log, watchdog and recovery ladder (docs/ISOLATION.md).
-// Several ports are the §9 multi-device study: each device owns its port
-// and link pair as the paper's device does, and all of them share one
-// memory system and one IOMMU, so devices evict each other's IO-TLB
-// entries and queue on the same page walkers.
-//
+// A System holds 1..64 ports (SystemConfig::devices), each holding 1..64
+// PCIe functions (SystemConfig::tenants), but never several of both. The
+// paper's device is the one-port, one-function case and owns its port.
+// Several functions on one port are SR-IOV VFs, each a first-class tenant
+// with its own requester ID and tag space, IOMMU domain, AER log, watchdog
+// and recovery ladder (docs/ISOLATION.md). Several ports are the §9
+// multi-device study: each device owns its port as the paper's device
+// does, and all share one memory system and one IOMMU (IO-TLB, walkers).
 // Everything a shared port adds is a branch on shared(), and each follows
 // from "a lone function owns its port": it has no requester ID, one
 // memory system on `seed`, no TDM lanes or IOMMU domains, its own AER log

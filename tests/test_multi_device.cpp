@@ -34,11 +34,22 @@ TEST(MultiDeviceSystemTest, ConstructionRejectsZeroDevices) {
   EXPECT_THROW(sim::System(devices(host(), 0)), std::invalid_argument);
 }
 
+TEST(MultiDeviceSystemTest, ConstructionRejectsTooManyDevicesOrVfsOnDevices) {
+  EXPECT_THROW(sim::System(devices(host(), 65)), std::invalid_argument);
+  // A device's port holds one function: devices and VFs never mix.
+  sim::SystemConfig mixed = devices(host(), 2);
+  mixed.tenants = 2;
+  EXPECT_THROW(sim::System{mixed}, std::invalid_argument);
+}
+
 TEST(MultiDeviceSystemTest, PortsAreIndependentObjects) {
   sim::System system(devices(host(), 3));
   EXPECT_EQ(system.function_count(), 3u);
   EXPECT_NE(&system.device(0), &system.device(1));
   EXPECT_NE(&system.root_complex(0), &system.root_complex(2));
+  EXPECT_NE(&system.upstream(0), &system.upstream(1));
+  EXPECT_NE(&system.downstream(1), &system.downstream(2));
+  EXPECT_FALSE(system.shared());
 }
 
 TEST(MultiDeviceRunnerTest, RejectsLatencyKinds) {

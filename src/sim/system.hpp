@@ -279,9 +279,9 @@ class System {
     Link up;
     Link down;
   };
-  /// Function `f`'s port.
+  /// Function `f`'s port: the one port every VF shares, or its device's.
   Port& port(unsigned f) {
-    return ports_.size() == 1 ? ports_[0] : ports_.at(f);
+    return ports_.size() == 1 && f < cfg_.tenants ? ports_[0] : ports_.at(f);
   }
   const Port& port(unsigned f) const {
     return const_cast<System&>(*this).port(f);

@@ -50,6 +50,9 @@ TEST(MultiDeviceSystemTest, PortsAreIndependentObjects) {
   EXPECT_NE(&system.upstream(0), &system.upstream(1));
   EXPECT_NE(&system.downstream(1), &system.downstream(2));
   EXPECT_FALSE(system.shared());
+  EXPECT_THROW(system.upstream(3), std::out_of_range);
+  sim::System plain(host());
+  EXPECT_THROW(plain.downstream(1), std::out_of_range);
 }
 
 TEST(MultiDeviceRunnerTest, RejectsLatencyKinds) {

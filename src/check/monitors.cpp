@@ -42,13 +42,12 @@ MonitorSuite::MonitorSuite(sim::System& system, MonitorConfig cfg)
     const std::string label =
         n == 1 ? ""
                : (system.shared() ? "vf" : "dev") + std::to_string(i) + ": ";
-    const sim::Link* up = &system.upstream(i);
-    const sim::Link* down = &system.downstream(i);
     // A device's port is its own; a shared port is every VF's.
     if (i == 0 || !system.shared()) {
-      ports_.push_back({up, down, system.shared() ? "" : label});
+      ports_.push_back({&system.upstream(i), &system.downstream(i),
+                        system.shared() ? "" : label});
     }
-    ledgers_.push_back({&f, up, down, label, f.device().write_payload_issued(),
+    ledgers_.push_back({&f, label, f.device().write_payload_issued(),
                         f.root_complex().write_bytes_committed(),
                         f.lost_write_bytes(),
                         f.device().read_payload_requested(),
@@ -208,7 +207,8 @@ void MonitorSuite::check_recovery(Picos now) {
   // again or declared unrecoverable, within bounded sim-time (the queue
   // draining IS the bound: a ladder stuck mid-flight would still hold
   // scheduled events).
-  for (const Ledger& l : ledgers_) {
+  for (std::size_t i = 0; i < ledgers_.size(); ++i) {
+    const Ledger& l = ledgers_[i];
     const fault::RecoveryManager* rec = l.fn->recovery();
     if (rec == nullptr) continue;
     const auto fail = [&](const std::string& detail) {
@@ -222,10 +222,11 @@ void MonitorSuite::check_recovery(Picos now) {
       continue;
     }
     // Port-state agreement applies only to a ladder that owns its whole
-    // port; per-VF lanes have no such single verdict to agree with.
+    // port (function i's is ports_[i]); per-VF lanes have no such single
+    // verdict to agree with.
     if (!port_ladder_) continue;
-    const sim::Link& up = *l.up;
-    const sim::Link& down = *l.down;
+    const sim::Link& up = *ports_[i].up;
+    const sim::Link& down = *ports_[i].down;
     const std::string blocked = "up blocked=" + std::to_string(up.blocked()) +
                                 ", down blocked=" +
                                 std::to_string(down.blocked());

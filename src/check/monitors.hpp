@@ -133,12 +133,10 @@ class MonitorSuite : public ViolationLog {
     const sim::Link* down;
     std::string label;
   };
-  /// One function's ledgers: its port's links, its detail prefix and the
-  /// payload tallies at attach time (all zero on a fresh system).
+  /// One function's ledgers: its detail prefix and the payload tallies
+  /// at attach time (all zero on a fresh system).
   struct Ledger {
     const sim::PcieFunction* fn;
-    const sim::Link* up;
-    const sim::Link* down;
     std::string label;
     std::uint64_t write_issued;
     std::uint64_t write_committed;

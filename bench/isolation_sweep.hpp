@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "core/tenant_runner.hpp"
+#include "core/runner.hpp"
 #include "fault/plan.hpp"
 #include "fault/recovery.hpp"
 #include "sim/system.hpp"

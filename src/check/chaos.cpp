@@ -10,7 +10,6 @@
 #include "check/overload_monitors.hpp"
 #include "common/rng.hpp"
 #include "core/runner.hpp"
-#include "core/tenant_runner.hpp"
 #include "exec/thread_pool.hpp"
 #include "sim/system.hpp"
 #include "sysconfig/profiles.hpp"

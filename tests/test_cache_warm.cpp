@@ -450,8 +450,9 @@ TEST(TopologyWarmTest, MultiTenantBulkWarmMatchesPerLineLoop) {
       for (unsigned vf = 0; vf < cfg.tenants; ++vf) {
         bufs.emplace_back(window_buffer(vf));
       }
-      // TenantRunner's preparation: thrash then warm, one VF at a time
-      // (on a shared uncore each thrash discards the previous VF's warm).
+      // A per-function BenchRunner's preparation: thrash then warm, one VF
+      // at a time (on a shared uncore each thrash discards the previous
+      // VF's warm).
       for (unsigned vf = 0; vf < cfg.tenants; ++vf) {
         bulk.thrash_cache(vf);
         ref.thrash_cache(vf);

@@ -16,7 +16,6 @@
 #include "check/chaos.hpp"
 #include "core/params.hpp"
 #include "core/runner.hpp"
-#include "core/tenant_runner.hpp"
 #include "fault/plan.hpp"
 #include "fault/recovery.hpp"
 #include "sim/system.hpp"

@@ -12,7 +12,6 @@
 #include "check/monitors.hpp"
 #include "core/params.hpp"
 #include "core/runner.hpp"
-#include "core/tenant_runner.hpp"
 #include "sim/simulator.hpp"
 #include "sim/system.hpp"
 #include "sysconfig/profiles.hpp"

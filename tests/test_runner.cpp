@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "core/report.hpp"
-#include "core/tenant_runner.hpp"
 #include "sysconfig/profiles.hpp"
 
 namespace pcieb::core {
@@ -44,11 +43,11 @@ TEST(BenchRunnerTest, RunnersDetachTheirBuffersWhenDestroyed) {
   cfg.tenants = 3;
   sim::System tenants(cfg);
   {
-    TenantRunner runner(tenants, p);
+    BenchRunner runner = BenchRunner::per_function(tenants, p);
     for (unsigned vf = 0; vf < 3; ++vf) {
       EXPECT_EQ(tenants.function(vf).buffer(), &runner.buffer(vf));
     }
-    runner.run();
+    runner.run_tenants();
   }
   for (unsigned vf = 0; vf < 3; ++vf) {
     EXPECT_EQ(tenants.function(vf).buffer(), nullptr) << "vf" << vf;

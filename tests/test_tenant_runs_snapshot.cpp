@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "core/tenant_runner.hpp"
+#include "core/runner.hpp"
 #include "exec/journal.hpp"
 #include "sim/system.hpp"
 #include "sysconfig/profiles.hpp"

@@ -17,7 +17,6 @@
 
 #include "check/monitors.hpp"
 #include "core/runner.hpp"
-#include "core/tenant_runner.hpp"
 #include "fault/plan.hpp"
 #include "fault/recovery.hpp"
 #include "fault/watchdog.hpp"

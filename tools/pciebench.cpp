@@ -34,7 +34,6 @@
 #include "check/overload_monitors.hpp"
 #include "check/perf.hpp"
 #include "common/parse.hpp"
-#include "core/tenant_runner.hpp"
 #include "core/observe.hpp"
 #include "core/report.hpp"
 #include "core/runner.hpp"

@@ -14,6 +14,7 @@ namespace pcieb::core {
 namespace {
 
 constexpr unsigned kWorkersPerDevice = 32;
+constexpr std::uint64_t kSeed = 42;
 
 }  // namespace
 
@@ -31,10 +32,7 @@ MultiDeviceResult run_multi_device_bandwidth(SystemT& system,
   if (!sim.empty()) {
     throw std::logic_error("run_multi_device_bandwidth: pending events");
   }
-  const unsigned devices =
-      spec.active_devices == 0
-          ? system.function_count()
-          : std::min(spec.active_devices, system.function_count());
+  const unsigned devices = system.function_count();
 
   // Per-device state: a disjoint buffer and an address sequence.
   struct DeviceRun {
@@ -50,7 +48,6 @@ MultiDeviceResult run_multi_device_bandwidth(SystemT& system,
   addr_params.kind = spec.kind;
   addr_params.transfer_size = spec.transfer_size;
   addr_params.window_bytes = spec.window_bytes;
-  addr_params.cache_state = spec.cache_state;
   addr_params.page_bytes = spec.page_bytes;
   addr_params.iterations = spec.iterations;
   addr_params.validate();
@@ -61,14 +58,12 @@ MultiDeviceResult run_multi_device_bandwidth(SystemT& system,
     buf_cfg.size_bytes = std::max<std::uint64_t>(64ull << 20, spec.window_bytes);
     buf_cfg.page_bytes = spec.page_bytes;
     buf_cfg.base_iova = 0x4000'0000ull + d * (1ull << 38);
-    buf_cfg.seed = spec.seed ^ (d * 0x9e37ULL);
+    buf_cfg.seed = kSeed ^ (d * 0x9e37ULL);
     runs[d].buffer = std::make_unique<sim::HostBuffer>(buf_cfg);
     BenchParams p = addr_params;
-    p.seed = spec.seed + d * 7919;
+    p.seed = kSeed + d * 7919;
     runs[d].seq = std::make_unique<AddressSequence>(p, *runs[d].buffer);
-    if (spec.cache_state == CacheState::HostWarm) {
-      system.warm_host(*runs[d].buffer, 0, spec.window_bytes);
-    }
+    system.warm_host(*runs[d].buffer, 0, spec.window_bytes);
   }
   system.iommu().flush_tlb();
   system.iommu().reset_stats();

@@ -13,27 +13,24 @@
 
 namespace pcieb::core {
 
+/// Every device runs the spec over its own host-warmed window.
 struct MultiDeviceSpec {
   BenchKind kind = BenchKind::BwRd;  ///< BwRd or BwWr
   std::uint32_t transfer_size = 64;
   std::uint64_t window_bytes = 128ull << 10;  ///< per device
-  CacheState cache_state = CacheState::HostWarm;
   std::uint64_t page_bytes = 4096;
   std::size_t iterations = 20000;  ///< per device
   std::size_t warmup = 4000;       ///< per device
-  std::uint64_t seed = 42;
-  /// Devices actually driven; the rest stay idle (0 = all).
-  unsigned active_devices = 0;
 };
 
 struct MultiDeviceResult {
-  std::vector<double> per_device_gbps;  ///< goodput of each active device
+  std::vector<double> per_device_gbps;  ///< goodput of each device
   double total_gbps = 0.0;
   std::uint64_t tlb_misses = 0;
   std::uint64_t tlb_hits = 0;
 };
 
-/// Runs the spec on every active device concurrently and reports
+/// Runs the spec on every device concurrently and reports
 /// per-device goodput. Throws on latency kinds. Works on both the
 /// independent-link topology (a System with SystemConfig::devices ports)
 /// and the shared-uplink one (SwitchedSystem).

@@ -106,14 +106,6 @@ TEST(MultiDeviceRunnerTest, SuperpagesRemoveTheContention) {
   }
 }
 
-TEST(MultiDeviceRunnerTest, ActiveSubsetLimitsLoad) {
-  sim::System system(devices(host(), 4));
-  MultiDeviceSpec spec = read_spec(64 << 10);
-  spec.active_devices = 2;
-  const auto r = core::run_multi_device_bandwidth(system, spec);
-  EXPECT_EQ(r.per_device_gbps.size(), 2u);
-}
-
 TEST(MultiDeviceRunnerTest, WritesRunConcurrently) {
   sim::System system(devices(host(), 2));
   MultiDeviceSpec spec = read_spec(64 << 10);

@@ -44,8 +44,6 @@ struct ExecCampaignResult : CampaignTally, exec::RunResult {
   /// chaos.shrink and one exists).
   std::optional<ShrinkResult> minimized;
 
-  bool all_ok() const { return violation == 0 && quarantined == 0; }
-
   /// Canonical, byte-stable summary (independent of --jobs, resume and
   /// completion order). Quarantined-trial aggregation is empty-safe.
   std::string summary_text(const ChaosConfig& cfg) const;

@@ -19,7 +19,6 @@ class RunningStats {
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
   double variance() const;  ///< Sample variance (n-1 denominator).
-  double stddev() const;
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
 

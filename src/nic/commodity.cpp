@@ -74,7 +74,7 @@ CommodityProbeResult run_commodity_probe(sim::System& system,
   // from inside its own invocation would destroy the std::function that
   // is still executing. Writes only occur in the RX phase, after
   // `expected` is set, so the permanent observer fires at the same points.
-  system.set_write_observer([&](std::uint32_t bytes) {
+  system.function().set_write_observer([&](std::uint32_t bytes) {
     committed += bytes;
     if (expected == 0 || committed < expected) return;
     expected = 0;
@@ -83,7 +83,7 @@ CommodityProbeResult run_commodity_probe(sim::System& system,
   });
   next();
   sim.run();
-  system.set_write_observer({});
+  system.function().set_write_observer({});
   system.attach_buffer(nullptr);
 
   CommodityProbeResult result;

@@ -51,7 +51,7 @@ LoopbackResult run_loopback(sim::System& system, const LoopbackConfig& cfg) {
   // from inside its own invocation would destroy the std::function that
   // is still executing. Writes only occur in the inbound phase, so the
   // permanent observer fires at exactly the same points.
-  system.set_write_observer([&](std::uint32_t bytes) {
+  system.function().set_write_observer([&](std::uint32_t bytes) {
     committed += bytes;
     if (committed < cfg.frame_bytes) return;
     const double total_ns = to_nanos(sim.now() - t0);
@@ -61,7 +61,7 @@ LoopbackResult run_loopback(sim::System& system, const LoopbackConfig& cfg) {
   });
   next_iteration();
   sim.run();
-  system.set_write_observer({});
+  system.function().set_write_observer({});
   system.attach_buffer(nullptr);
 
   LoopbackResult result;

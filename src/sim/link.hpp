@@ -83,7 +83,6 @@ class Link {
   Picos busy_total() const;
 
   const proto::LinkConfig& config() const { return cfg_; }
-  const LinkDllConfig& dll_config() const { return dll_; }
 
   /// Attach fault machinery (nullptrs detach). `upstream` names this
   /// direction for the injector's dir= predicate (device -> RC is up).

@@ -148,7 +148,6 @@ class RootComplex {
   /// While true, new host MMIO reads are answered UR immediately (the
   /// downstream port is frozen; nobody will ever claim the request).
   void set_port_contained(bool contained) { port_contained_ = contained; }
-  bool port_contained() const { return port_contained_; }
   /// Deterministically complete every outstanding host MMIO read as UR —
   /// containment discards the in-flight requests/completions, and a
   /// frozen port must not strand the host's read callbacks. Ascending

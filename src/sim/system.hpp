@@ -155,25 +155,6 @@ class System {
     function(f).attach_buffer(buf);
   }
 
-  /// Observe function 0's posted-write commits (payload bytes) — used to
-  /// time BW_WR. See PcieFunction::set_write_observer for the lifetime
-  /// rule.
-  using WriteObserver = PcieFunction::WriteObserver;
-  void set_write_observer(WriteObserver obs) {
-    function().set_write_observer(std::move(obs));
-  }
-
-  /// Observe function 0's posted-write payload lost to a drop anywhere on
-  /// the path (link loss, poisoned/malformed reject, IOMMU fault) — BW_WR
-  /// uses commits + drops to terminate under faults and report goodput.
-  void set_write_drop_observer(WriteObserver obs) {
-    function().set_write_drop_observer(std::move(obs));
-  }
-  /// Function 0's posted-write payload bytes lost to drops so far.
-  std::uint64_t lost_write_bytes() const {
-    return function().lost_write_bytes();
-  }
-
   // --- fault machinery (armed iff config().fault_plan is non-empty) ----
   /// Function `f`'s AER log (completer errors, timeouts, and per-lane DLL
   /// records in TDM mode); always attached, cheap when nothing records.
@@ -221,7 +202,6 @@ class System {
   /// accounting is untouched so benchmarks still terminate; only the
   /// credit ledger drifts. Never enable outside tests.
   void test_leak_credits_on_drop(bool on) { test_leak_credits_on_drop_ = on; }
-  bool test_leaks_credits_on_drop() const { return test_leak_credits_on_drop_; }
 
   /// TEST-ONLY seeded isolation bug: when enabled, an injector drop of
   /// one VF's upstream TLP arms a one-shot completion misroute — the next
@@ -232,7 +212,6 @@ class System {
   /// the trigger to the one-line vf:K fault clause. Never enable outside
   /// tests/chaos --seed-bug.
   void test_misroute_completions(bool on) { test_misroute_ = on; }
-  bool test_misroutes_completions() const { return test_misroute_; }
 
   /// Attach a trace sink to every component of every port (nullptr
   /// detaches). Costs one null-pointer check per would-be event when

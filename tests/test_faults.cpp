@@ -133,7 +133,7 @@ TEST(FaultSystemTest, DroppedWriteLosesExactlyItsPayload) {
   const auto r = core::run_bandwidth_bench(system, bw_params(1000));
   EXPECT_EQ(system.upstream().dropped(), 1u);
   EXPECT_EQ(r.lost_payload_bytes, 256u);
-  EXPECT_EQ(system.lost_write_bytes(), 256u);
+  EXPECT_EQ(system.function().lost_write_bytes(), 256u);
   EXPECT_LT(r.goodput_gbps, r.gbps);
   EXPECT_EQ(system.aer().count(ErrorType::TransactionFailed), 1u);
   EXPECT_EQ(system.fault_injector()->injected(FaultKind::LinkDrop), 1u);

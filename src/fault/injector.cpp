@@ -8,8 +8,8 @@
 
 namespace pcieb::fault {
 
-FaultInjector::FaultInjector(const FaultPlan& plan)
-    : plan_(plan), rng_(plan.seed) {
+FaultInjector::FaultInjector(const FaultPlan& plan, unsigned ports)
+    : plan_(plan), rng_(plan.seed), ports_(ports) {
   compile();
 }
 
@@ -94,11 +94,13 @@ bool FaultInjector::matches(const FaultRule& rule, std::uint64_t ordinal,
 }
 
 LinkTxDecision FaultInjector::on_link_tx(const proto::Tlp& tlp, bool upstream,
-                                         Picos now) {
-  const std::uint64_t ordinal = upstream ? ++up_tlps_ : ++down_tlps_;
+                                         Picos now, unsigned port) {
+  PortCounters& counters = ports_.at(port);
+  Counter& c = upstream ? counters.up : counters.down;
+  const std::uint64_t ordinal = ++c.ordinal;
   LinkTxDecision d;
-  SiteGate& gate = upstream ? link_up_ : link_down_;
-  if (!gate.need_walk(ordinal, now)) return d;
+  const SiteGate& gate = upstream ? link_up_ : link_down_;
+  if (!gate.need_walk(ordinal, now, c.nth_ptr)) return d;
   // Full walk over this direction's plan-order subset — identical rule
   // and probability-draw order to a walk over the whole plan, because
   // direction-mismatched rules never drew randomness there either.
@@ -144,9 +146,11 @@ LinkTxDecision FaultInjector::on_link_tx(const proto::Tlp& tlp, bool upstream,
   return d;
 }
 
-CplFault FaultInjector::on_completion(const proto::Tlp& req, Picos now) {
-  const std::uint64_t ordinal = ++completions_;
-  if (!cpl_.need_walk(ordinal, now)) return CplFault::None;
+CplFault FaultInjector::on_completion(const proto::Tlp& req, Picos now,
+                                      unsigned port) {
+  Counter& c = ports_.at(port).cpl;
+  const std::uint64_t ordinal = ++c.ordinal;
+  if (!cpl_.need_walk(ordinal, now, c.nth_ptr)) return CplFault::None;
   for (const std::uint32_t index : cpl_.rules) {
     const FaultRule& rule = plan_.rules[index];
     if (matches(rule, ordinal, req.addr, now, req.func)) {
@@ -161,8 +165,8 @@ CplFault FaultInjector::on_completion(const proto::Tlp& req, Picos now) {
 bool FaultInjector::on_translate(std::uint64_t addr, bool is_write,
                                  Picos now, unsigned func) {
   (void)is_write;
-  const std::uint64_t ordinal = ++translations_;
-  if (!xlate_.need_walk(ordinal, now)) return false;
+  const std::uint64_t ordinal = ++translations_.ordinal;
+  if (!xlate_.need_walk(ordinal, now, translations_.nth_ptr)) return false;
   for (const std::uint32_t index : xlate_.rules) {
     const FaultRule& rule = plan_.rules[index];
     if (matches(rule, ordinal, addr, now, func)) {

@@ -12,10 +12,14 @@
 //    a given sim time, if any.
 //
 // Each site keeps its own TLP ordinal, which is what nth=/every=
-// predicates index. Probabilistic rules draw from a single xoshiro
-// stream seeded from the plan, consulted in event order — the discrete
-// event simulator is deterministic, so the whole fault sequence is too:
-// same plan + seed -> identical faults, identical run.
+// predicates index. The link and completion sites count per port (each
+// port's up link, down link and completions number their own), so a
+// clause scoped to one device of a multi-device System indexes that
+// device's stream; the one IOMMU is one translation site. Probabilistic
+// rules draw from a single xoshiro stream seeded from the plan, consulted
+// in event order — the discrete event simulator is deterministic, so the
+// whole fault sequence is too: same plan + seed -> identical faults,
+// identical run.
 //
 // The injector also tallies every fault it injects, by kind; --errors
 // cross-checks these tallies against the AER log so every injected fault
@@ -45,10 +49,13 @@ enum class CplFault : std::uint8_t { None, UnsupportedRequest, CompleterAbort };
 
 class FaultInjector {
  public:
-  explicit FaultInjector(const FaultPlan& plan);
+  /// `ports` = how many ports' link TLPs and completions are numbered
+  /// apart; sites name theirs by index (0..ports-1).
+  explicit FaultInjector(const FaultPlan& plan, unsigned ports = 1);
 
-  LinkTxDecision on_link_tx(const proto::Tlp& tlp, bool upstream, Picos now);
-  CplFault on_completion(const proto::Tlp& req, Picos now);
+  LinkTxDecision on_link_tx(const proto::Tlp& tlp, bool upstream, Picos now,
+                            unsigned port = 0);
+  CplFault on_completion(const proto::Tlp& req, Picos now, unsigned port = 0);
   /// True = translation fails for the page containing `addr`. `func` is
   /// the requesting function (IOMMU domain) for vf= predicates.
   bool on_translate(std::uint64_t addr, bool is_write, Picos now,
@@ -70,6 +77,12 @@ class FaultInjector {
   std::string to_table() const;
 
  private:
+  /// One site's ordinal at one port, and its gate's nth cursor.
+  struct Counter {
+    std::uint64_t ordinal = 0;
+    std::size_t nth_ptr = 0;
+  };
+
   /// Compiled per-site prefilter. Each injection site (link-tx per
   /// direction, completion, translation) gets the plan-order subset of
   /// rules that can ever apply there, plus a conservative gate answering
@@ -84,7 +97,6 @@ class FaultInjector {
     std::vector<std::uint32_t> rules;   ///< indices into plan_.rules
     std::vector<std::uint64_t> nths;    ///< sorted one-shot ordinals
     std::vector<std::uint64_t> everys;  ///< modulus list
-    std::size_t nth_ptr = 0;            ///< advances with the ordinal
     Picos hull_from = 0;                ///< union of bounded time windows
     Picos hull_until = 0;
     bool has_window = false;
@@ -93,9 +105,10 @@ class FaultInjector {
     void add(const FaultRule& r, std::uint32_t index);
     void seal();  ///< sort the nth table once the plan is classified
 
-    /// Superset gate; `ordinal` must be non-decreasing across calls
-    /// (each site's ordinal is a per-site counter, so it is).
-    bool need_walk(std::uint64_t ordinal, Picos now) {
+    /// Superset gate; `nth_ptr` is the cursor of the counter `ordinal`
+    /// came from, which only grows, so the cursor advances with it.
+    bool need_walk(std::uint64_t ordinal, Picos now,
+                   std::size_t& nth_ptr) const {
       if (rules.empty()) return false;
       if (always) return true;
       while (nth_ptr < nths.size() && nths[nth_ptr] < ordinal) ++nth_ptr;
@@ -116,10 +129,14 @@ class FaultInjector {
 
   FaultPlan plan_;
   Xoshiro256 rng_;
-  std::uint64_t up_tlps_ = 0;    ///< TLPs seen on the upstream link
-  std::uint64_t down_tlps_ = 0;  ///< TLPs seen on the downstream link
-  std::uint64_t completions_ = 0;
-  std::uint64_t translations_ = 0;
+  /// Each port's TLPs seen on its up and down links and its completions.
+  struct PortCounters {
+    Counter up;
+    Counter down;
+    Counter cpl;
+  };
+  std::vector<PortCounters> ports_;
+  Counter translations_;
   std::array<std::uint64_t, kFaultKindCount> injected_{};
   SiteGate link_up_;
   SiteGate link_down_;

@@ -70,8 +70,8 @@ struct FaultRule {
   LinkDir dir = LinkDir::Both;
 
   // Predicates: every configured one must hold. `nth`/`every` index the
-  // TLP stream observed at the rule's site (per link direction, per
-  // completer, or per translation — see FaultInjector).
+  // TLP stream observed at the rule's site (per port and link direction,
+  // per port's completions, or per translation — see FaultInjector).
   std::uint64_t nth = 0;    ///< 1-based one-shot index (0 = off)
   std::uint64_t every = 0;  ///< fire each k-th TLP (0 = off)
   double prob = 0.0;        ///< per-TLP probability (0 = off)

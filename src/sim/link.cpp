@@ -85,7 +85,8 @@ Picos Link::send(const proto::Tlp& tlp) {
   fault::LinkTxDecision decision;
   if (injector_) {
     obs::ProfScope prof(obs::CostCenter::FaultPredicates);
-    decision = injector_->on_link_tx(tlp, upstream_, sim_.now());
+    decision =
+        injector_->on_link_tx(tlp, upstream_, sim_.now(), injector_port_);
   }
   fault::AerLog* aer = lane.aer ? lane.aer : aer_;
 

@@ -85,10 +85,13 @@ class Link {
   const proto::LinkConfig& config() const { return cfg_; }
 
   /// Attach fault machinery (nullptrs detach). `upstream` names this
-  /// direction for the injector's dir= predicate (device -> RC is up).
-  void set_fault_injector(fault::FaultInjector* inj, bool upstream) {
+  /// direction for the injector's dir= predicate (device -> RC is up);
+  /// `port` is the port whose TLP ordinals it advances.
+  void set_fault_injector(fault::FaultInjector* inj, bool upstream,
+                          unsigned port = 0) {
     injector_ = inj;
     upstream_ = upstream;
+    injector_port_ = port;
   }
   void set_aer(fault::AerLog* aer) { aer_ = aer; }
 
@@ -242,6 +245,7 @@ class Link {
   fault::FaultInjector* injector_ = nullptr;
   fault::AerLog* aer_ = nullptr;
   bool upstream_ = true;
+  unsigned injector_port_ = 0;
   obs::TraceSink* trace_ = nullptr;
   obs::Component trace_comp_ = obs::Component::LinkUp;
   std::uint64_t tlps_ = 0;

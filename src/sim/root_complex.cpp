@@ -236,7 +236,7 @@ void RootComplex::emit_completions(const proto::Tlp& req) {
     fault::CplFault f;
     {
       obs::ProfScope prof(obs::CostCenter::FaultPredicates);
-      f = injector_->on_completion(req, sim_.now());
+      f = injector_->on_completion(req, sim_.now(), injector_port_);
     }
     if (f != fault::CplFault::None) {
       const bool ur = f == fault::CplFault::UnsupportedRequest;

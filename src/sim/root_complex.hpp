@@ -134,8 +134,12 @@ class RootComplex {
   /// Attach tracing (nullptr detaches).
   void set_trace(obs::TraceSink* sink) { trace_ = sink; }
 
-  /// Attach fault machinery (nullptrs detach).
-  void set_fault_injector(fault::FaultInjector* inj) { injector_ = inj; }
+  /// Attach fault machinery (nullptrs detach); `port` is the port whose
+  /// completion ordinals this completer advances.
+  void set_fault_injector(fault::FaultInjector* inj, unsigned port = 0) {
+    injector_ = inj;
+    injector_port_ = port;
+  }
   void set_aer(fault::AerLog* aer) { aer_ = aer; }
 
   /// SR-IOV: the function this RC instance serves. Host MMIO TLPs are
@@ -200,6 +204,7 @@ class RootComplex {
   std::uint64_t error_cpls_ = 0;
   obs::TraceSink* trace_ = nullptr;
   fault::FaultInjector* injector_ = nullptr;
+  unsigned injector_port_ = 0;
   fault::AerLog* aer_ = nullptr;
   bool port_contained_ = false;
   std::uint64_t contained_host_reads_ = 0;

@@ -213,18 +213,21 @@ void System::freeze_port(unsigned f) {
 }
 
 void System::arm_faults() {
-  // One injector serves every port, so nth=/every= ordinals count across
-  // ports as they count across VFs.
-  injector_ = std::make_unique<fault::FaultInjector>(cfg_.fault_plan);
+  // One injector serves every port. Each port numbers its own link TLPs
+  // and completions for nth=/every=, which count across a shared port's
+  // VFs; the one IOMMU numbers every translation.
+  const auto ports = static_cast<unsigned>(ports_.size());
+  injector_ = std::make_unique<fault::FaultInjector>(cfg_.fault_plan, ports);
   iommu_.set_fault_injector(injector_.get());
-  for (PcieFunction& f : fns_) {
-    f.root_complex().set_fault_injector(injector_.get());
+  for (unsigned f = 0; f < function_count(); ++f) {
+    fns_[f].root_complex().set_fault_injector(injector_.get(),
+                                              ports == 1 ? 0 : f);
   }
-  for (unsigned p = 0; p < ports_.size(); ++p) {
+  for (unsigned p = 0; p < ports; ++p) {
     Link& up = ports_[p].up;
     Link& down = ports_[p].down;
-    up.set_fault_injector(injector_.get(), /*upstream=*/true);
-    down.set_fault_injector(injector_.get(), /*upstream=*/false);
+    up.set_fault_injector(injector_.get(), /*upstream=*/true, p);
+    down.set_fault_injector(injector_.get(), /*upstream=*/false, p);
 
     // A surprise link-down is a physical event: the port pair goes dark —
     // every tenant on it — whether or not a recovery policy is armed.

@@ -337,6 +337,33 @@ TEST(FaultInjectorTest, DeterministicRulesConsumeNoRandomness) {
   EXPECT_EQ(a.injected_total(), b.injected_total());
 }
 
+TEST(FaultInjectorTest, OrdinalsCountPerPort) {
+  // Three ports whose TLPs interleave unevenly (port p sends p + 1 per
+  // round): nth=3 fires on each port's own third link TLP and third
+  // completion, wherever those fall in the combined stream.
+  fault::FaultInjector inj(fault::parse_plan("drop@nth=3;cpl-ur@nth=3"), 3);
+  proto::Tlp tlp{proto::TlpType::MemRd, 0x1000, 64, 0, 1};
+  unsigned seen[3] = {};
+  for (int round = 0; round < 4; ++round) {
+    for (unsigned p = 0; p < 3; ++p) {
+      for (unsigned i = 0; i <= p; ++i) {
+        const bool third = ++seen[p] == 3;
+        const Picos now = from_nanos(round);
+        EXPECT_EQ(inj.on_link_tx(tlp, true, now, p).drop, third)
+            << "port " << p << " TLP " << seen[p];
+        EXPECT_EQ(inj.on_link_tx(tlp, false, now, p).drop, third)
+            << "port " << p << " TLP " << seen[p];
+        EXPECT_EQ(inj.on_completion(tlp, now, p) ==
+                      fault::CplFault::UnsupportedRequest,
+                  third)
+            << "port " << p << " completion " << seen[p];
+      }
+    }
+  }
+  EXPECT_EQ(inj.injected(FaultKind::LinkDrop), 6u);
+  EXPECT_EQ(inj.injected(FaultKind::CplUr), 3u);
+}
+
 // ---- watchdog --------------------------------------------------------------
 
 TEST(FaultWatchdogTest, SwallowedCompletionIsDiagnosedNotHung) {

@@ -158,6 +158,32 @@ TEST(Monitors, MultiDeviceLinkFaultStaysOnItsDevice) {
   EXPECT_EQ(system.port_aer().recorded(), 0u);
 }
 
+TEST(Monitors, MultiDeviceCompletionFaultStaysOnItsDevice) {
+  // Each port numbers its own completions, so every= scoped to device 1's
+  // buffer counts device 1's completions alone and fires there.
+  auto cfg = three_devices();
+  cfg.fault_plan =
+      fault::parse_plan("cpl-ur@every=300,addr=0x4040000000-0x4043ffffff");
+  sim::System system(cfg);
+  check::MonitorConfig mc;
+  mc.throw_on_violation = true;
+  check::MonitorSuite suite(system, mc);
+  core::MultiDeviceSpec spec;
+  spec.transfer_size = 256;
+  core::run_multi_device_bandwidth(system, spec);
+  suite.check_quiescent();
+  EXPECT_TRUE(suite.ok()) << suite.report();
+
+  const std::uint64_t urs =
+      system.aer(1).count(fault::ErrorType::UnsupportedRequest);
+  EXPECT_GT(urs, 0u);
+  EXPECT_EQ(urs, system.fault_injector()->injected(fault::FaultKind::CplUr));
+  for (const unsigned d : {0u, 2u}) {
+    EXPECT_EQ(system.aer(d).recorded(), 0u) << "dev" << d;
+  }
+  EXPECT_EQ(system.port_aer().recorded(), 0u);
+}
+
 TEST(Monitors, MultiDeviceDetailsNameTheirDevice) {
   // A link-down on device 1 contains only its port. Checked before the
   // holdoff ends, its ladder is still mid-flight, and the one violation

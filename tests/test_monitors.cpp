@@ -5,6 +5,8 @@
 // its device.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "check/monitors.hpp"
 #include "core/multi_runner.hpp"
 #include "core/params.hpp"
@@ -123,20 +125,17 @@ TEST(Monitors, CheckNowOnFreshSystemPasses) {
   EXPECT_TRUE(suite.ok()) << suite.report();
 }
 
-sim::SystemConfig three_devices() {
+sim::SystemConfig three_devices(const std::string& plan = "") {
   auto cfg = sys::nfp6000_bdw().config;
   cfg.devices = 3;
   cfg.recovery = fault::parse_recovery_policy("default");
+  if (!plan.empty()) cfg.fault_plan = fault::parse_plan(plan);
   return cfg;
 }
 
-TEST(Monitors, MultiDeviceLinkFaultStaysOnItsDevice) {
-  // run_multi_device_bandwidth gives device d a 64 MB buffer at
-  // 0x4000'0000 + d * 2^38; the drop clause matches only device 1's TLPs.
-  auto cfg = three_devices();
-  cfg.fault_plan =
-      fault::parse_plan("drop@every=300,addr=0x4040000000-0x4043ffffff");
-  sim::System system(cfg);
+/// 256 B reads on every device of `system` to completion under
+/// throw-mode monitors.
+void run_reads_monitored(sim::System& system) {
   check::MonitorConfig mc;
   mc.throw_on_violation = true;
   check::MonitorSuite suite(system, mc);
@@ -145,7 +144,15 @@ TEST(Monitors, MultiDeviceLinkFaultStaysOnItsDevice) {
   const auto r = core::run_multi_device_bandwidth(system, spec);
   suite.check_quiescent();
   EXPECT_TRUE(suite.ok()) << suite.report();
-  ASSERT_EQ(r.per_device_gbps.size(), 3u);
+  EXPECT_EQ(r.per_device_gbps.size(), system.function_count());
+}
+
+TEST(Monitors, MultiDeviceLinkFaultStaysOnItsDevice) {
+  // run_multi_device_bandwidth gives device d a 64 MB buffer at
+  // 0x4000'0000 + d * 2^38; the drop clause matches only device 1's TLPs.
+  sim::System system(
+      three_devices("drop@every=300,addr=0x4040000000-0x4043ffffff"));
+  run_reads_monitored(system);
 
   EXPECT_GT(system.aer(1).total(fault::ErrorSeverity::NonFatal), 0u);
   EXPECT_GT(system.device(1).read_retries(), 0u);
@@ -161,18 +168,9 @@ TEST(Monitors, MultiDeviceLinkFaultStaysOnItsDevice) {
 TEST(Monitors, MultiDeviceCompletionFaultStaysOnItsDevice) {
   // Each port numbers its own completions, so every= scoped to device 1's
   // buffer counts device 1's completions alone and fires there.
-  auto cfg = three_devices();
-  cfg.fault_plan =
-      fault::parse_plan("cpl-ur@every=300,addr=0x4040000000-0x4043ffffff");
-  sim::System system(cfg);
-  check::MonitorConfig mc;
-  mc.throw_on_violation = true;
-  check::MonitorSuite suite(system, mc);
-  core::MultiDeviceSpec spec;
-  spec.transfer_size = 256;
-  core::run_multi_device_bandwidth(system, spec);
-  suite.check_quiescent();
-  EXPECT_TRUE(suite.ok()) << suite.report();
+  sim::System system(
+      three_devices("cpl-ur@every=300,addr=0x4040000000-0x4043ffffff"));
+  run_reads_monitored(system);
 
   const std::uint64_t urs =
       system.aer(1).count(fault::ErrorType::UnsupportedRequest);

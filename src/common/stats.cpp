@@ -26,7 +26,6 @@ double RunningStats::variance() const {
   return m2_ / static_cast<double>(n_ - 1);
 }
 
-
 SampleSet::SampleSet(std::vector<double> samples)
     : samples_(std::move(samples)) {}
 

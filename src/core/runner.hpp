@@ -8,10 +8,11 @@
 // flight and decrements a shared counter, which saturates the engine's
 // tags/credits exactly the way the firmware's 12 cores x 8 threads do.
 //
-// A per-function run (run_tenant_bench) gives every PCIe function its own
-// buffer and the latency loop, whatever the kind, a posted write's op
-// ending when its payload retires (committed or dropped). Each function's
-// digest and counters_line are tenant chaos's victim artifact.
+// A per-function run (run_tenant_bench) drives every PCIe function at
+// once, each over its own buffer with the latency runs' serial loop,
+// whatever the kind; a posted write's op ends when its payload retires,
+// committed or dropped. Each function's digest and counters_line are
+// tenant chaos's victim artifact (docs/ISOLATION.md).
 #pragma once
 
 #include <cstdint>
